@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import Batch, ModelParams, loss_and_grads, per_sample_losses
-from .sampler import GibbsSamplerConfig, run_chain
+from .sampler import GibbsSamplerConfig, _clip_range, run_chain
 from .seeding import derive_rng
 
 FGSM = "fgsm"
@@ -54,13 +54,6 @@ class AttackConfig:
                 raise ValueError("pgd step_size must be positive")
         if self.kind == ATENT_ATTACK and self.sampler is None:
             raise ValueError("atent attack needs a sampler config")
-
-
-def _clip_range(x: np.ndarray, batch: Batch) -> np.ndarray:
-    if batch.value_range is None:
-        return x
-    lo, hi = batch.value_range
-    return np.clip(x, lo, hi)
 
 
 def _flat_rows(x: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ reproducible from (descriptor, seed).
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -33,11 +34,7 @@ class Batch:
             self.inputs = Tensor(self.inputs)
         if not isinstance(self.labels, Tensor):
             self.labels = Tensor(self.labels)
-        if self.inputs.shape[0] != self.labels.shape[0]:
-            raise TensorError(
-                f"batch size mismatch: {self.inputs.shape[0]} inputs, "
-                f"{self.labels.shape[0]} labels"
-            )
+        _check_rows(self.inputs, self.labels)
         tc._validate_one_hot(self.labels.data, self.labels.shape[0])
 
     @property
@@ -45,7 +42,20 @@ class Batch:
         return self.inputs.shape[0]
 
     def with_inputs(self, new_inputs: np.ndarray) -> "Batch":
-        return Batch(Tensor(new_inputs), self.labels, self.value_range)
+        """This batch with other inputs; the labels, validated when this
+        batch was built, are shared and not validated again."""
+        inputs = Tensor(new_inputs)
+        _check_rows(inputs, self.labels)
+        batch = copy.copy(self)
+        batch.inputs = inputs
+        return batch
+
+
+def _check_rows(inputs: Tensor, labels: Tensor) -> None:
+    if inputs.shape[0] != labels.shape[0]:
+        raise TensorError(
+            f"batch size mismatch: {inputs.shape[0]} inputs, {labels.shape[0]} labels"
+        )
 
 
 class ModelParams:

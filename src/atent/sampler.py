@@ -103,6 +103,8 @@ class ChainRun:
 
 
 def _clip_range(x: np.ndarray, batch: Batch) -> np.ndarray:
+    """``x`` clipped into ``batch.value_range``; ``x`` itself when there is
+    no range or it is already inside, so callers can test identity."""
     if batch.value_range is None:
         return x
     lo, hi = batch.value_range

@@ -242,11 +242,36 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _emit((x,), x.data.reshape(shape), pull, "reshape")
 
 
+def _taps(kh: int, kw: int, stride: int, oh: int, ow: int):
+    """(ky, kx, rows, cols) per kernel tap: the strided slices of a padded
+    input that the tap meets at each of the oh x ow output positions."""
+    for ky in range(kh):
+        for kx in range(kw):
+            yield ky, kx, slice(ky, ky + stride * oh, stride), slice(kx, kx + stride * ow, stride)
+
+
+def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
+    """Column buffer (n, cin*kh*kw, oh*ow) of padded input ``xp``; its rows
+    follow the (cin, kh, kw) order of a flattened kernel."""
+    n, cin = xp.shape[:2]
+    cols = np.empty((n, cin, kh, kw, oh, ow))
+    for ky, kx, rows, cs in _taps(kh, kw, stride, oh, ow):
+        cols[:, :, ky, kx] = xp[:, :, rows, cs]
+    return cols.reshape(n, cin * kh * kw, oh * ow)
+
+
 def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation with zero padding.
+    """Cross-correlation with zero padding, as an im2col GEMM.
 
     ``x`` is (n, c_in, h, w) or unbatched (c_in, h, w); ``kernels`` is
-    (c_out, c_in, kh, kw). Gradients flow to both input and kernels.
+    (c_out, c_in, kh, kw). The input is unfolded into columns
+    (n, c_in*kh*kw, oh*ow) so that the flattened kernels times the columns
+    lands in (n, c_out, oh*ow). When the active tape tracks the kernels the
+    whole buffer is kept for ``dk``; otherwise it is built a block of
+    samples at a time, each block's columns no larger than the output (or
+    one sample, if that is larger). ``dx`` (the transposed GEMM folded back
+    over the kh*kw taps) is computed only when the tape tracks the input;
+    for an untracked input the pull returns ``None`` in its place.
     """
     squeeze = x.data.ndim == 3
     xr = reshape(x, (1, *x.shape)) if squeeze else x
@@ -265,31 +290,45 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
     if h + 2 * padding < kh or w + 2 * padding < kw or oh < 1 or ow < 1:
         raise TensorError(f"conv2d degenerate output shape for input {x.shape}")
 
-    xp = np.pad(xr.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]  # (n, cin, oh, ow, kh, kw)
-    out = np.einsum("ncyxuv,ocuv->noyx", win, kernels.data)
+    tape = _active_tape()
+    want_dk = tape is not None and tape._tracks(kernels)
+    want_dx = tape is not None and tape._tracks(xr)
+    xp = xr.data
+    if padding:
+        xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    km = kernels.data.reshape(cout, cin * kh * kw)
+    if want_dk:
+        cols = _im2col(xp, kh, kw, stride, oh, ow)
+        out = km @ cols
+    else:
+        out = np.empty((n, cout, oh * ow))
+        block = max(1, (n * cout) // (cin * kh * kw))
+        for i in range(0, n, block):
+            np.matmul(km, _im2col(xp[i:i + block], kh, kw, stride, oh, ow), out=out[i:i + block])
 
     def pull(g):
-        dk = np.einsum("noyx,ncyxuv->ocuv", g, win)
-        dxp = np.zeros_like(xp)
-        for ky in range(kh):
-            for kx in range(kw):
-                contrib = np.einsum("noyx,oc->ncyx", g, kernels.data[:, :, ky, kx])
-                dxp[:, :, ky:ky + stride * oh:stride, kx:kx + stride * ow:stride] += contrib
-        if padding:
-            dx = dxp[:, :, padding:padding + h, padding:padding + w]
-        else:
-            dx = dxp
-        return dx, dk
+        g = g.reshape(n, cout, oh * ow)
+        dk = (g @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(kernels.shape) if want_dk else None
+        if not want_dx:
+            return None, dk
+        dcols = (km.T @ g).reshape(n, cin, kh, kw, oh, ow)
+        dxp = np.zeros(xp.shape)
+        for ky, kx, rows, cs in _taps(kh, kw, stride, oh, ow):
+            dxp[:, :, rows, cs] += dcols[:, :, ky, kx]
+        return dxp[:, :, padding:padding + h, padding:padding + w], dk
 
-    res = _emit((xr, kernels), out, pull, "conv2d")
+    res = _emit((xr, kernels), out.reshape(n, cout, oh, ow), pull, "conv2d")
     return reshape(res, res.shape[1:]) if squeeze else res
 
 
 def max_pool2d(x: Tensor, size: int = 2) -> Tensor:
     """Non-overlapping max pooling; trailing rows/cols that do not fill a
-    window are dropped. Gradient routes to the first maximum in each window.
+    window are dropped.
+
+    The max is taken over the size*size strided views of the input, one per
+    window position. Under a tape that tracks ``x`` the winning view is
+    recorded, and a later view wins only when strictly greater, so the
+    gradient routes to the first maximum in each window (row-major order).
     """
     if x.data.ndim != 4:
         raise TensorError(f"max_pool2d expects (n, c, h, w), got {x.shape}")
@@ -298,18 +337,21 @@ def max_pool2d(x: Tensor, size: int = 2) -> Tensor:
     oh, ow = h // size, w // size
     if oh < 1 or ow < 1:
         raise TensorError(f"max_pool2d window {size} too large for input {x.shape}")
-    crop = x.data[:, :, :oh * size, :ow * size]
-    win = crop.reshape(n, c, oh, size, ow, size).transpose(0, 1, 2, 4, 3, 5)
-    flat = win.reshape(n, c, oh, ow, size * size)
-    idx = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    taps = [(rows, cs) for _, _, rows, cs in _taps(size, size, size, oh, ow)]
+    tape = _active_tape()
+    track = tape is not None and tape._tracks(x)
+    out = x.data[:, :, taps[0][0], taps[0][1]].copy()
+    winner = np.zeros(out.shape, dtype=np.intp) if track else None
+    for t, (rows, cs) in enumerate(taps[1:], start=1):
+        v = x.data[:, :, rows, cs]
+        if track:
+            np.copyto(winner, t, where=v > out)
+        np.maximum(out, v, out=out)
 
     def pull(g):
-        dflat = np.zeros_like(flat)
-        np.put_along_axis(dflat, idx[..., None], g[..., None], axis=-1)
-        dwin = dflat.reshape(n, c, oh, ow, size, size).transpose(0, 1, 2, 4, 3, 5)
         dx = np.zeros_like(x.data)
-        dx[:, :, :oh * size, :ow * size] = dwin.reshape(n, c, oh * size, ow * size)
+        for t, (rows, cs) in enumerate(taps):
+            np.copyto(dx[:, :, rows, cs], g, where=winner == t)
         return (dx,)
 
     return _emit((x,), out, pull, "max_pool2d")

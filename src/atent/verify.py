@@ -85,6 +85,14 @@ def gradient_suite() -> list[CheckResult]:
     results.append(_fd_vs_autodiff(
         "conv2d (affine)", lambda: tc.sum_all(tc.conv2d(x, k, 1, 1)), k, AFFINE_TOL))
 
+    # cross-entropy over the output makes the pulled gradient differ at
+    # every position, so the col2im fold of each tap is checked
+    y27 = Tensor(np.eye(27)[[4, 19]])
+    results.append(_fd_vs_autodiff(
+        "conv2d input, stride 2, padding 1",
+        lambda: tc.softmax_cross_entropy(tc.reshape(tc.conv2d(x, k, 2, 1), (2, 27)), y27),
+        x, GRAD_TOL))
+
     r = Tensor(rng.random(30) * 2 - 1.0)
     results.append(_fd_vs_autodiff(
         "relu", lambda: tc.sum_all(tc.relu(r)), r, GRAD_TOL))

@@ -39,6 +39,24 @@ def _fd_weight_check(params, batch, names, tol=1e-4):
         assert relative_error(wg[name], fd) <= tol, name
 
 
+class TestBatch:
+    def test_rejects_labels_that_are_not_one_hot(self):
+        with pytest.raises(TensorError):
+            Batch(np.ones((2, 3)), np.array([[1.0, 0.0], [0.5, 0.5]]))
+
+    def test_with_inputs_keeps_labels_and_range(self):
+        batch = Batch(np.ones((2, 3)), np.eye(2), (0.0, 1.0))
+        moved = batch.with_inputs(np.zeros((2, 3)))
+        assert moved.labels is batch.labels and moved.value_range == (0.0, 1.0)
+        assert np.array_equal(moved.inputs.data, np.zeros((2, 3)))
+        assert np.array_equal(batch.inputs.data, np.ones((2, 3)))
+
+    def test_with_inputs_rejects_row_count_mismatch(self):
+        batch = Batch(np.ones((2, 3)), np.eye(2))
+        with pytest.raises(TensorError):
+            batch.with_inputs(np.ones((3, 3)))
+
+
 class TestBuildMlp:
     def test_seed_reproducibility(self):
         a = build_mlp([2, 16, 16, 2], seed=5)

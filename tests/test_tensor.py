@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atent import tensor as tc
+from atent.models import Batch, batch_loss, build_small_cnn, loss_and_grads
 from atent.oracle import finite_difference_grad, relative_error
 from atent.tensor import NonFiniteError, Tape, TapeError, Tensor, TensorError
 
@@ -138,6 +139,68 @@ class TestConv2d:
         assert relative_error(gx, finite_difference_grad(fx, x0.copy())) <= 1e-6
         assert relative_error(gk, finite_difference_grad(fk, k0.copy())) <= 1e-6
 
+    def test_strided_padded_batched_grads_match_finite_differences(self):
+        # cross-entropy over the flattened output makes the pulled gradient
+        # differ at every output position, so a misplaced tap shows
+        rng = np.random.default_rng(7)
+        x0 = rng.random((3, 2, 5, 5))
+        k0 = rng.random((4, 2, 3, 3)) - 0.5
+        y = Tensor(np.eye(36)[rng.integers(0, 36, 3)])
+
+        def loss(x, k):
+            return tc.softmax_cross_entropy(tc.reshape(tc.conv2d(x, k, 2, 1), (3, 36)), y)
+
+        x = Tensor(x0, requires_grad=True)
+        k = Tensor(k0, requires_grad=True)
+        gx, gk = grad_of(lambda: loss(x, k), [x, k])
+        fd_x = finite_difference_grad(lambda arr: loss(Tensor(arr), Tensor(k0)).item(), x0.copy())
+        fd_k = finite_difference_grad(lambda arr: loss(Tensor(x0), Tensor(arr)).item(), k0.copy())
+        assert relative_error(gx, fd_x) <= 1e-6
+        assert relative_error(gk, fd_k) <= 1e-6
+
+    def test_taped_forward_equals_untaped_bitwise(self):
+        # untaped, the columns are built 64 * 2 // 27 = 4 samples at a time
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.random((64, 3, 6, 6)))
+        k = Tensor(rng.random((2, 3, 3, 3)), requires_grad=True)
+        plain = tc.conv2d(x, k, 2, 1).data
+        with Tape():
+            taped = tc.conv2d(x, k, 2, 1).data
+        assert np.array_equal(plain, taped)
+
+    def test_pull_skips_untracked_operand(self):
+        rng = np.random.default_rng(9)
+        x0 = rng.random((2, 2, 4, 4))
+        k0 = rng.random((3, 2, 3, 3))
+        g = np.ones((2, 3, 4, 4))
+        with Tape() as tape:
+            tc.conv2d(Tensor(x0), Tensor(k0, requires_grad=True), 1, 1)
+        dx, dk = tape.records[-1].pull(g)
+        assert dx is None and dk.shape == k0.shape
+        with Tape() as tape:
+            tc.conv2d(Tensor(x0, requires_grad=True), Tensor(k0), 1, 1)
+        dx, dk = tape.records[-1].pull(g)
+        assert dx.shape == x0.shape and dk is None
+
+    def test_weight_grads_with_untracked_first_input_match_fd(self):
+        # wrt="weights": the first conv's input is untracked, the second's is
+        rng = np.random.default_rng(10)
+        p = build_small_cnn([2, 3], [4, 2], seed=4, in_shape=(1, 8, 8))
+        batch = Batch(rng.random((3, 1, 8, 8)), np.eye(2)[rng.integers(0, 2, 3)])
+        _, wg, _ = loss_and_grads(p, batch, wrt="weights")
+        for name in ("conv0", "conv1"):
+            t = p.weights[name]
+
+            def f(arr, t=t):
+                old = t.data
+                t.data = arr
+                try:
+                    return batch_loss(p, batch)
+                finally:
+                    t.data = old
+
+            assert relative_error(wg[name], finite_difference_grad(f, t.data.copy())) <= 1e-4
+
 
 class TestRelu:
     def test_values(self):
@@ -230,6 +293,37 @@ class TestMaxPool:
         x = Tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
         (gx,) = grad_of(lambda: tc.sum_all(tc.max_pool2d(x, 2)), [x])
         assert np.array_equal(gx, [[[[1.0, 0.0], [0.0, 0.0]]]])
+
+    def test_cropped_windows_with_ties_match_reshape_argmax_oracle(self):
+        rng = np.random.default_rng(11)
+        x0 = rng.integers(0, 3, size=(2, 3, 7, 7)).astype(float)  # many ties
+        g = rng.normal(size=(2, 3, 2, 2))
+        x = Tensor(x0, requires_grad=True)
+        with Tape() as tape:
+            out = tc.max_pool2d(x, 3)
+        (dx,) = tape.records[-1].pull(g)
+        want_out, want_dx = _max_pool_oracle(x0, 3, g)
+        assert np.array_equal(out.data, want_out)
+        assert np.array_equal(dx, want_dx)
+        assert np.all(dx[:, :, 6, :] == 0.0) and np.all(dx[:, :, :, 6] == 0.0)
+
+
+def _max_pool_oracle(x, size, g):
+    """Windows regrouped by reshape, first maximum by argmax: the values
+    and the input gradient for output gradient ``g``."""
+    n, c, h, w = x.shape
+    oh, ow = h // size, w // size
+    crop = x[:, :, :oh * size, :ow * size]
+    flat = crop.reshape(n, c, oh, size, ow, size).transpose(0, 1, 2, 4, 3, 5)
+    flat = flat.reshape(n, c, oh, ow, size * size)
+    idx = flat.argmax(axis=-1)
+    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    dflat = np.zeros_like(flat)
+    np.put_along_axis(dflat, idx[..., None], g[..., None], axis=-1)
+    dwin = dflat.reshape(n, c, oh, ow, size, size).transpose(0, 1, 2, 4, 3, 5)
+    dx = np.zeros_like(x)
+    dx[:, :, :oh * size, :ow * size] = dwin.reshape(n, c, oh * size, ow * size)
+    return out, dx
 
 
 class TestBackwardSemantics:
