@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Batch, ModelParams, loss_and_grads, per_sample_losses
+from .models import Batch, ModelParams, loss_and_grads, per_sample_losses, predict
 from .sampler import GibbsSamplerConfig, _clip_range, run_chain
 from .seeding import derive_rng
 
@@ -179,12 +179,7 @@ def robust_accuracy(params: ModelParams, dataset, cfg: AttackConfig,
         sub = dataset.take(idx)
         batch = sub.as_batch()
         x_adv = run_attack(params, batch, cfg, stream=bi)
-        pred = _predict(params, x_adv)
+        pred = predict(params, x_adv)
         correct += int(np.sum(pred == sub.labels.data.argmax(axis=1)))
     return correct / n
 
-
-def _predict(params, inputs):
-    from .models import predict
-
-    return predict(params, inputs)

@@ -180,23 +180,18 @@ def _direction_pgd_at(params, batch, cfg, epoch, bidx):
 
 
 def _direction_atent(params, batch, cfg, epoch, bidx):
-    """Outer gradient of the loss EMA with sampled inputs held fixed:
-    the same EMA recurrence applied to per-sample weight gradients."""
+    """Outer gradient of the loss EMA with sampled inputs held fixed,
+    accumulated by the chain from its own passes."""
     rng = derive_rng(cfg.seed, "chain", epoch, bidx)
-    run = run_chain(params, batch, cfg.sampler, rng)
-    alpha = cfg.sampler.ema
-    acc = {name: np.zeros(t.shape) for name, t in params.weights.items()}
-    for x_k in run.samples:
-        _, wg, _ = loss_and_grads(params, batch.with_inputs(x_k), wrt="weights")
-        for name in acc:
-            acc[name] = (1.0 - alpha) * acc[name] + alpha * wg[name]
-    return run.ema_loss, acc
+    run = run_chain(params, batch, cfg.sampler, rng, weight_grads=True)
+    return run.ema_loss, run.weight_grads
 
 
 def atent_outer_gradient(params: ModelParams, batch: Batch, samples,
                          alpha: float) -> dict[str, np.ndarray]:
-    """EMA-weighted weight gradient over frozen chain samples; exposed for
-    direct verification against finite differences."""
+    """EMA-weighted weight gradient over frozen chain samples: the reference
+    the chain's fused ``weight_grads`` is checked against, and itself
+    checked against finite differences."""
     acc = {name: np.zeros(t.shape) for name, t in params.weights.items()}
     for x_k in samples:
         _, wg, _ = loss_and_grads(params, batch.with_inputs(x_k), wrt="weights")
@@ -333,24 +328,3 @@ def train(params: ModelParams, cfg: TrainerConfig, train_ds: Dataset,
 def _probe_batch(ds: Dataset, size: int = 64) -> Batch:
     idx = np.arange(min(size, ds.n))
     return ds.take(idx).as_batch()
-
-
-def _named(defense):
-    def runner(params, cfg, train_ds, val_ds):
-        if cfg.defense != defense:
-            raise ValueError(f"config is for {cfg.defense!r}, not {defense!r}")
-        return train(params, cfg, train_ds, val_ds)
-
-    runner.__name__ = f"train_{defense}"
-    return runner
-
-
-train_sgd = _named(SGD)
-train_entropy_sgd = _named(ENTROPY_SGD)
-train_pgd_at = _named(PGD_AT)
-
-
-def train_atent(params, cfg, train_ds, val_ds):
-    if cfg.defense not in (ATENT_L2, ATENT_LINF):
-        raise ValueError(f"config is for {cfg.defense!r}, not an atent defense")
-    return train(params, cfg, train_ds, val_ds)

@@ -250,9 +250,8 @@ def loss_and_grads(
             t.requires_grad = prev_flags[name]
     weight_grads = None
     if want_w:
-        zero = {name: np.zeros(t.shape) for name, t in params.weights.items()}
         weight_grads = {
-            name: grads[t].data if t in grads else zero[name]
+            name: grads[t].data if t in grads else np.zeros(t.shape)
             for name, t in params.weights.items()
         }
     input_grads = None

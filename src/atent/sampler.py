@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .models import Batch, ModelParams, loss_and_grads
+from .models import Batch, ModelParams, batch_loss, loss_and_grads
 from .tensor import NonFiniteError
 
 log = logging.getLogger(__name__)
@@ -41,7 +41,7 @@ class GibbsSamplerConfig:
     init_radius: std of the normal init perturbation; defaults to 1/gamma.
     loss_cap: monitored upper bound on the batch loss (never enforced by
         rejection; exceeding it logs a warning once per chain).
-    beta: inverse temperature, fixed at 1; noise_scale is the only knob.
+    The inverse temperature is fixed at 1; noise_scale is the only knob.
     """
 
     gamma: float
@@ -51,7 +51,6 @@ class GibbsSamplerConfig:
     ema: float = 1.0
     norm: str = L2
     init_radius: float | None = None
-    beta: float = 1.0
     loss_cap: float = math.inf
     linf_mode: str = FINAL_PROJECTION
 
@@ -68,8 +67,6 @@ class GibbsSamplerConfig:
             raise ValueError("ema must lie in (0, 1]")
         if self.norm not in (L2, LINF):
             raise ValueError(f"norm must be '{L2}' or '{LINF}'")
-        if self.beta != 1.0:
-            raise ValueError("beta is fixed at 1.0")
         if self.init_radius is not None and self.init_radius < 0:
             raise ValueError("init_radius must be nonnegative")
         if self.linf_mode not in _LINF_MODES:
@@ -82,13 +79,13 @@ class GibbsSamplerConfig:
 
 @dataclass
 class ChainState:
-    """One chain's position, anchor, loss EMA and step counter."""
+    """One chain's position, anchor, loss EMA and step counter; ``run_chain``
+    keeps its EMA as a local and leaves ``ema_loss`` at its start value."""
 
     x_prime: np.ndarray
     x_anchor: np.ndarray
     ema_loss: float
     step_index: int
-    rng: np.random.Generator | None = None
 
     def __post_init__(self):
         if self.x_prime.shape != self.x_anchor.shape:
@@ -100,6 +97,7 @@ class ChainRun:
     samples: list[np.ndarray]
     ema_loss: float
     x_final: np.ndarray
+    weight_grads: dict[str, np.ndarray] | None = None
 
 
 def _clip_range(x: np.ndarray, batch: Batch) -> np.ndarray:
@@ -135,6 +133,16 @@ def _advance(state: ChainState, new_x: np.ndarray) -> ChainState:
     return replace(state, x_prime=new_x, step_index=state.step_index + 1)
 
 
+def _drift_step(state: ChainState, drift: np.ndarray, cfg: GibbsSamplerConfig,
+                rng: np.random.Generator) -> ChainState:
+    """x' <- x' + eta' * drift + sqrt(2 eta') * eps * N(0, I)."""
+    new_x = state.x_prime + cfg.step * drift
+    eta = _noise(state.x_prime.shape, cfg, rng)
+    if eta is not None:
+        new_x = new_x + eta
+    return _advance(state, new_x)
+
+
 def langevin_step_l2(
     state: ChainState,
     grad_x: np.ndarray,
@@ -142,12 +150,7 @@ def langevin_step_l2(
     rng: np.random.Generator,
 ) -> ChainState:
     """x' <- x' + eta' * (grad + gamma * (x - x')) + sqrt(2 eta') * eps * N(0, I)."""
-    drift = grad_x + cfg.gamma * (state.x_anchor - state.x_prime)
-    new_x = state.x_prime + cfg.step * drift
-    eta = _noise(state.x_prime.shape, cfg, rng)
-    if eta is not None:
-        new_x = new_x + eta
-    return _advance(state, new_x)
+    return _drift_step(state, grad_x + cfg.gamma * (state.x_anchor - state.x_prime), cfg, rng)
 
 
 def project_linf_increment(z: np.ndarray, gamma: float) -> np.ndarray:
@@ -163,18 +166,11 @@ def _coordinate_sign_term(state: ChainState, gamma: float) -> np.ndarray:
     """gamma * sign(x_i - x'_i) on the per-sample coordinate of largest
     |x - x'| (ties to the lowest flat index), zero elsewhere."""
     diff = state.x_anchor - state.x_prime
-    term = np.zeros_like(diff)
-    if diff.ndim <= 1:
-        flat = diff.reshape(-1)
-        i = int(np.argmax(np.abs(flat)))
-        term.reshape(-1)[i] = gamma * np.sign(flat[i])
-        return term
-    rows = diff.reshape(diff.shape[0], -1)
-    idx = np.argmax(np.abs(rows), axis=1)
-    out = term.reshape(diff.shape[0], -1)
-    sel = rows[np.arange(rows.shape[0]), idx]
-    out[np.arange(rows.shape[0]), idx] = gamma * np.sign(sel)
-    return term
+    rows = diff.reshape(diff.shape[0] if diff.ndim > 1 else 1, -1)
+    at = (np.arange(rows.shape[0]), np.argmax(np.abs(rows), axis=1))
+    term = np.zeros_like(rows)
+    term[at] = gamma * np.sign(rows[at])
+    return term.reshape(diff.shape)
 
 
 def langevin_step_linf(
@@ -190,12 +186,7 @@ def langevin_step_linf(
     drift gains gamma*sign(x-x') on the single largest-gap coordinate.
     """
     if cfg.linf_mode == COORDINATE_SIGN:
-        drift = grad_x + _coordinate_sign_term(state, cfg.gamma)
-        new_x = state.x_prime + cfg.step * drift
-        eta = _noise(state.x_prime.shape, cfg, rng)
-        if eta is not None:
-            new_x = new_x + eta
-        return _advance(state, new_x)
+        return _drift_step(state, grad_x + _coordinate_sign_term(state, cfg.gamma), cfg, rng)
 
     inc = cfg.step * grad_x
     eta = _noise(state.x_prime.shape, cfg, rng)
@@ -223,10 +214,17 @@ def run_chain(
     batch: Batch,
     cfg: GibbsSamplerConfig,
     rng: np.random.Generator,
+    weight_grads: bool = False,
 ) -> ChainRun:
     """Initialize with a normal perturbation, run K Langevin steps with
     per-sample own-loss input gradients, and accumulate the loss EMA
     mu <- (1-alpha) mu + alpha * L(w; x'^k), mu^0 = 0.
+
+    With ``weight_grads`` the same recurrence over the weight gradients of
+    the mean loss at x'^1..x'^K (zero start) gives ATENT's outer gradient in
+    ``ChainRun.weight_grads``. Each sample takes one pass: x'^0 for input
+    gradients, x'^1..x'^(K-1) for both, x'^K for weight gradients only, or
+    forward-only (``batch_loss``) when ``weight_grads`` is off.
 
     Iterate clipping follows ``batch.value_range``. When the batch declares
     a range, the initial point and every iterate are clipped back into it:
@@ -238,19 +236,28 @@ def run_chain(
     """
     anchor = batch.inputs.data
     x0 = _clip_range(init_perturbation(anchor, cfg, rng), batch)
-    state = ChainState(x_prime=x0, x_anchor=anchor, ema_loss=0.0, step_index=0, rng=rng)
-    _, _, grad_x = loss_and_grads(params, batch.with_inputs(state.x_prime), wrt="inputs")
+    state = ChainState(x_prime=x0, x_anchor=anchor, ema_loss=0.0, step_index=0)
+    _, _, grad_x = loss_and_grads(params, batch.with_inputs(x0), wrt="inputs")
+    alpha, ema_loss = cfg.ema, 0.0
+    inner_wrt = "both" if weight_grads else "inputs"
+    acc = {name: np.zeros(t.shape) for name, t in params.weights.items()} if weight_grads else None
     samples: list[np.ndarray] = []
     warned = False
-    for _ in range(cfg.steps):
+    for k in range(1, cfg.steps + 1):
         state = langevin_step(state, grad_x, cfg, rng)
-        clipped = _clip_range(state.x_prime, batch)
-        if clipped is not state.x_prime:
-            state = replace(state, x_prime=clipped)
-        loss, _, grad_x = loss_and_grads(params, batch.with_inputs(state.x_prime), wrt="inputs")
+        state.x_prime = _clip_range(state.x_prime, batch)
+        at_k = batch.with_inputs(state.x_prime)
+        if k < cfg.steps:
+            loss, wg, grad_x = loss_and_grads(params, at_k, wrt=inner_wrt)
+        elif weight_grads:
+            loss, wg, _ = loss_and_grads(params, at_k, wrt="weights")
+        else:
+            loss = batch_loss(params, at_k)
         if loss > cfg.loss_cap and not warned:
             log.warning("chain batch loss %.4g exceeded loss_cap %.4g", loss, cfg.loss_cap)
             warned = True
-        state = replace(state, ema_loss=(1.0 - cfg.ema) * state.ema_loss + cfg.ema * loss)
-        samples.append(state.x_prime.copy())
-    return ChainRun(samples=samples, ema_loss=state.ema_loss, x_final=state.x_prime)
+        ema_loss = (1.0 - alpha) * ema_loss + alpha * loss
+        if weight_grads:
+            acc = {name: (1.0 - alpha) * acc[name] + alpha * wg[name] for name in acc}
+        samples.append(state.x_prime)
+    return ChainRun(samples=samples, ema_loss=ema_loss, x_final=state.x_prime, weight_grads=acc)

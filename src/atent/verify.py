@@ -106,20 +106,10 @@ def gradient_suite() -> list[CheckResult]:
     results.append(_fd_vs_autodiff(
         "max pool", lambda: tc.sum_all(tc.max_pool2d(mp, 2)), mp, GRAD_TOL))
 
-    for name, params, batch in _end_to_end_cases(rng):
+    cases = _end_to_end_cases(rng)
+    for name, params, batch in cases:
         _, wg, xg = loss_and_grads(params, batch, wrt="both")
-        worst = 0.0
-        for wname, t in params.weights.items():
-            def f(arr, t=t):
-                old = t.data
-                t.data = arr
-                try:
-                    return batch_loss(params, batch)
-                finally:
-                    t.data = old
-
-            fd = finite_difference_grad(f, t.data.copy())
-            worst = max(worst, relative_error(wg[wname], fd))
+        worst = _worst_weight_error(params, lambda: batch_loss(params, batch), wg)
 
         def fx(arr):
             return batch.n * batch_loss(params, batch.with_inputs(arr))
@@ -130,7 +120,38 @@ def gradient_suite() -> list[CheckResult]:
             "gradients", f"end-to-end {name}", worst <= GRAD_TOL,
             f"worst rel err {worst:.3e} <= {GRAD_TOL:g}"))
 
+    # the chain's fused outer gradient is sum_k c_k grad_w L(w; x'_k) with
+    # the samples frozen, and equals the separate-pass reference bitwise
+    scfg = GibbsSamplerConfig(gamma=1.5, step=0.1, steps=3, noise_scale=0.2, ema=0.6)
+    for name, params, batch in (cases[0], cases[2]):
+        run = run_chain(params, batch, scfg, derive_rng(4), weight_grads=True)
+        coeff = [scfg.ema * (1.0 - scfg.ema) ** (scfg.steps - k) for k in range(1, scfg.steps + 1)]
+        worst = _worst_weight_error(
+            params, lambda: sum(c * batch_loss(params, batch.with_inputs(x))
+                                for c, x in zip(coeff, run.samples)),
+            run.weight_grads)
+        ref = atent_outer_gradient(params, batch, run.samples, scfg.ema)
+        same = all(np.array_equal(run.weight_grads[n], ref[n]) for n in ref)
+        results.append(CheckResult(
+            "gradients", f"ATENT outer gradient {name}", worst <= GRAD_TOL and same,
+            f"worst rel err {worst:.3e} <= {GRAD_TOL:g}; "
+            f"{'equals' if same else 'differs from'} the frozen-sample reference bitwise"))
+
     return results
+
+
+def _worst_weight_error(params, loss, wg) -> float:
+    """Worst relative error of the weight gradients ``wg`` against central
+    differences of ``loss()`` in each weight tensor."""
+    def loss_at(t, arr):
+        old, t.data = t.data, arr
+        try:
+            return loss()
+        finally:
+            t.data = old
+
+    return max(relative_error(wg[name], finite_difference_grad(
+        lambda arr, t=t: loss_at(t, arr), t.data.copy())) for name, t in params.weights.items())
 
 
 def _end_to_end_cases(rng):

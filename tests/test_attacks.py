@@ -195,12 +195,12 @@ class TestAtentAttack:
 class TestRobustAccuracy:
     def _trained_toy(self):
         ds = synth_two_gaussians(300, 5.0, seed=0)
-        from atent.defenses import TrainerConfig, train_sgd
+        from atent.defenses import TrainerConfig, train
 
         p = build_mlp([2, 16, 2], seed=0)
         cfg = TrainerConfig(defense="sgd", lr=0.5, epochs=25, batch_size=32, seed=0,
                             lr_schedule=[])
-        state = train_sgd(p, cfg, ds, ds.take(np.arange(0)))
+        state = train(p, cfg, ds, ds.take(np.arange(0)))
         return state.params, ds
 
     def test_zero_radius_equals_natural_accuracy(self):

@@ -17,10 +17,6 @@ from atent.defenses import (
     atent_outer_gradient,
     early_stop_update,
     train,
-    train_atent,
-    train_entropy_sgd,
-    train_pgd_at,
-    train_sgd,
     weight_langevin_chain,
 )
 from atent.models import Batch, ModelParams, accuracy, build_mlp, loss_and_grads
@@ -75,16 +71,16 @@ class TestTrainSgd:
     def test_zero_lr_leaves_params_unchanged(self):
         ds, val = _blobs()
         p0 = build_mlp([2, 8, 2], seed=0)
-        state = train_sgd(p0, TrainerConfig(defense="sgd", lr=0.0, epochs=3,
-                                            batch_size=32, seed=0), ds, val)
+        state = train(p0, TrainerConfig(defense="sgd", lr=0.0, epochs=3,
+                                        batch_size=32, seed=0), ds, val)
         assert _params_equal(state.params, p0)
 
     def test_same_seed_identical_params(self):
         ds, val = _blobs(seed=1)
         p0 = build_mlp([2, 8, 2], seed=1)
         cfg = TrainerConfig(defense="sgd", lr=0.3, epochs=5, batch_size=32, seed=4)
-        a = train_sgd(p0, cfg, ds, val)
-        b = train_sgd(p0, cfg, ds, val)
+        a = train(p0, cfg, ds, val)
+        b = train(p0, cfg, ds, val)
         assert _params_equal(a.params, b.params)
 
     def test_separable_blobs_reach_high_accuracy(self):
@@ -94,7 +90,7 @@ class TestTrainSgd:
             p0 = build_mlp([2, 16, 2], seed=seed)
             cfg = TrainerConfig(defense="sgd", lr=0.5, epochs=40, batch_size=32,
                                 seed=seed, lr_schedule=[])
-            state = train_sgd(p0, cfg, ds, val)
+            state = train(p0, cfg, ds, val)
             assert accuracy(state.params, ds.inputs, ds.labels) >= 0.99
 
     def test_divergence_aborts(self):
@@ -105,16 +101,16 @@ class TestTrainSgd:
         cfg = TrainerConfig(defense="sgd", lr=0.1, epochs=2, batch_size=32, seed=0,
                             lr_schedule=[])
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
-            train_sgd(p0, cfg, ds, val)
+            train(p0, cfg, ds, val)
 
 
 class TestTrainPgdAt:
     def test_zero_radius_bitwise_equals_sgd(self):
         ds, val = _blobs(seed=2)
         p0 = build_mlp([2, 8, 2], seed=2)
-        sgd = train_sgd(p0, TrainerConfig(defense="sgd", lr=0.3, epochs=4,
-                                          batch_size=32, seed=7), ds, val)
-        pgd = train_pgd_at(p0, TrainerConfig(
+        sgd = train(p0, TrainerConfig(defense="sgd", lr=0.3, epochs=4,
+                                      batch_size=32, seed=7), ds, val)
+        pgd = train(p0, TrainerConfig(
             defense="pgd_at", lr=0.3, epochs=4, batch_size=32, seed=7,
             pgd=AttackConfig(kind="pgd", norm="linf", radius=0.0, steps=3,
                              step_size=0.1, random_start=True, seed=7),
@@ -134,10 +130,10 @@ class TestTrainPgdAt:
             ds = synth_two_gaussians(400, 4.0, seed=seed)
             train_ds, val_ds = split_train_val(ds)
             p0 = build_mlp([2, 16, 2], seed=seed)
-            sgd = train_sgd(p0, TrainerConfig(defense="sgd", lr=0.5, epochs=30,
-                                              batch_size=32, seed=seed,
-                                              lr_schedule=[]), train_ds, val_ds)
-            pgd = train_pgd_at(p0, TrainerConfig(
+            sgd = train(p0, TrainerConfig(defense="sgd", lr=0.5, epochs=30,
+                                          batch_size=32, seed=seed,
+                                          lr_schedule=[]), train_ds, val_ds)
+            pgd = train(p0, TrainerConfig(
                 defense="pgd_at", lr=0.5, epochs=30, batch_size=32, seed=seed,
                 lr_schedule=[],
                 pgd=AttackConfig(kind="pgd", norm="linf", radius=eps, steps=7,
@@ -168,7 +164,7 @@ class TestTrainEntropySgd:
         p0 = build_mlp([2, 4, 2], seed=0)
         for t in p0.weights.values():
             t.data = np.zeros_like(t.data)
-        state = train_entropy_sgd(p0, self._cfg(epochs=1), ds, ds.take(np.arange(0)))
+        state = train(p0, self._cfg(epochs=1), ds, ds.take(np.arange(0)))
         delta = max(np.max(np.abs(state.params.weights[n].data - p0.weights[n].data))
                     for n in p0.names)
         assert delta <= 1e-8
@@ -196,8 +192,8 @@ class TestTrainEntropySgd:
         p0 = build_mlp([2, 8, 2], seed=3)
         cfg = self._cfg(sampler=GibbsSamplerConfig(gamma=1.0, step=0.1, steps=3,
                                                    noise_scale=1e-3, ema=0.75))
-        a = train_entropy_sgd(p0, cfg, ds, val)
-        b = train_entropy_sgd(p0, cfg, ds, val)
+        a = train(p0, cfg, ds, val)
+        b = train(p0, cfg, ds, val)
         assert _params_equal(a.params, b.params)
 
 
@@ -212,7 +208,7 @@ class TestTrainAtent:
                                   noise_scale=0.0, ema=1.0, init_radius=0.05)
         cfg = TrainerConfig(defense="atent_l2", lr=lr, epochs=epochs, batch_size=bs,
                             seed=seed, lr_schedule=[], sampler=scfg)
-        ours = train_atent(p0, cfg, ds, val)
+        ours = train(p0, cfg, ds, val)
 
         from atent.data import batch_iter
 
@@ -234,15 +230,15 @@ class TestTrainAtent:
         ds, val = _blobs(seed=5, n=128)
         p0 = build_mlp([2, 8, 2], seed=5)
         lr, bs, seed = 0.3, 32, 13
-        sgd = train_sgd(p0, TrainerConfig(defense="sgd", lr=lr, epochs=1,
-                                          batch_size=bs, seed=seed,
-                                          lr_schedule=[]), ds, val)
+        sgd = train(p0, TrainerConfig(defense="sgd", lr=lr, epochs=1,
+                                      batch_size=bs, seed=seed,
+                                      lr_schedule=[]), ds, val)
         gamma = 1e6
         scfg = GibbsSamplerConfig(gamma=gamma, step=0.1 / gamma, steps=3,
                                   noise_scale=0.0, ema=1.0)  # init_radius 1/gamma
-        atent = train_atent(p0, TrainerConfig(defense="atent_l2", lr=lr, epochs=1,
-                                              batch_size=bs, seed=seed,
-                                              lr_schedule=[], sampler=scfg), ds, val)
+        atent = train(p0, TrainerConfig(defense="atent_l2", lr=lr, epochs=1,
+                                        batch_size=bs, seed=seed,
+                                        lr_schedule=[], sampler=scfg), ds, val)
         drift = math.sqrt(sum(
             float(np.sum((atent.params.weights[n].data - sgd.params.weights[n].data) ** 2))
             for n in p0.names
@@ -256,10 +252,34 @@ class TestTrainAtent:
                                   ema=0.9, norm="linf")
         cfg = TrainerConfig(defense="atent_linf", lr=0.3, epochs=3, batch_size=32,
                             seed=17, sampler=scfg)
-        a = train_atent(p0, cfg, ds, val)
-        b = train_atent(p0, cfg, ds, val)
+        a = train(p0, cfg, ds, val)
+        b = train(p0, cfg, ds, val)
         assert a.history == b.history
         assert _params_equal(a.params, b.params)
+
+    def test_step_makes_k_plus_one_passes(self, monkeypatch):
+        # the outer gradient comes from the chain's own passes: one input
+        # pass at x'_0, K-1 passes for both gradients, one weight pass at x'_K
+        import atent.defenses
+        import atent.sampler
+
+        calls = []
+        real = atent.sampler.loss_and_grads
+
+        def counting(params, batch, wrt="weights"):
+            calls.append(wrt)
+            return real(params, batch, wrt=wrt)
+
+        monkeypatch.setattr(atent.sampler, "loss_and_grads", counting)
+        monkeypatch.setattr(atent.defenses, "loss_and_grads", counting)
+        ds, val = _blobs(seed=12, n=64)
+        k, bs = 5, 16
+        scfg = GibbsSamplerConfig(gamma=2.0, step=0.1, steps=k, noise_scale=0.01,
+                                  ema=0.9, norm="linf")
+        train(build_mlp([2, 4, 2], seed=12), TrainerConfig(
+            defense="atent_linf", lr=0.1, epochs=1, batch_size=bs, seed=3,
+            sampler=scfg), ds, val)
+        assert calls == (["inputs"] + ["both"] * (k - 1) + ["weights"]) * (ds.n // bs)
 
     def test_outer_gradient_matches_finite_differences(self):
         # sum_k c_k grad_w L(w; X'_k) vs finite differences of
@@ -353,7 +373,7 @@ class TestEarlyStopping:
         cfg = TrainerConfig(defense="sgd", lr=0.4, epochs=30, batch_size=32, seed=9,
                             lr_schedule=[],
                             early_stop=EarlyStopConfig(metric="natural", patience=3))
-        state = train_sgd(p0, cfg, ds, val)
+        state = train(p0, cfg, ds, val)
         assert state.best_params is not None
         assert state.best_epoch <= state.epoch
         best_nat = max(r.nat_acc for r in state.history)

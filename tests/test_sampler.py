@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atent.models import Batch, build_mlp
+import atent.sampler
+from atent.attacks import atent_attack
+from atent.defenses import atent_outer_gradient
+from atent.models import Batch, build_mlp, build_small_cnn, loss_and_grads
 from atent.sampler import (
     COORDINATE_SIGN,
     FINAL_PROJECTION,
@@ -14,6 +17,7 @@ from atent.sampler import (
     ChainState,
     GibbsSamplerConfig,
     init_perturbation,
+    langevin_step,
     langevin_step_l2,
     langevin_step_linf,
     project_linf_increment,
@@ -48,7 +52,6 @@ class TestConfigValidation:
             dict(ema=0.0),
             dict(ema=1.5),
             dict(norm="l1"),
-            dict(beta=2.0),
             dict(init_radius=-1.0),
             dict(linf_mode="sometimes"),
         ],
@@ -56,6 +59,11 @@ class TestConfigValidation:
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
             _cfg(**kw)
+
+    def test_beta_keyword_is_refused(self):
+        # the inverse temperature is fixed at 1 and is not a field
+        with pytest.raises(TypeError):
+            _cfg(beta=2.0)
 
     def test_init_radius_defaults_to_inverse_gamma(self):
         assert _cfg(gamma=4.0).effective_init_radius == 0.25
@@ -317,6 +325,113 @@ class TestRunChain:
         with caplog.at_level("WARNING", logger="atent.sampler"):
             run_chain(p, batch, cfg, derive_rng(3))
         assert any("loss_cap" in rec.message for rec in caplog.records)
+
+
+def _all_inputs_chain(params, batch, cfg, rng):
+    """Oracle: the chain with every iterate, x'_K included, evaluated by its
+    own input-gradient pass and nothing else; returns (samples, ema_loss)."""
+    def clip(x):
+        return x if batch.value_range is None else np.clip(x, *batch.value_range)
+
+    anchor = batch.inputs.data
+    state = ChainState(clip(init_perturbation(anchor, cfg, rng)), anchor, 0.0, 0)
+    _, _, g = loss_and_grads(params, batch.with_inputs(state.x_prime), wrt="inputs")
+    samples, ema = [], 0.0
+    for _ in range(cfg.steps):
+        state = langevin_step(state, g, cfg, rng)
+        state.x_prime = clip(state.x_prime)
+        loss, _, g = loss_and_grads(params, batch.with_inputs(state.x_prime), wrt="inputs")
+        ema = (1.0 - cfg.ema) * ema + cfg.ema * loss
+        samples.append(state.x_prime)
+    return samples, ema
+
+
+def _model_and_batch(kind, value_range):
+    rng = np.random.default_rng(5)
+    if kind == "mlp":
+        p = build_mlp([4, 8, 2], seed=5)
+        x = rng.random((5, 4))
+    else:
+        p = build_small_cnn([2, 3], [5, 2], seed=5, in_shape=(1, 8, 8))
+        x = rng.random((3, 1, 8, 8))
+    return p, Batch(x, np.eye(2)[rng.integers(0, 2, x.shape[0])], value_range)
+
+
+_NORMS = [dict(norm="l2")] + [dict(norm="linf", linf_mode=m) for m in
+                              (FINAL_PROJECTION, PER_STEP_PROJECTION, COORDINATE_SIGN)]
+
+
+class TestFusedChain:
+    @pytest.mark.parametrize("kind", ["mlp", "cnn"])
+    @pytest.mark.parametrize("norm", _NORMS, ids=lambda kw: kw.get("linf_mode", "l2"))
+    @pytest.mark.parametrize("value_range", [None, (0.0, 1.0)], ids=["unclipped", "clipped"])
+    @pytest.mark.parametrize("steps", [1, 4])
+    def test_fused_chain_equals_separate_passes_bitwise(self, kind, norm, value_range, steps):
+        p, batch = _model_and_batch(kind, value_range)
+        cfg = _cfg(gamma=2.0, step=0.1, steps=steps, noise_scale=0.05, ema=0.7,
+                   init_radius=0.2, **norm)
+        samples, ema = _all_inputs_chain(p, batch, cfg, derive_rng(9))
+        for weight_grads in (False, True):
+            run = run_chain(p, batch, cfg, derive_rng(9), weight_grads=weight_grads)
+            assert (run.weight_grads is not None) == weight_grads
+            assert run.ema_loss == ema
+            assert len(run.samples) == steps
+            assert all(np.array_equal(a, b) for a, b in zip(run.samples, samples))
+            assert np.array_equal(run.x_final, samples[-1])
+        assert value_range is None or all(s.min() >= 0.0 and s.max() <= 1.0 for s in samples)
+        ref = atent_outer_gradient(p, batch, samples, cfg.ema)
+        assert run.weight_grads.keys() == ref.keys()
+        for name in ref:
+            assert np.array_equal(run.weight_grads[name], ref[name]), name
+
+
+def _count_passes(monkeypatch):
+    """Counts the chain's loss_and_grads calls by ``wrt`` and its batch_loss calls."""
+    counts = {"inputs": 0, "both": 0, "weights": 0, "batch_loss": 0}
+    real_lg, real_bl = atent.sampler.loss_and_grads, atent.sampler.batch_loss
+
+    def lg(params, batch, wrt="weights"):
+        counts[wrt] += 1
+        return real_lg(params, batch, wrt=wrt)
+
+    def bl(params, batch):
+        counts["batch_loss"] += 1
+        return real_bl(params, batch)
+
+    monkeypatch.setattr(atent.sampler, "loss_and_grads", lg)
+    monkeypatch.setattr(atent.sampler, "batch_loss", bl)
+    return counts
+
+
+class TestChainPasses:
+    @pytest.mark.parametrize("steps", [1, 5])
+    def test_weight_grad_chain_makes_k_plus_one_passes(self, monkeypatch, steps):
+        counts = _count_passes(monkeypatch)
+        p, batch = _model_and_batch("cnn", (0.0, 1.0))
+        run_chain(p, batch, _cfg(steps=steps, noise_scale=0.1), derive_rng(0), weight_grads=True)
+        assert counts == {"inputs": 1, "both": steps - 1, "weights": 1, "batch_loss": 0}
+
+    @pytest.mark.parametrize("steps", [1, 5])
+    def test_attack_chain_makes_k_input_passes_and_one_forward(self, monkeypatch, steps):
+        counts = _count_passes(monkeypatch)
+        p, batch = _model_and_batch("cnn", (0.0, 1.0))
+        cfg = _cfg(gamma=5.0, step=0.5, steps=steps, noise_scale=0.01, norm="linf")
+        atent_attack(p, batch, cfg, radius=0.1, seed=2)
+        assert counts == {"inputs": steps, "both": 0, "weights": 0, "batch_loss": 1}
+
+    @pytest.mark.parametrize("kind", ["mlp", "cnn"])
+    def test_attack_equals_all_inputs_chain_bitwise(self, kind):
+        p, batch = _model_and_batch(kind, (0.0, 1.0))
+        cfg = _cfg(gamma=5.0, step=0.5, steps=4, noise_scale=0.05, norm="linf",
+                   init_radius=0.3)
+        radius = 0.15
+        out = atent_attack(p, batch, cfg, radius=radius, seed=4, stream=2)
+        x = batch.inputs.data
+        samples, _ = _all_inputs_chain(p, Batch(x, batch.labels, None), cfg,
+                                       derive_rng(4, "atent-attack", 2))
+        assert samples[-1].min() < 0.0 or samples[-1].max() > 1.0  # chain ran unclipped
+        ref = np.clip(x + np.clip(samples[-1] - x, -radius, radius), 0.0, 1.0)
+        assert np.array_equal(out, ref)
 
 
 class TestChainState:
