@@ -1,8 +1,12 @@
 """Desk-scale classifiers f(w; x) and their loss/prediction plumbing.
 
 Two architectures: an MLP (the 2-D / flattened-image workhorse) and a small
-CNN (conv blocks with 3x3 kernels, stride 1, padding 1, 2x2 max-pool, then
-a dense head). Weights are He-initialized normals, biases zero, everything
+CNN (conv blocks, then a dense head). A conv block is a 3x3 convolution
+(stride 1, padding 1) plus a per-channel bias, a 2x2 max-pool, then ReLU,
+computed by the one op :func:`tensor.conv_block`. Pooling before the ReLU
+gives exactly the values and gradients of ReLU before pooling, because ReLU
+is monotone and so commutes with the max, and it leaves the ReLU a quarter
+of the data. Weights are He-initialized normals, biases zero, everything
 reproducible from (descriptor, seed).
 """
 from __future__ import annotations
@@ -207,10 +211,7 @@ def forward_logits(params: ModelParams, inputs: Tensor) -> Tensor:
         raise TensorError(f"input shape {inputs.shape} does not match {d['in_shape']}")
     h = inputs
     for i in range(len(d["channels"])):
-        h = tc.conv2d(h, w[f"conv{i}"], stride=1, padding=CNN_KERNEL // 2)
-        h = tc.add(h, w[f"cb{i}"])
-        h = tc.relu(h)
-        h = tc.max_pool2d(h, CNN_POOL)
+        h = tc.conv_block(h, w[f"conv{i}"], w[f"cb{i}"], CNN_POOL)
     _, flat = _cnn_dims(d)
     h = tc.reshape(h, (h.shape[0], flat))
     last = len(d["fc_widths"]) - 1

@@ -148,7 +148,7 @@ def sample_gibbs_chain(
     production code. Returns all visited points, shape (n_steps, d).
     """
     anchor = np.atleast_1d(np.asarray(anchor, dtype=np.float64))
-    state = ChainState(x_prime=anchor.copy(), x_anchor=anchor, ema_loss=0.0, step_index=0)
+    state = ChainState(x_prime=anchor.copy(), x_anchor=anchor, step_index=0)
     out = np.empty((n_steps, anchor.size))
     for i in range(n_steps):
         grad = np.asarray(grad_fn(state.x_prime), dtype=np.float64)

@@ -79,12 +79,10 @@ class GibbsSamplerConfig:
 
 @dataclass
 class ChainState:
-    """One chain's position, anchor, loss EMA and step counter; ``run_chain``
-    keeps its EMA as a local and leaves ``ema_loss`` at its start value."""
+    """One chain's position, anchor and step counter."""
 
     x_prime: np.ndarray
     x_anchor: np.ndarray
-    ema_loss: float
     step_index: int
 
     def __post_init__(self):
@@ -236,7 +234,7 @@ def run_chain(
     """
     anchor = batch.inputs.data
     x0 = _clip_range(init_perturbation(anchor, cfg, rng), batch)
-    state = ChainState(x_prime=x0, x_anchor=anchor, ema_loss=0.0, step_index=0)
+    state = ChainState(x_prime=x0, x_anchor=anchor, step_index=0)
     _, _, grad_x = loss_and_grads(params, batch.with_inputs(x0), wrt="inputs")
     alpha, ema_loss = cfg.ema, 0.0
     inner_wrt = "both" if weight_grads else "inputs"

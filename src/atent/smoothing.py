@@ -14,6 +14,8 @@ from .models import ModelParams, predict
 from .seeding import derive_rng
 
 ABSTAIN = -1
+# Noisy copies per forward batch in vote_counts.
+VOTE_CHUNK = 2048
 
 
 @dataclass
@@ -33,15 +35,14 @@ class SmoothingConfig:
 
 
 def vote_counts(params: ModelParams, x: np.ndarray, cfg: SmoothingConfig,
-                rng: np.random.Generator, n_classes: int,
-                chunk: int = 2048) -> np.ndarray:
+                rng: np.random.Generator, n_classes: int) -> np.ndarray:
     """Per-class prediction counts over cfg.n_samples noisy copies of one
     input; counts always sum to exactly n_samples."""
     x = np.asarray(x, dtype=np.float64)
     counts = np.zeros(n_classes, dtype=np.int64)
     remaining = cfg.n_samples
     while remaining > 0:
-        m = min(chunk, remaining)
+        m = min(VOTE_CHUNK, remaining)
         remaining -= m
         noisy = np.broadcast_to(x, (m, *x.shape)).copy()
         if cfg.sigma > 0:

@@ -5,6 +5,11 @@ Design constraints: 64-bit floats everywhere, a deliberately small op set
 weights and inputs, and a hard finiteness check after every public op so
 numerical blowups surface at their source instead of three modules later.
 
+Ops: ``matmul``, ``add``, ``scale``, ``relu``, ``sum_all``, ``reshape``,
+``conv2d``, ``max_pool2d``, ``softmax_cross_entropy``, and ``conv_block``,
+a whole CNN block (convolution plus bias, max-pool, ReLU) in one cache-blocked
+pass that computes the same values as those ops composed.
+
 Typical use::
 
     with Tape() as tape:
@@ -260,6 +265,26 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> 
     return cols.reshape(n, cin * kh * kw, oh * ow)
 
 
+def _col2im(dcols: np.ndarray, xp_shape, kh: int, kw: int, stride: int, padding: int,
+            oh: int, ow: int) -> np.ndarray:
+    """Gradient of the unpadded input from column gradients (n, cin*kh*kw,
+    oh*ow): each tap's columns are added back onto the padded input
+    ``xp_shape`` where :func:`_im2col` read them, then the padding is cut."""
+    n, cin, hp, wp = xp_shape
+    dcols = dcols.reshape(n, cin, kh, kw, oh, ow)
+    dxp = np.zeros(xp_shape)
+    for ky, kx, rows, cs in _taps(kh, kw, stride, oh, ow):
+        dxp[:, :, rows, cs] += dcols[:, :, ky, kx]
+    return dxp[:, :, padding:hp - padding, padding:wp - padding]
+
+
+def _pad(x: np.ndarray, padding: int) -> np.ndarray:
+    """(n, c, h, w) zero-padded by ``padding`` on both spatial sides."""
+    if not padding:
+        return x
+    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+
+
 def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation with zero padding, as an im2col GEMM.
 
@@ -293,9 +318,7 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
     tape = _active_tape()
     want_dk = tape is not None and tape._tracks(kernels)
     want_dx = tape is not None and tape._tracks(xr)
-    xp = xr.data
-    if padding:
-        xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    xp = _pad(xr.data, padding)
     km = kernels.data.reshape(cout, cin * kh * kw)
     if want_dk:
         cols = _im2col(xp, kh, kw, stride, oh, ow)
@@ -311,11 +334,7 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
         dk = (g @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(kernels.shape) if want_dk else None
         if not want_dx:
             return None, dk
-        dcols = (km.T @ g).reshape(n, cin, kh, kw, oh, ow)
-        dxp = np.zeros(xp.shape)
-        for ky, kx, rows, cs in _taps(kh, kw, stride, oh, ow):
-            dxp[:, :, rows, cs] += dcols[:, :, ky, kx]
-        return dxp[:, :, padding:padding + h, padding:padding + w], dk
+        return _col2im(km.T @ g, xp.shape, kh, kw, stride, padding, oh, ow), dk
 
     res = _emit((xr, kernels), out.reshape(n, cout, oh, ow), pull, "conv2d")
     return reshape(res, res.shape[1:]) if squeeze else res
@@ -337,24 +356,122 @@ def max_pool2d(x: Tensor, size: int = 2) -> Tensor:
     oh, ow = h // size, w // size
     if oh < 1 or ow < 1:
         raise TensorError(f"max_pool2d window {size} too large for input {x.shape}")
-    taps = [(rows, cs) for _, _, rows, cs in _taps(size, size, size, oh, ow)]
     tape = _active_tape()
-    track = tape is not None and tape._tracks(x)
-    out = x.data[:, :, taps[0][0], taps[0][1]].copy()
-    winner = np.zeros(out.shape, dtype=np.intp) if track else None
-    for t, (rows, cs) in enumerate(taps[1:], start=1):
-        v = x.data[:, :, rows, cs]
-        if track:
-            np.copyto(winner, t, where=v > out)
-        np.maximum(out, v, out=out)
+    out = np.empty((n, c, oh, ow))
+    winner = np.zeros(out.shape, dtype=np.intp) if tape is not None and tape._tracks(x) else None
+    _pool_max(x.data, size, out, winner)
 
     def pull(g):
         dx = np.zeros_like(x.data)
-        for t, (rows, cs) in enumerate(taps):
-            np.copyto(dx[:, :, rows, cs], g, where=winner == t)
+        _pool_scatter(g, size, winner, dx)
         return (dx,)
 
     return _emit((x,), out, pull, "max_pool2d")
+
+
+def _pool_max(x: np.ndarray, size: int, out: np.ndarray, winner: np.ndarray | None) -> None:
+    """Max of ``x`` over non-overlapping size*size windows into ``out``.
+    When ``winner`` is given, the index of each window's first maximum
+    (row-major) goes there: a later view wins only when strictly greater."""
+    taps = _taps(size, size, size, *out.shape[2:])
+    _, _, rows, cs = next(taps)
+    np.copyto(out, x[:, :, rows, cs])
+    for t, (_, _, rows, cs) in enumerate(taps, start=1):
+        v = x[:, :, rows, cs]
+        if winner is not None:
+            np.copyto(winner, t, where=v > out)
+        np.maximum(out, v, out=out)
+
+
+def _pool_scatter(g: np.ndarray, size: int, winner: np.ndarray, dx: np.ndarray) -> None:
+    """Pooled gradient ``g`` written into zeroed ``dx`` at each window's
+    recorded winner."""
+    for t, (_, _, rows, cs) in enumerate(_taps(size, size, size, *g.shape[2:])):
+        np.copyto(dx[:, :, rows, cs], g, where=winner == t)
+
+
+# Column-buffer elements conv_block unfolds at a time (4 MiB of float64).
+# Smaller blocks make GEMMs too small to run at speed; larger ones raise the
+# peak memory of large forward batches without making them faster.
+_BLOCK_COLS = 1 << 19
+
+
+def conv_block(x: Tensor, kernels: Tensor, bias: Tensor, pool: int = 2) -> Tensor:
+    """One CNN block, relu(max_pool2d(conv2d(x, kernels, 1, kh // 2) + bias, pool)).
+
+    ``x`` is (n, c_in, h, w), ``kernels`` (c_out, c_in, kh, kw), ``bias``
+    (c_out,). The batch is worked through a block of samples at a time, as
+    many as fit :data:`_BLOCK_COLS` column elements: each block is unfolded
+    (:func:`_im2col`), multiplied into one reused pre-activation buffer, given
+    its bias and checked for finiteness (pooling and ReLU could hide a
+    blowup), then max-pooled into the output through strided views. ReLU
+    comes after the pool, on a quarter of the data; that is exact because
+    ReLU is monotone, so it commutes with the max. Under a tape that tracks
+    any operand the first maximum of each window is recorded, as in
+    :func:`max_pool2d`. The pull makes the same pass over the blocks,
+    unfolds each block again for ``dk`` rather than keeping the columns on
+    the tape, and computes ``dx``, ``dk`` and ``db`` only for tracked
+    operands (``None`` for the others). ``db`` is summed from the pooled
+    gradient, so it can differ from the unfused ops' in the last bits.
+    """
+    if x.data.ndim != 4 or kernels.data.ndim != 4:
+        raise TensorError(f"conv_block expects 4-D input/kernels, got {x.shape}, {kernels.shape}")
+    n, cin, h, w = x.shape
+    cout, kcin, kh, kw = kernels.shape
+    if kcin != cin or bias.shape != (cout,):
+        raise TensorError(f"conv_block operands disagree: input {x.shape}, "
+                          f"kernels {kernels.shape}, bias {bias.shape}")
+    pool = int(pool)
+    padding = kh // 2
+    oh, ow = h + 2 * padding - kh + 1, w + 2 * padding - kw + 1
+    if pool < 1 or oh < pool or ow < pool:
+        raise TensorError(f"conv_block pool {pool} too large for input {x.shape}")
+    ph, pw = oh // pool, ow // pool
+
+    tape = _active_tape()
+    want_dx, want_dk, want_db = (tape is not None and tape._tracks(t) for t in (x, kernels, bias))
+    track = want_dx or want_dk or want_db
+    km = kernels.data.reshape(cout, cin * kh * kw)
+    block = max(1, _BLOCK_COLS // (cin * kh * kw * oh * ow))
+    spans = [(i, min(i + block, n)) for i in range(0, n, block)]
+
+    def cols(i, j):
+        return _im2col(_pad(x.data[i:j], padding), kh, kw, 1, oh, ow)
+
+    out = np.empty((n, cout, ph, pw))
+    winner = np.zeros(out.shape, dtype=np.intp) if track else None
+    pre = np.empty((min(block, n), cout, oh * ow))
+    for i, j in spans:
+        a = pre[:j - i]
+        np.matmul(km, cols(i, j), out=a)
+        a += bias.data.reshape(1, cout, 1)
+        _check_finite(a, "conv_block")
+        _pool_max(a.reshape(j - i, cout, oh, ow), pool, out[i:j],
+                  winner[i:j] if track else None)
+        np.maximum(out[i:j], 0.0, out=out[i:j])
+
+    def pull(g):
+        g = g * (out > 0)  # ReLU mask: the output is positive where the window max was
+        db = g.sum(axis=(0, 2, 3)) if want_db else None
+        if not (want_dx or want_dk):
+            return None, None, db
+        dk = np.empty((n, cout, cin * kh * kw)) if want_dk else None
+        dx = np.empty(x.shape) if want_dx else None
+        ga = np.empty((min(block, n), cout, oh, ow))
+        for i, j in spans:
+            ga[:j - i] = 0.0
+            _pool_scatter(g[i:j], pool, winner[i:j], ga[:j - i])
+            gb = ga[:j - i].reshape(j - i, cout, oh * ow)
+            if want_dk:
+                np.matmul(gb, cols(i, j).transpose(0, 2, 1), out=dk[i:j])
+            if want_dx:
+                dx[i:j] = _col2im(km.T @ gb, (j - i, cin, h + 2 * padding, w + 2 * padding),
+                                  kh, kw, 1, padding, oh, ow)
+        if want_dk:
+            dk = dk.sum(axis=0).reshape(kernels.shape)
+        return dx, dk, db
+
+    return _emit((x, kernels, bias), out, pull, "conv_block")
 
 
 def _validate_one_hot(labels: np.ndarray, n_rows: int) -> None:

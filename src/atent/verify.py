@@ -45,24 +45,27 @@ class CheckResult:
         return f"[{self.suite}] {self.name}: {status} ({self.detail})"
 
 
-def _fd_vs_autodiff(name, build_scalar, leaf, tol) -> CheckResult:
-    """build_scalar() evaluates the scalar; gradient wrt leaf vs central FD."""
-    leaf.requires_grad = True
+def _fd_vs_autodiff(name, build_scalar, leaves, tol) -> CheckResult:
+    """build_scalar() evaluates the scalar; the gradient wrt each of the
+    ``leaves`` vs central FD, reporting the worst relative error."""
+    for leaf in leaves:
+        leaf.requires_grad = True
     with tc.Tape() as tape:
         out = build_scalar()
     grads = tc.backward(tape, out)
-    analytic = grads[leaf].data
 
-    def f(arr):
-        old = leaf.data
-        leaf.data = arr
-        try:
-            return build_scalar().item()
-        finally:
-            leaf.data = old
+    err = 0.0
+    for leaf in leaves:
+        def f(arr, leaf=leaf):
+            old = leaf.data
+            leaf.data = arr
+            try:
+                return build_scalar().item()
+            finally:
+                leaf.data = old
 
-    fd = finite_difference_grad(f, leaf.data.copy())
-    err = relative_error(analytic, fd)
+        err = max(err, relative_error(grads[leaf].data,
+                                      finite_difference_grad(f, leaf.data.copy())))
     return CheckResult("gradients", name, err <= tol, f"rel err {err:.3e} <= {tol:g}")
 
 
@@ -73,17 +76,17 @@ def gradient_suite() -> list[CheckResult]:
     a = Tensor(rng.random((3, 4)))
     b = Tensor(rng.random((4, 5)))
     results.append(_fd_vs_autodiff(
-        "matmul (affine)", lambda: tc.sum_all(tc.matmul(a, b)), a, AFFINE_TOL))
+        "matmul (affine)", lambda: tc.sum_all(tc.matmul(a, b)), (a,), AFFINE_TOL))
 
     bias = Tensor(rng.random(5))
     results.append(_fd_vs_autodiff(
         "bias add (affine)", lambda: tc.sum_all(tc.add(tc.matmul(a, b), bias)),
-        bias, AFFINE_TOL))
+        (bias,), AFFINE_TOL))
 
     x = Tensor(rng.random((2, 2, 6, 6)))
     k = Tensor(rng.random((3, 2, 3, 3)))
     results.append(_fd_vs_autodiff(
-        "conv2d (affine)", lambda: tc.sum_all(tc.conv2d(x, k, 1, 1)), k, AFFINE_TOL))
+        "conv2d (affine)", lambda: tc.sum_all(tc.conv2d(x, k, 1, 1)), (k,), AFFINE_TOL))
 
     # cross-entropy over the output makes the pulled gradient differ at
     # every position, so the col2im fold of each tap is checked
@@ -91,20 +94,31 @@ def gradient_suite() -> list[CheckResult]:
     results.append(_fd_vs_autodiff(
         "conv2d input, stride 2, padding 1",
         lambda: tc.softmax_cross_entropy(tc.reshape(tc.conv2d(x, k, 2, 1), (2, 27)), y27),
-        x, GRAD_TOL))
+        (x,), GRAD_TOL))
+
+    # a 7x7 input drops the last row and column at the pool; the separate
+    # generator leaves the data of the checks below unchanged
+    crng = np.random.default_rng(5)
+    cx = Tensor(crng.random((2, 2, 7, 7)))
+    ck = Tensor(crng.normal(size=(3, 2, 3, 3)))
+    cb = Tensor(0.1 * crng.normal(size=3))
+    results.append(_fd_vs_autodiff(
+        "conv block (input, kernels, bias)",
+        lambda: tc.softmax_cross_entropy(tc.reshape(tc.conv_block(cx, ck, cb, 2), (2, 27)), y27),
+        (cx, ck, cb), GRAD_TOL))
 
     r = Tensor(rng.random(30) * 2 - 1.0)
     results.append(_fd_vs_autodiff(
-        "relu", lambda: tc.sum_all(tc.relu(r)), r, GRAD_TOL))
+        "relu", lambda: tc.sum_all(tc.relu(r)), (r,), GRAD_TOL))
 
     z = Tensor(rng.normal(size=(4, 6)))
     y = Tensor(np.eye(6)[rng.integers(0, 6, 4)])
     results.append(_fd_vs_autodiff(
-        "softmax cross-entropy", lambda: tc.softmax_cross_entropy(z, y), z, GRAD_TOL))
+        "softmax cross-entropy", lambda: tc.softmax_cross_entropy(z, y), (z,), GRAD_TOL))
 
     mp = Tensor(rng.random((1, 2, 6, 6)))
     results.append(_fd_vs_autodiff(
-        "max pool", lambda: tc.sum_all(tc.max_pool2d(mp, 2)), mp, GRAD_TOL))
+        "max pool", lambda: tc.sum_all(tc.max_pool2d(mp, 2)), (mp,), GRAD_TOL))
 
     cases = _end_to_end_cases(rng)
     for name, params, batch in cases:

@@ -36,7 +36,6 @@ def _state(x_prime, x_anchor, k=0):
     return ChainState(
         x_prime=np.asarray(x_prime, dtype=float),
         x_anchor=np.asarray(x_anchor, dtype=float),
-        ema_loss=0.0,
         step_index=k,
     )
 
@@ -334,7 +333,7 @@ def _all_inputs_chain(params, batch, cfg, rng):
         return x if batch.value_range is None else np.clip(x, *batch.value_range)
 
     anchor = batch.inputs.data
-    state = ChainState(clip(init_perturbation(anchor, cfg, rng)), anchor, 0.0, 0)
+    state = ChainState(clip(init_perturbation(anchor, cfg, rng)), anchor, 0)
     _, _, g = loss_and_grads(params, batch.with_inputs(state.x_prime), wrt="inputs")
     samples, ema = [], 0.0
     for _ in range(cfg.steps):
@@ -437,4 +436,4 @@ class TestChainPasses:
 class TestChainState:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            ChainState(np.zeros(3), np.zeros(4), 0.0, 0)
+            ChainState(np.zeros(3), np.zeros(4), 0)

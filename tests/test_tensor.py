@@ -202,6 +202,98 @@ class TestConv2d:
             assert relative_error(wg[name], finite_difference_grad(f, t.data.copy())) <= 1e-4
 
 
+def _unfused_block(x, k, b, pool=2):
+    """The reference composition conv_block replaces."""
+    return tc.relu(tc.max_pool2d(tc.add(tc.conv2d(x, k, 1, k.shape[2] // 2), b), pool))
+
+
+def _block_values_and_grads(block, x0, k0, b0, labels, wrt):
+    """Output and pulled gradients of ``block`` under a cross-entropy head,
+    with the input and/or the kernels and bias tracked."""
+    x = Tensor(x0, requires_grad=wrt in ("inputs", "both"))
+    k = Tensor(k0, requires_grad=wrt in ("weights", "both"))
+    b = Tensor(b0, requires_grad=wrt in ("weights", "both"))
+    with Tape() as tape:
+        out = block(x, k, b)
+        loss = tc.softmax_cross_entropy(tc.reshape(out, (out.shape[0], out.size // out.shape[0])),
+                                        labels)
+    grads = tc.backward(tape, loss)
+    return out.data, [grads[t].data if t in grads else None for t in (x, k, b)]
+
+
+class TestConvBlock:
+    @pytest.mark.parametrize("wrt", ["inputs", "weights", "both"])
+    @pytest.mark.parametrize("shape,seed", [((3, 2, 7, 7), 20), ((4, 3, 8, 8), 21)])
+    def test_matches_unfused_ops_bitwise(self, shape, seed, wrt):
+        # small integers give tied window maxima and pre-activations of
+        # exactly 0; a 7x7 input drops the last row and column at the pool
+        rng = np.random.default_rng(seed)
+        n, cin, h, w = shape
+        x0 = rng.integers(-2, 3, size=shape).astype(float)
+        k0 = rng.integers(-1, 2, size=(4, cin, 3, 3)).astype(float)
+        b0 = rng.integers(-1, 2, size=4).astype(float)
+        labels = Tensor(np.eye(4 * (h // 2) * (w // 2))[rng.integers(0, 4, n)])
+        out, (dx, dk, db) = _block_values_and_grads(
+            lambda x, k, b: tc.conv_block(x, k, b, 2), x0, k0, b0, labels, wrt)
+        ref_out, (rdx, rdk, rdb) = _block_values_and_grads(_unfused_block, x0, k0, b0, labels, wrt)
+        assert np.array_equal(out, ref_out)
+        assert np.sum(out == 0.0) > 0 and np.sum(out > 0.0) > 0
+        if wrt == "weights":
+            assert dx is None and rdx is None
+        else:
+            assert np.array_equal(dx, rdx)
+        if wrt == "inputs":
+            assert dk is None and db is None
+        else:
+            assert np.array_equal(dk, rdk)
+            assert np.max(np.abs(db - rdb)) <= 1e-15
+
+    def test_pull_returns_none_for_untracked_operands(self):
+        rng = np.random.default_rng(22)
+        x0, k0, b0 = rng.random((2, 1, 4, 4)), rng.random((2, 1, 3, 3)), rng.random(2)
+        g = np.ones((2, 2, 2, 2))
+        with Tape() as tape:
+            tc.conv_block(Tensor(x0), Tensor(k0), Tensor(b0, requires_grad=True))
+        dx, dk, db = tape.records[-1].pull(g)
+        assert dx is None and dk is None and db.shape == (2,)
+        with Tape() as tape:
+            tc.conv_block(Tensor(x0, requires_grad=True), Tensor(k0), Tensor(b0))
+        dx, dk, db = tape.records[-1].pull(g)
+        assert dx.shape == x0.shape and dk is None and db is None
+
+    def test_batch_over_three_blocks_taped_equals_untaped_and_unfused(self):
+        cin, h, w = 2, 10, 10
+        block = tc._BLOCK_COLS // (cin * 9 * h * w)
+        n = 3 * block + 5  # three whole blocks and a partial one
+        rng = np.random.default_rng(23)
+        x0 = rng.random((n, cin, h, w))
+        k0 = rng.normal(size=(3, cin, 3, 3))
+        b0 = rng.normal(size=3)
+        plain = tc.conv_block(Tensor(x0), Tensor(k0), Tensor(b0)).data
+        labels = Tensor(np.eye(75)[rng.integers(0, 75, n)])
+        taped, grads = _block_values_and_grads(
+            lambda x, k, b: tc.conv_block(x, k, b, 2), x0, k0, b0, labels, "both")
+        ref, ref_grads = _block_values_and_grads(_unfused_block, x0, k0, b0, labels, "both")
+        assert np.array_equal(plain, taped) and np.array_equal(taped, ref)
+        assert np.array_equal(grads[0], ref_grads[0]) and np.array_equal(grads[1], ref_grads[1])
+        assert np.max(np.abs(grads[2] - ref_grads[2])) <= 1e-15
+
+    def test_non_finite_pre_activation_raises(self):
+        # the pre-activation is -inf everywhere; pooling and ReLU alone
+        # would turn it into finite zeros
+        x = Tensor(np.ones((1, 1, 4, 4)))
+        k = Tensor(np.full((1, 1, 3, 3), -1e308))
+        with pytest.raises(NonFiniteError), np.errstate(over="ignore"):
+            tc.conv_block(x, k, Tensor(np.zeros(1)))
+
+    def test_mismatched_operands_rejected(self):
+        x = Tensor(np.ones((1, 2, 4, 4)))
+        with pytest.raises(TensorError):
+            tc.conv_block(x, Tensor(np.ones((3, 1, 3, 3))), Tensor(np.zeros(3)))
+        with pytest.raises(TensorError):
+            tc.conv_block(x, Tensor(np.ones((3, 2, 3, 3))), Tensor(np.zeros(2)))
+
+
 class TestRelu:
     def test_values(self):
         out = tc.relu(Tensor([-1.0, 0.0, 2.0]))
