@@ -151,7 +151,7 @@ def atent_attack(params: ModelParams, batch: Batch, sampler_cfg: GibbsSamplerCon
         return x.copy()
     rng = derive_rng(seed, "atent-attack", stream)
     run = run_chain(params, Batch(batch.inputs, batch.labels, None), sampler_cfg, rng)
-    x_adv = _project(run.x_final, x, LINF, radius)
+    x_adv = _project(run.samples[-1], x, LINF, radius)
     return _clip_range(x_adv, batch)
 
 

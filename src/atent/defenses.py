@@ -17,7 +17,7 @@ import numpy as np
 from .attacks import AttackConfig, pgd_attack, robust_accuracy
 from .data import Dataset, batch_iter
 from .models import Batch, ModelParams, accuracy, batch_loss, loss_and_grads
-from .sampler import GibbsSamplerConfig, run_chain
+from .sampler import GibbsSamplerConfig, langevin_step_l2, run_chain
 from .seeding import derive_rng
 from .tensor import NonFiniteError
 
@@ -187,40 +187,22 @@ def _direction_atent(params, batch, cfg, epoch, bidx):
     return run.ema_loss, run.weight_grads
 
 
-def atent_outer_gradient(params: ModelParams, batch: Batch, samples,
-                         alpha: float) -> dict[str, np.ndarray]:
-    """EMA-weighted weight gradient over frozen chain samples: the reference
-    the chain's fused ``weight_grads`` is checked against, and itself
-    checked against finite differences."""
-    acc = {name: np.zeros(t.shape) for name, t in params.weights.items()}
-    for x_k in samples:
-        _, wg, _ = loss_and_grads(params, batch.with_inputs(x_k), wrt="weights")
-        for name in acc:
-            acc[name] = (1.0 - alpha) * acc[name] + alpha * wg[name]
-    return acc
-
-
 def weight_langevin_chain(grad_fn, w0: dict[str, np.ndarray], anchor: dict[str, np.ndarray],
                           cfg: GibbsSamplerConfig, rng) -> dict[str, np.ndarray]:
     """Weight-space Langevin chain of the local-entropy objective.
 
-    ``grad_fn(w) -> dict`` returns the loss gradient at weights ``w``. The
-    chain drifts along -grad + gamma (anchor - w') and accumulates the
-    weight EMA mu <- (1-alpha) mu + alpha w'; mu starts at the anchor.
-    Returns mu.
+    ``grad_fn(w) -> dict`` returns the loss gradient at weights ``w``. Each
+    tensor takes the sampler's l2 step with the gradient negated, so the
+    chain drifts along -grad + gamma (anchor - w'); ``cfg.norm`` is ignored.
+    It accumulates the weight EMA mu <- (1-alpha) mu + alpha w'; mu starts
+    at the anchor. Returns mu.
     """
     w_prime = {k: v.copy() for k, v in w0.items()}
     mu = {k: v.copy() for k, v in anchor.items()}
-    root = math.sqrt(2.0 * cfg.step) * cfg.noise_scale
     for _ in range(cfg.steps):
         grads = grad_fn(w_prime)
         for k in w_prime:
-            drift = -grads[k] + cfg.gamma * (anchor[k] - w_prime[k])
-            w_prime[k] = w_prime[k] + cfg.step * drift
-            if cfg.noise_scale > 0:
-                w_prime[k] = w_prime[k] + root * rng.standard_normal(w_prime[k].shape)
-            if not np.all(np.isfinite(w_prime[k])):
-                raise NonFiniteError("weight-space Langevin chain diverged")
+            w_prime[k] = langevin_step_l2(w_prime[k], anchor[k], -grads[k], cfg, rng)
             mu[k] = (1.0 - cfg.ema) * mu[k] + cfg.ema * w_prime[k]
     return mu
 

@@ -1,11 +1,13 @@
 """Independent numerical verification machinery.
 
-Nothing here shares code with the implementations it checks: gradients are
-central finite differences, Gibbs moments come from explicit grid
-integration, and the smoothness/dissipativity inequalities are evaluated
-pointwise from their definitions. Oracles are restricted to 1-D/2-D domains
-where exact densities are tractable; the claims they check are
-dimension-generic.
+Gradients are central finite differences, independent of the tape autodiff.
+Gibbs moments come from explicit grid integration, independent of the chain;
+``sample_gibbs_chain`` deliberately runs the production l2 step, which the
+grid then referees. ``atent_outer_gradient`` takes separate weight passes
+over frozen samples, independent of the chain's fused accumulation. The
+smoothness/dissipativity inequalities are evaluated pointwise from their
+definitions. Oracles are restricted to 1-D/2-D domains where exact densities
+are tractable; the claims they check are dimension-generic.
 """
 from __future__ import annotations
 
@@ -13,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sampler import ChainState, GibbsSamplerConfig, langevin_step_l2
+from .models import Batch, ModelParams, loss_and_grads
+from .sampler import GibbsSamplerConfig, langevin_step_l2
 
 
 def finite_difference_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -148,13 +151,26 @@ def sample_gibbs_chain(
     production code. Returns all visited points, shape (n_steps, d).
     """
     anchor = np.atleast_1d(np.asarray(anchor, dtype=np.float64))
-    state = ChainState(x_prime=anchor.copy(), x_anchor=anchor, step_index=0)
+    x_prime = anchor.copy()
     out = np.empty((n_steps, anchor.size))
     for i in range(n_steps):
-        grad = np.asarray(grad_fn(state.x_prime), dtype=np.float64)
-        state = langevin_step_l2(state, grad, cfg, rng)
-        out[i] = state.x_prime
+        grad = np.asarray(grad_fn(x_prime), dtype=np.float64)
+        x_prime = langevin_step_l2(x_prime, anchor, grad, cfg, rng)
+        out[i] = x_prime
     return out
+
+
+def atent_outer_gradient(params: ModelParams, batch: Batch, samples,
+                         alpha: float) -> dict[str, np.ndarray]:
+    """EMA-weighted weight gradient over frozen chain samples: the reference
+    the chain's fused ``weight_grads`` is checked against, and itself
+    checked against finite differences."""
+    acc = {name: np.zeros(t.shape) for name, t in params.weights.items()}
+    for x_k in samples:
+        _, wg, _ = loss_and_grads(params, batch.with_inputs(x_k), wrt="weights")
+        for name in acc:
+            acc[name] = (1.0 - alpha) * acc[name] + alpha * wg[name]
+    return acc
 
 
 @dataclass

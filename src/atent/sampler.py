@@ -5,12 +5,15 @@ clean anchor x: squared-l2 distance for the isotropic chain, an l-inf
 penalty (realized three ways, see ``linf_mode``) for the sup-norm chain.
 Partition functions are never computed; the Langevin drift of log-density
 cancels them.
+
+The l2 step also serves Entropy-SGD's weight chain, which passes it the
+negated loss gradient of each weight tensor.
 """
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,23 +81,9 @@ class GibbsSamplerConfig:
 
 
 @dataclass
-class ChainState:
-    """One chain's position, anchor and step counter."""
-
-    x_prime: np.ndarray
-    x_anchor: np.ndarray
-    step_index: int
-
-    def __post_init__(self):
-        if self.x_prime.shape != self.x_anchor.shape:
-            raise ValueError("x_prime and x_anchor must share a shape")
-
-
-@dataclass
 class ChainRun:
     samples: list[np.ndarray]
     ema_loss: float
-    x_final: np.ndarray
     weight_grads: dict[str, np.ndarray] | None = None
 
 
@@ -119,36 +108,30 @@ def init_perturbation(x: np.ndarray, cfg: GibbsSamplerConfig, rng: np.random.Gen
     return x + r * rng.standard_normal(x.shape)
 
 
-def _noise(shape, cfg: GibbsSamplerConfig, rng: np.random.Generator) -> np.ndarray | None:
+def _plus_noise(v: np.ndarray, cfg: GibbsSamplerConfig, rng: np.random.Generator) -> np.ndarray:
+    """v + sqrt(2 eta') * eps * N(0, I); ``v`` itself, drawing nothing, when eps = 0."""
     if cfg.noise_scale == 0.0:
-        return None
-    return math.sqrt(2.0 * cfg.step) * cfg.noise_scale * rng.standard_normal(shape)
+        return v
+    return v + math.sqrt(2.0 * cfg.step) * cfg.noise_scale * rng.standard_normal(v.shape)
 
 
-def _advance(state: ChainState, new_x: np.ndarray) -> ChainState:
-    if not np.all(np.isfinite(new_x)):
-        raise NonFiniteError(f"Langevin chain diverged at step {state.step_index + 1}")
-    return replace(state, x_prime=new_x, step_index=state.step_index + 1)
+def _finite(x: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteError("Langevin chain diverged")
+    return x
 
 
-def _drift_step(state: ChainState, drift: np.ndarray, cfg: GibbsSamplerConfig,
-                rng: np.random.Generator) -> ChainState:
-    """x' <- x' + eta' * drift + sqrt(2 eta') * eps * N(0, I)."""
-    new_x = state.x_prime + cfg.step * drift
-    eta = _noise(state.x_prime.shape, cfg, rng)
-    if eta is not None:
-        new_x = new_x + eta
-    return _advance(state, new_x)
+def _drift_step(x_prime: np.ndarray, drift: np.ndarray, cfg: GibbsSamplerConfig,
+                rng: np.random.Generator) -> np.ndarray:
+    """x' + eta' * drift + sqrt(2 eta') * eps * N(0, I)."""
+    return _finite(_plus_noise(x_prime + cfg.step * drift, cfg, rng))
 
 
-def langevin_step_l2(
-    state: ChainState,
-    grad_x: np.ndarray,
-    cfg: GibbsSamplerConfig,
-    rng: np.random.Generator,
-) -> ChainState:
-    """x' <- x' + eta' * (grad + gamma * (x - x')) + sqrt(2 eta') * eps * N(0, I)."""
-    return _drift_step(state, grad_x + cfg.gamma * (state.x_anchor - state.x_prime), cfg, rng)
+def langevin_step_l2(x_prime: np.ndarray, anchor: np.ndarray, grad: np.ndarray,
+                     cfg: GibbsSamplerConfig, rng: np.random.Generator) -> np.ndarray:
+    """x' <- x' + eta' * (grad + gamma * (x - x')) + sqrt(2 eta') * eps * N(0, I).
+    ``cfg.norm`` is not read."""
+    return _drift_step(x_prime, grad + cfg.gamma * (anchor - x_prime), cfg, rng)
 
 
 def project_linf_increment(z: np.ndarray, gamma: float) -> np.ndarray:
@@ -160,10 +143,10 @@ def project_linf_increment(z: np.ndarray, gamma: float) -> np.ndarray:
     return np.clip(z, -bound, bound)
 
 
-def _coordinate_sign_term(state: ChainState, gamma: float) -> np.ndarray:
+def _coordinate_sign_term(x_prime: np.ndarray, anchor: np.ndarray, gamma: float) -> np.ndarray:
     """gamma * sign(x_i - x'_i) on the per-sample coordinate of largest
     |x - x'| (ties to the lowest flat index), zero elsewhere."""
-    diff = state.x_anchor - state.x_prime
+    diff = anchor - x_prime
     rows = diff.reshape(diff.shape[0] if diff.ndim > 1 else 1, -1)
     at = (np.arange(rows.shape[0]), np.argmax(np.abs(rows), axis=1))
     term = np.zeros_like(rows)
@@ -171,40 +154,24 @@ def _coordinate_sign_term(state: ChainState, gamma: float) -> np.ndarray:
     return term.reshape(diff.shape)
 
 
-def langevin_step_linf(
-    state: ChainState,
-    grad_x: np.ndarray,
-    cfg: GibbsSamplerConfig,
-    rng: np.random.Generator,
-) -> ChainState:
-    """Sup-norm neighborhood step in one of three modes.
+def langevin_step(x_prime: np.ndarray, anchor: np.ndarray, grad: np.ndarray,
+                  cfg: GibbsSamplerConfig, rng: np.random.Generator, k: int) -> np.ndarray:
+    """Step ``k`` (1-based) of the input chain: ``langevin_step_l2`` for the
+    l2 norm, else the sup-norm step in one of three modes.
 
     final_projection: raw increments, clamped by P_gamma on the K-th step
     only. per_step_projection: clamp every increment. coordinate_sign:
     drift gains gamma*sign(x-x') on the single largest-gap coordinate.
     """
-    if cfg.linf_mode == COORDINATE_SIGN:
-        return _drift_step(state, grad_x + _coordinate_sign_term(state, cfg.gamma), cfg, rng)
-
-    inc = cfg.step * grad_x
-    eta = _noise(state.x_prime.shape, cfg, rng)
-    if eta is not None:
-        inc = inc + eta
-    last = state.step_index + 1 == cfg.steps
-    if cfg.linf_mode == PER_STEP_PROJECTION or (cfg.linf_mode == FINAL_PROJECTION and last):
-        inc = project_linf_increment(inc, cfg.gamma)
-    return _advance(state, state.x_prime + inc)
-
-
-def langevin_step(
-    state: ChainState,
-    grad_x: np.ndarray,
-    cfg: GibbsSamplerConfig,
-    rng: np.random.Generator,
-) -> ChainState:
     if cfg.norm == L2:
-        return langevin_step_l2(state, grad_x, cfg, rng)
-    return langevin_step_linf(state, grad_x, cfg, rng)
+        return langevin_step_l2(x_prime, anchor, grad, cfg, rng)
+    if cfg.linf_mode == COORDINATE_SIGN:
+        return _drift_step(x_prime, grad + _coordinate_sign_term(x_prime, anchor, cfg.gamma),
+                           cfg, rng)
+    inc = _plus_noise(cfg.step * grad, cfg, rng)
+    if cfg.linf_mode == PER_STEP_PROJECTION or k == cfg.steps:
+        inc = project_linf_increment(inc, cfg.gamma)
+    return _finite(x_prime + inc)
 
 
 def run_chain(
@@ -233,18 +200,16 @@ def run_chain(
     clips only its final, projected point.
     """
     anchor = batch.inputs.data
-    x0 = _clip_range(init_perturbation(anchor, cfg, rng), batch)
-    state = ChainState(x_prime=x0, x_anchor=anchor, step_index=0)
-    _, _, grad_x = loss_and_grads(params, batch.with_inputs(x0), wrt="inputs")
+    x_prime = _clip_range(init_perturbation(anchor, cfg, rng), batch)
+    _, _, grad_x = loss_and_grads(params, batch.with_inputs(x_prime), wrt="inputs")
     alpha, ema_loss = cfg.ema, 0.0
     inner_wrt = "both" if weight_grads else "inputs"
     acc = {name: np.zeros(t.shape) for name, t in params.weights.items()} if weight_grads else None
     samples: list[np.ndarray] = []
     warned = False
     for k in range(1, cfg.steps + 1):
-        state = langevin_step(state, grad_x, cfg, rng)
-        state.x_prime = _clip_range(state.x_prime, batch)
-        at_k = batch.with_inputs(state.x_prime)
+        x_prime = _clip_range(langevin_step(x_prime, anchor, grad_x, cfg, rng, k), batch)
+        at_k = batch.with_inputs(x_prime)
         if k < cfg.steps:
             loss, wg, grad_x = loss_and_grads(params, at_k, wrt=inner_wrt)
         elif weight_grads:
@@ -257,5 +222,5 @@ def run_chain(
         ema_loss = (1.0 - alpha) * ema_loss + alpha * loss
         if weight_grads:
             acc = {name: (1.0 - alpha) * acc[name] + alpha * wg[name] for name in acc}
-        samples.append(state.x_prime)
-    return ChainRun(samples=samples, ema_loss=ema_loss, x_final=state.x_prime, weight_grads=acc)
+        samples.append(x_prime)
+    return ChainRun(samples=samples, ema_loss=ema_loss, weight_grads=acc)

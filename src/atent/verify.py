@@ -13,9 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tc
-from .defenses import atent_outer_gradient
+from .defenses import weight_langevin_chain
 from .models import Batch, batch_loss, build_mlp, build_small_cnn, loss_and_grads
 from .oracle import (
+    atent_outer_gradient,
     chain_moment_check,
     finite_difference_grad,
     grid_gibbs_density,
@@ -31,6 +32,7 @@ GRAD_TOL = 1e-4
 AFFINE_TOL = 1e-6
 MOMENT_TOL = 0.10
 KEPT_SAMPLES = 50_000
+CHAIN_STEPS = math.ceil(KEPT_SAMPLES / 0.8)  # the first 20% is burn-in
 
 
 @dataclass
@@ -183,8 +185,22 @@ def _end_to_end_cases(rng):
 
 def _scalar_chain(gamma, grad_fn, seed, anchor=0.3, step=0.01):
     cfg = GibbsSamplerConfig(gamma=gamma, step=step, steps=1, noise_scale=1.0)
-    n_total = int(math.ceil(KEPT_SAMPLES / 0.8))
-    return sample_gibbs_chain(grad_fn, [anchor], cfg, n_total, derive_rng(seed))
+    return sample_gibbs_chain(grad_fn, [anchor], cfg, CHAIN_STEPS, derive_rng(seed))
+
+
+def _weight_chain(gamma, a, seed, anchor=0.3, step=0.01):
+    """Points Entropy-SGD's weight chain visits on L(w) = a w^2, as its
+    gradient callback sees them."""
+    visited = []
+
+    def grad_fn(w):
+        visited.append(w["w"][0])
+        return {"w": 2 * a * w["w"]}
+
+    cfg = GibbsSamplerConfig(gamma=gamma, step=step, steps=CHAIN_STEPS, noise_scale=1.0)
+    w0 = {"w": np.array([anchor])}
+    weight_langevin_chain(grad_fn, w0, w0, cfg, derive_rng(seed))
+    return np.array(visited)
 
 
 def sampler_suite() -> list[CheckResult]:
@@ -216,6 +232,21 @@ def sampler_suite() -> list[CheckResult]:
     rep = chain_moment_check(wrong_chain, const_grid, rel_tol=MOMENT_TOL)
     results.append(CheckResult(
         "sampler", "negative control: mismatched gamma fails", not rep.passed,
+        f"variance rel err {rep.variance_rel_err:.3f} (must exceed {MOMENT_TOL})"))
+
+    # the weight chain descends: its target exp(-a w^2 - gamma/2 (w - w0)^2)
+    # has mean gamma w0 / (gamma + 2a) = 0.2 and variance 1 / (gamma + 2a)
+    weight_grid = grid_gibbs_density(lambda pts: -a * pts[:, 0] ** 2, anchor, gamma,
+                                     [(anchor - 4.0, anchor + 4.0)], 2001)
+    rep = chain_moment_check(_weight_chain(gamma, a, seed=13), weight_grid, rel_tol=MOMENT_TOL)
+    results.append(CheckResult(
+        "sampler", "weight chain (Entropy-SGD) mean/variance vs grid", rep.passed,
+        f"mean {rep.empirical_mean[0]:.4f} vs {rep.grid_mean[0]:.4f}, "
+        f"var {rep.empirical_variance[0]:.4f} vs {rep.grid_variance[0]:.4f}"))
+    rep = chain_moment_check(_weight_chain(2 * gamma, a, seed=14), weight_grid,
+                             rel_tol=MOMENT_TOL)
+    results.append(CheckResult(
+        "sampler", "negative control: weight chain at 2 gamma fails", not rep.passed,
         f"variance rel err {rep.variance_rel_err:.3f} (must exceed {MOMENT_TOL})"))
 
     return results

@@ -14,13 +14,12 @@ from atent.defenses import (
     EpochRecord,
     TrainerConfig,
     TrainerState,
-    atent_outer_gradient,
     early_stop_update,
     train,
     weight_langevin_chain,
 )
 from atent.models import Batch, ModelParams, accuracy, build_mlp, loss_and_grads
-from atent.oracle import finite_difference_grad, relative_error
+from atent.oracle import atent_outer_gradient, finite_difference_grad, relative_error
 from atent.sampler import GibbsSamplerConfig, init_perturbation, run_chain
 from atent.seeding import derive_rng
 
@@ -186,6 +185,33 @@ class TestTrainEntropySgd:
         analytic = gamma * w0 * (2 * a) / (2 * a + gamma)
         assert math.copysign(1, gamma * (w0 - mu["w"][0])) == math.copysign(1, analytic)
         assert abs(gamma * (w0 - mu["w"][0]) - analytic) <= 0.15
+
+    def test_weight_chain_equals_reference_loop_bitwise(self):
+        # the per-tensor loop the chain ran before it called the sampler's l2
+        # step; two shapes and noise on, so a change in the arithmetic or in
+        # the order of the noise draws fails
+        rng = np.random.default_rng(21)
+        w0 = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=5)}
+        anchor = {k: v + 0.1 for k, v in w0.items()}
+        cfg = GibbsSamplerConfig(gamma=3.0, step=0.05, steps=20, noise_scale=0.3, ema=0.2)
+
+        def grad_fn(w):
+            return {k: 1.7 * np.tanh(v) for k, v in w.items()}
+
+        w_prime = {k: v.copy() for k, v in w0.items()}
+        mu = {k: v.copy() for k, v in anchor.items()}
+        root = math.sqrt(2.0 * cfg.step) * cfg.noise_scale
+        ref_rng = derive_rng(8)
+        for _ in range(cfg.steps):
+            grads = grad_fn(w_prime)
+            for k in w_prime:
+                drift = -grads[k] + cfg.gamma * (anchor[k] - w_prime[k])
+                w_prime[k] = w_prime[k] + cfg.step * drift
+                w_prime[k] = w_prime[k] + root * ref_rng.standard_normal(w_prime[k].shape)
+                mu[k] = (1.0 - cfg.ema) * mu[k] + cfg.ema * w_prime[k]
+        got = weight_langevin_chain(grad_fn, w0, anchor, cfg, derive_rng(8))
+        assert got.keys() == mu.keys()
+        assert all(np.array_equal(got[k], mu[k]) for k in mu)
 
     def test_same_seed_identical(self):
         ds, val = _blobs(seed=3)

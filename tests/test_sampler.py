@@ -8,18 +8,16 @@ from hypothesis import strategies as st
 
 import atent.sampler
 from atent.attacks import atent_attack
-from atent.defenses import atent_outer_gradient
 from atent.models import Batch, build_mlp, build_small_cnn, loss_and_grads
+from atent.oracle import atent_outer_gradient
 from atent.sampler import (
     COORDINATE_SIGN,
     FINAL_PROJECTION,
     PER_STEP_PROJECTION,
-    ChainState,
     GibbsSamplerConfig,
     init_perturbation,
     langevin_step,
     langevin_step_l2,
-    langevin_step_linf,
     project_linf_increment,
     run_chain,
 )
@@ -32,12 +30,8 @@ def _cfg(**kw):
     return GibbsSamplerConfig(**base)
 
 
-def _state(x_prime, x_anchor, k=0):
-    return ChainState(
-        x_prime=np.asarray(x_prime, dtype=float),
-        x_anchor=np.asarray(x_anchor, dtype=float),
-        step_index=k,
-    )
+def _a(values):
+    return np.asarray(values, dtype=float)
 
 
 class TestConfigValidation:
@@ -93,16 +87,15 @@ class TestInitPerturbation:
 class TestLangevinStepL2:
     def test_scalar_arithmetic_case_one(self):
         # x=0, x'=0, grad=2, gamma=1, step=0.1, no noise -> 0.2
-        st_ = _state([0.0], [0.0])
-        out = langevin_step_l2(st_, np.array([2.0]), _cfg(gamma=1.0, step=0.1), derive_rng(0))
-        assert out.x_prime[0] == pytest.approx(0.2, abs=0)
-        assert out.step_index == 1
+        out = langevin_step_l2(_a([0.0]), _a([0.0]), np.array([2.0]), _cfg(gamma=1.0, step=0.1),
+                               derive_rng(0))
+        assert out[0] == pytest.approx(0.2, abs=0)
 
     def test_scalar_arithmetic_case_two(self):
         # x=1, x'=1.5, grad=0, gamma=2, step=0.25 -> 1.25
-        st_ = _state([1.5], [1.0])
-        out = langevin_step_l2(st_, np.array([0.0]), _cfg(gamma=2.0, step=0.25), derive_rng(0))
-        assert out.x_prime[0] == pytest.approx(1.25, abs=0)
+        out = langevin_step_l2(_a([1.5]), _a([1.0]), np.array([0.0]), _cfg(gamma=2.0, step=0.25),
+                               derive_rng(0))
+        assert out[0] == pytest.approx(1.25, abs=0)
 
     def test_noise_free_step_equals_regularized_ascent_bitwise(self):
         # gradient-ascent step on L(x') - gamma/2 ||x' - x||^2, written the other way
@@ -111,9 +104,7 @@ class TestLangevinStepL2:
         xp = rng.random(6)
         g = rng.normal(size=6)
         gamma, eta = 3.7, 0.05
-        out = langevin_step_l2(
-            _state(xp, x), g, _cfg(gamma=gamma, step=eta), derive_rng(0)
-        ).x_prime
+        out = langevin_step_l2(xp, x, g, _cfg(gamma=gamma, step=eta), derive_rng(0))
         reference = xp + eta * (g - gamma * (xp - x))
         assert np.array_equal(out, reference)
 
@@ -121,21 +112,20 @@ class TestLangevinStepL2:
         from atent.tensor import NonFiniteError
 
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
-            langevin_step_l2(
-                _state([1.0], [0.0]), np.array([1e308]), _cfg(step=1e308), derive_rng(0)
-            )
+            langevin_step_l2(_a([1.0]), _a([0.0]), np.array([1e308]), _cfg(step=1e308),
+                             derive_rng(0))
 
     def test_constant_loss_stationary_variance(self):
         # zero gradient, noise 1: stationary law N(x, I/gamma); gamma=4
         gamma, eta = 4.0, 0.01
         cfg = _cfg(gamma=gamma, step=eta, noise_scale=1.0)
         rng = derive_rng(42)
-        state = _state([0.5], [0.5])
+        x_prime, anchor = _a([0.5]), _a([0.5])
         n = 30_000
         samples = np.empty(n)
         for i in range(n):
-            state = langevin_step_l2(state, np.zeros(1), cfg, rng)
-            samples[i] = state.x_prime[0]
+            x_prime = langevin_step_l2(x_prime, anchor, np.zeros(1), cfg, rng)
+            samples[i] = x_prime[0]
         kept = samples[n // 5:]
         assert abs(kept.var() - 1.0 / gamma) <= 0.10 / gamma
 
@@ -145,11 +135,11 @@ class TestLangevinStepL2:
 
         def spread(noise):
             cfg = _cfg(gamma=gamma, step=eta, noise_scale=noise)
-            state = _state([0.0], [0.0])
+            x_prime, anchor = _a([0.0]), _a([0.0])
             vals = np.empty(20_000)
             for i in range(vals.size):
-                state = langevin_step_l2(state, np.zeros(1), cfg, rng)
-                vals[i] = state.x_prime[0]
+                x_prime = langevin_step_l2(x_prime, anchor, np.zeros(1), cfg, rng)
+                vals[i] = x_prime[0]
             return vals[4_000:].var()
 
         big = spread(1.0)
@@ -187,63 +177,54 @@ class TestProjectLinfIncrement:
 
 
 class TestLangevinStepLinf:
+    # langevin_step(x_prime, anchor, grad, cfg, rng, k) with k the 1-based step
+
     def test_final_projection_single_step_clamps(self):
         cfg = _cfg(gamma=10.0, step=1.0, steps=1, norm="linf", linf_mode=FINAL_PROJECTION)
-        out = langevin_step_linf(
-            _state([0.0, 0.0], [0.0, 0.0]), np.array([0.05, -0.5]), cfg, derive_rng(0)
-        )
-        assert np.array_equal(out.x_prime, [0.05, -0.1])
+        out = langevin_step(np.zeros(2), np.zeros(2), np.array([0.05, -0.5]), cfg,
+                            derive_rng(0), 1)
+        assert np.array_equal(out, [0.05, -0.1])
 
     def test_final_projection_inactive_before_last_step(self):
         cfg = _cfg(gamma=10.0, step=1.0, steps=2, norm="linf", linf_mode=FINAL_PROJECTION)
-        first = langevin_step_linf(
-            _state([0.0, 0.0], [0.0, 0.0]), np.array([0.05, -0.5]), cfg, derive_rng(0)
-        )
-        assert np.array_equal(first.x_prime, [0.05, -0.5])  # raw increment
-        second = langevin_step_linf(first, np.array([0.05, -0.5]), cfg, derive_rng(0))
-        assert np.array_equal(second.x_prime, [0.1, -0.6])  # clamped increment
+        g = np.array([0.05, -0.5])
+        first = langevin_step(np.zeros(2), np.zeros(2), g, cfg, derive_rng(0), 1)
+        assert np.array_equal(first, [0.05, -0.5])  # raw increment
+        second = langevin_step(first, np.zeros(2), g, cfg, derive_rng(0), 2)
+        assert np.array_equal(second, [0.1, -0.6])  # clamped increment
 
     def test_coordinate_sign_selects_largest_gap(self):
         # x - x' = [0.3, -0.7], gamma=2 -> regularizer 2*(-1) on coordinate 2
         cfg = _cfg(gamma=2.0, step=1.0, steps=1, norm="linf", linf_mode=COORDINATE_SIGN)
-        out = langevin_step_linf(
-            _state([0.0, 0.0], [0.3, -0.7]), np.zeros(2), cfg, derive_rng(0)
-        )
-        assert np.array_equal(out.x_prime, [0.0, -2.0])
+        out = langevin_step(np.zeros(2), _a([0.3, -0.7]), np.zeros(2), cfg, derive_rng(0), 1)
+        assert np.array_equal(out, [0.0, -2.0])
 
     def test_coordinate_sign_tie_breaks_low_and_sign_zero(self):
         cfg = _cfg(gamma=2.0, step=1.0, steps=1, norm="linf", linf_mode=COORDINATE_SIGN)
-        out = langevin_step_linf(
-            _state([0.0, 0.0], [0.5, 0.5]), np.zeros(2), cfg, derive_rng(0)
-        )
-        assert np.array_equal(out.x_prime, [2.0, 0.0])  # gamma * sign on coord 0
-        out = langevin_step_linf(
-            _state([0.0, 0.0], [0.0, 0.0]), np.zeros(2), cfg, derive_rng(0)
-        )
-        assert np.array_equal(out.x_prime, [0.0, 0.0])  # sign(0) = 0
+        out = langevin_step(np.zeros(2), _a([0.5, 0.5]), np.zeros(2), cfg, derive_rng(0), 1)
+        assert np.array_equal(out, [2.0, 0.0])  # gamma * sign on coord 0
+        out = langevin_step(np.zeros(2), np.zeros(2), np.zeros(2), cfg, derive_rng(0), 1)
+        assert np.array_equal(out, [0.0, 0.0])  # sign(0) = 0
 
     def test_coordinate_sign_per_sample_rows(self):
         cfg = _cfg(gamma=1.0, step=1.0, steps=1, norm="linf", linf_mode=COORDINATE_SIGN)
         anchor = np.array([[0.3, -0.7], [0.9, 0.1]])
-        out = langevin_step_linf(
-            _state(np.zeros((2, 2)), anchor), np.zeros((2, 2)), cfg, derive_rng(0)
-        )
-        assert np.array_equal(out.x_prime, [[0.0, -1.0], [1.0, 0.0]])
+        out = langevin_step(np.zeros((2, 2)), anchor, np.zeros((2, 2)), cfg, derive_rng(0), 1)
+        assert np.array_equal(out, [[0.0, -1.0], [1.0, 0.0]])
 
     def test_per_step_projection_identity_region(self):
         cfg = _cfg(gamma=10.0, step=1.0, steps=3, norm="linf", linf_mode=PER_STEP_PROJECTION)
         g = np.array([0.02, -0.03])  # |increment| < 1/gamma
-        projected = langevin_step_linf(_state([0.0, 0.0], [0.0, 0.0]), g, cfg, derive_rng(0))
+        projected = langevin_step(np.zeros(2), np.zeros(2), g, cfg, derive_rng(0), 1)
         raw_cfg = _cfg(gamma=10.0, step=1.0, steps=3, norm="linf", linf_mode=FINAL_PROJECTION)
-        raw = langevin_step_linf(_state([0.0, 0.0], [0.0, 0.0]), g, raw_cfg, derive_rng(0))
-        assert np.array_equal(projected.x_prime, raw.x_prime)
+        raw = langevin_step(np.zeros(2), np.zeros(2), g, raw_cfg, derive_rng(0), 1)
+        assert np.array_equal(projected, raw)
 
     def test_per_step_projection_huge_gamma_clamps_to_zero(self):
         cfg = _cfg(gamma=1e12, step=1.0, steps=2, norm="linf", linf_mode=PER_STEP_PROJECTION)
-        out = langevin_step_linf(
-            _state([0.0, 0.0], [0.0, 0.0]), np.array([5.0, -3.0]), cfg, derive_rng(0)
-        )
-        assert np.max(np.abs(out.x_prime)) <= 1e-12
+        out = langevin_step(np.zeros(2), np.zeros(2), np.array([5.0, -3.0]), cfg,
+                            derive_rng(0), 1)
+        assert np.max(np.abs(out)) <= 1e-12
 
 
 class TestRunChain:
@@ -283,7 +264,7 @@ class TestRunChain:
         p0 = 1.0 / (1.0 + math.exp(-2 * x0))
         g = -2.0 * (1.0 - p0)
         x1 = x0 + eta * (g + gamma * (x0 - x0))
-        assert run.x_final[0, 0] == pytest.approx(x1, abs=1e-15)
+        assert run.samples[-1][0, 0] == pytest.approx(x1, abs=1e-15)
         expected_loss = math.log(1.0 + math.exp(-2 * x1))
         assert run.ema_loss == pytest.approx(expected_loss, abs=1e-12)
         assert len(run.samples) == 1
@@ -333,15 +314,14 @@ def _all_inputs_chain(params, batch, cfg, rng):
         return x if batch.value_range is None else np.clip(x, *batch.value_range)
 
     anchor = batch.inputs.data
-    state = ChainState(clip(init_perturbation(anchor, cfg, rng)), anchor, 0)
-    _, _, g = loss_and_grads(params, batch.with_inputs(state.x_prime), wrt="inputs")
+    x_prime = clip(init_perturbation(anchor, cfg, rng))
+    _, _, g = loss_and_grads(params, batch.with_inputs(x_prime), wrt="inputs")
     samples, ema = [], 0.0
-    for _ in range(cfg.steps):
-        state = langevin_step(state, g, cfg, rng)
-        state.x_prime = clip(state.x_prime)
-        loss, _, g = loss_and_grads(params, batch.with_inputs(state.x_prime), wrt="inputs")
+    for k in range(1, cfg.steps + 1):
+        x_prime = clip(langevin_step(x_prime, anchor, g, cfg, rng, k))
+        loss, _, g = loss_and_grads(params, batch.with_inputs(x_prime), wrt="inputs")
         ema = (1.0 - cfg.ema) * ema + cfg.ema * loss
-        samples.append(state.x_prime)
+        samples.append(x_prime)
     return samples, ema
 
 
@@ -376,7 +356,6 @@ class TestFusedChain:
             assert run.ema_loss == ema
             assert len(run.samples) == steps
             assert all(np.array_equal(a, b) for a, b in zip(run.samples, samples))
-            assert np.array_equal(run.x_final, samples[-1])
         assert value_range is None or all(s.min() >= 0.0 and s.max() <= 1.0 for s in samples)
         ref = atent_outer_gradient(p, batch, samples, cfg.ema)
         assert run.weight_grads.keys() == ref.keys()
@@ -431,9 +410,3 @@ class TestChainPasses:
         assert samples[-1].min() < 0.0 or samples[-1].max() > 1.0  # chain ran unclipped
         ref = np.clip(x + np.clip(samples[-1] - x, -radius, radius), 0.0, 1.0)
         assert np.array_equal(out, ref)
-
-
-class TestChainState:
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ChainState(np.zeros(3), np.zeros(4), 0)

@@ -1,0 +1,61 @@
+"""The benchmark's tracer (``perfbench/tracer.py``) wraps ``atent`` functions
+by their public names and puts them back afterwards.
+
+A rename in ``src/`` that the tracer does not follow breaks
+``perfbench/run.py --trace 1``; these tests catch it without running the
+benchmark.
+"""
+import importlib
+import importlib.util
+import sys
+import types
+from pathlib import Path
+
+import numpy as np
+
+import atent
+from atent.models import Batch, build_mlp
+from atent.sampler import GibbsSamplerConfig
+from atent.seeding import derive_rng
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+MODULES = ("tensor", "models", "sampler", "defenses", "attacks", "smoothing",
+           "checkpoint", "experiment", "config", "verify", "data")
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bindings() -> dict:
+    return {(name, attr): value
+            for name, mod in list(sys.modules.items())
+            if isinstance(mod, types.ModuleType) and (name == "atent" or name.startswith("atent."))
+            for attr, value in vars(mod).items() if callable(value)}
+
+
+def test_install_then_restore_puts_every_binding_back():
+    for name in MODULES:
+        importlib.import_module(f"atent.{name}")
+    tr = _load_tracer()
+    tracer = tr.Tracer()
+    before = _bindings()
+    patcher = tr.install(tracer, atent)
+    try:
+        wrapped = {key for key, value in _bindings().items() if before.get(key) is not value}
+        rng = np.random.default_rng(0)
+        batch = Batch(rng.random((4, 3)), np.eye(2)[[0, 1, 0, 1]])
+        cfg = GibbsSamplerConfig(gamma=2.0, step=0.1, steps=3, noise_scale=0.1)
+        atent.sampler.run_chain(build_mlp([3, 4, 2], seed=0), batch, cfg, derive_rng(0))
+    finally:
+        patcher.restore()
+    after = _bindings()
+    assert sorted(key for key, value in before.items() if after.get(key) is not value) == []
+    assert ("atent.sampler", "langevin_step") in wrapped
+    metrics = tr.layer_metrics(tracer)
+    # run_chain looks the step up by its module-level name once per step
+    assert metrics["sampler.run_chain.calls"][0] == 1
+    assert metrics["sampler.langevin_step.calls"][0] == cfg.steps
