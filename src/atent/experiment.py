@@ -49,16 +49,43 @@ class ExperimentError(RuntimeError):
     """Runtime failure while orchestrating an experiment."""
 
 
+def _pid_is_dead(lock: Path) -> bool:
+    """True when ``lock`` names a pid that no process runs under. A lock
+    without a readable pid counts as live: its holder may still be writing it."""
+    try:
+        pid = int(lock.read_text())
+    except (OSError, ValueError):
+        return False
+    if pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except PermissionError:  # alive, under another user
+        pass
+    return False
+
+
 @contextmanager
 def output_lock(out_dir: Path):
+    """Hold ``out_dir/.lock`` for the block; the lock file records the pid.
+
+    A lock left behind by a process that no longer runs is reclaimed. Two
+    runs reclaiming the same stale lock at the same moment can both succeed,
+    so this guards against a dead run, not against a race of two starts."""
     lock = out_dir / ".lock"
+    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
     try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        fd = os.open(lock, flags)
     except FileExistsError:
-        raise ExperimentError(
-            f"output directory {out_dir} is locked by another run "
-            f"(remove {lock} if that run is dead)"
-        )
+        if not _pid_is_dead(lock):
+            raise ExperimentError(
+                f"output directory {out_dir} is locked by another run "
+                f"(remove {lock} if that run is dead)"
+            )
+        lock.unlink(missing_ok=True)
+        fd = os.open(lock, flags)
     try:
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)

@@ -182,9 +182,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise TensorError(f"matmul inner extents disagree: {a.shape} x {b.shape}")
     out = a.data @ b.data
+    tape = _active_tape()
+    want_da, want_db = (tape is not None and tape._tracks(t) for t in (a, b))
 
     def pull(g):
-        return g @ b.data.T, a.data.T @ g
+        return (g @ b.data.T if want_da else None), (a.data.T @ g if want_db else None)
 
     return _emit((a, b), out, pull, "matmul")
 
@@ -282,7 +284,10 @@ def _pad(x: np.ndarray, padding: int) -> np.ndarray:
     """(n, c, h, w) zero-padded by ``padding`` on both spatial sides."""
     if not padding:
         return x
-    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    n, c, h, w = x.shape
+    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
+    xp[:, :, padding:padding + h, padding:padding + w] = x
+    return xp
 
 
 def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -346,8 +351,8 @@ def max_pool2d(x: Tensor, size: int = 2) -> Tensor:
 
     The max is taken over the size*size strided views of the input, one per
     window position. Under a tape that tracks ``x`` the winning view is
-    recorded, and a later view wins only when strictly greater, so the
-    gradient routes to the first maximum in each window (row-major order).
+    recorded (:func:`_pool_max`), so the gradient routes to the first maximum
+    in each window (row-major order).
     """
     if x.data.ndim != 4:
         raise TensorError(f"max_pool2d expects (n, c, h, w), got {x.shape}")
@@ -358,7 +363,7 @@ def max_pool2d(x: Tensor, size: int = 2) -> Tensor:
         raise TensorError(f"max_pool2d window {size} too large for input {x.shape}")
     tape = _active_tape()
     out = np.empty((n, c, oh, ow))
-    winner = np.zeros(out.shape, dtype=np.intp) if tape is not None and tape._tracks(x) else None
+    winner = np.empty(out.shape, dtype=np.intp) if tape is not None and tape._tracks(x) else None
     _pool_max(x.data, size, out, winner)
 
     def pull(g):
@@ -371,23 +376,35 @@ def max_pool2d(x: Tensor, size: int = 2) -> Tensor:
 
 def _pool_max(x: np.ndarray, size: int, out: np.ndarray, winner: np.ndarray | None) -> None:
     """Max of ``x`` over non-overlapping size*size windows into ``out``.
-    When ``winner`` is given, the index of each window's first maximum
-    (row-major) goes there: a later view wins only when strictly greater."""
+
+    When ``winner`` is given, the index t of each window's first maximum
+    (row-major view order) is written there, overwriting whatever it held.
+    It is kept as a running max of t * (view t > max so far), which is
+    exact: a later view wins only when strictly greater, and its index then
+    exceeds every earlier one."""
     taps = _taps(size, size, size, *out.shape[2:])
     _, _, rows, cs = next(taps)
     np.copyto(out, x[:, :, rows, cs])
+    if winner is not None:
+        winner.fill(0)
+        won = np.empty(out.shape, dtype=bool)
     for t, (_, _, rows, cs) in enumerate(taps, start=1):
         v = x[:, :, rows, cs]
         if winner is not None:
-            np.copyto(winner, t, where=v > out)
+            np.greater(v, out, out=won)
+            np.maximum(winner, won * t, out=winner)
         np.maximum(out, v, out=out)
 
 
 def _pool_scatter(g: np.ndarray, size: int, winner: np.ndarray, dx: np.ndarray) -> None:
-    """Pooled gradient ``g`` written into zeroed ``dx`` at each window's
-    recorded winner."""
+    """Pooled gradient ``g`` routed into ``dx`` at each window's recorded
+    winner: every view t receives g * (winner == t), so every cell inside a
+    window is written (0 where it did not win). Cells outside every window
+    (trailing rows/cols) are not touched and must already hold 0."""
+    won = np.empty(g.shape, dtype=bool)
     for t, (_, _, rows, cs) in enumerate(_taps(size, size, size, *g.shape[2:])):
-        np.copyto(dx[:, :, rows, cs], g, where=winner == t)
+        np.equal(winner, t, out=won)
+        np.multiply(g, won, out=dx[:, :, rows, cs])
 
 
 # Column-buffer elements conv_block unfolds at a time (4 MiB of float64).
@@ -439,7 +456,7 @@ def conv_block(x: Tensor, kernels: Tensor, bias: Tensor, pool: int = 2) -> Tenso
         return _im2col(_pad(x.data[i:j], padding), kh, kw, 1, oh, ow)
 
     out = np.empty((n, cout, ph, pw))
-    winner = np.zeros(out.shape, dtype=np.intp) if track else None
+    winner = np.empty(out.shape, dtype=np.intp) if track else None
     pre = np.empty((min(block, n), cout, oh * ow))
     for i, j in spans:
         a = pre[:j - i]
@@ -457,9 +474,8 @@ def conv_block(x: Tensor, kernels: Tensor, bias: Tensor, pool: int = 2) -> Tenso
             return None, None, db
         dk = np.empty((n, cout, cin * kh * kw)) if want_dk else None
         dx = np.empty(x.shape) if want_dx else None
-        ga = np.empty((min(block, n), cout, oh, ow))
+        ga = np.zeros((min(block, n), cout, oh, ow))  # cells outside every window stay 0
         for i, j in spans:
-            ga[:j - i] = 0.0
             _pool_scatter(g[i:j], pool, winner[i:j], ga[:j - i])
             gb = ga[:j - i].reshape(j - i, cout, oh * ow)
             if want_dk:

@@ -203,6 +203,12 @@ def _weight_chain(gamma, a, seed, anchor=0.3, step=0.01):
     return np.array(visited)
 
 
+def _control_detail(rep) -> str:
+    """Both moment errors of a negative control, which passes when either misses."""
+    return (f"rel errs mean {rep.mean_rel_err:.3f} var {rep.variance_rel_err:.3f} "
+            f"(one must exceed {MOMENT_TOL})")
+
+
 def sampler_suite() -> list[CheckResult]:
     results = []
     gamma, anchor = 4.0, 0.3
@@ -232,7 +238,7 @@ def sampler_suite() -> list[CheckResult]:
     rep = chain_moment_check(wrong_chain, const_grid, rel_tol=MOMENT_TOL)
     results.append(CheckResult(
         "sampler", "negative control: mismatched gamma fails", not rep.passed,
-        f"variance rel err {rep.variance_rel_err:.3f} (must exceed {MOMENT_TOL})"))
+        _control_detail(rep)))
 
     # the weight chain descends: its target exp(-a w^2 - gamma/2 (w - w0)^2)
     # has mean gamma w0 / (gamma + 2a) = 0.2 and variance 1 / (gamma + 2a)
@@ -247,7 +253,7 @@ def sampler_suite() -> list[CheckResult]:
                              rel_tol=MOMENT_TOL)
     results.append(CheckResult(
         "sampler", "negative control: weight chain at 2 gamma fails", not rep.passed,
-        f"variance rel err {rep.variance_rel_err:.3f} (must exceed {MOMENT_TOL})"))
+        _control_detail(rep)))
 
     return results
 

@@ -97,6 +97,28 @@ class TestPipeline:
         with output_lock(out):  # released after exit
             pass
 
+    def test_lock_of_dead_pid_is_reclaimed(self, tmp_path):
+        import subprocess
+        import sys
+
+        proc = subprocess.Popen([sys.executable, "-c", "pass"])
+        proc.wait()  # reaped: no process runs under its pid any more
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / ".lock").write_text(str(proc.pid))
+        with output_lock(out):
+            assert (out / ".lock").read_text() == str(os.getpid())
+        assert not (out / ".lock").exists()
+
+    def test_lock_without_readable_pid_refuses(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        for text in ("", "not a pid"):
+            (out / ".lock").write_text(text)
+            with pytest.raises(ExperimentError, match="locked"):
+                with output_lock(out):
+                    pass
+
     def test_mnist_kind_reads_idx_tree(self, tmp_path):
         import numpy as np
 

@@ -78,6 +78,19 @@ class TestMatmul:
         fd = finite_difference_grad(f, a0.copy())
         assert relative_error(ga, fd) <= 1e-6  # affine: central diff is exact-ish
 
+    def test_pull_skips_untracked_operand(self):
+        rng = np.random.default_rng(2)
+        a0, b0 = rng.random((3, 4)), rng.random((4, 5))
+        g = np.ones((3, 5))
+        with Tape() as tape:
+            tc.matmul(Tensor(a0), Tensor(b0, requires_grad=True))
+        da, db = tape.records[-1].pull(g)
+        assert da is None and np.array_equal(db, a0.T @ g)
+        with Tape() as tape:
+            tc.matmul(Tensor(a0, requires_grad=True), Tensor(b0))
+        da, db = tape.records[-1].pull(g)
+        assert np.array_equal(da, g @ b0.T) and db is None
+
 
 class TestConv2d:
     def test_one_by_one_unit_kernel_is_identity(self):
@@ -261,19 +274,24 @@ class TestConvBlock:
         dx, dk, db = tape.records[-1].pull(g)
         assert dx.shape == x0.shape and dk is None and db is None
 
-    def test_batch_over_three_blocks_taped_equals_untaped_and_unfused(self):
-        cin, h, w = 2, 10, 10
+    # at 11x11 and pool 3 every block has cells outside every window, whose
+    # gradient must stay 0 while the block buffer is reused
+    @pytest.mark.parametrize("size,pool", [(10, 2), (11, 3)])
+    def test_batch_over_three_blocks_taped_equals_untaped_and_unfused(self, size, pool):
+        cin, h, w = 2, size, size
         block = tc._BLOCK_COLS // (cin * 9 * h * w)
         n = 3 * block + 5  # three whole blocks and a partial one
         rng = np.random.default_rng(23)
         x0 = rng.random((n, cin, h, w))
         k0 = rng.normal(size=(3, cin, 3, 3))
         b0 = rng.normal(size=3)
-        plain = tc.conv_block(Tensor(x0), Tensor(k0), Tensor(b0)).data
-        labels = Tensor(np.eye(75)[rng.integers(0, 75, n)])
+        plain = tc.conv_block(Tensor(x0), Tensor(k0), Tensor(b0), pool).data
+        classes = 3 * (h // pool) * (w // pool)
+        labels = Tensor(np.eye(classes)[rng.integers(0, classes, n)])
         taped, grads = _block_values_and_grads(
-            lambda x, k, b: tc.conv_block(x, k, b, 2), x0, k0, b0, labels, "both")
-        ref, ref_grads = _block_values_and_grads(_unfused_block, x0, k0, b0, labels, "both")
+            lambda x, k, b: tc.conv_block(x, k, b, pool), x0, k0, b0, labels, "both")
+        ref, ref_grads = _block_values_and_grads(
+            lambda x, k, b: _unfused_block(x, k, b, pool), x0, k0, b0, labels, "both")
         assert np.array_equal(plain, taped) and np.array_equal(taped, ref)
         assert np.array_equal(grads[0], ref_grads[0]) and np.array_equal(grads[1], ref_grads[1])
         assert np.max(np.abs(grads[2] - ref_grads[2])) <= 1e-15
