@@ -5,6 +5,17 @@ u32, then per entry: name length u16, name bytes (utf-8), rank u8, extents
 u32 x rank, values f64 x prod(extents). A JSON manifest sidecar at
 ``<path>.manifest.json`` records the architecture descriptor and entry
 shapes; load validates the weights against it.
+
+Every file is written atomically: to ``<file>.tmp``, fsynced, then moved
+over the old one with ``os.replace``. The directory is not fsynced after
+the rename (out of scope so far), so a crash of the machine, not of the
+process, can still lose a rename. :func:`save_checkpoint` always writes
+the weights but leaves a sidecar alone whose bytes already match; the
+descriptor and shapes of a model never change during training, so within
+a run each sidecar is written at most once. A training epoch (see
+``experiment.train_with_persistence``) thus writes ``last.ckpt`` and
+``trainer_state.json``, plus ``best.ckpt`` when the epoch improved the
+tracked metric or is the first of its process.
 """
 from __future__ import annotations
 
@@ -61,7 +72,15 @@ def save_checkpoint(params: ModelParams, path) -> None:
         "entries": entries,
     }
     atomic_write_bytes(path, b"".join(parts))
-    atomic_write_text(manifest_path(path), json.dumps(manifest, indent=2, sort_keys=True))
+    mpath = manifest_path(path)
+    encoded = json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8")
+    try:
+        with open(mpath, "rb") as f:
+            unchanged = f.read() == encoded
+    except FileNotFoundError:
+        unchanged = False
+    if not unchanged:
+        atomic_write_bytes(mpath, encoded)
 
 
 class _Reader:

@@ -4,7 +4,8 @@ checkpointed resume, attack evaluation, report emission.
 Output-directory layout:
 
     <out>/last.ckpt(+.manifest.json)   current params, written every epoch
-    <out>/best.ckpt(+.manifest.json)   early-stopped snapshot
+    <out>/best.ckpt(+.manifest.json)   early-stopped snapshot, written on
+                                       improvement
     <out>/trainer_state.json           epoch counter, best metric, history
     <out>/metrics.jsonl.partial        per-epoch stream while training
     <out>/metrics.jsonl                finalized metric stream
@@ -180,6 +181,19 @@ def train_with_persistence(cfg: ExperimentConfig, out: Path,
                            train_ds: Dataset, val_ds: Dataset,
                            resume: bool = False,
                            stop_after: int | None = None) -> TrainerState:
+    """Train ``cfg`` with a commit to ``out`` after every epoch.
+
+    Each epoch writes, in this order: ``last.ckpt``; ``best.ckpt`` when the
+    early-stopped snapshot is not the one this process wrote last (the
+    trainer installs a fresh snapshot on every improvement, so this is
+    each improving epoch plus the first commit of every process, resumed
+    or not); ``trainer_state.json`` last; then a line appended to
+    ``metrics.jsonl.partial``. Each checkpoint's manifest sidecar follows
+    it only when its bytes changed, at most once per run. A steady-state
+    epoch thus replaces two files, and a crash between them leaves new
+    weights beside the previous epoch's state. A finished run writes
+    ``metrics.jsonl`` and removes the partial file.
+    """
     state_path = out / "trainer_state.json"
     last_ckpt = out / "last.ckpt"
     best_ckpt = out / "best.ckpt"
@@ -199,11 +213,14 @@ def train_with_persistence(cfg: ExperimentConfig, out: Path,
         if resume_state.epoch >= cfg.trainer.epochs:
             return resume_state
     params0 = build_model(cfg.model, cfg.seed)
+    best_written = None
 
     def on_epoch(state: TrainerState):
+        nonlocal best_written
         save_checkpoint(state.params, last_ckpt)
-        if state.best_params is not None:
+        if state.best_params is not None and state.best_params is not best_written:
             save_checkpoint(state.best_params, best_ckpt)
+            best_written = state.best_params
         tree = {"name": cfg.name, "seed": cfg.seed, "trainer": _state_to_json(state)}
         atomic_write_text(state_path, json.dumps(tree, indent=2, sort_keys=True))
         with open(partial, "a", encoding="utf-8") as f:

@@ -44,9 +44,13 @@ def vote_counts(params: ModelParams, x: np.ndarray, cfg: SmoothingConfig,
     while remaining > 0:
         m = min(VOTE_CHUNK, remaining)
         remaining -= m
-        noisy = np.broadcast_to(x, (m, *x.shape)).copy()
         if cfg.sigma > 0:
-            noisy += cfg.sigma * rng.standard_normal(noisy.shape)
+            noisy = np.empty((m, *x.shape))
+            rng.standard_normal(out=noisy)
+            noisy *= cfg.sigma
+            noisy += x
+        else:
+            noisy = np.broadcast_to(x, (m, *x.shape)).copy()
         counts += np.bincount(predict(params, noisy), minlength=n_classes)
     return counts
 

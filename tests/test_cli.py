@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from atent import checkpoint
 from atent.cli import main
 from atent.config import parse_config_dict
 from atent.experiment import (
@@ -68,7 +69,13 @@ class TestPipeline:
         assert (split / "metrics.jsonl.partial").exists()
         assert not (split / "report.csv").exists()
         run_experiment(cfg, output_dir=str(split), resume=True)
-        for fname in ("report.csv", "metrics.jsonl", "last.ckpt"):
+        names = sorted(p.name for p in full.iterdir())
+        assert names == sorted(p.name for p in split.iterdir())
+        for fname in ("report.csv", "metrics.jsonl", "last.ckpt", "best.ckpt",
+                      "last.ckpt.manifest.json", "best.ckpt.manifest.json",
+                      "trainer_state.json"):
+            assert fname in names
+        for fname in names:
             assert (full / fname).read_bytes() == (split / fname).read_bytes(), fname
         assert not (split / "metrics.jsonl.partial").exists()
 
@@ -145,6 +152,67 @@ class TestPipeline:
         cfg = parse_config_dict(tree)
         with pytest.raises(ExperimentError, match="missing IDX"):
             build_datasets(cfg.data, cfg.seed, data_dir=str(tmp_path / "nowhere"))
+
+
+class TestEpochCommit:
+    """Which files each epoch's commit writes. The 6-epoch toy run improves
+    its validation accuracy at epochs 1 and 2 only."""
+
+    @pytest.fixture
+    def writes(self, monkeypatch):
+        """File names passed to ``atomic_write_bytes``, grouped per epoch
+        (each commit ends with the state file)."""
+        log = [[]]
+        original = checkpoint.atomic_write_bytes
+
+        def recording(path, blob):
+            log[-1].append(os.path.basename(path))
+            if log[-1][-1] == "trainer_state.json":
+                log.append([])
+            original(path, blob)
+
+        monkeypatch.setattr(checkpoint, "atomic_write_bytes", recording)
+        return log
+
+    def test_best_only_on_improvement_and_sidecars_once(self, tmp_path, writes):
+        state = run_training(parse_config_dict(toy_tree(epochs=6)),
+                             output_dir=str(tmp_path / "out"))
+        accs = [r.nat_acc for r in state.history]
+        assert accs[0] < accs[1] >= max(accs[2:])
+        steady = ["last.ckpt", "trainer_state.json"]
+        assert writes == [
+            ["last.ckpt", "last.ckpt.manifest.json", "best.ckpt",
+             "best.ckpt.manifest.json", "trainer_state.json"],
+            ["last.ckpt", "best.ckpt", "trainer_state.json"],
+            steady, steady, steady, steady,
+            ["metrics.jsonl"],
+        ]
+
+    def test_resumed_process_writes_best_once_and_keeps_sidecars(self, tmp_path, writes):
+        cfg = parse_config_dict(toy_tree(epochs=6))
+        run_training(cfg, output_dir=str(tmp_path / "full"))
+        split = tmp_path / "split"
+        run_training(cfg, output_dir=str(split), stop_after=3)
+        writes[:] = [[]]
+        run_training(cfg, output_dir=str(split), resume=True)
+        steady = ["last.ckpt", "trainer_state.json"]
+        assert writes == [["last.ckpt", "best.ckpt", "trainer_state.json"],
+                          steady, steady, ["metrics.jsonl"]]
+        for fname in sorted(p.name for p in (tmp_path / "full").iterdir()):
+            assert (tmp_path / "full" / fname).read_bytes() == (split / fname).read_bytes()
+
+    def test_sidecar_edited_on_disk_is_rewritten(self, tmp_path, writes):
+        cfg = parse_config_dict(toy_tree(epochs=4))
+        run_training(cfg, output_dir=str(tmp_path / "full"))
+        split = tmp_path / "split"
+        run_training(cfg, output_dir=str(split), stop_after=3)
+        sidecar = split / "last.ckpt.manifest.json"
+        sidecar.write_text(json.dumps(json.loads(sidecar.read_text())))
+        writes[:] = [[]]
+        run_training(cfg, output_dir=str(split), resume=True)
+        assert writes[0] == ["last.ckpt", "last.ckpt.manifest.json", "best.ckpt",
+                             "trainer_state.json"]
+        assert sidecar.read_bytes() == (tmp_path / "full" / sidecar.name).read_bytes()
 
 
 class TestCliCommands:

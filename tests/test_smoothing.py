@@ -7,6 +7,7 @@ from atent.models import build_mlp, predict
 from atent.seeding import derive_rng
 from atent.smoothing import (
     ABSTAIN,
+    VOTE_CHUNK,
     SmoothingConfig,
     smooth_accuracy,
     smooth_predict,
@@ -65,6 +66,23 @@ class TestSmoothPredict:
         cfg = SmoothingConfig(sigma=1.0, n_samples=4097, seed=3)
         counts = vote_counts(p, np.array([0.1]), cfg, derive_rng(0), n_classes=2)
         assert counts.sum() == 4097
+
+    def test_vote_counts_match_votes_on_x_plus_sigma_z(self):
+        # the noise is the smoothing stream's standard normals, in order,
+        # across chunk boundaries; sigma = 0 draws nothing from it
+        p = build_mlp([3, 6, 4], seed=3)
+        x = np.array([0.2, -0.4, 0.9])
+        n = VOTE_CHUNK + 5
+        for i, sigma in enumerate((0.7, 0.0)):
+            cfg = SmoothingConfig(sigma=sigma, n_samples=n, seed=4)
+            rng = derive_rng(cfg.seed, "smoothing", i)
+            counts = vote_counts(p, x, cfg, rng, n_classes=4)
+            ref_rng = derive_rng(cfg.seed, "smoothing", i)
+            z = ref_rng.standard_normal((n, 3)) if sigma > 0 else np.zeros((n, 3))
+            want = np.bincount(predict(p, x + sigma * z), minlength=4)
+            np.testing.assert_array_equal(counts, want)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert (counts > 0).sum() == (4 if sigma > 0 else 1)
 
     def test_same_seed_is_identical(self):
         p = _threshold_model()

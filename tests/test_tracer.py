@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 import atent
+from atent.config import parse_config_dict
 from atent.models import Batch, build_mlp
 from atent.sampler import GibbsSamplerConfig
 from atent.seeding import derive_rng
@@ -59,3 +60,30 @@ def test_install_then_restore_puts_every_binding_back():
     # run_chain looks the step up by its module-level name once per step
     assert metrics["sampler.run_chain.calls"][0] == 1
     assert metrics["sampler.langevin_step.calls"][0] == cfg.steps
+
+
+def test_traced_persisted_training_counts_each_commit_write(tmp_path):
+    # 3 epochs; validation accuracy improves at epochs 1 and 2
+    cfg = parse_config_dict({
+        "name": "toy", "seed": 9,
+        "data": {"kind": "two_gaussians", "n": 120, "separation": 5.0},
+        "model": {"kind": "mlp", "widths": [2, 8, 2]},
+        "trainer": {"defense": "sgd", "lr": 0.3, "epochs": 3, "batch_size": 32,
+                    "lr_schedule": []},
+    })
+    for name in MODULES:
+        importlib.import_module(f"atent.{name}")
+    tr = _load_tracer()
+    tracer = tr.Tracer()
+    patcher = tr.install(tracer, atent)
+    try:
+        state = atent.experiment.run_training(cfg, output_dir=str(tmp_path))
+    finally:
+        patcher.restore()
+    assert state.best_epoch == 2
+    metrics = tr.layer_metrics(tracer)
+    # last.ckpt x3 and best.ckpt x2
+    assert metrics["checkpoint.save_checkpoint.calls"][0] == 5
+    # those 5, one manifest sidecar per checkpoint, trainer_state.json x3, metrics.jsonl
+    assert metrics["checkpoint.atomic_write.calls"][0] == 11
+    assert metrics["checkpoint.best_write_useful_frac"][0] == 1.0
