@@ -29,7 +29,7 @@ import numpy as np
 
 from .attacks import robust_accuracy
 from .checkpoint import atomic_write_text, load_checkpoint, save_checkpoint
-from .config import DataSpec, ExperimentConfig
+from .config import ConfigError, DataSpec, ExperimentConfig
 from .data import (
     Dataset,
     load_mnist_idx,
@@ -318,8 +318,12 @@ def evaluate_checkpoint(cfg: ExperimentConfig, checkpoint_path,
 def smooth_evaluate(cfg: ExperimentConfig, checkpoint_path,
                     data_dir: str | None = None,
                     count_abstain_as_error: bool = True) -> dict:
+    """Smoothed accuracy of a stored checkpoint on the eval split.
+    ``cfg.smoothing.n_samples`` is the vote budget per example: the result
+    is the outcome of counting all of those votes, even where the vote is
+    decided before the budget is spent."""
     if cfg.smoothing is None:
-        raise ExperimentError("config has no smoothing section")
+        raise ConfigError("config has no smoothing section")
     params = load_checkpoint(checkpoint_path)
     _, _, eval_ds = build_datasets(cfg.data, cfg.seed, data_dir)
     acc = smooth_accuracy(params, eval_ds, cfg.smoothing,

@@ -116,7 +116,7 @@ def _plus_noise(v: np.ndarray, cfg: GibbsSamplerConfig, rng: np.random.Generator
 
 
 def _finite(x: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NonFiniteError("Langevin chain diverged")
     return x
 

@@ -3,10 +3,19 @@
 Noise is added to the inputs before the forward pass. Certification is out
 of scope; the optional abstain margin is a plain vote-share threshold, not
 a hypothesis test.
+
+``smooth_predict`` casts its ``n_samples`` votes a few at a time and stops
+as soon as no way of casting the remaining votes can change the outcome:
+the leader can no longer be overtaken and already holds its vote share, or
+no class can still reach the share. Each step casts about as many votes as
+the leader would still need to win, so a lopsided vote stops after about
+half of its budget. The noise is one stream drawn in order, so the answer
+equals the answer from counting all ``n_samples`` votes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -14,8 +23,12 @@ from .models import ModelParams, predict
 from .seeding import derive_rng
 
 ABSTAIN = -1
-# Noisy copies per forward batch in vote_counts.
-VOTE_CHUNK = 2048
+# The largest forward batch of noisy copies, and the most votes smooth_predict
+# casts between two looks at its stop rule. Fixed chunks of 128 can fall into
+# the allocator's refault trap (ROADMAP P1): one smoothed 28x28 CNN example
+# then took up to 25,020 minor faults and 52 ms of system CPU, against 3,910
+# and 8 ms as one batch of 1000, and ran slower. 512 also bounds the memory.
+VOTE_CHUNK = 512
 
 
 @dataclass
@@ -58,15 +71,55 @@ def vote_counts(params: ModelParams, x: np.ndarray, cfg: SmoothingConfig,
 def smooth_predict(params: ModelParams, x: np.ndarray, cfg: SmoothingConfig,
                    n_classes: int | None = None, stream: int = 0) -> int:
     """Majority-vote class, or ABSTAIN when the top vote share falls below
-    0.5 + abstain_margin. Ties break to the lowest class index."""
+    0.5 + abstain_margin. Ties break to the lowest class index.
+
+    Votes are cast in steps of _next_step's size. With r votes left, the
+    lowest-index leader L wins once counts[L] / n_samples already reaches
+    the share and every rival j has counts[j] + r < counts[L] (or
+    == counts[L] with j > L); ABSTAIN is returned once
+    (counts[j] + r) / n_samples falls below the share for every j. The
+    answer equals the answer from counting all n_samples votes."""
     if n_classes is None:
         n_classes = _output_classes(params)
     rng = derive_rng(cfg.seed, "smoothing", stream)
-    counts = vote_counts(params, x, cfg, rng, n_classes)
+    counts = np.zeros(n_classes, dtype=np.int64)
+    remaining = cfg.n_samples
+    while True:
+        m = _next_step(counts, remaining, cfg)
+        remaining -= m
+        counts += vote_counts(params, x, replace(cfg, n_samples=m), rng, n_classes)
+        outcome = _vote_outcome(counts, remaining, cfg)
+        if outcome is not None:
+            return outcome
+
+
+def _vote_outcome(counts: np.ndarray, remaining: int, cfg: SmoothingConfig) -> int | None:
+    """The vote's outcome if no casting of the ``remaining`` votes can
+    change it, else None; with none remaining it always decides."""
+    share = 0.5 + cfg.abstain_margin
     top = int(counts.argmax())
-    if counts[top] / cfg.n_samples < 0.5 + cfg.abstain_margin:
+    lead = counts[top]
+    if lead / cfg.n_samples >= share:
+        safe = ((counts[:top] + remaining < lead).all()
+                and (counts[top + 1:] + remaining <= lead).all())
+        return top if safe else None
+    if ((counts + remaining) / cfg.n_samples < share).all():
         return ABSTAIN
-    return top
+    return None
+
+
+def _next_step(counts: np.ndarray, remaining: int, cfg: SmoothingConfig) -> int:
+    """Votes to cast next: as many as the leader would still need to win
+    were all of them cast for it, at least 1 and at most VOTE_CHUNK. No
+    class can win more than one vote sooner. A vote bound for ABSTAIN may
+    run past its stop by up to VOTE_CHUNK votes, which costs time, not
+    answers."""
+    top = int(counts.argmax())
+    lead = int(counts[top])
+    rival = int(np.delete(counts, top).max(initial=0))
+    chase = (rival + remaining - lead) // 2 + 1
+    share = math.ceil((0.5 + cfg.abstain_margin) * cfg.n_samples) - lead
+    return min(max(chase, share, 1), remaining, VOTE_CHUNK)
 
 
 def smooth_accuracy(params: ModelParams, dataset, cfg: SmoothingConfig,

@@ -494,8 +494,8 @@ def _validate_one_hot(labels: np.ndarray, n_rows: int) -> None:
     ok = (
         labels.ndim == 2
         and labels.shape[0] == n_rows
-        and np.all((labels == 0.0) | (labels == 1.0))
-        and np.all(labels.sum(axis=1) == 1.0)
+        and ((labels == 0.0) | (labels == 1.0)).all()
+        and (labels.sum(axis=1) == 1.0).all()
     )
     if not ok:
         raise TensorError("labels must be one-hot rows matching the logits")

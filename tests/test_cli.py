@@ -269,6 +269,13 @@ class TestCliCommands:
         bad = write_cfg(tmp_path, {**toy_tree(), "mystery": 1})
         assert main(["train", str(bad)]) == 1
 
+    def test_smooth_eval_without_smoothing_section_is_config_error(self, tmp_path, capsys):
+        cfg_path = write_cfg(tmp_path, toy_tree())
+        assert main(["smooth-eval", str(cfg_path), "--checkpoint",
+                     str(tmp_path / "absent.ckpt"), "--output-dir",
+                     str(tmp_path / "o")]) == 1
+        assert "config has no smoothing section" in capsys.readouterr().err
+
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, toy_tree())
         assert main(["attack", str(cfg_path), "--checkpoint",

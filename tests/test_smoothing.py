@@ -2,13 +2,16 @@
 import numpy as np
 import pytest
 
+from atent import smoothing
 from atent.data import Dataset, synth_two_gaussians
-from atent.models import build_mlp, predict
+from atent.models import build_mlp, build_small_cnn, predict
 from atent.seeding import derive_rng
 from atent.smoothing import (
     ABSTAIN,
     VOTE_CHUNK,
     SmoothingConfig,
+    _next_step,
+    _vote_outcome,
     smooth_accuracy,
     smooth_predict,
     vote_counts,
@@ -22,6 +25,41 @@ def _threshold_model(slope=1.0):
     p.weights["w0"].data = np.array([[-slope, slope]])
     p.weights["b0"].data = np.zeros(2)
     return p
+
+
+def _small_cnn():
+    return build_small_cnn([2], [3], seed=1, in_shape=(1, 6, 6))
+
+
+def _full_vote(params, x, cfg, n_classes, stream=0):
+    # the decision read from all n_samples votes: what smooth_predict returns
+    rng = derive_rng(cfg.seed, "smoothing", stream)
+    counts = vote_counts(params, x, cfg, rng, n_classes)
+    top = int(counts.argmax())
+    return top if counts[top] / cfg.n_samples >= 0.5 + cfg.abstain_margin else ABSTAIN
+
+
+@pytest.fixture
+def forward_sizes(monkeypatch):
+    """Batch sizes that smoothing sends to models.predict, in order."""
+    sizes = []
+
+    def counting(params, inputs):
+        sizes.append(len(inputs))
+        return predict(params, inputs)
+
+    monkeypatch.setattr(smoothing, "predict", counting)
+    return sizes
+
+
+def _compositions(total, k):
+    """Every way of casting ``total`` votes among ``k`` classes."""
+    if k == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, k - 1):
+            yield (first, *rest)
 
 
 class TestConfig:
@@ -132,3 +170,104 @@ class TestSmoothAccuracy:
         truths = ds.labels.data.argmax(axis=1)
         hand = sum(int(p_ == t) for p_, t in zip(preds, truths) if p_ != ABSTAIN) / 10
         assert smooth_accuracy(p, ds, cfg) == hand
+
+
+class TestStopRule:
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("margin", [0.0, 0.1, 0.3, 0.45])
+    def test_decided_outcome_is_the_full_vote_outcome(self, k, margin):
+        # every vote prefix against every completion: the rule decides
+        # exactly when all completions agree, and then on their outcome
+        for n in range(1, 10):
+            cfg = SmoothingConfig(sigma=0.0, n_samples=n, abstain_margin=margin)
+            for cast in range(n + 1):
+                left = n - cast
+                for prefix in _compositions(cast, k):
+                    counts = np.array(prefix, dtype=np.int64)
+                    finals = set()
+                    for rest in _compositions(left, k):
+                        final = counts + np.array(rest)
+                        top = int(final.argmax())
+                        finals.add(top if final[top] / n >= 0.5 + margin else ABSTAIN)
+                    got = _vote_outcome(counts, left, cfg)
+                    if got is None:
+                        assert len(finals) > 1, (n, prefix)
+                    else:
+                        assert finals == {got}, (n, prefix)
+                    if left == 0:
+                        assert got == finals.pop()
+                        continue
+                    # the next step is not more than a vote past any win
+                    step = _next_step(counts, left, cfg)
+                    assert 1 <= step <= left
+                    for early in range(step - 1):
+                        for cast_early in _compositions(early, k):
+                            sooner = _vote_outcome(counts + np.array(cast_early),
+                                                   left - early, cfg)
+                            assert sooner in (None, ABSTAIN), (n, prefix, early)
+
+
+class TestEarlyStop:
+    @pytest.mark.parametrize("n", [1, VOTE_CHUNK - 1, VOTE_CHUNK, VOTE_CHUNK + 1, 2053])
+    @pytest.mark.parametrize("kind", ["threshold", "cnn"])
+    def test_equals_full_vote(self, kind, n, forward_sizes):
+        if kind == "threshold":
+            params, n_classes = _threshold_model(), 2
+            xs = [np.array([v]) for v in (0.0, 0.03, 0.3, 1.0)]
+        else:
+            params, n_classes = _small_cnn(), 3
+            rng = np.random.default_rng(11)
+            xs = [rng.random((1, 6, 6)) for _ in range(3)]
+        cast, outcomes = [], set()
+        for seed in (0, 1, 2):
+            for sigma in (0.0, 0.25, 1.0):
+                for margin in (0.0, 0.1, 0.3):
+                    cfg = SmoothingConfig(sigma=sigma, n_samples=n,
+                                          abstain_margin=margin, seed=seed)
+                    for stream, x in enumerate(xs):
+                        forward_sizes.clear()
+                        got = smooth_predict(params, x, cfg, n_classes=n_classes,
+                                             stream=stream)
+                        cast.append(sum(forward_sizes))
+                        assert 0 < cast[-1] <= n
+                        assert got == _full_vote(params, x, cfg, n_classes, stream)
+                        outcomes.add(got)
+        # one vote always decides; otherwise both kinds of outcome occur
+        assert len(outcomes) > 1 and (ABSTAIN in outcomes or n == 1)
+        if n > VOTE_CHUNK:
+            assert min(cast) < n  # some votes stopped early
+        if n == 2053:
+            assert max(cast) > VOTE_CHUNK  # and some went past one chunk
+
+    def test_decisive_example_forwards_once(self, forward_sizes):
+        p = build_mlp([2, 3], seed=0)
+        for t in p.weights.values():
+            t.data = np.zeros_like(t.data)
+        p.weights["b0"].data = np.array([0.0, 5.0, 0.0])
+        cfg = SmoothingConfig(sigma=0.5, n_samples=1000, seed=1)
+        assert smooth_predict(p, np.array([0.3, 0.7]), cfg) == 1
+        assert forward_sizes == [501]  # the fewest of 1000 votes that can decide
+
+    def test_abstaining_vote_is_checked_every_chunk(self, forward_sizes):
+        # the leader would need 1641 votes to win, but ABSTAIN is decided
+        # once about 820 are in: the step cap lets it stop after two chunks
+        cfg = SmoothingConfig(sigma=1.0, n_samples=4 * VOTE_CHUNK + 3,
+                              abstain_margin=0.3, seed=2)
+        assert smooth_predict(_threshold_model(), np.array([0.0]), cfg) == ABSTAIN
+        assert forward_sizes == [VOTE_CHUNK, VOTE_CHUNK]
+
+    @pytest.mark.parametrize("keep_abstain", [False, True])
+    def test_accuracy_equals_full_vote_decisions(self, keep_abstain):
+        x = np.linspace(-0.6, 0.6, 24)[:, None]
+        ds = Dataset(Tensor(x), Tensor(np.eye(2)[[0, 1, 1] * 8]), ["a", "b"],
+                     value_range=(-1.0, 1.0))
+        p = _threshold_model()
+        cfg = SmoothingConfig(sigma=1.0, n_samples=VOTE_CHUNK + 300,
+                              abstain_margin=0.1, seed=3)
+        preds = [_full_vote(p, ds.inputs.data[i], cfg, 2, stream=i) for i in range(ds.n)]
+        truths = ds.labels.data.argmax(axis=1)
+        decided = [(q, t) for q, t in zip(preds, truths) if q != ABSTAIN]
+        assert 0 < len(decided) < ds.n
+        correct = sum(int(q == t) for q, t in decided)
+        want = correct / (len(decided) if keep_abstain else ds.n)
+        assert smooth_accuracy(p, ds, cfg, count_abstain_as_error=not keep_abstain) == want
