@@ -25,7 +25,7 @@ import struct
 
 import numpy as np
 
-from .models import ModelParams
+from .models import ModelParams, expected_shapes
 from .tensor import Tensor
 
 MAGIC = b"ATNT"
@@ -100,8 +100,11 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
-def load_checkpoint(path) -> ModelParams:
-    mpath = manifest_path(path)
+def _read_manifest(mpath) -> tuple[dict, dict[str, tuple]]:
+    """Architecture descriptor and declared entry shapes of the sidecar
+    ``mpath``. A sidecar that is missing, is not JSON, or whose structure
+    is not a manifest's (including a descriptor whose shapes disagree with
+    the entries) raises :class:`CheckpointError` naming it."""
     try:
         with open(mpath, "r", encoding="utf-8") as f:
             manifest = json.load(f)
@@ -109,9 +112,23 @@ def load_checkpoint(path) -> ModelParams:
         raise CheckpointError(f"missing manifest sidecar {mpath}")
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"{mpath}: invalid JSON ({exc})")
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"{mpath}: manifest is not a JSON object")
     if manifest.get("version") != VERSION:
         raise CheckpointError(f"{mpath}: manifest version {manifest.get('version')} != {VERSION}")
+    try:
+        declared = {e["name"]: tuple(e["shape"]) for e in manifest["entries"]}
+        descriptor = _descriptor_from_manifest(manifest["descriptor"])
+        expected = expected_shapes(descriptor)
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError includes TensorError
+        raise CheckpointError(f"{mpath}: malformed manifest ({type(exc).__name__}: {exc})")
+    if expected != declared:
+        raise CheckpointError(f"{mpath}: descriptor shapes {expected} != entry shapes {declared}")
+    return descriptor, declared
 
+
+def load_checkpoint(path) -> ModelParams:
+    descriptor, declared = _read_manifest(manifest_path(path))
     with open(path, "rb") as f:
         reader = _Reader(f.read(), path)
     if reader.take(4) != MAGIC:
@@ -119,7 +136,6 @@ def load_checkpoint(path) -> ModelParams:
     version, count = reader.unpack("<II")
     if version != VERSION:
         raise CheckpointError(f"{path}: version {version} != {VERSION}")
-    declared = {e["name"]: tuple(e["shape"]) for e in manifest["entries"]}
     if count != len(declared):
         raise CheckpointError(
             f"{path}: {count} entries in weights vs {len(declared)} in manifest"
@@ -141,7 +157,6 @@ def load_checkpoint(path) -> ModelParams:
         weights.append((name, Tensor(values.astype(np.float64))))
     if reader.pos != len(reader.blob):
         raise CheckpointError(f"{path}: {len(reader.blob) - reader.pos} trailing bytes")
-    descriptor = _descriptor_from_manifest(manifest["descriptor"])
     return ModelParams(descriptor, weights)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .checkpoint import CheckpointError, atomic_write_text, load_checkpoint
 from .config import ConfigError, parse_config
 from .data import IdxFormatError
-from .defenses import DivergenceError
+from .tensor import TensorError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -215,10 +215,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CheckpointError, IdxFormatError, DivergenceError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except RuntimeError as exc:
+    except (CheckpointError, IdxFormatError, TensorError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

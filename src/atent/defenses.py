@@ -19,7 +19,7 @@ from .data import Dataset, batch_iter
 from .models import Batch, ModelParams, accuracy, batch_loss, loss_and_grads
 from .sampler import GibbsSamplerConfig, langevin_step_l2, run_chain
 from .seeding import derive_rng
-from .tensor import NonFiniteError
+from .tensor import NonFiniteError, Tensor
 
 SGD = "sgd"
 ENTROPY_SGD = "entropy_sgd"
@@ -213,15 +213,8 @@ def _direction_entropy_sgd(params, batch, cfg, epoch, bidx):
     clean_loss = batch_loss(params, batch)
 
     def grad_at(w):
-        saved = {name: t.data for name, t in params.weights.items()}
-        for name, t in params.weights.items():
-            t.data = w[name]
-        try:
-            _, wg, _ = loss_and_grads(params, batch, wrt="weights")
-        finally:
-            for name, t in params.weights.items():
-                t.data = saved[name]
-        return wg
+        at_w = ModelParams(params.descriptor, [(name, Tensor(w[name])) for name in w])
+        return loss_and_grads(at_w, batch, wrt="weights")[1]
 
     mu = weight_langevin_chain(grad_at, anchor, anchor, cfg.sampler, rng)
     direction = {name: cfg.sampler.gamma * (anchor[name] - mu[name]) for name in anchor}

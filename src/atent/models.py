@@ -65,16 +65,13 @@ def _check_rows(inputs: Tensor, labels: Tensor) -> None:
 class ModelParams:
     """Ordered named weight tensors plus the architecture descriptor.
 
-    Weight tensors carry requires_grad=True. Training mutates a private
-    ``clone()``; evaluation treats an instance as read-only.
+    Training mutates a private ``clone()``; evaluation treats an instance
+    as read-only.
     """
 
     def __init__(self, descriptor: dict, weights: list[tuple[str, Tensor]]):
         self.descriptor = descriptor
-        self.weights: dict[str, Tensor] = {}
-        for name, t in weights:
-            t.requires_grad = True
-            self.weights[name] = t
+        self.weights: dict[str, Tensor] = dict(weights)
         expected = expected_shapes(descriptor)
         got = {name: t.shape for name, t in self.weights.items()}
         if got != expected:
@@ -237,18 +234,12 @@ def loss_and_grads(
         raise ValueError(f"wrt must be 'weights', 'inputs' or 'both', not {wrt!r}")
     want_w = wrt in ("weights", "both")
     want_x = wrt in ("inputs", "both")
-    x = Tensor(batch.inputs.data, requires_grad=want_x)
-    prev_flags = {name: t.requires_grad for name, t in params.weights.items()}
-    for t in params.weights.values():
-        t.requires_grad = want_w
-    try:
-        with tc.Tape() as tape:
-            logits = forward_logits(params, x)
-            loss = tc.softmax_cross_entropy(logits, batch.labels)
-        grads = tc.backward(tape, loss)
-    finally:
-        for name, t in params.weights.items():
-            t.requires_grad = prev_flags[name]
+    x = batch.inputs
+    leaves = (list(params.weights.values()) if want_w else []) + ([x] if want_x else [])
+    with tc.Tape(leaves) as tape:
+        logits = forward_logits(params, x)
+        loss = tc.softmax_cross_entropy(logits, batch.labels)
+    grads = tc.backward(tape, loss)
     weight_grads = None
     if want_w:
         weight_grads = {
@@ -263,13 +254,13 @@ def loss_and_grads(
 
 def batch_loss(params: ModelParams, batch: Batch) -> float:
     """Mean cross-entropy, no gradients, no tape."""
-    logits = forward_logits(params, Tensor(batch.inputs.data))
+    logits = forward_logits(params, batch.inputs)
     return tc.softmax_cross_entropy(logits, batch.labels).item()
 
 
 def per_sample_losses(params: ModelParams, batch: Batch) -> np.ndarray:
     """Each sample's own cross-entropy, shape (n,)."""
-    logits = forward_logits(params, Tensor(batch.inputs.data)).data
+    logits = forward_logits(params, batch.inputs).data
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_softmax = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     return -(batch.labels.data * log_softmax).sum(axis=1)

@@ -12,10 +12,10 @@ pass that computes the same values as those ops composed.
 
 Typical use::
 
-    with Tape() as tape:
+    with Tape([w, b]) as tape:
         z = matmul(x, w)
         loss = softmax_cross_entropy(add(z, b), y)
-    grads = backward(tape, loss)   # {w: Tensor, b: Tensor, ...}
+    grads = backward(tape, loss)   # {w: Tensor, b: Tensor}
 """
 from __future__ import annotations
 
@@ -41,19 +41,14 @@ def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
 
 
 class Tensor:
-    """Dense n-dimensional array of float64, row-major.
+    """Dense n-dimensional array of float64, row-major."""
 
-    ``requires_grad`` marks a leaf whose gradient should be collected by
-    :func:`backward`. Intermediate results never set it themselves.
-    """
+    __slots__ = ("data",)
 
-    __slots__ = ("data", "requires_grad")
-
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         arr = np.ascontiguousarray(data, dtype=np.float64)
         _check_finite(arr, "Tensor")
         self.data = arr
-        self.requires_grad = requires_grad
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -69,10 +64,10 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def copy(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=self.requires_grad)
+        return Tensor(self.data.copy())
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape})"
 
 
 # ---------------------------------------------------------------------------
@@ -92,17 +87,19 @@ _TAPE_STACK: list["Tape"] = []
 
 
 class Tape:
-    """Execution-ordered record of differentiable primitive ops.
+    """Execution-ordered record of the primitive ops that depend on ``leaves``,
+    the tensors that :func:`backward` differentiates with respect to.
 
     Records are appended in forward order, which makes the list a valid
     topological order for the reverse sweep. One backward pass per tape;
     a second raises :class:`TapeError`.
     """
 
-    def __init__(self):
+    def __init__(self, leaves):
+        self.leaves: tuple[Tensor, ...] = tuple(leaves)
         self.records: list[_Record] = []
         self.consumed = False
-        self._tracked: set[int] = set()
+        self._tracked: set[int] = {id(t) for t in self.leaves}
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -114,7 +111,7 @@ class Tape:
         return False
 
     def _tracks(self, t: Tensor) -> bool:
-        return t.requires_grad or id(t) in self._tracked
+        return id(t) in self._tracked
 
     def _record(self, inputs, output, pull):
         self.records.append(_Record(tuple(inputs), output, pull))
@@ -129,7 +126,6 @@ def _emit(inputs, out_data: np.ndarray, pull, op: str) -> Tensor:
     _check_finite(out_data, op)
     out = Tensor.__new__(Tensor)
     out.data = out_data
-    out.requires_grad = False
     tape = _active_tape()
     if tape is not None and any(tape._tracks(t) for t in inputs):
         tape._record(inputs, out, pull)
@@ -139,8 +135,8 @@ def _emit(inputs, out_data: np.ndarray, pull, op: str) -> Tensor:
 def backward(tape: Tape, root: Tensor) -> dict[Tensor, Tensor]:
     """Reverse sweep from scalar ``root``; returns leaf gradient map.
 
-    The map holds one entry per distinct leaf tensor with
-    ``requires_grad=True`` that the root actually depends on.
+    The map holds one entry per distinct leaf of ``tape`` that the root
+    actually depends on.
     """
     if tape.consumed:
         raise TapeError("tape already consumed by a previous backward pass")
@@ -152,7 +148,6 @@ def backward(tape: Tape, root: Tensor) -> dict[Tensor, Tensor]:
     tape.consumed = True
 
     grads: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
-    leaf_grads: dict[Tensor, np.ndarray] = {}
     for rec in reversed(tape.records):
         g = grads.pop(id(rec.output), None)
         if g is None:
@@ -161,15 +156,9 @@ def backward(tape: Tape, root: Tensor) -> dict[Tensor, Tensor]:
         for t, gt in zip(rec.inputs, pulled):
             if gt is None or not tape._tracks(t):
                 continue
-            if t.requires_grad:
-                if t in leaf_grads:
-                    leaf_grads[t] = leaf_grads[t] + gt
-                else:
-                    leaf_grads[t] = gt
-            else:
-                prev = grads.get(id(t))
-                grads[id(t)] = gt if prev is None else prev + gt
-    return {t: Tensor(g) for t, g in leaf_grads.items()}
+            prev = grads.get(id(t))
+            grads[id(t)] = gt if prev is None else prev + gt
+    return {t: Tensor(grads[id(t)]) for t in tape.leaves if id(t) in grads}
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +285,10 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
     ``x`` is (n, c_in, h, w) or unbatched (c_in, h, w); ``kernels`` is
     (c_out, c_in, kh, kw). The input is unfolded into columns
     (n, c_in*kh*kw, oh*ow) so that the flattened kernels times the columns
-    lands in (n, c_out, oh*ow). When the active tape tracks the kernels the
-    whole buffer is kept for ``dk``; otherwise it is built a block of
-    samples at a time, each block's columns no larger than the output (or
-    one sample, if that is larger). ``dx`` (the transposed GEMM folded back
-    over the kh*kw taps) is computed only when the tape tracks the input;
-    for an untracked input the pull returns ``None`` in its place.
+    lands in (n, c_out, oh*ow); the pull reuses the columns for ``dk``.
+    ``dx`` (the transposed GEMM folded back over the kh*kw taps) is computed
+    only when the tape tracks the input; for an untracked input the pull
+    returns ``None`` in its place.
     """
     squeeze = x.data.ndim == 3
     xr = reshape(x, (1, *x.shape)) if squeeze else x
@@ -325,14 +312,8 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
     want_dx = tape is not None and tape._tracks(xr)
     xp = _pad(xr.data, padding)
     km = kernels.data.reshape(cout, cin * kh * kw)
-    if want_dk:
-        cols = _im2col(xp, kh, kw, stride, oh, ow)
-        out = km @ cols
-    else:
-        out = np.empty((n, cout, oh * ow))
-        block = max(1, (n * cout) // (cin * kh * kw))
-        for i in range(0, n, block):
-            np.matmul(km, _im2col(xp[i:i + block], kh, kw, stride, oh, ow), out=out[i:i + block])
+    cols = _im2col(xp, kh, kw, stride, oh, ow)
+    out = km @ cols
 
     def pull(g):
         g = g.reshape(n, cout, oh * ow)

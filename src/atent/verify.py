@@ -50,9 +50,7 @@ class CheckResult:
 def _fd_vs_autodiff(name, build_scalar, leaves, tol) -> CheckResult:
     """build_scalar() evaluates the scalar; the gradient wrt each of the
     ``leaves`` vs central FD, reporting the worst relative error."""
-    for leaf in leaves:
-        leaf.requires_grad = True
-    with tc.Tape() as tape:
+    with tc.Tape(leaves) as tape:
         out = build_scalar()
     grads = tc.backward(tape, out)
 

@@ -1,5 +1,6 @@
 """Checkpoint binary format: round trips and corruption detection."""
 import json
+import re
 import struct
 
 import numpy as np
@@ -100,3 +101,28 @@ class TestCorruption:
         orphan.write_bytes(path.read_bytes())
         with pytest.raises(CheckpointError, match="manifest"):
             load_checkpoint(orphan)
+
+
+    @pytest.mark.parametrize("case", ["json_list", "no_entries", "no_descriptor",
+                                      "entry_without_shape", "unknown_kind",
+                                      "descriptor_disagrees_with_weights"])
+    def test_malformed_manifest_names_it(self, saved, case):
+        # each parses as JSON but is not a manifest of these weights
+        _, path = saved
+        mpath = manifest_path(path)
+        manifest = json.loads(open(mpath).read())
+        if case == "json_list":
+            manifest = [manifest]
+        elif case == "no_entries":
+            del manifest["entries"]
+        elif case == "no_descriptor":
+            del manifest["descriptor"]
+        elif case == "entry_without_shape":
+            del manifest["entries"][0]["shape"]
+        elif case == "unknown_kind":
+            manifest["descriptor"]["kind"] = "rnn"
+        else:
+            manifest["descriptor"]["widths"] = [3, 9, 2]
+        open(mpath, "w").write(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match=re.escape(mpath)):
+            load_checkpoint(path)

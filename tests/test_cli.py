@@ -15,6 +15,7 @@ from atent.experiment import (
     run_experiment,
     run_training,
 )
+from atent.models import build_mlp
 
 
 def toy_tree(name="toy", epochs=3, **overrides):
@@ -268,6 +269,24 @@ class TestCliCommands:
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = write_cfg(tmp_path, {**toy_tree(), "mystery": 1})
         assert main(["train", str(bad)]) == 1
+
+    def test_malformed_manifest_exit_code(self, tmp_path, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        checkpoint.save_checkpoint(build_mlp([2, 8, 2], seed=0), ckpt)
+        (tmp_path / "m.ckpt.manifest.json").write_text("[]")
+        cfg_path = write_cfg(tmp_path, toy_tree())
+        assert main(["attack", str(cfg_path), "--checkpoint", str(ckpt),
+                     "--output-dir", str(tmp_path / "o")]) == 2
+        assert "m.ckpt.manifest.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["attack", "report"])
+    def test_checkpoint_architecture_mismatch_exit_code(self, tmp_path, capsys, command):
+        ckpt = tmp_path / "wide.ckpt"
+        checkpoint.save_checkpoint(build_mlp([784, 8, 2], seed=0), ckpt)
+        cfg_path = write_cfg(tmp_path, toy_tree())
+        assert main([command, str(cfg_path), "--checkpoint", str(ckpt),
+                     "--output-dir", str(tmp_path / "o")]) == 2
+        assert "error: input width 2 != model width 784" in capsys.readouterr().err
 
     def test_smooth_eval_without_smoothing_section_is_config_error(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, toy_tree())

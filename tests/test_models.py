@@ -181,12 +181,6 @@ class TestLossAndGrads:
         loss_b, _, _ = loss_and_grads(p, batch, wrt="both")
         assert loss_w == loss_b
 
-    def test_requires_grad_flags_restored(self):
-        p = build_mlp([2, 2], seed=0)
-        batch = Batch(np.ones((1, 2)), np.array([[1.0, 0.0]]))
-        loss_and_grads(p, batch, wrt="inputs")
-        assert all(t.requires_grad for t in p.weights.values())
-
 
 class TestPredictAccuracy:
     def _perfect_setup(self):

@@ -15,7 +15,7 @@ from atent.tensor import NonFiniteError, Tape, TapeError, Tensor, TensorError
 def grad_of(build, leaves):
     """Run build() under a tape, backward from its scalar output, and
     return the gradient arrays for the given leaf tensors."""
-    with Tape() as tape:
+    with Tape(leaves) as tape:
         out = build()
     grads = tc.backward(tape, out)
     return [grads[t].data if t in grads else np.zeros(t.shape) for t in leaves]
@@ -59,7 +59,7 @@ class TestMatmul:
 
     def test_grad_is_column_sums_of_b(self):
         rng = np.random.default_rng(0)
-        a = Tensor(rng.random((3, 4)), requires_grad=True)
+        a = Tensor(rng.random((3, 4)))
         b = Tensor(rng.random((4, 5)))
         (ga,) = grad_of(lambda: tc.sum_all(tc.matmul(a, b)), [a])
         expected = np.tile(b.data.sum(axis=1), (3, 1))
@@ -69,7 +69,7 @@ class TestMatmul:
         rng = np.random.default_rng(1)
         a0 = rng.random((3, 4))
         b = Tensor(rng.random((4, 5)))
-        a = Tensor(a0, requires_grad=True)
+        a = Tensor(a0)
         (ga,) = grad_of(lambda: tc.sum_all(tc.matmul(a, b)), [a])
 
         def f(arr):
@@ -82,12 +82,14 @@ class TestMatmul:
         rng = np.random.default_rng(2)
         a0, b0 = rng.random((3, 4)), rng.random((4, 5))
         g = np.ones((3, 5))
-        with Tape() as tape:
-            tc.matmul(Tensor(a0), Tensor(b0, requires_grad=True))
+        b = Tensor(b0)
+        with Tape([b]) as tape:
+            tc.matmul(Tensor(a0), b)
         da, db = tape.records[-1].pull(g)
         assert da is None and np.array_equal(db, a0.T @ g)
-        with Tape() as tape:
-            tc.matmul(Tensor(a0, requires_grad=True), Tensor(b0))
+        a = Tensor(a0)
+        with Tape([a]) as tape:
+            tc.matmul(a, Tensor(b0))
         da, db = tape.records[-1].pull(g)
         assert np.array_equal(da, g @ b0.T) and db is None
 
@@ -139,8 +141,8 @@ class TestConv2d:
         rng = np.random.default_rng(6)
         x0 = rng.random((1, 2, 4, 4))
         k0 = rng.random((2, 2, 2, 2))
-        x = Tensor(x0, requires_grad=True)
-        k = Tensor(k0, requires_grad=True)
+        x = Tensor(x0)
+        k = Tensor(k0)
         gx, gk = grad_of(lambda: tc.sum_all(tc.conv2d(x, k, stride=1, padding=1)), [x, k])
 
         def fx(arr):
@@ -163,8 +165,8 @@ class TestConv2d:
         def loss(x, k):
             return tc.softmax_cross_entropy(tc.reshape(tc.conv2d(x, k, 2, 1), (3, 36)), y)
 
-        x = Tensor(x0, requires_grad=True)
-        k = Tensor(k0, requires_grad=True)
+        x = Tensor(x0)
+        k = Tensor(k0)
         gx, gk = grad_of(lambda: loss(x, k), [x, k])
         fd_x = finite_difference_grad(lambda arr: loss(Tensor(arr), Tensor(k0)).item(), x0.copy())
         fd_k = finite_difference_grad(lambda arr: loss(Tensor(x0), Tensor(arr)).item(), k0.copy())
@@ -172,12 +174,13 @@ class TestConv2d:
         assert relative_error(gk, fd_k) <= 1e-6
 
     def test_taped_forward_equals_untaped_bitwise(self):
-        # untaped, the columns are built 64 * 2 // 27 = 4 samples at a time
+        # a tape that tracks the kernels keeps the columns for dk; the
+        # forward values must not depend on it
         rng = np.random.default_rng(8)
         x = Tensor(rng.random((64, 3, 6, 6)))
-        k = Tensor(rng.random((2, 3, 3, 3)), requires_grad=True)
+        k = Tensor(rng.random((2, 3, 3, 3)))
         plain = tc.conv2d(x, k, 2, 1).data
-        with Tape():
+        with Tape([k]):
             taped = tc.conv2d(x, k, 2, 1).data
         assert np.array_equal(plain, taped)
 
@@ -186,12 +189,14 @@ class TestConv2d:
         x0 = rng.random((2, 2, 4, 4))
         k0 = rng.random((3, 2, 3, 3))
         g = np.ones((2, 3, 4, 4))
-        with Tape() as tape:
-            tc.conv2d(Tensor(x0), Tensor(k0, requires_grad=True), 1, 1)
+        k = Tensor(k0)
+        with Tape([k]) as tape:
+            tc.conv2d(Tensor(x0), k, 1, 1)
         dx, dk = tape.records[-1].pull(g)
         assert dx is None and dk.shape == k0.shape
-        with Tape() as tape:
-            tc.conv2d(Tensor(x0, requires_grad=True), Tensor(k0), 1, 1)
+        x = Tensor(x0)
+        with Tape([x]) as tape:
+            tc.conv2d(x, Tensor(k0), 1, 1)
         dx, dk = tape.records[-1].pull(g)
         assert dx.shape == x0.shape and dk is None
 
@@ -223,10 +228,9 @@ def _unfused_block(x, k, b, pool=2):
 def _block_values_and_grads(block, x0, k0, b0, labels, wrt):
     """Output and pulled gradients of ``block`` under a cross-entropy head,
     with the input and/or the kernels and bias tracked."""
-    x = Tensor(x0, requires_grad=wrt in ("inputs", "both"))
-    k = Tensor(k0, requires_grad=wrt in ("weights", "both"))
-    b = Tensor(b0, requires_grad=wrt in ("weights", "both"))
-    with Tape() as tape:
+    x, k, b = Tensor(x0), Tensor(k0), Tensor(b0)
+    leaves = {"inputs": [x], "weights": [k, b], "both": [x, k, b]}[wrt]
+    with Tape(leaves) as tape:
         out = block(x, k, b)
         loss = tc.softmax_cross_entropy(tc.reshape(out, (out.shape[0], out.size // out.shape[0])),
                                         labels)
@@ -265,12 +269,14 @@ class TestConvBlock:
         rng = np.random.default_rng(22)
         x0, k0, b0 = rng.random((2, 1, 4, 4)), rng.random((2, 1, 3, 3)), rng.random(2)
         g = np.ones((2, 2, 2, 2))
-        with Tape() as tape:
-            tc.conv_block(Tensor(x0), Tensor(k0), Tensor(b0, requires_grad=True))
+        b = Tensor(b0)
+        with Tape([b]) as tape:
+            tc.conv_block(Tensor(x0), Tensor(k0), b)
         dx, dk, db = tape.records[-1].pull(g)
         assert dx is None and dk is None and db.shape == (2,)
-        with Tape() as tape:
-            tc.conv_block(Tensor(x0, requires_grad=True), Tensor(k0), Tensor(b0))
+        x = Tensor(x0)
+        with Tape([x]) as tape:
+            tc.conv_block(x, Tensor(k0), Tensor(b0))
         dx, dk, db = tape.records[-1].pull(g)
         assert dx.shape == x0.shape and dk is None and db is None
 
@@ -318,7 +324,7 @@ class TestRelu:
         assert np.array_equal(out.data, [0.0, 0.0, 2.0])
 
     def test_grad_mask_and_zero_convention(self):
-        x = Tensor([-1.0, 0.0, 2.0], requires_grad=True)
+        x = Tensor([-1.0, 0.0, 2.0])
         (gx,) = grad_of(lambda: tc.sum_all(tc.relu(x)), [x])
         assert np.array_equal(gx, [0.0, 0.0, 1.0])
 
@@ -326,7 +332,7 @@ class TestRelu:
         rng = np.random.default_rng(7)
         x0 = rng.random(20) + 1e-2  # keep |x| > 1e-2
         x0 *= rng.choice([-1.0, 1.0], size=20)
-        x = Tensor(x0, requires_grad=True)
+        x = Tensor(x0)
         (gx,) = grad_of(lambda: tc.sum_all(tc.relu(x)), [x])
         fd = finite_difference_grad(lambda a: float(np.maximum(a, 0).sum()), x0.copy())
         assert np.max(np.abs(gx - fd)) <= 1e-6
@@ -371,7 +377,7 @@ class TestSoftmaxCrossEntropy:
         rng = np.random.default_rng(9)
         z0 = rng.normal(size=(4, 3))
         y = np.eye(3)[rng.integers(0, 3, 4)]
-        z = Tensor(z0, requires_grad=True)
+        z = Tensor(z0)
         (gz,) = grad_of(lambda: tc.softmax_cross_entropy(z, Tensor(y)), [z])
         p = np.exp(z0 - z0.max(1, keepdims=True))
         p /= p.sum(1, keepdims=True)
@@ -391,8 +397,8 @@ class TestSoftmaxCrossEntropy:
 class TestMaxPool:
     def test_values_and_grad_routing(self):
         x0 = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
-        x = Tensor(x0, requires_grad=True)
-        with Tape() as tape:
+        x = Tensor(x0)
+        with Tape([x]) as tape:
             out = tc.max_pool2d(x, 2)
             s = tc.sum_all(out)
         assert out.data.reshape(()) == 4.0
@@ -400,7 +406,7 @@ class TestMaxPool:
         assert np.array_equal(g, [[[[0.0, 0.0], [0.0, 1.0]]]])
 
     def test_tie_routes_to_first(self):
-        x = Tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
+        x = Tensor(np.ones((1, 1, 2, 2)))
         (gx,) = grad_of(lambda: tc.sum_all(tc.max_pool2d(x, 2)), [x])
         assert np.array_equal(gx, [[[[1.0, 0.0], [0.0, 0.0]]]])
 
@@ -408,8 +414,8 @@ class TestMaxPool:
         rng = np.random.default_rng(11)
         x0 = rng.integers(0, 3, size=(2, 3, 7, 7)).astype(float)  # many ties
         g = rng.normal(size=(2, 3, 2, 2))
-        x = Tensor(x0, requires_grad=True)
-        with Tape() as tape:
+        x = Tensor(x0)
+        with Tape([x]) as tape:
             out = tc.max_pool2d(x, 3)
         (dx,) = tape.records[-1].pull(g)
         want_out, want_dx = _max_pool_oracle(x0, 3, g)
@@ -438,55 +444,67 @@ def _max_pool_oracle(x, size, g):
 
 class TestBackwardSemantics:
     def test_sum_gradient_all_ones(self):
-        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        x = Tensor(np.arange(6.0).reshape(2, 3))
         (gx,) = grad_of(lambda: tc.sum_all(x), [x])
         assert np.array_equal(gx, np.ones((2, 3)))
 
     def test_zero_scale_gradient_all_zeros(self):
-        x = Tensor(np.arange(4.0), requires_grad=True)
+        x = Tensor(np.arange(4.0))
         (gx,) = grad_of(lambda: tc.sum_all(tc.scale(x, 0.0)), [x])
         assert np.array_equal(gx, np.zeros(4))
 
     def test_double_backward_rejected(self):
-        x = Tensor([1.0, 2.0], requires_grad=True)
-        with Tape() as tape:
+        x = Tensor([1.0, 2.0])
+        with Tape([x]) as tape:
             s = tc.sum_all(x)
         tc.backward(tape, s)
         with pytest.raises(TapeError):
             tc.backward(tape, s)
 
     def test_non_scalar_root_rejected(self):
-        x = Tensor(np.ones((2, 2)), requires_grad=True)
-        with Tape() as tape:
+        x = Tensor(np.ones((2, 2)))
+        with Tape([x]) as tape:
             y = tc.scale(x, 2.0)
         with pytest.raises(TapeError):
             tc.backward(tape, y)
 
     def test_root_not_on_tape_rejected(self):
-        x = Tensor([1.0], requires_grad=True)
-        with Tape() as tape:
+        x = Tensor([1.0])
+        with Tape([x]) as tape:
             tc.sum_all(x)
-        stray = tc.sum_all(Tensor([1.0], requires_grad=True))
+        stray = tc.sum_all(Tensor([1.0]))
         with pytest.raises(TapeError):
             tc.backward(tape, stray)
 
     def test_reused_operand_accumulates(self):
-        x = Tensor([3.0], requires_grad=True)
-        with Tape() as tape:
+        x = Tensor([3.0])
+        with Tape([x]) as tape:
             s = tc.sum_all(tc.add(x, x))
         g = tc.backward(tape, s)[x].data
         assert np.array_equal(g, [2.0])
 
+    def test_only_the_tapes_leaves_get_gradients(self):
+        # w is an operand but not a leaf, y a leaf the root does not use, and
+        # an op on untracked tensors only is not recorded
+        x, w, y = Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]), Tensor([5.0])
+        with Tape([x, y]) as tape:
+            tc.sum_all(w)
+            s = tc.sum_all(tc.matmul(x, w))
+        assert len(tape.records) == 2
+        grads = tc.backward(tape, s)
+        assert list(grads) == [x]
+        assert np.array_equal(grads[x].data, [[3.0, 4.0]])
+
     def test_bias_add_grad_sums_rows(self):
         rng = np.random.default_rng(11)
         a = Tensor(rng.random((5, 3)))
-        b = Tensor(rng.random(3), requires_grad=True)
+        b = Tensor(rng.random(3))
         (gb,) = grad_of(lambda: tc.sum_all(tc.add(a, b)), [b])
         assert np.array_equal(gb, np.full(3, 5.0))
 
     def test_channel_bias_add_grad(self):
         rng = np.random.default_rng(12)
         a = Tensor(rng.random((2, 3, 4, 4)))
-        b = Tensor(rng.random(3), requires_grad=True)
+        b = Tensor(rng.random(3))
         (gb,) = grad_of(lambda: tc.sum_all(tc.add(a, b)), [b])
         assert np.array_equal(gb, np.full(3, 2 * 16.0))

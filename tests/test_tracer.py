@@ -87,3 +87,28 @@ def test_traced_persisted_training_counts_each_commit_write(tmp_path):
     # those 5, one manifest sidecar per checkpoint, trainer_state.json x3, metrics.jsonl
     assert metrics["checkpoint.atomic_write.calls"][0] == 11
     assert metrics["checkpoint.best_write_useful_frac"][0] == 1.0
+
+
+def test_traced_conv2d_counts_dx_by_the_tapes_leaves():
+    # the conv counters ask the tape whether it tracks the conv's input;
+    # a tape over the kernels only must neither use nor compute a dx
+    for name in MODULES:
+        importlib.import_module(f"atent.{name}")
+    tc = atent.tensor
+    rng = np.random.default_rng(0)
+    x = tc.Tensor(rng.random((2, 1, 5, 5)))
+    k = tc.Tensor(rng.random((2, 1, 3, 3)))
+    tr = _load_tracer()
+    tracer = tr.Tracer()
+    patcher = tr.install(tracer, atent)
+    try:
+        for leaves in ([x, k], [k]):
+            with tc.Tape(leaves) as tape:
+                root = tc.sum_all(tc.conv2d(x, k, 1, 1))
+            tc.backward(tape, root)
+    finally:
+        patcher.restore()
+    metrics = tr.layer_metrics(tracer)
+    assert metrics["tensor.conv2d.calls"][0] == 2
+    assert metrics["tensor.conv2d.dx_useful_frac"][0] == 0.5
+    assert metrics["tensor.conv2d.dx_wasted_frac"][0] == 0.0
