@@ -3,14 +3,14 @@ checkpointed resume, attack evaluation, report emission.
 
 Output-directory layout:
 
-    <out>/last.ckpt(+.manifest.json)   current params, written every epoch
-    <out>/best.ckpt(+.manifest.json)   early-stopped snapshot, written on
-                                       improvement
-    <out>/trainer_state.json           epoch counter, best metric, history
-    <out>/metrics.jsonl.partial        per-epoch stream while training
-    <out>/metrics.jsonl                finalized metric stream
-    <out>/report.csv                   accuracy table (schema in reporting)
-    <out>/decision.svg                 2-D tasks only
+    <out>/last.ckpt                current params, written every epoch
+    <out>/best.ckpt                early-stopped snapshot, written on
+                                   improvement
+    <out>/trainer_state.json       epoch counter, best metric, history
+    <out>/metrics.jsonl.partial    per-epoch stream while training
+    <out>/metrics.jsonl            finalized metric stream
+    <out>/report.csv               accuracy table (schema in reporting)
+    <out>/decision.svg             2-D tasks only
 
 All writes are atomic (tmp + rename): a crashed run never leaves a file
 that parses as a complete artifact. One experiment process per output
@@ -161,16 +161,25 @@ def _state_to_json(state: TrainerState) -> dict:
     }
 
 
-def _state_from_json(tree: dict, params: ModelParams,
-                     best_params: ModelParams | None) -> TrainerState:
-    state = TrainerState(params=params)
-    state.epoch = tree["epoch"]
-    state.best_metric = tree["best_metric"]
-    state.best_epoch = tree["best_epoch"]
-    state.best_robust_acc = tree["best_robust_acc"]
-    state.best_params = best_params
-    state.history = [EpochRecord(**r) for r in tree["history"]]
-    return state
+def _read_state(path: Path) -> tuple[dict, TrainerState]:
+    """The saved file's top level and its trainer state, without params.
+    A file that is not JSON, or lacks ``trainer`` or one of its keys,
+    raises :class:`ExperimentError` naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            tree = json.load(f)
+        saved = tree["trainer"]
+        state = TrainerState(params=None)
+        state.epoch = saved["epoch"]
+        state.best_metric = saved["best_metric"]
+        state.best_epoch = saved["best_epoch"]
+        state.best_robust_acc = saved["best_robust_acc"]
+        state.history = [EpochRecord(**r) for r in saved["history"]]
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError includes JSONDecodeError
+        raise ExperimentError(
+            f"{path}: malformed trainer state ({type(exc).__name__}: {exc})"
+        ) from exc
+    return tree, state
 
 
 def _metrics_line(record: EpochRecord) -> str:
@@ -188,11 +197,10 @@ def train_with_persistence(cfg: ExperimentConfig, out: Path,
     trainer installs a fresh snapshot on every improvement, so this is
     each improving epoch plus the first commit of every process, resumed
     or not); ``trainer_state.json`` last; then a line appended to
-    ``metrics.jsonl.partial``. Each checkpoint's manifest sidecar follows
-    it only when its bytes changed, at most once per run. A steady-state
-    epoch thus replaces two files, and a crash between them leaves new
-    weights beside the previous epoch's state. A finished run writes
-    ``metrics.jsonl`` and removes the partial file.
+    ``metrics.jsonl.partial``. A steady-state epoch thus replaces two
+    files, and a crash between them leaves new weights beside the previous
+    epoch's state. A finished run writes ``metrics.jsonl`` and removes the
+    partial file.
     """
     state_path = out / "trainer_state.json"
     last_ckpt = out / "last.ckpt"
@@ -203,13 +211,12 @@ def train_with_persistence(cfg: ExperimentConfig, out: Path,
     if resume:
         if not (state_path.exists() and last_ckpt.exists()):
             raise ExperimentError(f"nothing to resume in {out}")
-        with open(state_path, "r", encoding="utf-8") as f:
-            tree = json.load(f)
+        tree, resume_state = _read_state(state_path)
         if tree.get("name") != cfg.name or tree.get("seed") != cfg.seed:
             raise ExperimentError("saved state belongs to a different experiment")
-        params = load_checkpoint(last_ckpt)
-        best = load_checkpoint(best_ckpt) if best_ckpt.exists() else None
-        resume_state = _state_from_json(tree["trainer"], params, best)
+        resume_state.params = load_checkpoint(last_ckpt)
+        if best_ckpt.exists():
+            resume_state.best_params = load_checkpoint(best_ckpt)
         if resume_state.epoch >= cfg.trainer.epochs:
             return resume_state
     params0 = build_model(cfg.model, cfg.seed)

@@ -127,10 +127,6 @@ def expected_shapes(descriptor: dict) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def param_count(descriptor: dict) -> int:
-    return sum(int(np.prod(s)) for s in expected_shapes(descriptor).values())
-
-
 def _he_init(descriptor: dict, seed: int) -> list[tuple[str, Tensor]]:
     rng = derive_rng(seed, "model-init")
     out = []

@@ -5,7 +5,7 @@ Design constraints: 64-bit floats everywhere, a deliberately small op set
 weights and inputs, and a hard finiteness check after every public op so
 numerical blowups surface at their source instead of three modules later.
 
-Ops: ``matmul``, ``add``, ``scale``, ``relu``, ``sum_all``, ``reshape``,
+Ops: ``matmul``, ``add``, ``relu``, ``sum_all``, ``reshape``,
 ``conv2d``, ``max_pool2d``, ``softmax_cross_entropy``, and ``conv_block``,
 a whole CNN block (convolution plus bias, max-pool, ReLU) in one cache-blocked
 pass that computes the same values as those ops composed.
@@ -200,15 +200,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     else:
         raise TensorError(f"add shapes incompatible: {a.shape} + {b.shape}")
     return _emit((a, b), a.data + b.data, pull, "add")
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    c = float(c)
-
-    def pull(g):
-        return (c * g,)
-
-    return _emit((x,), c * x.data, pull, "scale")
 
 
 def relu(x: Tensor) -> Tensor:

@@ -1,6 +1,4 @@
 """Checkpoint binary format: round trips and corruption detection."""
-import json
-import re
 import struct
 
 import numpy as np
@@ -10,7 +8,6 @@ from atent.checkpoint import (
     MAGIC,
     CheckpointError,
     load_checkpoint,
-    manifest_path,
     save_checkpoint,
 )
 from atent.models import build_mlp, build_small_cnn
@@ -46,8 +43,16 @@ class TestRoundTrip:
         _, path = saved
         blob = path.read_bytes()
         assert blob[:4] == MAGIC
-        version, count = struct.unpack("<II", blob[4:12])
-        assert version == 1 and count == 4  # w0, b0, w1, b1
+        version, descriptor_len = struct.unpack("<II", blob[4:12])
+        assert version == 2
+        descriptor = blob[12:12 + descriptor_len]
+        assert descriptor == b'{"kind":"mlp","widths":[3,8,2]}'
+        (count,) = struct.unpack("<I", blob[12 + descriptor_len:16 + descriptor_len])
+        assert count == 4  # w0, b0, w1, b1
+
+    def test_single_file(self, saved, tmp_path):
+        _, path = saved
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
 
     def test_save_is_deterministic(self, saved, tmp_path):
         params, path = saved
@@ -56,73 +61,97 @@ class TestRoundTrip:
         assert path.read_bytes() == other.read_bytes()
 
 
+def _header_len(blob: bytes) -> int:
+    """Bytes before the entry count: magic, version, length, descriptor."""
+    (descriptor_len,) = struct.unpack("<I", blob[8:12])
+    return 12 + descriptor_len
+
+
+def _assert_refused(tmp_path, blob: bytes, match: str) -> None:
+    """Loading ``blob`` from a file raises CheckpointError naming the file."""
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match=match) as info:
+        load_checkpoint(bad)
+    assert str(bad) in str(info.value)
+
+
+def _with_descriptor(blob: bytes, descriptor: bytes) -> bytes:
+    rest = blob[_header_len(blob):]
+    return blob[:8] + struct.pack("<I", len(descriptor)) + descriptor + rest
+
+
 class TestCorruption:
     def test_bad_magic(self, saved, tmp_path):
         _, path = saved
         blob = bytearray(path.read_bytes())
         blob[:4] = b"XXXX"
-        bad = tmp_path / "bad.ckpt"
-        bad.write_bytes(bytes(blob))
-        (tmp_path / "bad.ckpt.manifest.json").write_text(open(manifest_path(path)).read())
-        with pytest.raises(CheckpointError, match="magic"):
-            load_checkpoint(bad)
+        _assert_refused(tmp_path, blob, "magic")
 
     def test_version_mismatch(self, saved, tmp_path):
         _, path = saved
         blob = bytearray(path.read_bytes())
         blob[4:8] = struct.pack("<I", 99)
-        bad = tmp_path / "v.ckpt"
-        bad.write_bytes(bytes(blob))
-        (tmp_path / "v.ckpt.manifest.json").write_text(open(manifest_path(path)).read())
-        with pytest.raises(CheckpointError, match="version"):
-            load_checkpoint(bad)
+        _assert_refused(tmp_path, blob, "version 99 != 2")
 
-    def test_manifest_shape_mismatch(self, saved):
+    def test_version_one_file_refused(self, saved, tmp_path):
+        # the sidecar-era layout: magic, version 1, entry count, entries
         _, path = saved
-        mpath = manifest_path(path)
-        manifest = json.loads(open(mpath).read())
-        manifest["entries"][0]["shape"] = [7, 7]
-        open(mpath, "w").write(json.dumps(manifest))
-        with pytest.raises(CheckpointError, match="shape"):
-            load_checkpoint(path)
+        blob = path.read_bytes()
+        v1 = MAGIC + struct.pack("<I", 1) + blob[_header_len(blob):]
+        _assert_refused(tmp_path, v1, "version 1 != 2")
+
+    def test_truncated_in_descriptor(self, saved, tmp_path):
+        _, path = saved
+        blob = path.read_bytes()
+        _assert_refused(tmp_path, blob[:_header_len(blob) - 3], "truncated")
 
     def test_truncated_weights(self, saved, tmp_path):
         _, path = saved
         blob = path.read_bytes()[:-16]
-        bad = tmp_path / "t.ckpt"
-        bad.write_bytes(blob)
-        (tmp_path / "t.ckpt.manifest.json").write_text(open(manifest_path(path)).read())
-        with pytest.raises(CheckpointError, match="truncated"):
-            load_checkpoint(bad)
+        _assert_refused(tmp_path, blob, "truncated")
 
-    def test_missing_manifest(self, saved, tmp_path):
+    def test_trailing_bytes(self, saved, tmp_path):
         _, path = saved
-        orphan = tmp_path / "orphan.ckpt"
-        orphan.write_bytes(path.read_bytes())
-        with pytest.raises(CheckpointError, match="manifest"):
-            load_checkpoint(orphan)
+        blob = path.read_bytes() + b"\0" * 3
+        _assert_refused(tmp_path, blob, "3 trailing bytes")
 
-
-    @pytest.mark.parametrize("case", ["json_list", "no_entries", "no_descriptor",
-                                      "entry_without_shape", "unknown_kind",
-                                      "descriptor_disagrees_with_weights"])
-    def test_malformed_manifest_names_it(self, saved, case):
-        # each parses as JSON but is not a manifest of these weights
+    def test_huge_extents_read_as_truncated(self, saved, tmp_path):
+        # one rank-4 entry of extents 2**32 - 1: its element count overflows
+        # int64, so it must be computed exactly to be seen as out of range
         _, path = saved
-        mpath = manifest_path(path)
-        manifest = json.loads(open(mpath).read())
-        if case == "json_list":
-            manifest = [manifest]
-        elif case == "no_entries":
-            del manifest["entries"]
-        elif case == "no_descriptor":
-            del manifest["descriptor"]
-        elif case == "entry_without_shape":
-            del manifest["entries"][0]["shape"]
-        elif case == "unknown_kind":
-            manifest["descriptor"]["kind"] = "rnn"
-        else:
-            manifest["descriptor"]["widths"] = [3, 9, 2]
-        open(mpath, "w").write(json.dumps(manifest))
-        with pytest.raises(CheckpointError, match=re.escape(mpath)):
-            load_checkpoint(path)
+        blob = path.read_bytes()
+        entry = (struct.pack("<H", 2) + b"w0" + struct.pack("<B", 4)
+                 + struct.pack("<4I", *[2**32 - 1] * 4))
+        bad = blob[:_header_len(blob)] + struct.pack("<I", 1) + entry
+        _assert_refused(tmp_path, bad, "truncated")
+
+    def test_entry_name_not_utf8(self, saved, tmp_path):
+        _, path = saved
+        blob = bytearray(path.read_bytes())
+        first_name = _header_len(blob) + 4 + 2  # after the count and name length
+        assert blob[first_name:first_name + 2] == b"w0"
+        blob[first_name] = 0xFF
+        _assert_refused(tmp_path, blob, "UnicodeDecodeError")
+
+    @pytest.mark.parametrize("descriptor", [
+        b"{not json",
+        b"[]",
+        b'{"widths":[3,8,2]}',
+        b'{"kind":"rnn","widths":[3,8,2]}',
+        b'{"kind":"mlp","widths":[3,9,2]}',
+    ])
+    def test_malformed_descriptor_names_file(self, saved, tmp_path, descriptor):
+        _, path = saved
+        bad = _with_descriptor(path.read_bytes(), descriptor)
+        _assert_refused(tmp_path, bad, "malformed checkpoint")
+
+    def test_duplicate_entry(self, saved, tmp_path):
+        _, path = saved
+        blob = path.read_bytes()
+        start = _header_len(blob)
+        (count,) = struct.unpack("<I", blob[start:start + 4])
+        entries = blob[start + 4:]
+        w0 = entries[:2 + 2 + 1 + 8 + 8 * 3 * 8]  # name len, name, rank, 2 extents, 3x8 values
+        bad = blob[:start] + struct.pack("<I", count + 1) + w0 + entries
+        _assert_refused(tmp_path, bad, "duplicate entry 'w0'")

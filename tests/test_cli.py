@@ -73,9 +73,9 @@ class TestPipeline:
         names = sorted(p.name for p in full.iterdir())
         assert names == sorted(p.name for p in split.iterdir())
         for fname in ("report.csv", "metrics.jsonl", "last.ckpt", "best.ckpt",
-                      "last.ckpt.manifest.json", "best.ckpt.manifest.json",
                       "trainer_state.json"):
             assert fname in names
+        assert not [n for n in names if n.endswith(".manifest.json")]
         for fname in names:
             assert (full / fname).read_bytes() == (split / fname).read_bytes(), fname
         assert not (split / "metrics.jsonl.partial").exists()
@@ -175,21 +175,20 @@ class TestEpochCommit:
         monkeypatch.setattr(checkpoint, "atomic_write_bytes", recording)
         return log
 
-    def test_best_only_on_improvement_and_sidecars_once(self, tmp_path, writes):
+    def test_best_only_on_improvement(self, tmp_path, writes):
         state = run_training(parse_config_dict(toy_tree(epochs=6)),
                              output_dir=str(tmp_path / "out"))
         accs = [r.nat_acc for r in state.history]
         assert accs[0] < accs[1] >= max(accs[2:])
         steady = ["last.ckpt", "trainer_state.json"]
         assert writes == [
-            ["last.ckpt", "last.ckpt.manifest.json", "best.ckpt",
-             "best.ckpt.manifest.json", "trainer_state.json"],
+            ["last.ckpt", "best.ckpt", "trainer_state.json"],
             ["last.ckpt", "best.ckpt", "trainer_state.json"],
             steady, steady, steady, steady,
             ["metrics.jsonl"],
         ]
 
-    def test_resumed_process_writes_best_once_and_keeps_sidecars(self, tmp_path, writes):
+    def test_resumed_process_writes_best_once(self, tmp_path, writes):
         cfg = parse_config_dict(toy_tree(epochs=6))
         run_training(cfg, output_dir=str(tmp_path / "full"))
         split = tmp_path / "split"
@@ -201,19 +200,6 @@ class TestEpochCommit:
                           steady, steady, ["metrics.jsonl"]]
         for fname in sorted(p.name for p in (tmp_path / "full").iterdir()):
             assert (tmp_path / "full" / fname).read_bytes() == (split / fname).read_bytes()
-
-    def test_sidecar_edited_on_disk_is_rewritten(self, tmp_path, writes):
-        cfg = parse_config_dict(toy_tree(epochs=4))
-        run_training(cfg, output_dir=str(tmp_path / "full"))
-        split = tmp_path / "split"
-        run_training(cfg, output_dir=str(split), stop_after=3)
-        sidecar = split / "last.ckpt.manifest.json"
-        sidecar.write_text(json.dumps(json.loads(sidecar.read_text())))
-        writes[:] = [[]]
-        run_training(cfg, output_dir=str(split), resume=True)
-        assert writes[0] == ["last.ckpt", "last.ckpt.manifest.json", "best.ckpt",
-                             "trainer_state.json"]
-        assert sidecar.read_bytes() == (tmp_path / "full" / sidecar.name).read_bytes()
 
 
 class TestCliCommands:
@@ -270,14 +256,35 @@ class TestCliCommands:
         bad = write_cfg(tmp_path, {**toy_tree(), "mystery": 1})
         assert main(["train", str(bad)]) == 1
 
-    def test_malformed_manifest_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize("defect", ["descriptor", "entry_name"])
+    def test_malformed_checkpoint_exit_code(self, tmp_path, capsys, defect):
         ckpt = tmp_path / "m.ckpt"
         checkpoint.save_checkpoint(build_mlp([2, 8, 2], seed=0), ckpt)
-        (tmp_path / "m.ckpt.manifest.json").write_text("[]")
+        blob = bytearray(ckpt.read_bytes())
+        if defect == "descriptor":
+            at = blob.index(b'{"kind"')
+        else:  # the first byte of the first entry's name, "w0"
+            at = blob.index(b"w0")
+        blob[at] = 0xFF
+        ckpt.write_bytes(bytes(blob))
         cfg_path = write_cfg(tmp_path, toy_tree())
         assert main(["attack", str(cfg_path), "--checkpoint", str(ckpt),
                      "--output-dir", str(tmp_path / "o")]) == 2
-        assert "m.ckpt.manifest.json" in capsys.readouterr().err
+        assert str(ckpt) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        '{"name": "toy", "seed": 9, "trainer": {"epo',
+        '{"name": "toy", "seed": 9}',
+        '{"name": "toy", "seed": 9, "trainer": {"epoch": 2}}',
+    ])
+    def test_malformed_trainer_state_exit_code(self, tmp_path, capsys, text):
+        cfg_path = write_cfg(tmp_path, toy_tree(epochs=4))
+        out = tmp_path / "out"
+        assert main(["train", str(cfg_path), "--output-dir", str(out),
+                     "--stop-after", "2"]) == 0
+        (out / "trainer_state.json").write_text(text)
+        assert main(["train", str(cfg_path), "--output-dir", str(out), "--resume"]) == 2
+        assert str(out / "trainer_state.json") in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["attack", "report"])
     def test_checkpoint_architecture_mismatch_exit_code(self, tmp_path, capsys, command):

@@ -14,7 +14,6 @@ from atent.models import (
     build_small_cnn,
     forward_logits,
     loss_and_grads,
-    param_count,
     per_sample_losses,
     predict,
 )
@@ -66,7 +65,6 @@ class TestBuildMlp:
 
     def test_param_count(self):
         # 784*64+64 + 64*64+64 + 64*2+2
-        assert param_count({"kind": "mlp", "widths": [784, 64, 64, 2]}) == 54530
         assert build_mlp([784, 64, 64, 2], seed=0).n_params == 54530
 
     def test_rejects_degenerate_widths(self):

@@ -84,8 +84,8 @@ def test_traced_persisted_training_counts_each_commit_write(tmp_path):
     metrics = tr.layer_metrics(tracer)
     # last.ckpt x3 and best.ckpt x2
     assert metrics["checkpoint.save_checkpoint.calls"][0] == 5
-    # those 5, one manifest sidecar per checkpoint, trainer_state.json x3, metrics.jsonl
-    assert metrics["checkpoint.atomic_write.calls"][0] == 11
+    # those 5, trainer_state.json x3, metrics.jsonl
+    assert metrics["checkpoint.atomic_write.calls"][0] == 9
     assert metrics["checkpoint.best_write_useful_frac"][0] == 1.0
 
 
