@@ -1,21 +1,21 @@
 """Bit-exact model persistence in one self-describing file.
 
-Binary layout (little-endian): magic ``ATNT``, version u32 = 2, descriptor
-length u32, the architecture descriptor as compact JSON with sorted keys
-(utf-8), entry count u32, then per entry: name length u16, name bytes
-(utf-8), rank u8, extents u32 x rank, values f64 x prod(extents). Load
-rebuilds the model from the descriptor, which rejects weights whose names
-or shapes disagree with it; any failure to decode or validate a file
-raises :class:`CheckpointError` naming it. A file of any other version
-is refused.
+Binary layout (little-endian): magic ``ATNT``, version u32 = 3, header
+length u32, the header as compact JSON with sorted keys (utf-8), entry
+count u32, then per entry: name length u16, name bytes (utf-8), rank u8,
+extents u32 x rank, values f64 x prod(extents). The header holds the
+architecture descriptor under ``model`` and, in a training run's
+``last.ckpt``, the trainer's counters under ``trainer`` (see
+``experiment.train_with_persistence``). Load rebuilds the model from the
+descriptor, which rejects weights whose names or shapes disagree with it;
+any failure to decode or validate a file raises :class:`CheckpointError`
+naming it. A file of any other version is refused.
 
 Every file is written atomically: to ``<file>.tmp``, fsynced, then moved
-over the old one with ``os.replace``. The directory is not fsynced after
-the rename (out of scope so far), so a crash of the machine, not of the
-process, can still lose a rename. A training epoch (see
-``experiment.train_with_persistence``) writes ``last.ckpt`` and
-``trainer_state.json``, plus ``best.ckpt`` when the epoch improved the
-tracked metric or is the first of its process.
+over the old one with ``os.replace``, so weights and the counters beside
+them commit together. Out of scope: the directory is not fsynced after the
+rename, so a crash of the machine, not of the process, can still lose a
+rename or data that was written but not fsynced.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from .models import ModelParams
 from .tensor import Tensor
 
 MAGIC = b"ATNT"
-VERSION = 2
+VERSION = 3
 
 
 class CheckpointError(ValueError):
@@ -50,10 +50,13 @@ def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def save_checkpoint(params: ModelParams, path) -> None:
-    descriptor = json.dumps(params.descriptor, sort_keys=True,
-                            separators=(",", ":")).encode("utf-8")
-    parts = [MAGIC, struct.pack("<II", VERSION, len(descriptor)), descriptor,
+def checkpoint_bytes(params: ModelParams, trainer: dict | None = None) -> bytes:
+    """The file's bytes; ``trainer``, when given, rides in the header."""
+    tree = {"model": params.descriptor}
+    if trainer is not None:
+        tree["trainer"] = trainer
+    header = json.dumps(tree, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    parts = [MAGIC, struct.pack("<II", VERSION, len(header)), header,
              struct.pack("<I", len(params.weights))]
     for name, t in params.weights.items():
         encoded = name.encode("utf-8")
@@ -63,7 +66,11 @@ def save_checkpoint(params: ModelParams, path) -> None:
         parts.append(struct.pack("<B", len(shape)))
         parts.append(struct.pack(f"<{len(shape)}I", *shape))
         parts.append(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
-    atomic_write_bytes(path, b"".join(parts))
+    return b"".join(parts)
+
+
+def save_checkpoint(params: ModelParams, path) -> None:
+    atomic_write_bytes(path, checkpoint_bytes(params))
 
 
 class _Reader:
@@ -84,15 +91,21 @@ class _Reader:
 
 
 def load_checkpoint(path) -> ModelParams:
+    return read_checkpoint(path)[0]
+
+
+def read_checkpoint(path) -> tuple[ModelParams, object]:
+    """The stored model and the header's ``trainer`` entry (None if absent)."""
     with open(path, "rb") as f:
         reader = _Reader(f.read(), path)
     try:
         if reader.take(4) != MAGIC:
             raise CheckpointError(f"{path}: bad magic")
-        version, descriptor_len = reader.unpack("<II")
+        version, header_len = reader.unpack("<II")
         if version != VERSION:
             raise CheckpointError(f"{path}: version {version} != {VERSION}")
-        descriptor = json.loads(reader.take(descriptor_len).decode("utf-8"))
+        header = json.loads(reader.take(header_len).decode("utf-8"))
+        descriptor = header["model"]
         if "in_shape" in descriptor:
             descriptor["in_shape"] = tuple(descriptor["in_shape"])
         (count,) = reader.unpack("<I")
@@ -108,7 +121,7 @@ def load_checkpoint(path) -> ModelParams:
             weights[name] = Tensor(values.reshape(shape).astype(np.float64))
         if reader.pos != len(reader.blob):
             raise CheckpointError(f"{path}: {len(reader.blob) - reader.pos} trailing bytes")
-        return ModelParams(descriptor, list(weights.items()))
+        return ModelParams(descriptor, list(weights.items())), header.get("trainer")
     except CheckpointError:
         raise
     except (KeyError, TypeError, ValueError) as exc:  # includes TensorError and JSON/UTF-8 decoding

@@ -16,10 +16,11 @@ import numpy as np
 
 from .attacks import AttackConfig, pgd_attack, robust_accuracy
 from .data import Dataset, batch_iter
-from .models import Batch, ModelParams, accuracy, batch_loss, loss_and_grads
+from .models import Batch, ModelParams, batch_loss, forward_logits, loss_and_grads
+from .models import accuracy  # noqa: F401  perfbench/tracer.py patches this name
 from .sampler import GibbsSamplerConfig, langevin_step_l2, run_chain
 from .seeding import derive_rng
-from .tensor import NonFiniteError, Tensor
+from .tensor import NonFiniteError, Tensor, softmax_cross_entropy
 
 SGD = "sgd"
 ENTROPY_SGD = "entropy_sgd"
@@ -263,7 +264,7 @@ def train(params: ModelParams, cfg: TrainerConfig, train_ds: Dataset,
         state = TrainerState(params=params)
         first_epoch = 1
     direction_fn = _DIRECTIONS[cfg.defense]
-    probe = _probe_batch(val_ds if val_ds.n else train_ds)
+    probe = None if val_ds.n else _probe_batch(train_ds)
     for epoch in range(first_epoch, cfg.epochs + 1):
         lr = _lr_at(cfg, epoch)
         t0 = time.perf_counter() if cfg.record_timing else 0.0
@@ -278,11 +279,14 @@ def train(params: ModelParams, cfg: TrainerConfig, train_ds: Dataset,
                         d = d + cfg.weight_decay * t.data
                     t.data = t.data - lr * d
             epoch_loss = float(np.mean(losses)) if losses else 0.0
-            if not math.isfinite(epoch_loss) or not math.isfinite(batch_loss(params, probe)):
+            if probe is None:
+                nat, probe_loss = _validate(params, val_ds)
+            else:
+                nat, probe_loss = None, batch_loss(params, probe)
+            if not math.isfinite(epoch_loss) or not math.isfinite(probe_loss):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}")
         except NonFiniteError as exc:
             raise DivergenceError(f"training diverged at epoch {epoch}: {exc}") from exc
-        nat = accuracy(params, val_ds.inputs, val_ds.labels) if val_ds.n else None
         rob = None
         es = cfg.early_stop
         if es.eval_attack is not None and val_ds.n:
@@ -300,6 +304,18 @@ def train(params: ModelParams, cfg: TrainerConfig, train_ds: Dataset,
     return state
 
 
-def _probe_batch(ds: Dataset, size: int = 64) -> Batch:
-    idx = np.arange(min(size, ds.n))
-    return ds.take(idx).as_batch()
+_PROBE_ROWS = 64
+
+
+def _probe_batch(ds: Dataset) -> Batch:
+    return ds.take(np.arange(min(_PROBE_ROWS, ds.n))).as_batch()
+
+
+def _validate(params: ModelParams, val_ds: Dataset) -> tuple[float, float]:
+    """Accuracy on ``val_ds`` and the divergence probe's mean cross-entropy
+    over its first rows, both from one forward."""
+    logits = forward_logits(params, val_ds.inputs).data
+    labels = val_ds.labels.data
+    rows = min(_PROBE_ROWS, val_ds.n)
+    probe_loss = softmax_cross_entropy(Tensor(logits[:rows]), Tensor(labels[:rows])).item()
+    return float(np.mean(logits.argmax(axis=1) == labels.argmax(axis=1))), probe_loss

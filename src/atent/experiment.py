@@ -3,17 +3,23 @@ checkpointed resume, attack evaluation, report emission.
 
 Output-directory layout:
 
-    <out>/last.ckpt                current params, written every epoch
+    <out>/last.ckpt                current params, written every epoch; its
+                                   header carries the run's name and seed,
+                                   the epoch and the best-metric counters
     <out>/best.ckpt                early-stopped snapshot, written on
                                    improvement
-    <out>/trainer_state.json       epoch counter, best metric, history
-    <out>/metrics.jsonl.partial    per-epoch stream while training
+    <out>/metrics.jsonl.partial    per-epoch records while training, one
+                                   JSON line each (the only copy of the
+                                   history until the run finishes)
     <out>/metrics.jsonl            finalized metric stream
     <out>/report.csv               accuracy table (schema in reporting)
     <out>/decision.svg             2-D tasks only
 
-All writes are atomic (tmp + rename): a crashed run never leaves a file
-that parses as a complete artifact. One experiment process per output
+Every file but the partial stream is written atomically (tmp + rename): a
+crashed run never leaves a file that parses as a complete artifact. Each
+epoch appends its line to the stream, then writes ``best.ckpt`` when it
+changed and ``last.ckpt`` last, whose rename commits the epoch; resume cuts
+the stream back to ``last.ckpt``'s epoch. One experiment process per output
 directory, enforced by a lock file.
 """
 from __future__ import annotations
@@ -28,7 +34,14 @@ from pathlib import Path
 import numpy as np
 
 from .attacks import robust_accuracy
-from .checkpoint import atomic_write_text, load_checkpoint, save_checkpoint
+from .checkpoint import (
+    atomic_write_bytes,
+    atomic_write_text,
+    checkpoint_bytes,
+    load_checkpoint,
+    read_checkpoint,
+    save_checkpoint,
+)
 from .config import ConfigError, DataSpec, ExperimentConfig
 from .data import (
     Dataset,
@@ -148,42 +161,100 @@ def build_datasets(spec: DataSpec, master_seed: int,
 
 
 # ---------------------------------------------------------------------------
-# Trainer-state persistence
+# Training with a commit per epoch
+
+# the counters ``last.ckpt`` carries in its header, and the types each may take
+_COUNTER_TYPES = {
+    "name": (str,),
+    "seed": (int,),
+    "epoch": (int,),
+    "best_metric": (float,),
+    "best_epoch": (int,),
+    "best_robust_acc": (float, type(None)),
+}
 
 
-def _state_to_json(state: TrainerState) -> dict:
-    return {
-        "epoch": state.epoch,
-        "best_metric": state.best_metric,
-        "best_epoch": state.best_epoch,
-        "best_robust_acc": state.best_robust_acc,
-        "history": [asdict(r) for r in state.history],
-    }
+def _counters(cfg: ExperimentConfig, state: TrainerState) -> dict:
+    return {"name": cfg.name, "seed": cfg.seed, "epoch": state.epoch,
+            "best_metric": state.best_metric, "best_epoch": state.best_epoch,
+            "best_robust_acc": state.best_robust_acc}
 
 
-def _read_state(path: Path) -> tuple[dict, TrainerState]:
-    """The saved file's top level and its trainer state, without params.
-    A file that is not JSON, or lacks ``trainer`` or one of its keys,
-    raises :class:`ExperimentError` naming it."""
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            tree = json.load(f)
-        saved = tree["trainer"]
-        state = TrainerState(params=None)
-        state.epoch = saved["epoch"]
-        state.best_metric = saved["best_metric"]
-        state.best_epoch = saved["best_epoch"]
-        state.best_robust_acc = saved["best_robust_acc"]
-        state.history = [EpochRecord(**r) for r in saved["history"]]
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError includes JSONDecodeError
-        raise ExperimentError(
-            f"{path}: malformed trainer state ({type(exc).__name__}: {exc})"
-        ) from exc
-    return tree, state
+def _check_counters(path: Path, counters) -> None:
+    """Raise :class:`ExperimentError` naming ``path`` unless ``counters``
+    holds each key with its type."""
+    if not isinstance(counters, dict):
+        raise ExperimentError(f"{path}: no trainer counters in the header")
+    for key, types in _COUNTER_TYPES.items():
+        if key not in counters:
+            raise ExperimentError(f"{path}: trainer counter {key!r} missing")
+        if type(counters[key]) not in types:  # exact: a bool is not an epoch
+            raise ExperimentError(f"{path}: trainer counter {key!r} is "
+                                  f"{type(counters[key]).__name__}, not "
+                                  f"{' or '.join(t.__name__ for t in types)}")
+    if counters["epoch"] < 1:
+        raise ExperimentError(f"{path}: trainer counter 'epoch' is {counters['epoch']}")
 
 
 def _metrics_line(record: EpochRecord) -> str:
     return json.dumps(asdict(record), sort_keys=True)
+
+
+def _metrics_text(history: list[EpochRecord]) -> str:
+    return "".join(_metrics_line(r) + "\n" for r in history)
+
+
+def _read_metrics(path: Path, epochs: int) -> tuple[list[EpochRecord], int]:
+    """The first ``epochs`` records of the stream at ``path`` and their
+    length in bytes. Lines after them, torn or whole, are not read; fewer
+    complete lines raise :class:`ExperimentError` naming ``path``."""
+    history, size = [], 0
+    try:
+        with open(path, "rb") as f:
+            for line in f:
+                if len(history) == epochs or not line.endswith(b"\n"):
+                    break
+                record = EpochRecord(**json.loads(line))
+                if record.epoch != len(history) + 1:
+                    raise ValueError(f"line {len(history) + 1} holds epoch {record.epoch}")
+                history.append(record)
+                size += len(line)
+    except FileNotFoundError:
+        pass
+    except (TypeError, ValueError) as exc:  # ValueError includes JSON/UTF-8 decoding
+        raise ExperimentError(
+            f"{path}: malformed metric record ({type(exc).__name__}: {exc})"
+        ) from exc
+    if len(history) < epochs:
+        raise ExperimentError(f"{path}: {len(history)} complete epoch records, "
+                              f"but last.ckpt is at epoch {epochs}")
+    return history, size
+
+
+def _resume_state(cfg: ExperimentConfig, out: Path) -> TrainerState:
+    """The state ``last.ckpt`` committed, its history read back from the
+    metric stream: ``metrics.jsonl.partial`` if present, which is cut back
+    to the committed epoch, else a finished run's ``metrics.jsonl``."""
+    last_ckpt = out / "last.ckpt"
+    if not last_ckpt.exists():
+        raise ExperimentError(f"nothing to resume in {out}")
+    params, counters = read_checkpoint(last_ckpt)
+    _check_counters(last_ckpt, counters)
+    if counters["name"] != cfg.name or counters["seed"] != cfg.seed:
+        raise ExperimentError("saved state belongs to a different experiment")
+    state = TrainerState(params=params, epoch=counters["epoch"],
+                         best_metric=counters["best_metric"],
+                         best_epoch=counters["best_epoch"],
+                         best_robust_acc=counters["best_robust_acc"])
+    partial = out / "metrics.jsonl.partial"
+    if partial.exists():
+        state.history, size = _read_metrics(partial, state.epoch)
+        os.truncate(partial, size)
+    else:
+        state.history, _ = _read_metrics(out / "metrics.jsonl", state.epoch)
+    if (out / "best.ckpt").exists():
+        state.best_params = load_checkpoint(out / "best.ckpt")
+    return state
 
 
 def train_with_persistence(cfg: ExperimentConfig, out: Path,
@@ -192,55 +263,48 @@ def train_with_persistence(cfg: ExperimentConfig, out: Path,
                            stop_after: int | None = None) -> TrainerState:
     """Train ``cfg`` with a commit to ``out`` after every epoch.
 
-    Each epoch writes, in this order: ``last.ckpt``; ``best.ckpt`` when the
+    Each epoch, in this order: appends its record to
+    ``metrics.jsonl.partial`` and flushes it; writes ``best.ckpt`` when the
     early-stopped snapshot is not the one this process wrote last (the
     trainer installs a fresh snapshot on every improvement, so this is
     each improving epoch plus the first commit of every process, resumed
-    or not); ``trainer_state.json`` last; then a line appended to
-    ``metrics.jsonl.partial``. A steady-state epoch thus replaces two
-    files, and a crash between them leaves new weights beside the previous
-    epoch's state. A finished run writes ``metrics.jsonl`` and removes the
-    partial file.
+    or not); writes ``last.ckpt`` last. Its rename commits the epoch:
+    weights and counters land together, and resume cuts the stream back to
+    the epoch it names. A crash before it leaves at most one record and a
+    ``best.ckpt`` ahead of the commit; the resumed run retrains that epoch
+    and writes both again with the same bytes. A finished run writes
+    ``metrics.jsonl`` and removes the partial file.
     """
-    state_path = out / "trainer_state.json"
     last_ckpt = out / "last.ckpt"
     best_ckpt = out / "best.ckpt"
     partial = out / "metrics.jsonl.partial"
 
-    resume_state = None
-    if resume:
-        if not (state_path.exists() and last_ckpt.exists()):
-            raise ExperimentError(f"nothing to resume in {out}")
-        tree, resume_state = _read_state(state_path)
-        if tree.get("name") != cfg.name or tree.get("seed") != cfg.seed:
-            raise ExperimentError("saved state belongs to a different experiment")
-        resume_state.params = load_checkpoint(last_ckpt)
-        if best_ckpt.exists():
-            resume_state.best_params = load_checkpoint(best_ckpt)
-        if resume_state.epoch >= cfg.trainer.epochs:
-            return resume_state
-    params0 = build_model(cfg.model, cfg.seed)
-    best_written = None
+    state = _resume_state(cfg, out) if resume else None
+    if state is None or state.epoch < cfg.trainer.epochs:
+        if state is None:
+            partial.unlink(missing_ok=True)
+        elif not partial.exists():  # a finished run trained further
+            atomic_write_text(partial, _metrics_text(state.history))
+        best_written = None
+        with open(partial, "a", encoding="utf-8") as stream:
 
-    def on_epoch(state: TrainerState):
-        nonlocal best_written
-        save_checkpoint(state.params, last_ckpt)
-        if state.best_params is not None and state.best_params is not best_written:
-            save_checkpoint(state.best_params, best_ckpt)
-            best_written = state.best_params
-        tree = {"name": cfg.name, "seed": cfg.seed, "trainer": _state_to_json(state)}
-        atomic_write_text(state_path, json.dumps(tree, indent=2, sort_keys=True))
-        with open(partial, "a", encoding="utf-8") as f:
-            f.write(_metrics_line(state.history[-1]) + "\n")
+            def on_epoch(state: TrainerState):
+                nonlocal best_written
+                stream.write(_metrics_line(state.history[-1]) + "\n")
+                stream.flush()
+                if state.best_params is not None and state.best_params is not best_written:
+                    save_checkpoint(state.best_params, best_ckpt)
+                    best_written = state.best_params
+                atomic_write_bytes(last_ckpt,
+                                   checkpoint_bytes(state.params, _counters(cfg, state)))
 
-    state = train(params0, cfg.trainer, train_ds, val_ds,
-                  resume_state=resume_state, stop_after_epoch=stop_after,
-                  on_epoch=on_epoch)
-    if stop_after is None or state.epoch >= cfg.trainer.epochs:
-        lines = "".join(_metrics_line(r) + "\n" for r in state.history)
-        atomic_write_text(out / "metrics.jsonl", lines)
-        if partial.exists():
-            partial.unlink()
+            params0 = state.params if state is not None else build_model(cfg.model, cfg.seed)
+            state = train(params0, cfg.trainer, train_ds, val_ds,
+                          resume_state=state, stop_after_epoch=stop_after,
+                          on_epoch=on_epoch)
+    if partial.exists() and (stop_after is None or state.epoch >= cfg.trainer.epochs):
+        atomic_write_text(out / "metrics.jsonl", _metrics_text(state.history))
+        partial.unlink()
     return state
 
 

@@ -7,7 +7,9 @@ import pytest
 from atent.checkpoint import (
     MAGIC,
     CheckpointError,
+    checkpoint_bytes,
     load_checkpoint,
+    read_checkpoint,
     save_checkpoint,
 )
 from atent.models import build_mlp, build_small_cnn
@@ -43,12 +45,33 @@ class TestRoundTrip:
         _, path = saved
         blob = path.read_bytes()
         assert blob[:4] == MAGIC
-        version, descriptor_len = struct.unpack("<II", blob[4:12])
-        assert version == 2
-        descriptor = blob[12:12 + descriptor_len]
-        assert descriptor == b'{"kind":"mlp","widths":[3,8,2]}'
-        (count,) = struct.unpack("<I", blob[12 + descriptor_len:16 + descriptor_len])
+        version, header_len = struct.unpack("<II", blob[4:12])
+        assert version == 3
+        header = blob[12:12 + header_len]
+        assert header == b'{"model":{"kind":"mlp","widths":[3,8,2]}}'
+        (count,) = struct.unpack("<I", blob[12 + header_len:16 + header_len])
         assert count == 4  # w0, b0, w1, b1
+
+    def test_trainer_counters_ride_in_header(self, saved):
+        params, path = saved
+        counters = {"name": "toy", "seed": 9, "epoch": 2, "best_metric": float("-inf"),
+                    "best_epoch": -1, "best_robust_acc": None}
+        blob = checkpoint_bytes(params, counters)
+        plain = path.read_bytes()
+        # only the header differs from a plain save
+        assert blob[_header_len(blob):] == plain[_header_len(plain):]
+        assert blob[12:_header_len(blob)] == (
+            b'{"model":{"kind":"mlp","widths":[3,8,2]},"trainer":{"best_epoch":-1,'
+            b'"best_metric":-Infinity,"best_robust_acc":null,"epoch":2,"name":"toy","seed":9}}')
+        path.write_bytes(blob)
+        loaded, read_back = read_checkpoint(path)
+        assert read_back == counters
+        assert loaded.descriptor == params.descriptor
+        assert load_checkpoint(path).names == params.names
+
+    def test_plain_save_has_no_trainer_counters(self, saved):
+        _, path = saved
+        assert read_checkpoint(path)[1] is None
 
     def test_single_file(self, saved, tmp_path):
         _, path = saved
@@ -62,9 +85,9 @@ class TestRoundTrip:
 
 
 def _header_len(blob: bytes) -> int:
-    """Bytes before the entry count: magic, version, length, descriptor."""
-    (descriptor_len,) = struct.unpack("<I", blob[8:12])
-    return 12 + descriptor_len
+    """Bytes before the entry count: magic, version, length, header."""
+    (header_len,) = struct.unpack("<I", blob[8:12])
+    return 12 + header_len
 
 
 def _assert_refused(tmp_path, blob: bytes, match: str) -> None:
@@ -76,9 +99,9 @@ def _assert_refused(tmp_path, blob: bytes, match: str) -> None:
     assert str(bad) in str(info.value)
 
 
-def _with_descriptor(blob: bytes, descriptor: bytes) -> bytes:
+def _with_header(blob: bytes, header: bytes) -> bytes:
     rest = blob[_header_len(blob):]
-    return blob[:8] + struct.pack("<I", len(descriptor)) + descriptor + rest
+    return blob[:8] + struct.pack("<I", len(header)) + header + rest
 
 
 class TestCorruption:
@@ -92,14 +115,21 @@ class TestCorruption:
         _, path = saved
         blob = bytearray(path.read_bytes())
         blob[4:8] = struct.pack("<I", 99)
-        _assert_refused(tmp_path, blob, "version 99 != 2")
+        _assert_refused(tmp_path, blob, "version 99 != 3")
 
     def test_version_one_file_refused(self, saved, tmp_path):
         # the sidecar-era layout: magic, version 1, entry count, entries
         _, path = saved
         blob = path.read_bytes()
         v1 = MAGIC + struct.pack("<I", 1) + blob[_header_len(blob):]
-        _assert_refused(tmp_path, v1, "version 1 != 2")
+        _assert_refused(tmp_path, v1, "version 1 != 3")
+
+    def test_version_two_file_refused(self, saved, tmp_path):
+        # version 2: the bare descriptor where version 3 has the header
+        _, path = saved
+        v2 = bytearray(_with_header(path.read_bytes(), b'{"kind":"mlp","widths":[3,8,2]}'))
+        v2[4:8] = struct.pack("<I", 2)
+        _assert_refused(tmp_path, v2, "version 2 != 3")
 
     def test_truncated_in_descriptor(self, saved, tmp_path):
         _, path = saved
@@ -134,16 +164,18 @@ class TestCorruption:
         blob[first_name] = 0xFF
         _assert_refused(tmp_path, blob, "UnicodeDecodeError")
 
-    @pytest.mark.parametrize("descriptor", [
+    @pytest.mark.parametrize("header", [
         b"{not json",
         b"[]",
-        b'{"widths":[3,8,2]}',
-        b'{"kind":"rnn","widths":[3,8,2]}',
-        b'{"kind":"mlp","widths":[3,9,2]}',
+        b'{"kind":"mlp","widths":[3,8,2]}',
+        b'{"model":[]}',
+        b'{"model":{"widths":[3,8,2]}}',
+        b'{"model":{"kind":"rnn","widths":[3,8,2]}}',
+        b'{"model":{"kind":"mlp","widths":[3,9,2]}}',
     ])
-    def test_malformed_descriptor_names_file(self, saved, tmp_path, descriptor):
+    def test_malformed_descriptor_names_file(self, saved, tmp_path, header):
         _, path = saved
-        bad = _with_descriptor(path.read_bytes(), descriptor)
+        bad = _with_header(path.read_bytes(), header)
         _assert_refused(tmp_path, bad, "malformed checkpoint")
 
     def test_duplicate_entry(self, saved, tmp_path):

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from atent import checkpoint
+from atent import checkpoint, experiment
 from atent.cli import main
 from atent.config import parse_config_dict
 from atent.experiment import (
@@ -72,9 +72,9 @@ class TestPipeline:
         run_experiment(cfg, output_dir=str(split), resume=True)
         names = sorted(p.name for p in full.iterdir())
         assert names == sorted(p.name for p in split.iterdir())
-        for fname in ("report.csv", "metrics.jsonl", "last.ckpt", "best.ckpt",
-                      "trainer_state.json"):
+        for fname in ("report.csv", "metrics.jsonl", "last.ckpt", "best.ckpt"):
             assert fname in names
+        assert "trainer_state.json" not in names
         assert not [n for n in names if n.endswith(".manifest.json")]
         for fname in names:
             assert (full / fname).read_bytes() == (split / fname).read_bytes(), fname
@@ -84,9 +84,21 @@ class TestPipeline:
         cfg = parse_config_dict(toy_tree(epochs=2))
         out = tmp_path / "out"
         run_experiment(cfg, output_dir=str(out))
-        first = (out / "report.csv").read_bytes()
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
         run_experiment(cfg, output_dir=str(out), resume=True)
-        assert (out / "report.csv").read_bytes() == first
+        # the history is read back from metrics.jsonl; every file keeps its bytes
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
+    def test_finished_run_trained_further(self, tmp_path):
+        # no lr decay, so 2 epochs then 2 more retrace a 4-epoch run; the
+        # resumed history comes from the finished run's metrics.jsonl
+        full, out = tmp_path / "full", tmp_path / "out"
+        run_experiment(parse_config_dict(toy_tree(epochs=4)), output_dir=str(full))
+        run_experiment(parse_config_dict(toy_tree(epochs=2)), output_dir=str(out))
+        assert not (out / "metrics.jsonl.partial").exists()
+        run_experiment(parse_config_dict(toy_tree(epochs=4)), output_dir=str(out),
+                       resume=True)
+        _same_files(full, out)
 
     def test_resume_rejects_other_experiment(self, tmp_path):
         out = tmp_path / "out"
@@ -162,44 +174,162 @@ class TestEpochCommit:
     @pytest.fixture
     def writes(self, monkeypatch):
         """File names passed to ``atomic_write_bytes``, grouped per epoch
-        (each commit ends with the state file)."""
-        log = [[]]
+        (each commit ends with ``last.ckpt``), and the number of lines in
+        the metric stream at each ``last.ckpt`` write."""
+        log, stream_lines = [[]], []
         original = checkpoint.atomic_write_bytes
 
         def recording(path, blob):
             log[-1].append(os.path.basename(path))
-            if log[-1][-1] == "trainer_state.json":
+            if log[-1][-1] == "last.ckpt":
+                partial = os.path.join(os.path.dirname(path), "metrics.jsonl.partial")
+                with open(partial, encoding="utf-8") as f:
+                    stream_lines.append(len(f.readlines()))
                 log.append([])
             original(path, blob)
 
         monkeypatch.setattr(checkpoint, "atomic_write_bytes", recording)
-        return log
+        monkeypatch.setattr(experiment, "atomic_write_bytes", recording)
+        return log, stream_lines
 
     def test_best_only_on_improvement(self, tmp_path, writes):
+        log, stream_lines = writes
         state = run_training(parse_config_dict(toy_tree(epochs=6)),
                              output_dir=str(tmp_path / "out"))
         accs = [r.nat_acc for r in state.history]
         assert accs[0] < accs[1] >= max(accs[2:])
-        steady = ["last.ckpt", "trainer_state.json"]
-        assert writes == [
-            ["last.ckpt", "best.ckpt", "trainer_state.json"],
-            ["last.ckpt", "best.ckpt", "trainer_state.json"],
+        steady = ["last.ckpt"]
+        assert log == [
+            ["best.ckpt", "last.ckpt"],
+            ["best.ckpt", "last.ckpt"],
             steady, steady, steady, steady,
             ["metrics.jsonl"],
         ]
+        # each epoch's record is in the stream before its checkpoints are written
+        assert stream_lines == [1, 2, 3, 4, 5, 6]
 
     def test_resumed_process_writes_best_once(self, tmp_path, writes):
+        log, stream_lines = writes
         cfg = parse_config_dict(toy_tree(epochs=6))
         run_training(cfg, output_dir=str(tmp_path / "full"))
         split = tmp_path / "split"
         run_training(cfg, output_dir=str(split), stop_after=3)
-        writes[:] = [[]]
+        log[:] = [[]]
+        stream_lines.clear()
         run_training(cfg, output_dir=str(split), resume=True)
-        steady = ["last.ckpt", "trainer_state.json"]
-        assert writes == [["last.ckpt", "best.ckpt", "trainer_state.json"],
-                          steady, steady, ["metrics.jsonl"]]
+        steady = ["last.ckpt"]
+        assert log == [["best.ckpt", "last.ckpt"], steady, steady, ["metrics.jsonl"]]
+        assert stream_lines == [4, 5, 6]
         for fname in sorted(p.name for p in (tmp_path / "full").iterdir()):
             assert (tmp_path / "full" / fname).read_bytes() == (split / fname).read_bytes()
+
+
+class _Crash(BaseException):
+    """Stands in for the process dying between two writes."""
+
+
+def _same_files(a, b) -> None:
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    for fname in names:
+        assert (a / fname).read_bytes() == (b / fname).read_bytes(), fname
+
+
+def _commit_points():
+    """(write, epoch): die right after that epoch's metric line, its
+    ``best.ckpt`` (epochs 1 and 2 improve) or its ``last.ckpt``, or after
+    the finished run's ``metrics.jsonl``."""
+    points = [("stream", e) for e in range(1, 7)] + [("last.ckpt", e) for e in range(1, 7)]
+    return points + [("best.ckpt", 1), ("best.ckpt", 2), ("metrics.jsonl", 6)]
+
+
+class TestCrashResume:
+    """A 6-epoch run killed at any point of an epoch commit resumes to the
+    bytes of the uninterrupted run."""
+
+    @pytest.fixture(scope="class")
+    def full(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("full")
+        run_experiment(parse_config_dict(toy_tree(epochs=6)), output_dir=str(out))
+        return out
+
+    @pytest.mark.parametrize("point", _commit_points(), ids=lambda p: f"{p[0]}-e{p[1]}")
+    def test_crash_after_each_write(self, tmp_path, monkeypatch, full, point):
+        write, epoch = point
+        committed = []
+        original = checkpoint.atomic_write_bytes
+
+        def dying(path, blob):
+            name = os.path.basename(path)
+            at = len(committed) + 1
+            if write == "stream" and at == epoch and name.endswith(".ckpt"):
+                raise _Crash  # nothing written since the epoch's metric line
+            original(path, blob)
+            if name == "last.ckpt":
+                committed.append(at)
+            if name == write and (at == epoch or name == "metrics.jsonl"):
+                raise _Crash
+
+        cfg = parse_config_dict(toy_tree(epochs=6))
+        out = tmp_path / "out"
+        with monkeypatch.context() as m:
+            m.setattr(checkpoint, "atomic_write_bytes", dying)
+            m.setattr(experiment, "atomic_write_bytes", dying)
+            with pytest.raises(_Crash):
+                run_experiment(cfg, output_dir=str(out))
+        if (out / "last.ckpt").exists():
+            run_experiment(cfg, output_dir=str(out), resume=True)
+        else:  # died in the first epoch: nothing committed, start again
+            with pytest.raises(ExperimentError, match="nothing to resume"):
+                run_experiment(cfg, output_dir=str(out), resume=True)
+            # the new run's stream starts empty, so it resumes too
+            run_experiment(cfg, output_dir=str(out), stop_after=3)
+            run_experiment(cfg, output_dir=str(out), resume=True)
+        _same_files(full, out)
+
+    @pytest.mark.parametrize("tail", [
+        "whole",  # the next epoch's line, written before a crash
+        "torn",   # part of it, without its newline
+    ])
+    def test_stream_past_the_checkpoint_is_cut(self, tmp_path, full, tail):
+        cfg = parse_config_dict(toy_tree(epochs=6))
+        out = tmp_path / "out"
+        run_experiment(cfg, output_dir=str(out), stop_after=3)
+        lines = (full / "metrics.jsonl").read_text().splitlines(keepends=True)
+        partial = out / "metrics.jsonl.partial"
+        with open(partial, "a", encoding="utf-8") as f:
+            f.write(lines[3] if tail == "whole" else lines[3][:20])
+        run_experiment(cfg, output_dir=str(out), resume=True, stop_after=5)
+        assert partial.read_text() == "".join(lines[:5])
+        run_experiment(cfg, output_dir=str(out), resume=True)
+        _same_files(full, out)
+
+    @pytest.mark.parametrize("defect, message", [
+        ("short", "2 complete epoch records, but last.ckpt is at epoch 3"),
+        ("torn", "2 complete epoch records, but last.ckpt is at epoch 3"),
+        ("malformed", "malformed metric record"),
+        ("out_of_order", "line 2 holds epoch 3"),
+    ])
+    def test_stream_behind_the_checkpoint_is_refused(self, tmp_path, defect, message):
+        cfg = parse_config_dict(toy_tree(epochs=6))
+        out = tmp_path / "out"
+        run_experiment(cfg, output_dir=str(out), stop_after=3)
+        partial = out / "metrics.jsonl.partial"
+        lines = partial.read_text().splitlines(keepends=True)
+        if defect == "short":
+            lines = lines[:2]
+        elif defect == "torn":
+            lines[2] = lines[2][:-5]
+        elif defect == "malformed":
+            lines[1] = '{"epoch": 2}\n'
+        else:
+            lines[1], lines[2] = lines[2], lines[1]
+        partial.write_text("".join(lines))
+        before = partial.read_bytes()
+        with pytest.raises(ExperimentError, match=message) as info:
+            run_experiment(cfg, output_dir=str(out), resume=True)
+        assert str(partial) in str(info.value)
+        assert partial.read_bytes() == before
 
 
 class TestCliCommands:
@@ -219,11 +349,9 @@ class TestCliCommands:
         out = tmp_path / "out"
         assert main(["train", str(cfg_path), "--output-dir", str(out),
                      "--stop-after", "2"]) == 0
-        state = json.loads((out / "trainer_state.json").read_text())
-        assert state["trainer"]["epoch"] == 2
+        assert checkpoint.read_checkpoint(out / "last.ckpt")[1]["epoch"] == 2
         assert main(["train", str(cfg_path), "--output-dir", str(out), "--resume"]) == 0
-        state = json.loads((out / "trainer_state.json").read_text())
-        assert state["trainer"]["epoch"] == 4
+        assert checkpoint.read_checkpoint(out / "last.ckpt")[1]["epoch"] == 4
 
     def test_smooth_eval(self, tmp_path, capsys):
         tree = toy_tree()
@@ -272,19 +400,35 @@ class TestCliCommands:
                      "--output-dir", str(tmp_path / "o")]) == 2
         assert str(ckpt) in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", [
-        '{"name": "toy", "seed": 9, "trainer": {"epo',
-        '{"name": "toy", "seed": 9}',
-        '{"name": "toy", "seed": 9, "trainer": {"epoch": 2}}',
+    @pytest.mark.parametrize("edit, message", [
+        ({"epoch": "2"}, "'epoch' is str, not int"),
+        ({"best_epoch": None}, "'best_epoch' is NoneType, not int"),
+        ({"best_metric": [1.0]}, "'best_metric' is list, not float"),
+        ({"best_robust_acc": True}, "'best_robust_acc' is bool, not float or NoneType"),
+        ({"epoch": 0}, "'epoch' is 0"),
+        ({"seed": None}, "'seed' is NoneType, not int"),
+        ("best_epoch", "'best_epoch' missing"),
+        (None, "no trainer counters"),
     ])
-    def test_malformed_trainer_state_exit_code(self, tmp_path, capsys, text):
+    def test_malformed_trainer_counters_exit_code(self, tmp_path, capsys, edit, message):
         cfg_path = write_cfg(tmp_path, toy_tree(epochs=4))
         out = tmp_path / "out"
         assert main(["train", str(cfg_path), "--output-dir", str(out),
                      "--stop-after", "2"]) == 0
-        (out / "trainer_state.json").write_text(text)
+        last = out / "last.ckpt"
+        params, counters = checkpoint.read_checkpoint(last)
+        if isinstance(edit, dict):
+            counters.update(edit)
+        elif edit is None:
+            counters = None
+        else:
+            del counters[edit]
+        last.write_bytes(checkpoint.checkpoint_bytes(params, counters))
+        capsys.readouterr()
         assert main(["train", str(cfg_path), "--output-dir", str(out), "--resume"]) == 2
-        assert str(out / "trainer_state.json") in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(last) in err
+        assert message in err
 
     @pytest.mark.parametrize("command", ["attack", "report"])
     def test_checkpoint_architecture_mismatch_exit_code(self, tmp_path, capsys, command):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from atent import defenses
 from atent.attacks import AttackConfig, robust_accuracy
 from atent.data import synth_two_gaussians
 from atent.defenses import (
@@ -22,6 +23,7 @@ from atent.models import Batch, ModelParams, accuracy, build_mlp, loss_and_grads
 from atent.oracle import atent_outer_gradient, finite_difference_grad, relative_error
 from atent.sampler import GibbsSamplerConfig, init_perturbation, run_chain
 from atent.seeding import derive_rng
+from atent.tensor import NonFiniteError
 
 
 def _blobs(seed=0, n=200, sep=5.0):
@@ -405,6 +407,57 @@ class TestEarlyStopping:
         best_nat = max(r.nat_acc for r in state.history)
         assert state.best_metric == best_nat
         assert accuracy(state.snapshot_params(), val.inputs, val.labels) == best_nat
+
+
+class TestValidationForward:
+    """Each epoch forwards the validation set once; that pass gives both the
+    accuracy and the divergence probe's loss."""
+
+    def _count(self, monkeypatch):
+        calls = {"forward": 0, "batch_loss": 0}
+        forward, batch_loss = defenses.forward_logits, defenses.batch_loss
+
+        def counting_forward(params, inputs):
+            calls["forward"] += 1
+            return forward(params, inputs)
+
+        def counting_batch_loss(params, batch):
+            calls["batch_loss"] += 1
+            return batch_loss(params, batch)
+
+        monkeypatch.setattr(defenses, "forward_logits", counting_forward)
+        monkeypatch.setattr(defenses, "batch_loss", counting_batch_loss)
+        return calls
+
+    def _cfg(self):
+        return TrainerConfig(defense="sgd", lr=0.3, epochs=3, batch_size=32, seed=9,
+                             lr_schedule=[])
+
+    def test_one_forward_per_epoch(self, monkeypatch):
+        ds, _ = _blobs(seed=9, n=128)
+        val = synth_two_gaussians(80, 5.0, seed=100)  # more rows than the probe's 64
+        calls = self._count(monkeypatch)
+        state = train(build_mlp([2, 8, 2], seed=9), self._cfg(), ds, val)
+        assert calls == {"forward": 3, "batch_loss": 0}
+        assert state.history[-1].nat_acc == accuracy(state.params, val.inputs, val.labels)
+
+    def test_probe_on_training_rows_without_validation_set(self, monkeypatch):
+        ds, val = _blobs(seed=9, n=128)
+        calls = self._count(monkeypatch)
+        state = train(build_mlp([2, 8, 2], seed=9), self._cfg(), ds, val)
+        assert calls == {"forward": 0, "batch_loss": 3}
+        assert [r.nat_acc for r in state.history] == [None, None, None]
+
+    def test_non_finite_validation_forward_is_divergence(self, monkeypatch):
+        ds, _ = _blobs(seed=9, n=128)
+        val = synth_two_gaussians(80, 5.0, seed=100)
+
+        def overflowing(params, inputs):
+            raise NonFiniteError("matmul produced non-finite values")
+
+        monkeypatch.setattr(defenses, "forward_logits", overflowing)
+        with pytest.raises(DivergenceError, match="diverged at epoch 1"):
+            train(build_mlp([2, 8, 2], seed=9), self._cfg(), ds, val)
 
 
 class TestInterchangeability:

@@ -63,7 +63,8 @@ def test_install_then_restore_puts_every_binding_back():
 
 
 def test_traced_persisted_training_counts_each_commit_write(tmp_path):
-    # 3 epochs; validation accuracy improves at epochs 1 and 2
+    # 3 epochs, stopped after the first and resumed; validation accuracy
+    # improves at epochs 1 and 2
     cfg = parse_config_dict({
         "name": "toy", "seed": 9,
         "data": {"kind": "two_gaussians", "n": 120, "separation": 5.0},
@@ -77,16 +78,19 @@ def test_traced_persisted_training_counts_each_commit_write(tmp_path):
     tracer = tr.Tracer()
     patcher = tr.install(tracer, atent)
     try:
-        state = atent.experiment.run_training(cfg, output_dir=str(tmp_path))
+        atent.experiment.run_training(cfg, output_dir=str(tmp_path), stop_after=1)
+        state = atent.experiment.run_training(cfg, output_dir=str(tmp_path), resume=True)
     finally:
         patcher.restore()
     assert state.best_epoch == 2
+    assert [r.epoch for r in state.history] == [1, 2, 3]
     metrics = tr.layer_metrics(tracer)
-    # last.ckpt x3 and best.ckpt x2
-    assert metrics["checkpoint.save_checkpoint.calls"][0] == 5
-    # those 5, trainer_state.json x3, metrics.jsonl
-    assert metrics["checkpoint.atomic_write.calls"][0] == 9
+    # best.ckpt at epochs 1 and 2 (each also the first commit of its process)
+    assert metrics["checkpoint.save_checkpoint.calls"][0] == 2
+    # those 2, last.ckpt x3, metrics.jsonl
+    assert metrics["checkpoint.atomic_write.calls"][0] == 6
     assert metrics["checkpoint.best_write_useful_frac"][0] == 1.0
+    assert tracer.by_name()["experiment.on_epoch"]["calls"] == 3
 
 
 def test_traced_conv2d_counts_dx_by_the_tapes_leaves():
