@@ -155,10 +155,12 @@ def early_stop_update(state: TrainerState, record: EpochRecord,
     return state
 
 
-def _should_stop(state: TrainerState, es: EarlyStopConfig) -> bool:
-    if es.patience is None:
-        return False
-    return state.epoch - state.best_epoch >= es.patience
+def training_finished(state: TrainerState, cfg: TrainerConfig) -> bool:
+    """The run is over: it reached ``cfg.epochs``, or ``early_stop.patience``
+    epochs have passed without improvement."""
+    patience = cfg.early_stop.patience
+    return state.epoch >= cfg.epochs or (
+        patience is not None and state.epoch - state.best_epoch >= patience)
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +253,15 @@ def train(params: ModelParams, cfg: TrainerConfig, train_ds: Dataset,
 
     ``resume_state`` continues a previous run from its recorded epoch; all
     randomness is keyed by (seed, epoch, batch), so a resumed run retraces
-    the uninterrupted trajectory exactly. ``stop_after_epoch`` ends this
-    invocation early (resumable later); ``on_epoch(state)`` fires after each
-    epoch's record is appended.
+    the uninterrupted trajectory exactly, and a finished one
+    (:func:`training_finished`) is returned as it is. ``stop_after_epoch``
+    ends this invocation early (resumable later); ``on_epoch(state)`` fires
+    after each epoch's record is appended.
     """
     if resume_state is not None:
         state = resume_state
+        if training_finished(state, cfg):
+            return state
         params = state.params
         first_epoch = state.epoch + 1
     else:
@@ -297,7 +302,7 @@ def train(params: ModelParams, cfg: TrainerConfig, train_ds: Dataset,
         early_stop_update(state, record, es)
         if on_epoch is not None:
             on_epoch(state)
-        if _should_stop(state, es):
+        if training_finished(state, cfg):
             break
         if stop_after_epoch is not None and epoch >= stop_after_epoch:
             break

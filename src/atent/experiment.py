@@ -51,7 +51,7 @@ from .data import (
     synth_digits,
     synth_two_gaussians,
 )
-from .defenses import EpochRecord, TrainerState, train
+from .defenses import EpochRecord, TrainerState, train, training_finished
 from .models import ModelParams, accuracy, build_model
 from .reporting import EvalReport, EvalRow, write_decision_svg, write_report_csv
 from .smoothing import smooth_accuracy
@@ -272,15 +272,16 @@ def train_with_persistence(cfg: ExperimentConfig, out: Path,
     weights and counters land together, and resume cuts the stream back to
     the epoch it names. A crash before it leaves at most one record and a
     ``best.ckpt`` ahead of the commit; the resumed run retrains that epoch
-    and writes both again with the same bytes. A finished run writes
-    ``metrics.jsonl`` and removes the partial file.
+    and writes both again with the same bytes. A finished run (all epochs,
+    or ended by early stopping) writes ``metrics.jsonl`` and removes the
+    partial file; resuming it trains no further epoch.
     """
     last_ckpt = out / "last.ckpt"
     best_ckpt = out / "best.ckpt"
     partial = out / "metrics.jsonl.partial"
 
     state = _resume_state(cfg, out) if resume else None
-    if state is None or state.epoch < cfg.trainer.epochs:
+    if state is None or not training_finished(state, cfg.trainer):
         if state is None:
             partial.unlink(missing_ok=True)
         elif not partial.exists():  # a finished run trained further
@@ -302,7 +303,7 @@ def train_with_persistence(cfg: ExperimentConfig, out: Path,
             state = train(params0, cfg.trainer, train_ds, val_ds,
                           resume_state=state, stop_after_epoch=stop_after,
                           on_epoch=on_epoch)
-    if partial.exists() and (stop_after is None or state.epoch >= cfg.trainer.epochs):
+    if partial.exists() and training_finished(state, cfg.trainer):
         atomic_write_text(out / "metrics.jsonl", _metrics_text(state.history))
         partial.unlink()
     return state
@@ -356,15 +357,16 @@ def run_experiment(cfg: ExperimentConfig, output_dir: str | None = None,
     """Train (or resume), evaluate every configured attack at the
     early-stopped snapshot, and write report/metrics/checkpoints.
 
-    Returns None when training was interrupted by ``stop_after`` before the
-    configured epoch count (no report is produced for partial runs).
+    Returns None when ``stop_after`` interrupted training before it finished
+    (no report is produced for partial runs); a run that early stopping
+    ended is finished.
     """
     out = resolve_output_dir(cfg, output_dir)
     with output_lock(out):
         train_ds, val_ds, eval_ds = build_datasets(cfg.data, cfg.seed, data_dir)
         state = train_with_persistence(cfg, out, train_ds, val_ds,
                                        resume=resume, stop_after=stop_after)
-        if state.epoch < cfg.trainer.epochs:
+        if not training_finished(state, cfg.trainer):
             return None
         params = state.snapshot_params()
         report = evaluate_attacks(cfg, params, eval_ds)

@@ -8,7 +8,12 @@ numerical blowups surface at their source instead of three modules later.
 Ops: ``matmul``, ``add``, ``relu``, ``sum_all``, ``reshape``,
 ``conv2d``, ``max_pool2d``, ``softmax_cross_entropy``, and ``conv_block``,
 a whole CNN block (convolution plus bias, max-pool, ReLU) in one cache-blocked
-pass that computes the same values as those ops composed.
+pass that computes the same values as those ops composed. ``conv2d`` unfolds
+a zero-padded copy of its input (:func:`_im2col`, :func:`_col2im`);
+``conv_block``, always stride 1 with "same" padding, unfolds and folds each
+flattened input plane as shifted runs (:func:`_unfold_same`,
+:func:`_fold_same`) with the same values bit for bit, so ``conv2d`` is an
+independent reference for it.
 
 Typical use::
 
@@ -379,29 +384,90 @@ def _pool_scatter(g: np.ndarray, size: int, winner: np.ndarray, dx: np.ndarray) 
         np.multiply(g, won, out=dx[:, :, rows, cs])
 
 
+def _same_taps(h: int, w: int, kh: int, kw: int):
+    """(t, d, lo, hi, wrap) per tap t = ky*kw + kx of a stride-1 kernel
+    padded by kh//2 and kw//2, whose output keeps the h x w input size.
+
+    In a flattened plane the tap meets input q + d at output q, with d =
+    (ky - kh//2)*w + (kx - kw//2). The run lo <= q < hi keeps q + d inside
+    the plane (empty when the tap reaches past it); ``wrap`` slices the
+    output columns where q + d wraps into the neighbouring row, or is None
+    for a centre column tap."""
+    hw = h * w
+    for ky in range(kh):
+        for kx in range(kw):
+            sx = kx - kw // 2
+            d = (ky - kh // 2) * w + sx
+            lo, hi = min(hw, max(0, -d)), max(0, min(hw, hw - d))
+            wrap = (slice(max(0, w - sx), w) if sx > 0 else
+                    slice(0, min(w, -sx)) if sx < 0 else None)
+            yield ky * kw + kx, d, lo, hi, wrap
+
+
+def _unfold_same(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """The columns :func:`_im2col` takes of the zero-padded ``x`` (n, cin, h,
+    w) at stride 1 and padding kh//2, kw//2, as (n, cin*kh*kw, h*w), with no
+    padded copy: each tap is one shifted run of every flattened plane, and
+    0.0 is written where the tap reads the padding, at both ends of the run
+    and over the columns that wrap."""
+    n, cin, h, w = x.shape
+    xf = x.reshape(n, cin, h * w)
+    cols = np.empty((n, cin, kh * kw, h * w))
+    grid = cols.reshape(n, cin, kh * kw, h, w)
+    for t, d, lo, hi, wrap in _same_taps(h, w, kh, kw):
+        cols[:, :, t, lo:hi] = xf[:, :, lo + d:hi + d]
+        cols[:, :, t, :lo] = 0.0
+        cols[:, :, t, hi:] = 0.0
+        if wrap is not None:
+            grid[:, :, t, :, wrap] = 0.0
+    return cols.reshape(n, cin * kh * kw, h * w)
+
+
+def _fold_same(dcols: np.ndarray, shape, kh: int, kw: int) -> np.ndarray:
+    """Input gradient (n, cin, h, w) from the column gradients ``dcols`` (n,
+    cin*kh*kw, h*w) of :func:`_unfold_same`, bitwise equal to
+    :func:`_col2im`: the taps are added onto zeros in the same order, each
+    as one shifted run. ``dcols`` is overwritten with 0.0 at the columns a
+    tap reads across a row end, so a wrapped add adds +0.0, which leaves
+    every sum unchanged (a sum that starts from +0.0 is never -0.0)."""
+    n, cin, h, w = shape
+    dc = dcols.reshape(n, cin, kh * kw, h * w)
+    grid = dc.reshape(n, cin, kh * kw, h, w)
+    dx = np.zeros((n, cin, h * w))
+    for t, d, lo, hi, wrap in _same_taps(h, w, kh, kw):
+        if wrap is not None:
+            grid[:, :, t, :, wrap] = 0.0
+        dx[:, :, lo + d:hi + d] += dc[:, :, t, lo:hi]
+    return dx.reshape(shape)
+
+
 # Column-buffer elements conv_block unfolds at a time (4 MiB of float64).
-# Smaller blocks make GEMMs too small to run at speed; larger ones raise the
-# peak memory of large forward batches without making them faster.
+# The GEMMs run once per sample at any span, so the span trades the number
+# of passes over the blocks against the memory of the column buffer: at
+# 1 << 17, cnn_atent_train ran about 8% slower (3 of 3 benchmark pairs),
+# while cnn_attack_eval's peak RSS fell by about 5 MB.
 _BLOCK_COLS = 1 << 19
 
 
 def conv_block(x: Tensor, kernels: Tensor, bias: Tensor, pool: int = 2) -> Tensor:
     """One CNN block, relu(max_pool2d(conv2d(x, kernels, 1, kh // 2) + bias, pool)).
 
-    ``x`` is (n, c_in, h, w), ``kernels`` (c_out, c_in, kh, kw), ``bias``
-    (c_out,). The batch is worked through a block of samples at a time, as
-    many as fit :data:`_BLOCK_COLS` column elements: each block is unfolded
-    (:func:`_im2col`), multiplied into one reused pre-activation buffer, given
-    its bias and checked for finiteness (pooling and ReLU could hide a
+    ``x`` is (n, c_in, h, w), ``kernels`` (c_out, c_in, kh, kh) with kh odd,
+    ``bias`` (c_out,); the convolution keeps the h x w size. The batch is
+    worked through a block of samples at a time, as many as fit
+    :data:`_BLOCK_COLS` column elements: each block is unfolded
+    (:func:`_unfold_same`), multiplied into one reused pre-activation buffer,
+    given its bias and checked for finiteness (pooling and ReLU could hide a
     blowup), then max-pooled into the output through strided views. ReLU
     comes after the pool, on a quarter of the data; that is exact because
     ReLU is monotone, so it commutes with the max. Under a tape that tracks
     any operand the first maximum of each window is recorded, as in
     :func:`max_pool2d`. The pull makes the same pass over the blocks,
     unfolds each block again for ``dk`` rather than keeping the columns on
-    the tape, and computes ``dx``, ``dk`` and ``db`` only for tracked
-    operands (``None`` for the others). ``db`` is summed from the pooled
-    gradient, so it can differ from the unfused ops' in the last bits.
+    the tape, folds the column gradients into ``dx`` (:func:`_fold_same`),
+    and computes ``dx``, ``dk`` and ``db`` only for tracked operands
+    (``None`` for the others). ``db`` is summed from the pooled gradient, so
+    it can differ from the unfused ops' in the last bits.
     """
     if x.data.ndim != 4 or kernels.data.ndim != 4:
         raise TensorError(f"conv_block expects 4-D input/kernels, got {x.shape}, {kernels.shape}")
@@ -410,32 +476,32 @@ def conv_block(x: Tensor, kernels: Tensor, bias: Tensor, pool: int = 2) -> Tenso
     if kcin != cin or bias.shape != (cout,):
         raise TensorError(f"conv_block operands disagree: input {x.shape}, "
                           f"kernels {kernels.shape}, bias {bias.shape}")
+    if kh != kw or kh % 2 == 0:
+        raise TensorError(f"conv_block needs an odd square kernel, got {kh}x{kw}")
     pool = int(pool)
-    padding = kh // 2
-    oh, ow = h + 2 * padding - kh + 1, w + 2 * padding - kw + 1
-    if pool < 1 or oh < pool or ow < pool:
+    if pool < 1 or h < pool or w < pool:
         raise TensorError(f"conv_block pool {pool} too large for input {x.shape}")
-    ph, pw = oh // pool, ow // pool
+    ph, pw = h // pool, w // pool
 
     tape = _active_tape()
     want_dx, want_dk, want_db = (tape is not None and tape._tracks(t) for t in (x, kernels, bias))
     track = want_dx or want_dk or want_db
     km = kernels.data.reshape(cout, cin * kh * kw)
-    block = max(1, _BLOCK_COLS // (cin * kh * kw * oh * ow))
+    block = max(1, _BLOCK_COLS // (cin * kh * kw * h * w))
     spans = [(i, min(i + block, n)) for i in range(0, n, block)]
 
     def cols(i, j):
-        return _im2col(_pad(x.data[i:j], padding), kh, kw, 1, oh, ow)
+        return _unfold_same(x.data[i:j], kh, kw)
 
     out = np.empty((n, cout, ph, pw))
     winner = np.empty(out.shape, dtype=np.intp) if track else None
-    pre = np.empty((min(block, n), cout, oh * ow))
+    pre = np.empty((min(block, n), cout, h * w))
     for i, j in spans:
         a = pre[:j - i]
         np.matmul(km, cols(i, j), out=a)
         a += bias.data.reshape(1, cout, 1)
         _check_finite(a, "conv_block")
-        _pool_max(a.reshape(j - i, cout, oh, ow), pool, out[i:j],
+        _pool_max(a.reshape(j - i, cout, h, w), pool, out[i:j],
                   winner[i:j] if track else None)
         np.maximum(out[i:j], 0.0, out=out[i:j])
 
@@ -446,15 +512,14 @@ def conv_block(x: Tensor, kernels: Tensor, bias: Tensor, pool: int = 2) -> Tenso
             return None, None, db
         dk = np.empty((n, cout, cin * kh * kw)) if want_dk else None
         dx = np.empty(x.shape) if want_dx else None
-        ga = np.zeros((min(block, n), cout, oh, ow))  # cells outside every window stay 0
+        ga = np.zeros((min(block, n), cout, h, w))  # cells outside every window stay 0
         for i, j in spans:
             _pool_scatter(g[i:j], pool, winner[i:j], ga[:j - i])
-            gb = ga[:j - i].reshape(j - i, cout, oh * ow)
+            gb = ga[:j - i].reshape(j - i, cout, h * w)
             if want_dk:
                 np.matmul(gb, cols(i, j).transpose(0, 2, 1), out=dk[i:j])
             if want_dx:
-                dx[i:j] = _col2im(km.T @ gb, (j - i, cin, h + 2 * padding, w + 2 * padding),
-                                  kh, kw, 1, padding, oh, ow)
+                dx[i:j] = _fold_same(km.T @ gb, (j - i, cin, h, w), kh, kw)
         if want_dk:
             dk = dk.sum(axis=0).reshape(kernels.shape)
         return dx, dk, db

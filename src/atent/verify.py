@@ -107,6 +107,18 @@ def gradient_suite() -> list[CheckResult]:
         lambda: tc.softmax_cross_entropy(tc.reshape(tc.conv_block(cx, ck, cb, 2), (2, 27)), y27),
         (cx, ck, cb), GRAD_TOL))
 
+    # a 5x5 kernel reaches two columns past either edge of the 9x7 plane,
+    # a wrap of the shifted-run unfold and fold that 3x3 kernels never make
+    frng = np.random.default_rng(6)
+    fx = Tensor(frng.random((2, 2, 9, 7)))
+    fk = Tensor(frng.normal(size=(3, 2, 5, 5)))
+    fb = Tensor(0.1 * frng.normal(size=3))
+    y36 = Tensor(np.eye(36)[[7, 30]])
+    results.append(_fd_vs_autodiff(
+        "conv block, 5x5 kernel, 9x7 plane (input, kernels, bias)",
+        lambda: tc.softmax_cross_entropy(tc.reshape(tc.conv_block(fx, fk, fb, 2), (2, 36)), y36),
+        (fx, fk, fb), GRAD_TOL))
+
     r = Tensor(rng.random(30) * 2 - 1.0)
     results.append(_fd_vs_autodiff(
         "relu", lambda: tc.sum_all(tc.relu(r)), (r,), GRAD_TOL))

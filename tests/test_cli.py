@@ -344,6 +344,29 @@ class TestCliCommands:
                      str(tmp_path / "out2")]) == 0
         assert (tmp_path / "out2" / "report.csv").exists()
 
+    def test_early_stopped_run_is_finished(self, tmp_path):
+        # the toy reaches validation accuracy 1.0 at once, so patience 2
+        # ends the 20-epoch run after a few epochs
+        tree = toy_tree(epochs=20)
+        tree["trainer"]["early_stop"] = {"patience": 2}
+        cfg_path = write_cfg(tmp_path, tree)
+        out = tmp_path / "out"
+        assert main(["evaluate", str(cfg_path), "--output-dir", str(out)]) == 0
+        assert (out / "report.csv").exists() and not (out / "metrics.jsonl.partial").exists()
+        epochs = checkpoint.read_checkpoint(out / "last.ckpt")[1]["epoch"]
+        assert epochs < 20
+        assert len((out / "metrics.jsonl").read_text().splitlines()) == epochs
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        for _ in range(2):
+            assert main(["evaluate", str(cfg_path), "--output-dir", str(out), "--resume"]) == 0
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+        # a stop-after epoch past the early stop does not hold back the stream
+        stopped = tmp_path / "stopped"
+        assert main(["train", str(cfg_path), "--output-dir", str(stopped),
+                     "--stop-after", "19"]) == 0
+        assert (stopped / "metrics.jsonl").read_bytes() == first["metrics.jsonl"]
+        assert not (stopped / "metrics.jsonl.partial").exists()
+
     def test_train_stop_after_then_resume(self, tmp_path):
         cfg_path = write_cfg(tmp_path, toy_tree(epochs=4))
         out = tmp_path / "out"

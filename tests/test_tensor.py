@@ -220,6 +220,43 @@ class TestConv2d:
             assert relative_error(wg[name], finite_difference_grad(f, t.data.copy())) <= 1e-4
 
 
+_SAME_PLANES = [(28, 28), (14, 14), (7, 9), (11, 6), (2, 2)]
+
+
+class TestSameUnfoldFold:
+    """conv_block's shifted-run unfold and fold against conv2d's padded
+    helpers, byte for byte; 2x2 planes are smaller than a 5x5 kernel's reach."""
+
+    @pytest.mark.parametrize("cin", [1, 3])
+    @pytest.mark.parametrize("h,w", _SAME_PLANES)
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_unfold_equals_padded_im2col(self, k, h, w, cin):
+        rng = np.random.default_rng(40)
+        x = rng.normal(size=(2, cin, h, w))
+        x[rng.random(x.shape) < 0.2] = -0.0
+        got = tc._unfold_same(x, k, k)
+        ref = tc._im2col(tc._pad(x, k // 2), k, k, 1, h, w)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("cin", [1, 3])
+    @pytest.mark.parametrize("h,w", _SAME_PLANES)
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_fold_equals_col2im(self, k, h, w, cin):
+        # half the column gradients are small integers, so some sums cancel
+        # to exactly 0; about half of the zeros are -0.0
+        rng = np.random.default_rng(41)
+        shape = (2, cin * k * k, h * w)
+        dcols = np.where(rng.random(shape) < 0.5, rng.integers(-2, 3, size=shape),
+                         rng.normal(size=shape))
+        dcols[(dcols == 0.0) & (rng.random(shape) < 0.5)] = -0.0
+        dcols[:, 0, 0] = -0.0
+        p = k // 2
+        ref = tc._col2im(dcols.copy(), (2, cin, h + 2 * p, w + 2 * p), k, k, 1, p, h, w)
+        got = tc._fold_same(dcols.copy(), (2, cin, h, w), k, k)
+        assert got.shape == ref.shape
+        assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
+
+
 def _unfused_block(x, k, b, pool=2):
     """The reference composition conv_block replaces."""
     return tc.relu(tc.max_pool2d(tc.add(tc.conv2d(x, k, 1, k.shape[2] // 2), b), pool))
@@ -264,6 +301,20 @@ class TestConvBlock:
         else:
             assert np.array_equal(dk, rdk)
             assert np.max(np.abs(db - rdb)) <= 1e-15
+
+    def test_five_by_five_kernel_matches_unfused_ops_bitwise(self):
+        # a 9x7 plane: the kernel reaches two columns past either edge
+        rng = np.random.default_rng(24)
+        x0 = rng.integers(-2, 3, size=(3, 2, 9, 7)).astype(float)
+        k0 = rng.integers(-1, 2, size=(4, 2, 5, 5)).astype(float)
+        b0 = rng.integers(-1, 2, size=4).astype(float)
+        labels = Tensor(np.eye(4 * 4 * 3)[rng.integers(0, 48, 3)])
+        out, (dx, dk, _) = _block_values_and_grads(
+            lambda x, k, b: tc.conv_block(x, k, b, 2), x0, k0, b0, labels, "both")
+        ref_out, (rdx, rdk, _) = _block_values_and_grads(
+            _unfused_block, x0, k0, b0, labels, "both")
+        assert np.array_equal(out, ref_out) and np.array_equal(dx, rdx)
+        assert np.array_equal(dk, rdk)
 
     def test_pull_returns_none_for_untracked_operands(self):
         rng = np.random.default_rng(22)
@@ -316,6 +367,9 @@ class TestConvBlock:
             tc.conv_block(x, Tensor(np.ones((3, 1, 3, 3))), Tensor(np.zeros(3)))
         with pytest.raises(TensorError):
             tc.conv_block(x, Tensor(np.ones((3, 2, 3, 3))), Tensor(np.zeros(2)))
+        for kh, kw in ((4, 4), (2, 2), (3, 5), (5, 3)):
+            with pytest.raises(TensorError, match="odd square kernel"):
+                tc.conv_block(x, Tensor(np.ones((3, 2, kh, kw))), Tensor(np.zeros(3)))
 
 
 class TestRelu:
