@@ -26,9 +26,9 @@ LINF = "linf"
 
 @dataclass
 class AttackConfig:
+    radius: float
     kind: str = PGD
     norm: str = LINF
-    radius: float = 0.0
     steps: int = 1
     step_size: float = 0.0
     restarts: int = 1

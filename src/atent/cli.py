@@ -17,6 +17,7 @@ from .checkpoint import CheckpointError, atomic_write_text, load_checkpoint
 from .config import ConfigError, parse_config
 from .data import IdxFormatError
 from .tensor import TensorError
+from .verify import SUITES, run_suites
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -59,8 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="drop abstentions from the denominator instead of counting them wrong")
 
     p = sub.add_parser("verify", help="run the numerical verification suites")
-    p.add_argument("--suite", default="all",
-                   choices=["gradients", "sampler", "lemma1", "all"])
+    p.add_argument("--suite", default="all", choices=[*SUITES, "all"])
     p.add_argument("--output-dir", default=None,
                    help="also write verify_report.json and sampler_hist.svg here")
 
@@ -131,8 +131,6 @@ def _cmd_smooth_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import run_suites
-
     results = run_suites(args.suite)
     for res in results:
         print(res.line())

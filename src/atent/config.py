@@ -1,93 +1,45 @@
 """Experiment configuration: a strict JSON key tree.
 
-Unknown keys are errors (reported with their full path), as are constraint
-violations from the underlying dataclasses. Every default lives here, in
-one place.
+Each section is read into the dataclass it configures. Its keys are the
+dataclass's fields, each value must match its field's annotation, and a key
+that is left out takes the field's default. So every default lives once, on
+its dataclass: ``GibbsSamplerConfig``, ``AttackConfig``, ``EarlyStopConfig``,
+``TrainerConfig`` and ``SmoothingConfig`` in their modules, ``DataSpec`` and
+``ExperimentConfig`` here. Beyond the fields, this module knows only:
+
+- the master ``seed``, which fills every ``seed`` that a section leaves out;
+- ``record_timing``, a root key that is copied into the trainer;
+- the keys that ``data`` takes for each kind, and the two model kinds, read
+  into the descriptor dict that ``models.build_model`` takes.
+
+``null`` for a section, or for a key that may be None, leaves the key out.
+Unknown keys, wrong types and the dataclasses' constraint violations are
+errors, reported with their full path.
 """
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
+import types
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 from .attacks import AttackConfig
-from .defenses import EarlyStopConfig, TrainerConfig
-from .sampler import GibbsSamplerConfig
+from .defenses import TrainerConfig
 from .smoothing import SmoothingConfig
-
-_REQUIRED = object()
 
 
 class ConfigError(ValueError):
     """Bad experiment config: syntax, unknown key, or constraint violation."""
 
 
-class _Section:
-    def __init__(self, mapping, path: str, allowed: frozenset | None = None):
-        if not isinstance(mapping, dict):
-            raise ConfigError(f"{path or '<root>'}: expected an object")
-        self.mapping = dict(mapping)
-        self.path = path
-        if allowed is not None:
-            for key in sorted(self.mapping):
-                if key not in allowed:
-                    raise ConfigError(f"unknown key {self._fullkey(key)!r}")
+# The keys of ``data`` besides ``kind`` and ``val_fraction``, per kind.
+_DATA_KINDS = {
+    "mnist_binary": ("class_a", "class_b", "cap_per_class", "data_dir"),
+    "digits_binary": ("class_a", "class_b", "n_per_class"),
+    "two_gaussians": ("n", "separation"),
+}
 
-    def _fullkey(self, key):
-        return f"{self.path}.{key}" if self.path else key
-
-    def take(self, key, default=_REQUIRED, kind=None):
-        if key not in self.mapping:
-            if default is _REQUIRED:
-                raise ConfigError(f"missing required key {self._fullkey(key)!r}")
-            return default
-        value = self.mapping.pop(key)
-        if kind is not None and not isinstance(value, kind):
-            names = kind.__name__ if isinstance(kind, type) else "/".join(k.__name__ for k in kind)
-            raise ConfigError(f"{self._fullkey(key)}: expected {names}")
-        return value
-
-    def take_number(self, key, default=_REQUIRED):
-        value = self.take(key, default)
-        if value is default and default is not _REQUIRED:
-            return value
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{self._fullkey(key)}: expected a number")
-        return float(value)
-
-    def take_int(self, key, default=_REQUIRED):
-        value = self.take(key, default)
-        if value is default and default is not _REQUIRED:
-            return value
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{self._fullkey(key)}: expected an integer")
-        return value
-
-    def subsection(self, key, default=_REQUIRED, allowed=None):
-        value = self.take(key, default)
-        if value is default and default is not _REQUIRED:
-            return None
-        return _Section(value, self._fullkey(key), allowed)
-
-    def finish(self):
-        if self.mapping:
-            key = sorted(self.mapping)[0]
-            raise ConfigError(f"unknown key {self._fullkey(key)!r}")
-
-
-_SAMPLER_KEYS = frozenset({"gamma", "step", "steps", "noise_scale", "ema", "norm",
-                           "init_radius", "loss_cap", "linf_mode"})
-_ATTACK_KEYS = frozenset({"kind", "norm", "radius", "steps", "step_size", "restarts",
-                          "random_start", "seed", "sampler"})
-_EARLY_KEYS = frozenset({"metric", "patience", "eval_attack"})
-_TRAINER_KEYS = frozenset({"defense", "lr", "epochs", "batch_size", "seed",
-                           "lr_schedule", "weight_decay", "sampler", "pgd",
-                           "early_stop"})
-_DATA_KEYS = frozenset({"kind", "val_fraction", "class_a", "class_b", "cap_per_class",
-                        "data_dir", "n_per_class", "n", "separation"})
-_MODEL_KEYS = frozenset({"kind", "widths", "channels", "fc_widths", "in_shape"})
-_SMOOTH_KEYS = frozenset({"sigma", "n_samples", "abstain_margin", "seed"})
-_ROOT_KEYS = frozenset({"name", "seed", "record_timing", "data", "model", "trainer",
-                        "attacks", "smoothing", "output_dir", "eval_batch_size"})
 
 @dataclass
 class DataSpec:
@@ -101,185 +53,139 @@ class DataSpec:
     data_dir: str | None = None
     val_fraction: float = 0.1
 
+    def __post_init__(self):
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise ValueError("val_fraction must lie in [0, 1)")
+
+
+@dataclass
+class _Mlp:
+    kind: str
+    widths: list[int]
+
+
+@dataclass
+class _Cnn:
+    kind: str
+    channels: list[int]
+    fc_widths: list[int]
+    in_shape: tuple[int, int, int] = (1, 28, 28)
+
+
+_MODEL_KINDS = {"mlp": _Mlp, "cnn": _Cnn}
+
 
 @dataclass
 class ExperimentConfig:
     name: str
-    seed: int
     data: DataSpec
     model: dict
     trainer: TrainerConfig
-    attacks: list[AttackConfig]
+    seed: int = 0
+    attacks: list[AttackConfig] = field(default_factory=list)
     smoothing: SmoothingConfig | None = None
     output_dir: str | None = None
     record_timing: bool = False
     eval_batch_size: int = 256
 
+    def __post_init__(self):
+        if not self.name or any(c in self.name for c in "/\\\0 \t\n"):
+            raise ValueError("name must be non-empty and filesystem-safe")
 
-def _build(factory, path: str, /, **kwargs):
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _object(tree, path: str) -> dict:
+    if not isinstance(tree, dict):
+        raise ConfigError(f"{path or '<root>'}: expected an object")
+    return tree
+
+
+@functools.cache
+def _hints(cls) -> dict:
+    return typing.get_type_hints(cls)
+
+
+def _kind(tree, path: str, kinds: dict, what: str) -> str:
+    if "kind" not in _object(tree, path):
+        raise ConfigError(f"missing required key {path + '.kind'!r}")
+    kind = tree["kind"]
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"{path}.kind: unknown {what} kind {kind!r}")
+    return kind
+
+
+def _read(cls, tree, path: str, seed: int, keys=None):
+    """Build the dataclass ``cls`` from the JSON object ``tree``, whose keys
+    may be ``keys`` (by default, every field of ``cls``). A key that is left
+    out is not passed, so its field's default applies; a ``seed`` that is
+    left out is the master ``seed``."""
+    hints = _hints(cls)
+    for key in sorted(_object(tree, path)):
+        if key not in (hints if keys is None else keys):
+            raise ConfigError(f"unknown key {_join(path, key)!r}")
+    kwargs = {"seed": seed} if "seed" in hints else {}
+    for f in fields(cls):
+        key = _join(path, f.name)
+        value = _value(hints[f.name], tree[f.name], key, seed) if f.name in tree else None
+        if value is not None:
+            kwargs[f.name] = value
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing required key {key!r}")
     try:
-        return factory(**kwargs)
+        return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{path}: {exc}" if path else str(exc)) from exc
 
 
-def _parse_sampler(sec: _Section | None) -> GibbsSamplerConfig | None:
-    if sec is None:
-        return None
-    kwargs = dict(
-        gamma=sec.take_number("gamma"),
-        step=sec.take_number("step"),
-        steps=sec.take_int("steps"),
-        noise_scale=sec.take_number("noise_scale", 0.0),
-        ema=sec.take_number("ema", 1.0),
-        norm=sec.take("norm", "l2", kind=str),
-        init_radius=sec.take_number("init_radius", None),
-        loss_cap=sec.take_number("loss_cap", float("inf")),
-        linf_mode=sec.take("linf_mode", "final_projection", kind=str),
-    )
-    sec.finish()
-    return _build(GibbsSamplerConfig, sec.path, **kwargs)
-
-
-def _parse_attack(sec: _Section, default_seed: int) -> AttackConfig:
-    kwargs = dict(
-        kind=sec.take("kind", "pgd", kind=str),
-        norm=sec.take("norm", "linf", kind=str),
-        radius=sec.take_number("radius"),
-        steps=sec.take_int("steps", 1),
-        step_size=sec.take_number("step_size", 0.0),
-        restarts=sec.take_int("restarts", 1),
-        random_start=sec.take("random_start", False, kind=bool),
-        seed=sec.take_int("seed", default_seed),
-        sampler=_parse_sampler(sec.subsection("sampler", None, _SAMPLER_KEYS)),
-    )
-    sec.finish()
-    return _build(AttackConfig, sec.path, **kwargs)
-
-
-def _parse_early_stop(sec: _Section | None, default_seed: int) -> EarlyStopConfig:
-    if sec is None:
-        return EarlyStopConfig()
-    attack_sec = sec.subsection("eval_attack", None, _ATTACK_KEYS)
-    kwargs = dict(
-        metric=sec.take("metric", "natural", kind=str),
-        patience=sec.take_int("patience", None),
-        eval_attack=_parse_attack(attack_sec, default_seed) if attack_sec else None,
-    )
-    sec.finish()
-    return _build(EarlyStopConfig, sec.path, **kwargs)
-
-
-def _parse_trainer(sec: _Section, master_seed: int, record_timing: bool) -> TrainerConfig:
-    schedule = sec.take("lr_schedule", None, kind=list)
-    if schedule is not None:
-        try:
-            schedule = [(int(e), float(f)) for e, f in schedule]
-        except (TypeError, ValueError):
-            raise ConfigError(f"{sec.path}.lr_schedule: expected [[epoch, factor], ...]")
-    pgd_sec = sec.subsection("pgd", None, _ATTACK_KEYS)
-    kwargs = dict(
-        defense=sec.take("defense", kind=str),
-        lr=sec.take_number("lr"),
-        epochs=sec.take_int("epochs"),
-        batch_size=sec.take_int("batch_size"),
-        seed=sec.take_int("seed", master_seed),
-        lr_schedule=schedule,
-        weight_decay=sec.take_number("weight_decay", 0.0),
-        sampler=_parse_sampler(sec.subsection("sampler", None, _SAMPLER_KEYS)),
-        pgd=_parse_attack(pgd_sec, master_seed) if pgd_sec else None,
-        early_stop=_parse_early_stop(sec.subsection("early_stop", None, _EARLY_KEYS), master_seed),
-        record_timing=record_timing,
-    )
-    sec.finish()
-    return _build(TrainerConfig, sec.path, **kwargs)
-
-
-def _parse_data(sec: _Section) -> DataSpec:
-    kind = sec.take("kind", kind=str)
-    if kind not in ("mnist_binary", "digits_binary", "two_gaussians"):
-        raise ConfigError(f"{sec.path}.kind: unknown dataset kind {kind!r}")
-    kwargs = dict(kind=kind, val_fraction=sec.take_number("val_fraction", 0.1))
-    if kind == "mnist_binary":
-        kwargs.update(
-            class_a=sec.take_int("class_a", 5),
-            class_b=sec.take_int("class_b", 8),
-            cap_per_class=sec.take_int("cap_per_class", 1000),
-            data_dir=sec.take("data_dir", None, kind=str),
-        )
-    elif kind == "digits_binary":
-        kwargs.update(
-            class_a=sec.take_int("class_a", 5),
-            class_b=sec.take_int("class_b", 8),
-            n_per_class=sec.take_int("n_per_class", 1000),
-        )
-    else:
-        kwargs.update(n=sec.take_int("n", 400), separation=sec.take_number("separation", 4.0))
-    sec.finish()
-    if not 0.0 <= kwargs["val_fraction"] < 1.0:
-        raise ConfigError(f"{sec.path}.val_fraction: must lie in [0, 1)")
-    return DataSpec(**kwargs)
-
-
-def _parse_model(sec: _Section) -> dict:
-    kind = sec.take("kind", kind=str)
-    if kind == "mlp":
-        widths = sec.take("widths", kind=list)
-        descriptor = {"kind": "mlp", "widths": [int(w) for w in widths]}
-    elif kind == "cnn":
-        descriptor = {
-            "kind": "cnn",
-            "channels": [int(c) for c in sec.take("channels", kind=list)],
-            "fc_widths": [int(w) for w in sec.take("fc_widths", kind=list)],
-            "in_shape": tuple(int(s) for s in sec.take("in_shape", [1, 28, 28], kind=list)),
-        }
-    else:
-        raise ConfigError(f"{sec.path}.kind: unknown model kind {kind!r}")
-    sec.finish()
-    return descriptor
+def _value(hint, value, path: str, seed: int):
+    """``value`` read as the annotation ``hint``, or None for a ``null`` that
+    leaves its key out."""
+    if isinstance(hint, types.UnionType):  # X | None
+        if value is None:
+            return None
+        hint = typing.get_args(hint)[0]
+    if hint is DataSpec:
+        kind = _kind(value, path, _DATA_KINDS, "dataset")
+        return _read(hint, value, path, seed, ("kind", "val_fraction", *_DATA_KINDS[kind]))
+    if hint is TrainerConfig:  # its record_timing is the root's
+        return _read(hint, value, path, seed, _hints(hint).keys() - {"record_timing"})
+    if hint is dict:  # the model descriptor
+        kind = _kind(value, path, _MODEL_KINDS, "model")
+        return vars(_read(_MODEL_KINDS[kind], value, path, seed))
+    if is_dataclass(hint):
+        return None if value is None else _read(hint, value, path, seed)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is list or origin is tuple:
+        if origin is tuple and not (isinstance(value, list) and len(value) == len(args)):
+            raise ConfigError(f"{path}: expected a list of {len(args)} items")
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list")
+        items = args if origin is tuple else args * len(value)
+        return origin(_value(h, v, f"{path}[{i}]", seed)
+                      for i, (h, v) in enumerate(zip(items, value)))
+    if hint is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{path}: expected a number")
+        return float(value)
+    if hint is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{path}: expected an integer")
+        return value
+    if not isinstance(value, hint):
+        raise ConfigError(f"{path}: expected {hint.__name__}")
+    return value
 
 
 def parse_config_dict(tree: dict, path: str = "") -> ExperimentConfig:
-    root = _Section(tree, path, _ROOT_KEYS)
-    name = root.take("name", kind=str)
-    if not name or any(c in name for c in "/\\\0 \t\n"):
-        raise ConfigError("name: must be non-empty and filesystem-safe")
-    seed = root.take_int("seed", 0)
-    record_timing = root.take("record_timing", False, kind=bool)
-    data = _parse_data(root.subsection("data", allowed=_DATA_KEYS))
-    model = _parse_model(root.subsection("model", allowed=_MODEL_KEYS))
-    trainer = _parse_trainer(root.subsection("trainer", allowed=_TRAINER_KEYS), seed, record_timing)
-    attack_list = root.take("attacks", [], kind=list)
-    attacks = [
-        _parse_attack(_Section(entry, f"attacks[{i}]", _ATTACK_KEYS), seed)
-        for i, entry in enumerate(attack_list)
-    ]
-    smoothing_sec = root.subsection("smoothing", None, _SMOOTH_KEYS)
-    smoothing = None
-    if smoothing_sec is not None:
-        kwargs = dict(
-            sigma=smoothing_sec.take_number("sigma"),
-            n_samples=smoothing_sec.take_int("n_samples", 1000),
-            abstain_margin=smoothing_sec.take_number("abstain_margin", 0.0),
-            seed=smoothing_sec.take_int("seed", seed),
-        )
-        smoothing_sec.finish()
-        smoothing = _build(SmoothingConfig, smoothing_sec.path, **kwargs)
-    output_dir = root.take("output_dir", None, kind=str)
-    eval_batch_size = root.take_int("eval_batch_size", 256)
-    root.finish()
-    return ExperimentConfig(
-        name=name,
-        seed=seed,
-        data=data,
-        model=model,
-        trainer=trainer,
-        attacks=attacks,
-        smoothing=smoothing,
-        output_dir=output_dir,
-        record_timing=record_timing,
-        eval_batch_size=eval_batch_size,
-    )
+    seed = ExperimentConfig.seed
+    if "seed" in _object(tree, path):
+        seed = _value(int, tree["seed"], _join(path, "seed"), seed)
+    cfg = _read(ExperimentConfig, tree, path, seed)
+    cfg.trainer.record_timing = cfg.record_timing
+    return cfg
 
 
 def parse_config(path) -> ExperimentConfig:

@@ -40,7 +40,10 @@ class DivergenceError(RuntimeError):
 @dataclass
 class EarlyStopConfig:
     metric: str = "natural"                  # "natural" | "robust"
-    patience: int | None = None              # epochs without improvement; None = never stop
+    # Epochs without improvement; None = never stop. Counted from the first
+    # epoch that tracks the metric: with no validation data nothing is
+    # tracked, and patience never stops the run.
+    patience: int | None = None
     eval_attack: AttackConfig | None = None  # required when metric == "robust"
 
     def __post_init__(self):
@@ -157,10 +160,11 @@ def early_stop_update(state: TrainerState, record: EpochRecord,
 
 def training_finished(state: TrainerState, cfg: TrainerConfig) -> bool:
     """The run is over: it reached ``cfg.epochs``, or ``early_stop.patience``
-    epochs have passed without improvement."""
+    epochs have passed without improvement since an epoch tracked the metric."""
     patience = cfg.early_stop.patience
     return state.epoch >= cfg.epochs or (
-        patience is not None and state.epoch - state.best_epoch >= patience)
+        patience is not None and state.best_epoch >= 1
+        and state.epoch - state.best_epoch >= patience)
 
 
 # ---------------------------------------------------------------------------

@@ -173,7 +173,7 @@ def build_model(descriptor: dict, seed: int) -> ModelParams:
         descriptor["channels"],
         descriptor["fc_widths"],
         seed,
-        in_shape=descriptor.get("in_shape", (1, 28, 28)),
+        in_shape=descriptor["in_shape"],
     )
 
 

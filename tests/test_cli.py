@@ -166,6 +166,15 @@ class TestPipeline:
         with pytest.raises(ExperimentError, match="missing IDX"):
             build_datasets(cfg.data, cfg.seed, data_dir=str(tmp_path / "nowhere"))
 
+    @pytest.mark.parametrize("patience", [1, 2, 3])
+    def test_patience_without_validation_never_stops(self, tmp_path, patience):
+        tree = toy_tree(epochs=10)
+        tree["data"]["val_fraction"] = 0.0
+        tree["trainer"]["early_stop"] = {"patience": patience}
+        state = run_training(parse_config_dict(tree), output_dir=str(tmp_path / "out"))
+        assert [r.epoch for r in state.history] == list(range(1, 11))
+        assert state.best_epoch == -1
+
 
 class TestEpochCommit:
     """Which files each epoch's commit writes. The 6-epoch toy run improves

@@ -1,9 +1,22 @@
 """Strict config parsing: defaults, unknown keys, constraint paths."""
+import copy
 import json
+import re
+from dataclasses import MISSING, fields, is_dataclass
 
 import pytest
 
-from atent.config import ConfigError, parse_config, parse_config_dict
+from atent.attacks import AttackConfig
+from atent.config import (
+    ConfigError,
+    DataSpec,
+    ExperimentConfig,
+    parse_config,
+    parse_config_dict,
+)
+from atent.defenses import EarlyStopConfig, TrainerConfig
+from atent.sampler import GibbsSamplerConfig
+from atent.smoothing import SmoothingConfig
 
 
 def minimal_tree(**overrides):
@@ -115,4 +128,164 @@ class TestParsing:
         tree = minimal_tree()
         tree["model"] = {"kind": "transformer"}
         with pytest.raises(ConfigError, match="model kind"):
+            parse_config_dict(tree)
+
+
+# Every key of every section, each set away from its default. ``data`` takes
+# different keys per kind, so each kind is paired with one model below.
+DATA_BY_KIND = {
+    "mnist_binary": {"kind": "mnist_binary", "class_a": 3, "class_b": 7,
+                     "cap_per_class": 50, "data_dir": "idx", "val_fraction": 0.25},
+    "digits_binary": {"kind": "digits_binary", "class_a": 1, "class_b": 2,
+                      "n_per_class": 30, "val_fraction": 0.0},
+    "two_gaussians": {"kind": "two_gaussians", "n": 60, "separation": 2.5,
+                      "val_fraction": 0.3},
+}
+MODEL_BY_KIND = {
+    "mlp": {"kind": "mlp", "widths": [2, 5, 2]},
+    "cnn": {"kind": "cnn", "channels": [3], "fc_widths": [5, 2], "in_shape": [1, 12, 12]},
+}
+FULL_SAMPLER = {"gamma": 4.0, "step": 0.2, "steps": 3, "noise_scale": 0.1, "ema": 0.4,
+                "norm": "linf", "init_radius": 0.01, "loss_cap": 9.0,
+                "linf_mode": "per_step_projection"}
+
+
+def full_tree(data_kind="mnist_binary", model_kind="cnn"):
+    return copy.deepcopy({
+        "name": "full", "seed": 17, "record_timing": True, "output_dir": "runs/full",
+        "eval_batch_size": 64,
+        "data": DATA_BY_KIND[data_kind],
+        "model": MODEL_BY_KIND[model_kind],
+        "trainer": {
+            "defense": "atent_linf", "lr": 0.02, "epochs": 7, "batch_size": 9, "seed": 4,
+            "lr_schedule": [[3, 0.5], [6, 0.2]], "weight_decay": 0.001,
+            "sampler": FULL_SAMPLER,
+            "pgd": {"kind": "atent", "norm": "l2", "radius": 0.4, "steps": 4,
+                    "step_size": 0.2, "restarts": 3, "random_start": True, "seed": 8,
+                    "sampler": {**FULL_SAMPLER, "gamma": 3.0}},
+            "early_stop": {"metric": "robust", "patience": 2,
+                           "eval_attack": {"kind": "atent", "norm": "l2", "radius": 0.2,
+                                           "steps": 2, "step_size": 0.1, "restarts": 2,
+                                           "random_start": True, "seed": 11,
+                                           "sampler": FULL_SAMPLER}},
+        },
+        "attacks": [{"kind": "atent", "norm": "l2", "radius": 0.6, "steps": 5,
+                     "step_size": 0.3, "restarts": 2, "random_start": True, "seed": 12,
+                     "sampler": FULL_SAMPLER}],
+        "smoothing": {"sigma": 0.3, "n_samples": 77, "abstain_margin": 0.2, "seed": 13},
+    })
+
+
+def _plain(value):
+    return json.loads(json.dumps(value))
+
+
+def _assert_reached(section: dict, obj, path: str) -> None:
+    """Every key of ``section`` reached its field of ``obj``, and none holds
+    its field's default (so a dropped key cannot pass unseen)."""
+    by_name = {f.name: f for f in fields(obj)}
+    for key, value in section.items():
+        got, f = getattr(obj, key), by_name[key]
+        assert f.default is MISSING or _plain(f.default) != value, f"{path}.{key} is a default"
+        if is_dataclass(got):
+            _assert_reached(value, got, f"{path}.{key}")
+        elif isinstance(got, list) and got and is_dataclass(got[0]):
+            for i, (v, g) in enumerate(zip(value, got, strict=True)):
+                _assert_reached(v, g, f"{path}.{key}[{i}]")
+        else:
+            assert _plain(got) == value, f"{path}.{key}"
+
+
+class TestEveryKey:
+    @pytest.mark.parametrize("data_kind,model_kind", [
+        ("mnist_binary", "cnn"), ("digits_binary", "mlp"), ("two_gaussians", "cnn")])
+    def test_each_value_reaches_its_field(self, data_kind, model_kind):
+        tree = full_tree(data_kind, model_kind)
+        cfg = parse_config_dict(tree)
+        _assert_reached(tree, cfg, "<root>")
+        assert cfg.trainer.record_timing is True  # copied from the root
+
+    def test_full_tree_sets_every_field(self):
+        tree = full_tree()
+        sections = [
+            (tree, ExperimentConfig, set()),
+            (tree["trainer"], TrainerConfig, {"record_timing"}),
+            (tree["trainer"]["sampler"], GibbsSamplerConfig, set()),
+            (tree["trainer"]["pgd"], AttackConfig, set()),
+            (tree["trainer"]["early_stop"], EarlyStopConfig, set()),
+            (tree["attacks"][0], AttackConfig, set()),
+            (tree["smoothing"], SmoothingConfig, set()),
+        ]
+        for section, cls, from_root in sections:
+            assert set(section) == {f.name for f in fields(cls)} - from_root, cls.__name__
+        data_keys = set().union(*DATA_BY_KIND.values())
+        assert data_keys == {f.name for f in fields(DataSpec)}
+
+    def test_omitted_seeds_take_the_master_seed(self):
+        tree = full_tree()
+        for section in (tree["trainer"], tree["trainer"]["pgd"],
+                        tree["trainer"]["early_stop"]["eval_attack"], tree["attacks"][0],
+                        tree["smoothing"]):
+            del section["seed"]
+        cfg = parse_config_dict(tree)
+        seeds = [cfg.trainer.seed, cfg.trainer.pgd.seed,
+                 cfg.trainer.early_stop.eval_attack.seed, cfg.attacks[0].seed,
+                 cfg.smoothing.seed]
+        assert seeds == [17] * 5
+
+
+class TestStrictValues:
+    @pytest.mark.parametrize("edit,path", [
+        (lambda t: t["trainer"].update(lr_schedule=[["2", 0.1]]), "trainer.lr_schedule[0][0]"),
+        (lambda t: t["trainer"].update(lr_schedule=[[2.5, 0.1]]), "trainer.lr_schedule[0][0]"),
+        (lambda t: t["trainer"].update(lr_schedule=[[2]]), "trainer.lr_schedule[0]"),
+        (lambda t: t["model"].update(channels=[2.0]), "model.channels[0]"),
+        (lambda t: t["model"].update(fc_widths=[5, "2"]), "model.fc_widths[1]"),
+        (lambda t: t["model"].update(in_shape=[1, 12.0, 12]), "model.in_shape[1]"),
+        (lambda t: t["model"].update(in_shape=[1, 12]), "model.in_shape"),
+        (lambda t: t["model"].update(in_shape=[1, 12, 12, 1]), "model.in_shape"),
+        (lambda t: t.update(model={"kind": "mlp", "widths": [2, 5.0, 2]}), "model.widths[1]"),
+        (lambda t: t.update(model={"kind": "mlp", "widths": ["2", 5, 2]}), "model.widths[0]"),
+        (lambda t: t["data"].update(kind=3), "data.kind: unknown dataset kind"),
+    ])
+    def test_malformed_value_names_its_path(self, edit, path):
+        tree = full_tree()
+        edit(tree)
+        with pytest.raises(ConfigError, match=re.escape(path)):
+            parse_config_dict(tree)
+
+    @pytest.mark.parametrize("edit,path", [
+        (lambda t: t["trainer"]["sampler"].pop("gamma"), "trainer.sampler.gamma"),
+        (lambda t: t["attacks"][0].pop("radius"), "attacks[0].radius"),
+        (lambda t: t["smoothing"].pop("sigma"), "smoothing.sigma"),
+    ])
+    def test_missing_required_key_names_its_path(self, edit, path):
+        tree = full_tree()
+        edit(tree)
+        with pytest.raises(ConfigError, match=re.escape(f"missing required key '{path}'")):
+            parse_config_dict(tree)
+
+    def test_null_section_is_absent(self):
+        cfg = parse_config_dict(minimal_tree(smoothing=None))
+        assert cfg.smoothing is None
+        tree = minimal_tree()
+        tree["trainer"]["early_stop"] = None
+        assert parse_config_dict(tree).trainer.early_stop == EarlyStopConfig()
+
+    def test_null_is_absent_for_a_key_that_may_be_none(self):
+        tree = minimal_tree(output_dir=None)
+        tree["trainer"].update(lr_schedule=None, early_stop={"patience": None})
+        cfg = parse_config_dict(tree)
+        assert (cfg.output_dir, cfg.trainer.lr_schedule, cfg.trainer.early_stop.patience) \
+            == (None, None, None)
+
+    @pytest.mark.parametrize("edit,path", [
+        (lambda t: t.update(seed=True), "seed"),
+        (lambda t: t["trainer"].update(epochs=True), "trainer.epochs"),
+        (lambda t: t.update(smoothing={"sigma": 0.1, "n_samples": False}), "smoothing.n_samples"),
+    ])
+    def test_bool_is_not_an_integer(self, edit, path):
+        tree = minimal_tree()
+        edit(tree)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: expected an integer")):
             parse_config_dict(tree)

@@ -10,6 +10,9 @@ can be checked against its parent with one command per tree:
 Each line is ``<sha256>  <item>``. The items are, on a small MLP and on a
 CNN with two conv blocks, on ``digits_binary``:
 
+- ``config/<name>``: the parsed ``ExperimentConfig`` of each tree below, as
+  ``json.dumps(dataclasses.asdict(cfg), sort_keys=True)``, and of
+  ``FULL_TREE``, which sets every key of every section;
 - ``train/<defense>/<model>``: each of the five defenses for two epochs;
   the final weights, the per-epoch losses and accuracies, and the best epoch;
 - ``attack/<kind>/<model>``: FGSM, PGD (random start, two restarts) and
@@ -24,7 +27,9 @@ as in the benchmark. The package does not import this script.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
+import json
 import os
 import struct
 import sys
@@ -70,6 +75,38 @@ def config_tree(model: str, defense: str) -> dict:
     }
 
 
+FULL_TREE = {
+    "name": "hash-full",
+    "seed": 17,
+    "record_timing": True,
+    "output_dir": "runs/full",
+    "eval_batch_size": 64,
+    "data": {"kind": "mnist_binary", "class_a": 3, "class_b": 7, "cap_per_class": 50,
+             "data_dir": "idx", "val_fraction": 0.25},
+    "model": {"kind": "cnn", "channels": [3], "fc_widths": [5, 2], "in_shape": [1, 12, 12]},
+    "trainer": {
+        "defense": "atent_l2", "lr": 0.02, "epochs": 7, "batch_size": 9, "seed": 4,
+        "lr_schedule": [[3, 0.5], [6, 0.2]], "weight_decay": 0.001,
+        "sampler": {"gamma": 2.5, "step": 0.3, "steps": 6, "noise_scale": 0.02, "ema": 0.7,
+                    "norm": "l2", "init_radius": 0.05, "loss_cap": 40.0,
+                    "linf_mode": "per_step_projection"},
+        "pgd": {"kind": "pgd", "norm": "l2", "radius": 0.4, "steps": 4, "step_size": 0.2,
+                "restarts": 3, "random_start": True, "seed": 8,
+                "sampler": {"gamma": 3.0, "step": 0.1, "steps": 2}},
+        "early_stop": {"metric": "robust", "patience": 2,
+                       "eval_attack": {"kind": "fgsm", "norm": "linf", "radius": 0.2,
+                                       "steps": 2, "step_size": 0.1, "restarts": 2,
+                                       "random_start": True, "seed": 11}},
+    },
+    "attacks": [{"kind": "atent", "norm": "l2", "radius": 0.6, "steps": 5, "step_size": 0.3,
+                 "restarts": 2, "random_start": True, "seed": 12,
+                 "sampler": {"gamma": 4.0, "step": 0.2, "steps": 3, "noise_scale": 0.1,
+                             "ema": 0.4, "norm": "l2", "init_radius": 0.01, "loss_cap": 9.0,
+                             "linf_mode": "per_step_projection"}}],
+    "smoothing": {"sigma": 0.3, "n_samples": 77, "abstain_margin": 0.2, "seed": 13},
+}
+
+
 def _feed(h, value) -> None:
     """Hash ``value`` with its type and shape, so that equal bytes of
     different arrays or numbers never collide."""
@@ -103,6 +140,12 @@ def items():
     """(item, sha256) for every hashed result, in a fixed order."""
     from atent import attacks, config, defenses, experiment, models, smoothing
     from atent.seeding import derive_rng
+
+    trees = [config_tree(m, d) for m in MODELS for d in DEFENSES] + [FULL_TREE]
+    for tree in trees:
+        cfg = dataclasses.asdict(config.parse_config_dict(tree))
+        yield (f"config/{tree['name']}",
+               hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest())
 
     for model in MODELS:
         trained = {}
