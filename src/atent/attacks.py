@@ -13,15 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import Batch, ModelParams, loss_and_grads, per_sample_losses, predict
-from .sampler import GibbsSamplerConfig, _clip_range, run_chain
+from .sampler import L2, LINF, GibbsSamplerConfig, _clip_range, run_chain
 from .seeding import derive_rng
 
 FGSM = "fgsm"
 PGD = "pgd"
 ATENT_ATTACK = "atent"
-
-L2 = "l2"
-LINF = "linf"
 
 
 @dataclass

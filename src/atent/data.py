@@ -122,23 +122,6 @@ def load_mnist_idx(images_path, labels_path) -> Dataset:
     return Dataset(Tensor(inputs), Tensor(one_hot), [str(d) for d in range(10)])
 
 
-def write_idx(images_u8: np.ndarray, labels_u8: np.ndarray, images_path, labels_path,
-              compress: bool = False) -> None:
-    """Write (n, h, w) uint8 images and (n,) uint8 labels as an IDX pair."""
-    images_u8 = np.ascontiguousarray(images_u8, dtype=np.uint8)
-    labels_u8 = np.ascontiguousarray(labels_u8, dtype=np.uint8)
-    if images_u8.ndim != 3 or labels_u8.ndim != 1 or images_u8.shape[0] != labels_u8.shape[0]:
-        raise ValueError("expected (n, h, w) images and (n,) labels")
-    n, h, w = images_u8.shape
-    img_blob = struct.pack(">iiii", IMAGE_MAGIC, n, h, w) + images_u8.tobytes()
-    lbl_blob = struct.pack(">ii", LABEL_MAGIC, n) + labels_u8.tobytes()
-    opener = gzip.open if compress else open
-    with opener(images_path, "wb") as f:
-        f.write(img_blob)
-    with opener(labels_path, "wb") as f:
-        f.write(lbl_blob)
-
-
 # ---------------------------------------------------------------------------
 # Subsetting / splitting / batching
 

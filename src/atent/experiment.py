@@ -180,20 +180,37 @@ def _counters(cfg: ExperimentConfig, state: TrainerState) -> dict:
             "best_robust_acc": state.best_robust_acc}
 
 
+def _check_types(where: str, values, types: dict) -> None:
+    """Raise :class:`ExperimentError` that starts with ``where`` unless the
+    dict ``values`` holds each key of ``types`` with one of its types."""
+    for key, allowed in types.items():
+        if key not in values:
+            raise ExperimentError(f"{where} {key!r} missing")
+        if type(values[key]) not in allowed:  # exact: a bool is not an epoch
+            raise ExperimentError(f"{where} {key!r} is {type(values[key]).__name__}, "
+                                  f"not {' or '.join(t.__name__ for t in allowed)}")
+
+
 def _check_counters(path: Path, counters) -> None:
     """Raise :class:`ExperimentError` naming ``path`` unless ``counters``
     holds each key with its type."""
     if not isinstance(counters, dict):
         raise ExperimentError(f"{path}: no trainer counters in the header")
-    for key, types in _COUNTER_TYPES.items():
-        if key not in counters:
-            raise ExperimentError(f"{path}: trainer counter {key!r} missing")
-        if type(counters[key]) not in types:  # exact: a bool is not an epoch
-            raise ExperimentError(f"{path}: trainer counter {key!r} is "
-                                  f"{type(counters[key]).__name__}, not "
-                                  f"{' or '.join(t.__name__ for t in types)}")
+    _check_types(f"{path}: trainer counter", counters, _COUNTER_TYPES)
     if counters["epoch"] < 1:
         raise ExperimentError(f"{path}: trainer counter 'epoch' is {counters['epoch']}")
+
+
+# the fields of a metric record and the types each may take; an ``lr`` stays
+# an int when a config built in code gives one and no decay has applied
+_RECORD_TYPES = {
+    "epoch": (int,),
+    "train_loss": (float,),
+    "nat_acc": (float, type(None)),
+    "rob_acc": (float, type(None)),
+    "lr": (float, int),
+    "wall_ms": (int,),
+}
 
 
 def _metrics_line(record: EpochRecord) -> str:
@@ -207,16 +224,23 @@ def _metrics_text(history: list[EpochRecord]) -> str:
 def _read_metrics(path: Path, epochs: int) -> tuple[list[EpochRecord], int]:
     """The first ``epochs`` records of the stream at ``path`` and their
     length in bytes. Lines after them, torn or whole, are not read; fewer
-    complete lines raise :class:`ExperimentError` naming ``path``."""
+    complete lines, or a record with a field missing or of a type the
+    trainer does not write, raise :class:`ExperimentError` naming ``path``."""
     history, size = [], 0
     try:
         with open(path, "rb") as f:
             for line in f:
                 if len(history) == epochs or not line.endswith(b"\n"):
                     break
-                record = EpochRecord(**json.loads(line))
-                if record.epoch != len(history) + 1:
-                    raise ValueError(f"line {len(history) + 1} holds epoch {record.epoch}")
+                at = len(history) + 1
+                values = json.loads(line)
+                if not isinstance(values, dict):
+                    raise ValueError(f"line {at} is not a JSON object")
+                _check_types(f"{path}: malformed metric record on line {at}: field",
+                             values, _RECORD_TYPES)
+                record = EpochRecord(**values)
+                if record.epoch != at:
+                    raise ValueError(f"line {at} holds epoch {record.epoch}")
                 history.append(record)
                 size += len(line)
     except FileNotFoundError:

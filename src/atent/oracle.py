@@ -6,7 +6,9 @@ Gibbs moments come from explicit grid integration, independent of the chain;
 grid then referees. ``atent_outer_gradient`` takes separate weight passes
 over frozen samples, independent of the chain's fused accumulation. The
 smoothness/dissipativity inequalities are evaluated pointwise from their
-definitions. Oracles are restricted to 1-D/2-D domains where exact densities
+definitions. ``conv_block_forward`` computes the CNN block by direct loops,
+independent of the tape's unfold, GEMM and pooling helpers. The density and
+inequality oracles are restricted to 1-D/2-D domains where exact densities
 are tractable; the claims they check are dimension-generic.
 """
 from __future__ import annotations
@@ -47,6 +49,41 @@ def relative_error(approx: np.ndarray, exact: np.ndarray, floor: float = 1e-8) -
     exact = np.asarray(exact, dtype=np.float64)
     denom = np.maximum(np.abs(exact), floor)
     return float(np.max(np.abs(approx - exact) / denom)) if approx.size else 0.0
+
+
+def conv_block_forward(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
+                       pool: int = 2) -> np.ndarray:
+    """relu(max_pool(conv(x, kernels) + bias)) by direct loops, the value
+    reference for ``tensor.conv_block``.
+
+    The convolution is a stride-1 cross-correlation with kh//2, kw//2 zero
+    padding: each output position (i, j) sums the in-plane part of its
+    window against the kernel taps that meet it, for the whole batch at
+    once. The pool visits each non-overlapping pool x pool window in
+    row-major order and takes a cell only when it is strictly greater than
+    the max so far, so the first maximum wins; rows and columns that fill
+    no window are dropped. ReLU comes last."""
+    n, cin, h, w = x.shape
+    cout, _, kh, kw = kernels.shape
+    ry, rx = kh // 2, kw // 2
+    pre = np.empty((n, cout, h, w))
+    for i in range(h):
+        for j in range(w):
+            y0, y1 = max(0, i - ry), min(h, i + ry + 1)
+            x0, x1 = max(0, j - rx), min(w, j + rx + 1)
+            taps = kernels[:, :, y0 - i + ry:y1 - i + ry, x0 - j + rx:x1 - j + rx]
+            pre[:, :, i, j] = np.tensordot(x[:, :, y0:y1, x0:x1], taps,
+                                           axes=([1, 2, 3], [1, 2, 3])) + bias
+    out = np.empty((n, cout, h // pool, w // pool))
+    for i in range(h // pool):
+        for j in range(w // pool):
+            best = pre[:, :, i * pool, j * pool]
+            for dy in range(pool):
+                for dx in range(pool):
+                    cell = pre[:, :, i * pool + dy, j * pool + dx]
+                    best = np.where(cell > best, cell, best)
+            out[:, :, i, j] = best
+    return np.maximum(out, 0.0)
 
 
 # ---------------------------------------------------------------------------

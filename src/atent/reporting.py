@@ -64,18 +64,6 @@ def write_report_csv(report: EvalReport, path) -> None:
     atomic_write_text(path, report_to_csv(report))
 
 
-def parse_report_csv(text: str) -> EvalReport:
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError("not a report CSV (bad header)")
-    rows = []
-    for ln in lines[1:]:
-        d, a, n, eps, nat, rob, seed, wall = ln.split(",")
-        rows.append(EvalRow(d, a, n, float(eps), float(nat), float(rob),
-                            int(seed), int(wall)))
-    return EvalReport(rows)
-
-
 # ---------------------------------------------------------------------------
 # Decision-region SVG
 

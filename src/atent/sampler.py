@@ -2,9 +2,9 @@
 
 The chain targets the measure exp(L(x') - gamma/2 * dist(x', x)) around the
 clean anchor x: squared-l2 distance for the isotropic chain, an l-inf
-penalty (realized three ways, see ``linf_mode``) for the sup-norm chain.
-Partition functions are never computed; the Langevin drift of log-density
-cancels them.
+penalty for the sup-norm chain, realized by the P_gamma clamp of its last
+increment to [-1/gamma, 1/gamma]. Partition functions are never computed;
+the Langevin drift of log-density cancels them.
 
 The l2 step also serves Entropy-SGD's weight chain, which passes it the
 negated loss gradient of each weight tensor.
@@ -25,12 +25,6 @@ log = logging.getLogger(__name__)
 L2 = "l2"
 LINF = "linf"
 
-FINAL_PROJECTION = "final_projection"
-PER_STEP_PROJECTION = "per_step_projection"
-COORDINATE_SIGN = "coordinate_sign"
-
-_LINF_MODES = (FINAL_PROJECTION, PER_STEP_PROJECTION, COORDINATE_SIGN)
-
 
 @dataclass
 class GibbsSamplerConfig:
@@ -41,6 +35,8 @@ class GibbsSamplerConfig:
     steps: chain length K.
     noise_scale: additive-noise factor (eps); 0 gives deterministic ascent.
     ema: loss moving-average factor (alpha) in (0, 1].
+    norm: "l2" for the squared-l2 penalty, "linf" for the sup-norm one,
+        whose chain clamps its last increment to [-1/gamma, 1/gamma].
     init_radius: std of the normal init perturbation; defaults to 1/gamma.
     loss_cap: monitored upper bound on the batch loss (never enforced by
         rejection; exceeding it logs a warning once per chain).
@@ -55,7 +51,6 @@ class GibbsSamplerConfig:
     norm: str = L2
     init_radius: float | None = None
     loss_cap: float = math.inf
-    linf_mode: str = FINAL_PROJECTION
 
     def __post_init__(self):
         if self.gamma <= 0:
@@ -72,8 +67,6 @@ class GibbsSamplerConfig:
             raise ValueError(f"norm must be '{L2}' or '{LINF}'")
         if self.init_radius is not None and self.init_radius < 0:
             raise ValueError("init_radius must be nonnegative")
-        if self.linf_mode not in _LINF_MODES:
-            raise ValueError(f"linf_mode must be one of {_LINF_MODES}")
 
     @property
     def effective_init_radius(self) -> float:
@@ -121,17 +114,12 @@ def _finite(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _drift_step(x_prime: np.ndarray, drift: np.ndarray, cfg: GibbsSamplerConfig,
-                rng: np.random.Generator) -> np.ndarray:
-    """x' + eta' * drift + sqrt(2 eta') * eps * N(0, I)."""
-    return _finite(_plus_noise(x_prime + cfg.step * drift, cfg, rng))
-
-
 def langevin_step_l2(x_prime: np.ndarray, anchor: np.ndarray, grad: np.ndarray,
                      cfg: GibbsSamplerConfig, rng: np.random.Generator) -> np.ndarray:
     """x' <- x' + eta' * (grad + gamma * (x - x')) + sqrt(2 eta') * eps * N(0, I).
     ``cfg.norm`` is not read."""
-    return _drift_step(x_prime, grad + cfg.gamma * (anchor - x_prime), cfg, rng)
+    drift = grad + cfg.gamma * (anchor - x_prime)
+    return _finite(_plus_noise(x_prime + cfg.step * drift, cfg, rng))
 
 
 def project_linf_increment(z: np.ndarray, gamma: float) -> np.ndarray:
@@ -143,33 +131,16 @@ def project_linf_increment(z: np.ndarray, gamma: float) -> np.ndarray:
     return np.clip(z, -bound, bound)
 
 
-def _coordinate_sign_term(x_prime: np.ndarray, anchor: np.ndarray, gamma: float) -> np.ndarray:
-    """gamma * sign(x_i - x'_i) on the per-sample coordinate of largest
-    |x - x'| (ties to the lowest flat index), zero elsewhere."""
-    diff = anchor - x_prime
-    rows = diff.reshape(diff.shape[0] if diff.ndim > 1 else 1, -1)
-    at = (np.arange(rows.shape[0]), np.argmax(np.abs(rows), axis=1))
-    term = np.zeros_like(rows)
-    term[at] = gamma * np.sign(rows[at])
-    return term.reshape(diff.shape)
-
-
 def langevin_step(x_prime: np.ndarray, anchor: np.ndarray, grad: np.ndarray,
                   cfg: GibbsSamplerConfig, rng: np.random.Generator, k: int) -> np.ndarray:
     """Step ``k`` (1-based) of the input chain: ``langevin_step_l2`` for the
-    l2 norm, else the sup-norm step in one of three modes.
-
-    final_projection: raw increments, clamped by P_gamma on the K-th step
-    only. per_step_projection: clamp every increment. coordinate_sign:
-    drift gains gamma*sign(x-x') on the single largest-gap coordinate.
-    """
+    l2 norm, else the sup-norm step x' + P(eta' * grad + sqrt(2 eta') * eps *
+    N(0, I)), where P is the identity before the K-th step and
+    ``project_linf_increment`` on it."""
     if cfg.norm == L2:
         return langevin_step_l2(x_prime, anchor, grad, cfg, rng)
-    if cfg.linf_mode == COORDINATE_SIGN:
-        return _drift_step(x_prime, grad + _coordinate_sign_term(x_prime, anchor, cfg.gamma),
-                           cfg, rng)
     inc = _plus_noise(cfg.step * grad, cfg, rng)
-    if cfg.linf_mode == PER_STEP_PROJECTION or k == cfg.steps:
+    if k == cfg.steps:
         inc = project_linf_increment(inc, cfg.gamma)
     return _finite(x_prime + inc)
 

@@ -18,6 +18,7 @@ from .models import Batch, batch_loss, build_mlp, build_small_cnn, loss_and_grad
 from .oracle import (
     atent_outer_gradient,
     chain_moment_check,
+    conv_block_forward,
     finite_difference_grad,
     grid_gibbs_density,
     lemma1_check,
@@ -30,6 +31,9 @@ from .tensor import Tensor
 
 GRAD_TOL = 1e-4
 AFFINE_TOL = 1e-6
+# conv_block against the direct-loop oracle: the sums run in another order,
+# so values agree to rounding, not bitwise (error over max(|value|, 1))
+CONV_VALUE_TOL = 1e-12
 MOMENT_TOL = 0.10
 KEPT_SAMPLES = 50_000
 CHAIN_STEPS = math.ceil(KEPT_SAMPLES / 0.8)  # the first 20% is burn-in
@@ -118,6 +122,23 @@ def gradient_suite() -> list[CheckResult]:
         "conv block, 5x5 kernel, 9x7 plane (input, kernels, bias)",
         lambda: tc.softmax_cross_entropy(tc.reshape(tc.conv_block(fx, fk, fb, 2), (2, 36)), y36),
         (fx, fk, fb), GRAD_TOL))
+
+    # finite differences cannot tell a convolution that reads the wrong
+    # pixels from a right one; the oracle can. The first sample holds small
+    # integers (tied window maxima on the 11x5 plane), the second normal
+    # draws; 9x7 at pool 2 and 11x5 at pool 3 leave cells outside every window
+    vrng = np.random.default_rng(7)
+    err = 0.0
+    for shape, kh, pool in (((2, 2, 9, 7), 5, 2), ((2, 3, 11, 5), 3, 3)):
+        vx = vrng.integers(-2, 3, size=shape).astype(float)
+        vx[1] = vrng.normal(size=shape[1:])
+        vk = vrng.integers(-1, 2, size=(3, shape[1], kh, kh)).astype(float)
+        vb = vrng.normal(size=3)
+        got = tc.conv_block(Tensor(vx), Tensor(vk), Tensor(vb), pool).data
+        err = max(err, relative_error(got, conv_block_forward(vx, vk, vb, pool), floor=1.0))
+    results.append(CheckResult(
+        "gradients", "conv block values vs direct-loop oracle (5x5 and 3x3 kernels)",
+        err <= CONV_VALUE_TOL, f"rel err {err:.3e} <= {CONV_VALUE_TOL:g}"))
 
     r = Tensor(rng.random(30) * 2 - 1.0)
     results.append(_fd_vs_autodiff(

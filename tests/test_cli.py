@@ -1,4 +1,5 @@
 """CLI and experiment pipeline: determinism, resume, locking, exit codes."""
+import dataclasses
 import json
 import os
 
@@ -16,6 +17,7 @@ from atent.experiment import (
     run_training,
 )
 from atent.models import build_mlp
+from file_helpers import write_idx
 
 
 def toy_tree(name="toy", epochs=3, **overrides):
@@ -140,10 +142,6 @@ class TestPipeline:
                     pass
 
     def test_mnist_kind_reads_idx_tree(self, tmp_path):
-        import numpy as np
-
-        from atent.data import write_idx
-
         rng = np.random.default_rng(0)
         for prefix, n in (("train", 40), ("t10k", 20)):
             imgs = rng.integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
@@ -461,6 +459,39 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert str(last) in err
         assert message in err
+
+    @pytest.mark.parametrize("stream, line, field, value, message", [
+        ("metrics.jsonl", 3, "nat_acc", [1], "'nat_acc' is list, not float or NoneType"),
+        ("metrics.jsonl.partial", 1, "train_loss", "oops", "'train_loss' is str, not float"),
+    ], ids=["finished", "partial"])
+    def test_metric_record_of_wrong_type_exit_code(self, tmp_path, capsys, stream, line,
+                                                   field, value, message):
+        # a finished run's stream, or the partial one after --stop-after 2
+        cfg_path = write_cfg(tmp_path, toy_tree(epochs=3))
+        out = tmp_path / "out"
+        stop = ["--stop-after", "2"] if stream.endswith(".partial") else []
+        assert main(["train", str(cfg_path), "--output-dir", str(out), *stop]) == 0
+        path = out / stream
+        lines = path.read_text().splitlines(keepends=True)
+        lines[line - 1] = json.dumps({**json.loads(lines[line - 1]), field: value}) + "\n"
+        path.write_text("".join(lines))
+        before = path.read_bytes()
+        capsys.readouterr()
+        assert main(["train", str(cfg_path), "--output-dir", str(out), "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: malformed metric record on line {line}: field {message}" in err
+        assert path.read_bytes() == before
+        assert stream == "metrics.jsonl" or not (out / "metrics.jsonl").exists()
+
+    def test_int_lr_of_a_config_built_in_code_reads_back(self, tmp_path):
+        # no decay applies, so the records carry the int lr as it was given
+        cfg = parse_config_dict(toy_tree(epochs=3))
+        cfg = dataclasses.replace(cfg, trainer=dataclasses.replace(cfg.trainer, lr=1))
+        out = tmp_path / "out"
+        run_training(cfg, output_dir=str(out), stop_after=2)
+        assert '"lr": 1,' in (out / "metrics.jsonl.partial").read_text()
+        state = run_training(cfg, output_dir=str(out), resume=True)
+        assert [r.lr for r in state.history] == [1, 1, 1]
 
     @pytest.mark.parametrize("command", ["attack", "report"])
     def test_checkpoint_architecture_mismatch_exit_code(self, tmp_path, capsys, command):

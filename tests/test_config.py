@@ -92,8 +92,7 @@ class TestParsing:
             "defense": "atent_linf", "lr": 0.1, "epochs": 3, "batch_size": 16,
             "weight_decay": 5e-4, "lr_schedule": [[2, 0.1]],
             "sampler": {"gamma": 3.33, "step": 0.5, "steps": 4, "noise_scale": 0.001,
-                        "ema": 0.9, "norm": "linf", "linf_mode": "per_step_projection",
-                        "init_radius": 0.05},
+                        "ema": 0.9, "norm": "linf", "init_radius": 0.05},
             "early_stop": {"metric": "robust", "patience": 5},
         }
         tree["attacks"] = [
@@ -105,7 +104,7 @@ class TestParsing:
         ]
         tree["smoothing"] = {"sigma": 0.12, "n_samples": 500, "abstain_margin": 0.1}
         cfg = parse_config_dict(tree)
-        assert cfg.trainer.sampler.linf_mode == "per_step_projection"
+        assert cfg.trainer.sampler.norm == "linf"
         assert cfg.trainer.early_stop.eval_attack.radius == pytest.approx(1 / 3.33)
         assert [a.kind for a in cfg.attacks] == ["fgsm", "pgd", "atent"]
         assert cfg.smoothing.sigma == 0.12
@@ -146,8 +145,7 @@ MODEL_BY_KIND = {
     "cnn": {"kind": "cnn", "channels": [3], "fc_widths": [5, 2], "in_shape": [1, 12, 12]},
 }
 FULL_SAMPLER = {"gamma": 4.0, "step": 0.2, "steps": 3, "noise_scale": 0.1, "ema": 0.4,
-                "norm": "linf", "init_radius": 0.01, "loss_cap": 9.0,
-                "linf_mode": "per_step_projection"}
+                "norm": "linf", "init_radius": 0.01, "loss_cap": 9.0}
 
 
 def full_tree(data_kind="mnist_binary", model_kind="cnn"):
@@ -263,6 +261,21 @@ class TestStrictValues:
         tree = full_tree()
         edit(tree)
         with pytest.raises(ConfigError, match=re.escape(f"missing required key '{path}'")):
+            parse_config_dict(tree)
+
+    # a config that picks an l-inf mode must fail, not run the one l-inf step
+    @pytest.mark.parametrize("mode", ["final_projection", "per_step_projection",
+                                      "coordinate_sign"])
+    @pytest.mark.parametrize("path", ["trainer.sampler", "attacks[0].sampler",
+                                      "trainer.early_stop.eval_attack.sampler"])
+    def test_linf_mode_is_refused(self, path, mode):
+        tree = full_tree()
+        *keys, last = [int(k) if k.isdigit() else k for k in re.findall(r"\w+", path)]
+        parent = tree
+        for key in keys:
+            parent = parent[key]
+        parent[last] = {**parent[last], "linf_mode": mode}  # full_tree shares its samplers
+        with pytest.raises(ConfigError, match=re.escape(f"unknown key '{path}.linf_mode'")):
             parse_config_dict(tree)
 
     def test_null_section_is_absent(self):

@@ -18,10 +18,10 @@ from atent.data import (
     subset_binary,
     synth_digits,
     synth_two_gaussians,
-    write_idx,
 )
 from atent.models import accuracy, build_mlp
 from atent.tensor import Tensor
+from file_helpers import write_idx
 
 
 @pytest.fixture

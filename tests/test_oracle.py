@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from atent.models import Batch, batch_loss, build_mlp
 from atent.oracle import (
     chain_moment_check,
+    conv_block_forward,
     finite_difference_grad,
     grid_gibbs_density,
     lemma1_check,
@@ -55,6 +56,34 @@ class TestFiniteDifferenceGrad:
             finite_difference_grad(lambda v: 0.0, np.zeros(1), h=0.0)
         with pytest.raises(ValueError):
             finite_difference_grad(lambda v: float("nan"), np.zeros(1))
+
+
+class TestConvBlockForward:
+    """The direct-loop CNN block on hand-computed cases."""
+
+    def test_centre_tap_then_pool_and_relu(self):
+        # pre-activation x + 0.5; pool 2 drops the last column
+        x = np.arange(20.0).reshape(1, 1, 4, 5) - 10.0
+        k = np.zeros((1, 1, 3, 3))
+        k[0, 0, 1, 1] = 1.0
+        out = conv_block_forward(x, k, np.array([0.5]), pool=2)
+        assert np.array_equal(out, [[[[0.0, 0.0], [6.5, 8.5]]]])
+
+    def test_off_centre_taps_read_neighbours_and_zero_padding(self):
+        x = np.arange(1.0, 13.0).reshape(1, 1, 3, 4)
+        k = np.zeros((2, 1, 3, 3))
+        k[0, 0, 1, 2] = 1.0  # out[i, j] = x[i, j + 1]
+        k[1, 0, 0, 1] = 1.0  # out[i, j] = x[i - 1, j]
+        out = conv_block_forward(x, k, np.zeros(2), pool=1)
+        assert np.array_equal(out[0, 0], [[2, 3, 4, 0], [6, 7, 8, 0], [10, 11, 12, 0]])
+        assert np.array_equal(out[0, 1], [[0, 0, 0, 0], [1, 2, 3, 4], [5, 6, 7, 8]])
+
+    def test_input_channels_are_summed(self):
+        x = np.stack([np.full((3, 3), 1.0), np.full((3, 3), 2.0)])[None]
+        k = np.zeros((1, 2, 1, 1))
+        k[0, :, 0, 0] = [3.0, -1.0]
+        out = conv_block_forward(x, k, np.array([0.25]), pool=3)
+        assert np.array_equal(out, [[[[1.25]]]])
 
 
 class TestGridGibbsDensity:

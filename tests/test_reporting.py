@@ -10,12 +10,12 @@ from atent.reporting import (
     EvalReport,
     EvalRow,
     decision_grid,
-    parse_report_csv,
     render_decision_svg,
     render_histogram_svg,
     report_to_csv,
     write_report_csv,
 )
+from file_helpers import parse_report_csv
 
 
 def _row(**kw):

@@ -11,9 +11,6 @@ from atent.attacks import atent_attack
 from atent.models import Batch, build_mlp, build_small_cnn, loss_and_grads
 from atent.oracle import atent_outer_gradient
 from atent.sampler import (
-    COORDINATE_SIGN,
-    FINAL_PROJECTION,
-    PER_STEP_PROJECTION,
     GibbsSamplerConfig,
     init_perturbation,
     langevin_step,
@@ -46,7 +43,6 @@ class TestConfigValidation:
             dict(ema=1.5),
             dict(norm="l1"),
             dict(init_radius=-1.0),
-            dict(linf_mode="sometimes"),
         ],
     )
     def test_rejects_bad_values(self, kw):
@@ -180,51 +176,18 @@ class TestLangevinStepLinf:
     # langevin_step(x_prime, anchor, grad, cfg, rng, k) with k the 1-based step
 
     def test_final_projection_single_step_clamps(self):
-        cfg = _cfg(gamma=10.0, step=1.0, steps=1, norm="linf", linf_mode=FINAL_PROJECTION)
+        cfg = _cfg(gamma=10.0, step=1.0, steps=1, norm="linf")
         out = langevin_step(np.zeros(2), np.zeros(2), np.array([0.05, -0.5]), cfg,
                             derive_rng(0), 1)
         assert np.array_equal(out, [0.05, -0.1])
 
     def test_final_projection_inactive_before_last_step(self):
-        cfg = _cfg(gamma=10.0, step=1.0, steps=2, norm="linf", linf_mode=FINAL_PROJECTION)
+        cfg = _cfg(gamma=10.0, step=1.0, steps=2, norm="linf")
         g = np.array([0.05, -0.5])
         first = langevin_step(np.zeros(2), np.zeros(2), g, cfg, derive_rng(0), 1)
         assert np.array_equal(first, [0.05, -0.5])  # raw increment
         second = langevin_step(first, np.zeros(2), g, cfg, derive_rng(0), 2)
         assert np.array_equal(second, [0.1, -0.6])  # clamped increment
-
-    def test_coordinate_sign_selects_largest_gap(self):
-        # x - x' = [0.3, -0.7], gamma=2 -> regularizer 2*(-1) on coordinate 2
-        cfg = _cfg(gamma=2.0, step=1.0, steps=1, norm="linf", linf_mode=COORDINATE_SIGN)
-        out = langevin_step(np.zeros(2), _a([0.3, -0.7]), np.zeros(2), cfg, derive_rng(0), 1)
-        assert np.array_equal(out, [0.0, -2.0])
-
-    def test_coordinate_sign_tie_breaks_low_and_sign_zero(self):
-        cfg = _cfg(gamma=2.0, step=1.0, steps=1, norm="linf", linf_mode=COORDINATE_SIGN)
-        out = langevin_step(np.zeros(2), _a([0.5, 0.5]), np.zeros(2), cfg, derive_rng(0), 1)
-        assert np.array_equal(out, [2.0, 0.0])  # gamma * sign on coord 0
-        out = langevin_step(np.zeros(2), np.zeros(2), np.zeros(2), cfg, derive_rng(0), 1)
-        assert np.array_equal(out, [0.0, 0.0])  # sign(0) = 0
-
-    def test_coordinate_sign_per_sample_rows(self):
-        cfg = _cfg(gamma=1.0, step=1.0, steps=1, norm="linf", linf_mode=COORDINATE_SIGN)
-        anchor = np.array([[0.3, -0.7], [0.9, 0.1]])
-        out = langevin_step(np.zeros((2, 2)), anchor, np.zeros((2, 2)), cfg, derive_rng(0), 1)
-        assert np.array_equal(out, [[0.0, -1.0], [1.0, 0.0]])
-
-    def test_per_step_projection_identity_region(self):
-        cfg = _cfg(gamma=10.0, step=1.0, steps=3, norm="linf", linf_mode=PER_STEP_PROJECTION)
-        g = np.array([0.02, -0.03])  # |increment| < 1/gamma
-        projected = langevin_step(np.zeros(2), np.zeros(2), g, cfg, derive_rng(0), 1)
-        raw_cfg = _cfg(gamma=10.0, step=1.0, steps=3, norm="linf", linf_mode=FINAL_PROJECTION)
-        raw = langevin_step(np.zeros(2), np.zeros(2), g, raw_cfg, derive_rng(0), 1)
-        assert np.array_equal(projected, raw)
-
-    def test_per_step_projection_huge_gamma_clamps_to_zero(self):
-        cfg = _cfg(gamma=1e12, step=1.0, steps=2, norm="linf", linf_mode=PER_STEP_PROJECTION)
-        out = langevin_step(np.zeros(2), np.zeros(2), np.array([5.0, -3.0]), cfg,
-                            derive_rng(0), 1)
-        assert np.max(np.abs(out)) <= 1e-12
 
 
 class TestRunChain:
@@ -336,19 +299,18 @@ def _model_and_batch(kind, value_range):
     return p, Batch(x, np.eye(2)[rng.integers(0, 2, x.shape[0])], value_range)
 
 
-_NORMS = [dict(norm="l2")] + [dict(norm="linf", linf_mode=m) for m in
-                              (FINAL_PROJECTION, PER_STEP_PROJECTION, COORDINATE_SIGN)]
+_NORMS = ["l2", "linf"]
 
 
 class TestFusedChain:
     @pytest.mark.parametrize("kind", ["mlp", "cnn"])
-    @pytest.mark.parametrize("norm", _NORMS, ids=lambda kw: kw.get("linf_mode", "l2"))
+    @pytest.mark.parametrize("norm", _NORMS)
     @pytest.mark.parametrize("value_range", [None, (0.0, 1.0)], ids=["unclipped", "clipped"])
     @pytest.mark.parametrize("steps", [1, 4])
     def test_fused_chain_equals_separate_passes_bitwise(self, kind, norm, value_range, steps):
         p, batch = _model_and_batch(kind, value_range)
         cfg = _cfg(gamma=2.0, step=0.1, steps=steps, noise_scale=0.05, ema=0.7,
-                   init_radius=0.2, **norm)
+                   init_radius=0.2, norm=norm)
         samples, ema = _all_inputs_chain(p, batch, cfg, derive_rng(9))
         for weight_grads in (False, True):
             run = run_chain(p, batch, cfg, derive_rng(9), weight_grads=weight_grads)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from atent import tensor as tc
 from atent.models import Batch, batch_loss, build_small_cnn, loss_and_grads
-from atent.oracle import finite_difference_grad, relative_error
+from atent.oracle import conv_block_forward, finite_difference_grad, relative_error
 from atent.tensor import NonFiniteError, Tape, TapeError, Tensor, TensorError
 
 
@@ -315,6 +315,33 @@ class TestConvBlock:
             _unfused_block, x0, k0, b0, labels, "both")
         assert np.array_equal(out, ref_out) and np.array_equal(dx, rdx)
         assert np.array_equal(dk, rdk)
+
+    # (n, cin, h, w), kernel size, pool; None takes three sample blocks and a
+    # part of a fourth
+    @pytest.mark.parametrize("shape,k,pool", [
+        ((3, 2, 9, 7), 5, 2),
+        ((2, 3, 11, 5), 3, 3),
+        ((4, 1, 7, 9), 5, 3),
+        ((None, 2, 9, 7), 5, 2),
+    ], ids=["9x7-k5-pool2", "11x5-k3-pool3", "7x9-k5-pool3", "9x7-k5-pool2-blocks"])
+    def test_values_match_direct_loop_oracle(self, shape, k, pool):
+        # small-integer kernels, and a first sample of small integers, which
+        # gives tied window maxima at kernel 5. The other samples are normal
+        # draws, whose sums the two compute in different orders, so values
+        # agree to 1e-12 of max(|value|, 1)
+        n, cin, h, w = shape
+        if n is None:
+            n = 3 * (tc._BLOCK_COLS // (cin * k * k * h * w)) + 5
+        rng = np.random.default_rng(25)
+        x0 = rng.normal(size=(n, cin, h, w))
+        x0[0] = rng.integers(-2, 3, size=(cin, h, w))
+        k0 = rng.integers(-1, 2, size=(4, cin, k, k)).astype(float)
+        b0 = rng.normal(size=4)
+        got = tc.conv_block(Tensor(x0), Tensor(k0), Tensor(b0), pool).data
+        ref = conv_block_forward(x0, k0, b0, pool)
+        assert got.shape == ref.shape == (n, 4, h // pool, w // pool)
+        assert relative_error(got, ref, floor=1.0) <= 1e-12
+        assert np.sum(ref == 0.0) > 0 and np.sum(ref > 0.0) > 0
 
     def test_pull_returns_none_for_untracked_operands(self):
         rng = np.random.default_rng(22)
