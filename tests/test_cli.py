@@ -483,6 +483,28 @@ class TestCliCommands:
         assert path.read_bytes() == before
         assert stream == "metrics.jsonl" or not (out / "metrics.jsonl").exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda r: {k: v for k, v in r.items() if k != "wall_ms"},
+         "on line 1: field 'wall_ms' missing"),
+        (lambda r: {**r, "epoch": True}, "on line 1: field 'epoch' is bool, not int"),
+        (lambda r: [r], "(ValueError: line 1 is not a JSON object)"),
+    ], ids=["missing", "bool_epoch", "not_object"])
+    def test_malformed_metric_record_exit_code(self, tmp_path, capsys, edit, message):
+        cfg_path = write_cfg(tmp_path, toy_tree(epochs=3))
+        out = tmp_path / "out"
+        assert main(["train", str(cfg_path), "--output-dir", str(out),
+                     "--stop-after", "2"]) == 0
+        path = out / "metrics.jsonl.partial"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[0] = json.dumps(edit(json.loads(lines[0]))) + "\n"
+        path.write_text("".join(lines))
+        before = path.read_bytes()
+        capsys.readouterr()
+        assert main(["train", str(cfg_path), "--output-dir", str(out), "--resume"]) == 2
+        assert f"{path}: malformed metric record {message}" in capsys.readouterr().err
+        assert path.read_bytes() == before
+        assert not (out / "metrics.jsonl").exists()
+
     def test_int_lr_of_a_config_built_in_code_reads_back(self, tmp_path):
         # no decay applies, so the records carry the int lr as it was given
         cfg = parse_config_dict(toy_tree(epochs=3))

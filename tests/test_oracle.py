@@ -85,6 +85,19 @@ class TestConvBlockForward:
         out = conv_block_forward(x, k, np.array([0.25]), pool=3)
         assert np.array_equal(out, [[[[1.25]]]])
 
+    def test_five_by_five_corner_taps_read_two_off(self):
+        # a 5x5 kernel pads by 2; each sample of the batch is its own plane
+        x = np.stack([np.arange(1.0, 13.0), -np.arange(1.0, 13.0)]).reshape(2, 1, 3, 4)
+        k = np.zeros((2, 1, 5, 5))
+        k[0, 0, 0, 0] = 1.0  # out[i, j] = x[i - 2, j - 2]
+        k[1, 0, 4, 4] = -1.0  # out[i, j] = -x[i + 2, j + 2]
+        out = conv_block_forward(x, k, np.zeros(2), pool=1)
+        assert np.array_equal(out[0, 0], [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 2]])
+        assert np.array_equal(out[1, 1], [[11, 12, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+        # the other pairs of sample and kernel are negative before the ReLU
+        assert np.array_equal(out[0, 1], np.zeros((3, 4)))
+        assert np.array_equal(out[1, 0], np.zeros((3, 4)))
+
 
 class TestGridGibbsDensity:
     def test_constant_loss_reduces_to_gaussian(self):
