@@ -11,6 +11,7 @@ MNIST-style images when no IDX corpus is on disk.
 """
 from __future__ import annotations
 
+import copy
 import gzip
 import struct
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ import numpy as np
 
 from .models import Batch
 from .seeding import derive_rng
-from .tensor import Tensor
+from .tensor import Tensor, _unchecked, _validate_one_hot
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
@@ -33,7 +34,8 @@ class IdxFormatError(ValueError):
 
 @dataclass
 class Dataset:
-    """Inputs in [0, 1], one-hot labels, immutable after construction."""
+    """Inputs in [0, 1], one-hot labels, immutable after construction; both
+    are checked once, here."""
 
     inputs: Tensor
     labels: Tensor
@@ -47,6 +49,7 @@ class Dataset:
             self.labels = Tensor(self.labels)
         if self.inputs.shape[0] != self.labels.shape[0]:
             raise ValueError("inputs and labels disagree on sample count")
+        _validate_one_hot(self.labels.data, self.inputs.shape[0])
         lo, hi = self.value_range
         if self.inputs.size and (self.inputs.data.min() < lo or self.inputs.data.max() > hi):
             raise ValueError(f"input values leave the declared range [{lo}, {hi}]")
@@ -177,17 +180,21 @@ def split_train_val(ds: Dataset, val_fraction: float = 0.1,
 
 
 def batch_iter(ds: Dataset, batch_size: int, seed: int, epoch: int):
-    """Seeded per-epoch shuffle; the last short batch is kept."""
+    """Seeded per-epoch shuffle; the last short batch is kept.
+
+    Each batch is a copy of the whole-set batch holding the rows of the
+    dataset's checked tensors, so neither its values nor its one-hot labels
+    are checked again."""
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
     order = derive_rng(seed, "shuffle", epoch).permutation(ds.n)
+    whole = ds.as_batch()
     for start in range(0, ds.n, batch_size):
         idx = order[start:start + batch_size]
-        yield Batch(
-            Tensor(ds.inputs.data[idx]),
-            Tensor(ds.labels.data[idx]),
-            ds.value_range,
-        )
+        batch = copy.copy(whole)
+        batch.inputs = _unchecked(ds.inputs.data[idx])
+        batch.labels = _unchecked(ds.labels.data[idx])
+        yield batch
 
 
 # ---------------------------------------------------------------------------

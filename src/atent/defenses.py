@@ -253,20 +253,23 @@ def _lr_at(cfg: TrainerConfig, epoch: int) -> float:
 def train(params: ModelParams, cfg: TrainerConfig, train_ds: Dataset,
           val_ds: Dataset, resume_state: TrainerState | None = None,
           stop_after_epoch: int | None = None, on_epoch=None) -> TrainerState:
-    """Run the configured defense; mutates a private clone of ``params``.
+    """Run the configured defense.
 
-    ``resume_state`` continues a previous run from its recorded epoch; all
-    randomness is keyed by (seed, epoch, batch), so a resumed run retraces
-    the uninterrupted trajectory exactly, and a finished one
-    (:func:`training_finished`) is returned as it is. ``stop_after_epoch``
-    ends this invocation early (resumable later); ``on_epoch(state)`` fires
-    after each epoch's record is appended.
+    The weights are updated in place, on a private clone: of ``params`` for
+    a fresh run, of ``resume_state.params`` for a resumed one, so no array
+    that a caller holds, from ``params`` or from an earlier call's state,
+    ever changes. ``resume_state`` continues a previous run from its
+    recorded epoch; all randomness is keyed by (seed, epoch, batch), so a
+    resumed run retraces the uninterrupted trajectory exactly, and a
+    finished one (:func:`training_finished`) is returned as it is.
+    ``stop_after_epoch`` ends this invocation early (resumable later);
+    ``on_epoch(state)`` fires after each epoch's record is appended.
     """
     if resume_state is not None:
         state = resume_state
         if training_finished(state, cfg):
             return state
-        params = state.params
+        params = state.params = state.params.clone()
         first_epoch = state.epoch + 1
     else:
         params = params.clone()
@@ -286,7 +289,7 @@ def train(params: ModelParams, cfg: TrainerConfig, train_ds: Dataset,
                     d = direction[name]
                     if cfg.weight_decay:
                         d = d + cfg.weight_decay * t.data
-                    t.data = t.data - lr * d
+                    np.subtract(t.data, lr * d, out=t.data)
             epoch_loss = float(np.mean(losses)) if losses else 0.0
             if probe is None:
                 nat, probe_loss = _validate(params, val_ds)

@@ -1,7 +1,9 @@
 """Desk-scale classifiers f(w; x) and their loss/prediction plumbing.
 
 Two architectures: an MLP (the 2-D / flattened-image workhorse) and a small
-CNN (conv blocks, then a dense head). A conv block is a 3x3 convolution
+CNN (conv blocks, then a dense head). Every MLP layer and every layer of the
+CNN head is one :func:`tensor.dense` (affine map, then ReLU on all but the
+last layer). A conv block is a 3x3 convolution
 (stride 1, padding 1) plus a per-channel bias, a 2x2 max-pool, then ReLU,
 computed by the one op :func:`tensor.conv_block`. Pooling before the ReLU
 gives exactly the values and gradients of ReLU before pooling, because ReLU
@@ -195,9 +197,7 @@ def forward_logits(params: ModelParams, inputs: Tensor) -> Tensor:
         h = inputs
         last = len(widths) - 2
         for i in range(last + 1):
-            h = tc.add(tc.matmul(h, w[f"w{i}"]), w[f"b{i}"])
-            if i < last:
-                h = tc.relu(h)
+            h = tc.dense(h, w[f"w{i}"], w[f"b{i}"], relu=i < last)
         return h
 
     if inputs.data.ndim != 4 or inputs.shape[1:] != d["in_shape"]:
@@ -209,9 +209,7 @@ def forward_logits(params: ModelParams, inputs: Tensor) -> Tensor:
     h = tc.reshape(h, (h.shape[0], flat))
     last = len(d["fc_widths"]) - 1
     for i in range(last + 1):
-        h = tc.add(tc.matmul(h, w[f"fc{i}"]), w[f"fb{i}"])
-        if i < last:
-            h = tc.relu(h)
+        h = tc.dense(h, w[f"fc{i}"], w[f"fb{i}"], relu=i < last)
     return h
 
 

@@ -2,24 +2,36 @@
 
 Design constraints: 64-bit floats everywhere, a deliberately small op set
 (no broadcasting beyond bias-add), gradients available with respect to both
-weights and inputs, and a hard finiteness check after every public op so
-numerical blowups surface at their source instead of three modules later.
+weights and inputs, and a finiteness check wherever a value can first turn
+non-finite, so numerical blowups surface at their source instead of three
+modules later.
 
-Ops: ``matmul``, ``add``, ``relu``, ``sum_all``, ``reshape``,
-``conv2d``, ``max_pool2d``, ``softmax_cross_entropy``, and ``conv_block``,
-a whole CNN block (convolution plus bias, max-pool, ReLU) in one cache-blocked
-pass that computes the same values as those ops composed. ``conv2d`` unfolds
-a zero-padded copy of its input (:func:`_im2col`, :func:`_col2im`);
-``conv_block``, always stride 1 with "same" padding, unfolds and folds each
-flattened input plane as shifted runs (:func:`_unfold_same`,
-:func:`_fold_same`) with the same values bit for bit, so ``conv2d`` is an
-independent reference for it.
+Ops: ``dense``, one affine layer with an optional ReLU in one tape record,
+which the models use for every dense layer; ``matmul``, ``add`` and ``relu``,
+whose composition it replaces and which stay as its reference; ``sum_all``,
+``reshape``, ``conv2d``, ``max_pool2d``, ``softmax_cross_entropy``; and
+``conv_block``, a whole CNN block (convolution plus bias, max-pool, ReLU) in
+one cache-blocked pass that computes the same values as those ops composed.
+``conv2d`` unfolds a zero-padded copy of its input (:func:`_im2col`,
+:func:`_col2im`); ``conv_block``, always stride 1 with "same" padding,
+unfolds and folds each flattened input plane as shifted runs
+(:func:`_unfold_same`, :func:`_fold_same`) with the same values bit for bit,
+so ``conv2d`` is an independent reference for it.
+
+Finiteness: a ``Tensor`` checks the values it is built from, so every op's
+inputs are finite. ``matmul``, ``add``, ``sum_all``, ``conv2d`` and
+``softmax_cross_entropy`` can overflow on finite inputs and check their
+outputs. ``dense`` and ``conv_block`` check their pre-activation, after the
+bias add and before a ReLU or a max-pool could zero or drop a NaN or -inf.
+The other outputs are finite by construction and not checked again: a
+``reshape`` is a view of a checked tensor, and a ReLU or a window max of
+finite values is finite (``relu``, ``max_pool2d``, the pooled output of
+``conv_block``, the ReLU of ``dense``).
 
 Typical use::
 
     with Tape([w, b]) as tape:
-        z = matmul(x, w)
-        loss = softmax_cross_entropy(add(z, b), y)
+        loss = softmax_cross_entropy(dense(x, w, b), y)
     grads = backward(tape, loss)   # {w: Tensor, b: Tensor}
 """
 from __future__ import annotations
@@ -127,10 +139,22 @@ def _active_tape() -> Tape | None:
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
-def _emit(inputs, out_data: np.ndarray, pull, op: str) -> Tensor:
-    _check_finite(out_data, op)
+def _unchecked(arr: np.ndarray) -> Tensor:
+    """C-contiguous float64 ``arr`` as a Tensor without the constructor's
+    check, for values that are finite by construction."""
     out = Tensor.__new__(Tensor)
-    out.data = out_data
+    out.data = arr
+    return out
+
+
+def _emit(inputs, out_data: np.ndarray, pull, op: str, checked: bool = False) -> Tensor:
+    """The output of ``op``, recorded on the active tape when the tape tracks
+    any of ``inputs``. ``out_data`` is checked for finiteness unless
+    ``checked`` says that it is finite by construction: a view of a checked
+    tensor, or values the op checked before a step that could hide a blowup."""
+    if not checked:
+        _check_finite(out_data, op)
+    out = _unchecked(out_data)
     tape = _active_tape()
     if tape is not None and any(tape._tracks(t) for t in inputs):
         tape._record(inputs, out, pull)
@@ -213,7 +237,38 @@ def relu(x: Tensor) -> Tensor:
     def pull(g):
         return (g * mask,)
 
-    return _emit((x,), np.where(mask, x.data, 0.0), pull, "relu")
+    return _emit((x,), np.where(mask, x.data, 0.0), pull, "relu", checked=True)
+
+
+def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """One dense layer, ``x @ w + b`` followed by a ReLU when ``relu`` is set,
+    as one tape record: values and gradients equal those of
+    ``relu(add(matmul(x, w), b))`` (or ``add(matmul(x, w), b)``) bit for bit.
+
+    ``x`` is (n, k), ``w`` (k, m) and ``b`` (m,). Finiteness is checked once,
+    after the bias add: a finite bias leaves a non-finite product non-finite,
+    and the check comes before the ReLU could zero a NaN or a -inf. The pull
+    computes ``dx``, ``dw`` and ``db`` only for tracked operands (``None`` for
+    the others).
+    """
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] \
+            or b.shape != (w.shape[1],):
+        raise TensorError(f"dense operands disagree: {x.shape} x {w.shape} + {b.shape}")
+    z = x.data @ w.data
+    z += b.data
+    _check_finite(z, "dense")
+    mask = z > 0 if relu else None  # subgradient at exactly 0 is 0, as in relu
+    tape = _active_tape()
+    want_dx, want_dw, want_db = (tape is not None and tape._tracks(t) for t in (x, w, b))
+
+    def pull(g):
+        if relu:
+            g = g * mask
+        return ((g @ w.data.T if want_dx else None), (x.data.T @ g if want_dw else None),
+                (g.sum(axis=0) if want_db else None))
+
+    out = np.where(mask, z, 0.0) if relu else z
+    return _emit((x, w, b), out, pull, "dense", checked=True)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -231,7 +286,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     def pull(g):
         return (g.reshape(x.shape),)
 
-    return _emit((x,), x.data.reshape(shape), pull, "reshape")
+    return _emit((x,), x.data.reshape(shape), pull, "reshape", checked=True)
 
 
 def _taps(kh: int, kw: int, stride: int, oh: int, ow: int):
@@ -348,7 +403,7 @@ def max_pool2d(x: Tensor, size: int = 2) -> Tensor:
         _pool_scatter(g, size, winner, dx)
         return (dx,)
 
-    return _emit((x,), out, pull, "max_pool2d")
+    return _emit((x,), out, pull, "max_pool2d", checked=True)
 
 
 def _pool_max(x: np.ndarray, size: int, out: np.ndarray, winner: np.ndarray | None) -> None:
@@ -524,7 +579,7 @@ def conv_block(x: Tensor, kernels: Tensor, bias: Tensor, pool: int = 2) -> Tenso
             dk = dk.sum(axis=0).reshape(kernels.shape)
         return dx, dk, db
 
-    return _emit((x, kernels, bias), out, pull, "conv_block")
+    return _emit((x, kernels, bias), out, pull, "conv_block", checked=True)
 
 
 def _validate_one_hot(labels: np.ndarray, n_rows: int) -> None:

@@ -87,6 +87,17 @@ def gradient_suite() -> list[CheckResult]:
         "bias add (affine)", lambda: tc.sum_all(tc.add(tc.matmul(a, b), bias)),
         (bias,), AFFINE_TOL))
 
+    # a cross-entropy head pulls a different gradient into every output; the
+    # separate generator leaves the data of the checks below unchanged
+    lrng = np.random.default_rng(8)
+    lx, lw, lb = (Tensor(lrng.normal(size=s)) for s in ((4, 5), (5, 3), (3,)))
+    y3 = Tensor(np.eye(3)[[0, 2, 1, 2]])
+    for relu in (False, True):
+        results.append(_fd_vs_autodiff(
+            f"dense{', ReLU' if relu else ''} (input, weights, bias)",
+            lambda relu=relu: tc.softmax_cross_entropy(tc.dense(lx, lw, lb, relu), y3),
+            (lx, lw, lb), GRAD_TOL))
+
     x = Tensor(rng.random((2, 2, 6, 6)))
     k = Tensor(rng.random((3, 2, 3, 3)))
     results.append(_fd_vs_autodiff(

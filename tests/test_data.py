@@ -19,7 +19,8 @@ from atent.data import (
     synth_digits,
     synth_two_gaussians,
 )
-from atent.models import accuracy, build_mlp
+from atent.models import Batch, accuracy, build_mlp
+from atent.seeding import derive_rng
 from atent.tensor import Tensor
 from file_helpers import write_idx
 
@@ -181,6 +182,32 @@ class TestBatchIter:
         assert np.array_equal(
             rows[np.lexsort(rows.T)], ds.inputs.data[np.lexsort(ds.inputs.data.T)]
         )
+
+
+class TestDatasetChecks:
+    @pytest.mark.parametrize("bad_row", [[1.0, 1.0], [0.5, 0.5]], ids=["two-hot", "half"])
+    def test_rejects_labels_that_are_not_one_hot(self, bad_row):
+        labels = np.eye(2)[[0, 1, 0]]
+        labels[1] = bad_row
+        with pytest.raises(ValueError, match="one-hot"):
+            Dataset(Tensor(np.zeros((3, 2))), Tensor(labels), ["a", "b"])
+
+    def test_batches_equal_checked_batches_bytewise(self):
+        # 23 rows in batches of 5: four full batches and a short one of 3
+        rng = np.random.default_rng(9)
+        ds = Dataset(Tensor(rng.random((23, 1, 2, 3))), Tensor(np.eye(3)[rng.integers(0, 3, 23)]),
+                     ["a", "b", "c"], (0.0, 1.0))
+        order = derive_rng(4, "shuffle", 6).permutation(ds.n)
+        batches = list(batch_iter(ds, 5, seed=4, epoch=6))
+        assert [b.n for b in batches] == [5, 5, 5, 5, 3]
+        for start, got in zip(range(0, ds.n, 5), batches):
+            idx = order[start:start + 5]
+            ref = Batch(Tensor(ds.inputs.data[idx]), Tensor(ds.labels.data[idx]), ds.value_range)
+            assert type(got) is Batch and got.value_range == ref.value_range
+            for a, b in ((got.inputs, ref.inputs), (got.labels, ref.labels)):
+                assert type(a) is Tensor and a.data.flags.c_contiguous
+                assert a.data.dtype == b.data.dtype and a.shape == b.shape
+                assert a.data.tobytes() == b.data.tobytes()
 
 
 class TestSplitTrainVal:

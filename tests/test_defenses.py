@@ -6,7 +6,7 @@ import pytest
 
 from atent import defenses
 from atent.attacks import AttackConfig, robust_accuracy
-from atent.data import synth_two_gaussians
+from atent.data import split_train_val, synth_two_gaussians
 from atent.defenses import (
     ATENT_L2,
     ATENT_LINF,
@@ -103,6 +103,41 @@ class TestTrainSgd:
                             lr_schedule=[])
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
             train(p0, cfg, ds, val)
+
+
+class TestInPlaceUpdates:
+    """train updates weights in place, but never in an array a caller holds."""
+
+    def _setup(self):
+        train_ds, val_ds = split_train_val(synth_two_gaussians(120, 3.0, seed=2))
+        cfg = TrainerConfig(defense="sgd", lr=0.3, epochs=4, batch_size=16, seed=3,
+                            weight_decay=0.01)
+        return build_mlp([2, 8, 2], seed=2), cfg, train_ds, val_ds
+
+    @staticmethod
+    def _arrays(params):
+        return [t.data for t in params.weights.values()]
+
+    def test_params_passed_in_keep_their_bytes(self):
+        params, cfg, train_ds, val_ds = self._setup()
+        held = self._arrays(params)
+        before = [a.tobytes() for a in held]
+        state = train(params, cfg, train_ds, val_ds)
+        assert not _params_equal(state.params, params)
+        assert self._arrays(params) == held  # the same array objects ...
+        assert [a.tobytes() for a in held] == before  # ... with the same bytes
+
+    def test_resume_keeps_the_first_calls_arrays(self):
+        params, cfg, train_ds, val_ds = self._setup()
+        first = train(params, cfg, train_ds, val_ds, stop_after_epoch=2)
+        assert first.epoch == 2 and first.best_params is not None
+        kept = self._arrays(first.params) + self._arrays(first.best_params)
+        at_epoch_2 = [a.tobytes() for a in kept]
+        resumed = train(params, cfg, train_ds, val_ds, resume_state=first)
+        assert resumed.epoch == 4
+        assert [a.tobytes() for a in kept] == at_epoch_2
+        # and the resumed run still retraces the uninterrupted one
+        assert _params_equal(resumed.params, train(params, cfg, train_ds, val_ds).params)
 
 
 class TestTrainPgdAt:

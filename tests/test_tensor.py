@@ -1,4 +1,5 @@
 """Tensor core: primitive ops, tape semantics, gradient correctness."""
+import itertools
 import math
 
 import numpy as np
@@ -397,6 +398,94 @@ class TestConvBlock:
         for kh, kw in ((4, 4), (2, 2), (3, 5), (5, 3)):
             with pytest.raises(TensorError, match="odd square kernel"):
                 tc.conv_block(x, Tensor(np.ones((3, 2, kh, kw))), Tensor(np.zeros(3)))
+
+
+def _unfused_dense(x, w, b, relu):
+    """The reference composition dense replaces."""
+    z = tc.add(tc.matmul(x, w), b)
+    return tc.relu(z) if relu else z
+
+
+# (n, k, m): the MLP's hidden layer (784-64-2 at batch 32), then the CNN
+# head's two layers (16 channels of 7x7 into 32, then 2)
+_DENSE_SHAPES = [(32, 784, 64), (32, 784, 32), (32, 32, 2)]
+_SUBSETS = [s for r in (1, 2, 3) for s in itertools.combinations(range(3), r)]
+
+
+class TestDense:
+    @pytest.mark.parametrize("relu", [True, False])
+    @pytest.mark.parametrize("n,k,m", _DENSE_SHAPES)
+    def test_equals_unfused_ops_bytewise(self, n, k, m, relu):
+        # a zero row and two zero biases give pre-activations of exactly 0
+        rng = np.random.default_rng(k + m)
+        x0 = rng.normal(size=(n, k))
+        x0[0] = 0.0
+        w0 = rng.normal(size=(k, m)) / np.sqrt(k)
+        b0 = rng.normal(size=m)
+        b0[:2] = 0.0
+        labels = Tensor(np.eye(m)[rng.integers(0, m, n)])
+        for subset in _SUBSETS:
+            outs, grads = [], []
+            for layer in (tc.dense, _unfused_dense):
+                ops = [Tensor(x0), Tensor(w0), Tensor(b0)]
+                leaves = [ops[i] for i in subset]
+                with Tape(leaves) as tape:
+                    out = layer(*ops, relu)
+                    loss = tc.softmax_cross_entropy(out, labels)
+                if layer is tc.dense:
+                    pulled = tape.records[0].pull(np.ones((n, m)))
+                    assert [i for i, g in enumerate(pulled) if g is not None] == list(subset)
+                got = tc.backward(tape, loss)
+                outs.append(out.data.tobytes())
+                grads.append([got[t].data.tobytes() for t in leaves])
+            assert outs[0] == outs[1]
+            assert grads[0] == grads[1]
+
+    @pytest.mark.parametrize("x0,w0,b0,relu", [
+        ([[1e200]], [[1e200]], [0.0], False),   # +inf product
+        ([[1e200]], [[-1e200]], [0.0], True),   # -inf, which ReLU would zero
+        ([[np.nan]], [[1.0]], [0.0], True),     # NaN, which ReLU would zero
+        ([[1.0]], [[1e308]], [1e308], True),    # the bias add overflows
+    ], ids=["inf", "minus-inf-under-relu", "nan-under-relu", "bias-add"])
+    def test_non_finite_pre_activation_names_dense(self, x0, w0, b0, relu):
+        # whether a product of finite values sums inf and -inf to NaN depends
+        # on how BLAS fuses its multiply-adds, so the NaN is planted in the
+        # input's data, past the Tensor constructor's check
+        x = Tensor(np.zeros((1, len(x0[0]))))
+        x.data = np.array(x0)
+        with pytest.raises(NonFiniteError, match="^dense "), \
+                np.errstate(over="ignore", invalid="ignore"):
+            tc.dense(x, Tensor(w0), Tensor(b0), relu)
+
+    def test_mismatched_operands_rejected(self):
+        x = Tensor(np.ones((2, 3)))
+        for w, b in (((4, 5), (5,)), ((3, 5), (4,)), ((3, 5), (1, 5))):
+            with pytest.raises(TensorError, match="dense operands disagree"):
+                tc.dense(x, Tensor(np.ones(w)), Tensor(np.ones(b)))
+
+
+# one overflow per op that checks its output; each op's message names it
+_OVERFLOWS = {
+    "matmul": lambda: tc.matmul(Tensor([[1e200]]), Tensor([[1e200]])),
+    "add": lambda: tc.add(Tensor([1e308]), Tensor([1e308])),
+    "sum_all": lambda: tc.sum_all(Tensor([1e308, 1e308])),
+    "conv2d": lambda: tc.conv2d(Tensor(np.full((1, 1, 2, 2), 1e200)),
+                                Tensor(np.full((1, 1, 1, 1), 1e200))),
+    "dense": lambda: tc.dense(Tensor([[1e200]]), Tensor([[-1e200]]), Tensor([0.0]), True),
+    # -inf before the pool and ReLU, which would turn it into finite zeros
+    "conv_block": lambda: tc.conv_block(Tensor(np.ones((1, 1, 4, 4))),
+                                        Tensor(np.full((1, 1, 3, 3), -1e308)),
+                                        Tensor(np.zeros(1))),
+    "softmax_cross_entropy": lambda: tc.softmax_cross_entropy(
+        Tensor([[1e308, -1e308]]), Tensor([[0.0, 1.0]])),
+}
+
+
+@pytest.mark.parametrize("op", list(_OVERFLOWS))
+def test_overflow_raises_naming_the_op(op):
+    with pytest.raises(NonFiniteError, match=f"^{op} produced non-finite values$"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        _OVERFLOWS[op]()
 
 
 class TestRelu:

@@ -7,8 +7,8 @@ can be checked against its parent with one command per tree:
     python tools/trajectory_hashes.py --src src > change.txt
     diff parent.txt change.txt
 
-Each line is ``<sha256>  <item>``. The items are, on a small MLP and on a
-CNN with two conv blocks, on ``digits_binary``:
+Each line is ``<sha256>  <item>``. The 36 items are, on a small MLP and on
+a CNN with two conv blocks, on ``digits_binary``:
 
 - ``config/<name>``: the parsed ``ExperimentConfig`` of each tree below, as
   ``json.dumps(dataclasses.asdict(cfg), sort_keys=True)``, and of
@@ -21,7 +21,15 @@ CNN with two conv blocks, on ``digits_binary``:
   ATENT-attack outputs;
 - ``loss_and_grads/<wrt>/<model>``: loss and gradients for each ``wrt``;
 - ``smooth_accuracy/<model>``: the smoothed accuracy of the SGD-trained
-  model, with the vote counts of one example.
+  model, with the vote counts of one example;
+- ``resume/sgd/mlp``: the MLP's SGD run stopped after epoch 2 and resumed
+  in process to epoch 4. The epoch-2 ``params`` and ``best_params`` arrays
+  are kept before the resume and hashed after it, with the final weights,
+  so the hash changes if the resumed run writes into an array the first
+  call returned.
+
+That is 11 ``config/``, 10 ``train/``, 6 ``attack/``, 6
+``loss_and_grads/``, 2 ``smooth_accuracy/`` and 1 ``resume/`` item.
 
 The trees are imported from ``--src`` alone; BLAS is pinned to one thread,
 as in the benchmark. The package does not import this script.
@@ -176,6 +184,15 @@ def items():
         votes = smoothing.vote_counts(sgd, eval_ds.inputs.data[0], cfg.smoothing,
                                       derive_rng(cfg.seed, "hash-votes"), eval_ds.n_classes)
         yield f"smooth_accuracy/{model}", digest(acc, votes)
+
+    tree = config_tree("mlp", "sgd")
+    cfg = config.parse_config_dict({**tree, "trainer": {**tree["trainer"], "epochs": 4}})
+    train_ds, val_ds, _ = experiment.build_datasets(cfg.data, cfg.seed)
+    params = models.build_model(cfg.model, cfg.seed)
+    first = defenses.train(params, cfg.trainer, train_ds, val_ds, stop_after_epoch=2)
+    kept = [{k: t.data for k, t in p.weights.items()} for p in (first.params, first.best_params)]
+    final = defenses.train(params, cfg.trainer, train_ds, val_ds, resume_state=first)
+    yield "resume/sgd/mlp", digest(kept, {k: t.data for k, t in final.params.weights.items()})
 
 
 def main(argv=None) -> int:
