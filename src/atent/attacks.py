@@ -7,8 +7,7 @@ restart with the highest final loss.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -83,17 +82,6 @@ def _random_start(x: np.ndarray, norm: str, radius: float, rng: np.random.Genera
     return x + (unit * r[:, None]).reshape(x.shape)
 
 
-def fgsm(params: ModelParams, batch: Batch, cfg: AttackConfig) -> np.ndarray:
-    """Single signed-gradient step of magnitude radius; sign(0) = 0."""
-    if cfg.norm != LINF:
-        raise ValueError("fgsm is an l-inf attack")
-    x = batch.inputs.data
-    if cfg.radius == 0.0:
-        return x.copy()
-    _, _, g = loss_and_grads(params, batch, wrt="inputs")
-    return _clip_range(x + cfg.radius * np.sign(g), batch)
-
-
 def _pgd_single(params, batch, cfg: AttackConfig, rng) -> np.ndarray:
     x = batch.inputs.data
     x_adv = _random_start(x, cfg.norm, cfg.radius, rng) if cfg.random_start else x.copy()
@@ -154,9 +142,9 @@ def atent_attack(params: ModelParams, batch: Batch, sampler_cfg: GibbsSamplerCon
 
 def run_attack(params: ModelParams, batch: Batch, cfg: AttackConfig,
                stream: int = 0) -> np.ndarray:
-    if cfg.kind == FGSM:
-        return fgsm(params, batch, cfg)
-    if cfg.kind == PGD:
+    if cfg.kind == FGSM:  # one signed-gradient step of the whole radius
+        cfg = replace(cfg, steps=1, step_size=cfg.radius, random_start=False, restarts=1)
+    if cfg.kind in (FGSM, PGD):
         return pgd_attack(params, batch, cfg, stream=stream)
     return atent_attack(params, batch, cfg.sampler, cfg.radius,
                         seed=cfg.seed, stream=stream)

@@ -91,6 +91,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.name or any(c in self.name for c in "/\\\0 \t\n"):
             raise ValueError("name must be non-empty and filesystem-safe")
+        if self.trainer.early_stop.metric == "robust" and self.data.val_fraction == 0:
+            raise ValueError("robust early stopping needs validation rows: "
+                             "data.val_fraction must be positive")
 
 
 def _join(path: str, key: str) -> str:

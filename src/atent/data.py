@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Batch
+from .models import Batch, _validate_one_hot
 from .seeding import derive_rng
-from .tensor import Tensor, _unchecked, _validate_one_hot
+from .tensor import Tensor, _unchecked
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
@@ -39,7 +39,6 @@ class Dataset:
 
     inputs: Tensor
     labels: Tensor
-    class_names: list[str]
     value_range: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
@@ -49,7 +48,7 @@ class Dataset:
             self.labels = Tensor(self.labels)
         if self.inputs.shape[0] != self.labels.shape[0]:
             raise ValueError("inputs and labels disagree on sample count")
-        _validate_one_hot(self.labels.data, self.inputs.shape[0])
+        _validate_one_hot(self.labels.data)
         lo, hi = self.value_range
         if self.inputs.size and (self.inputs.data.min() < lo or self.inputs.data.max() > hi):
             raise ValueError(f"input values leave the declared range [{lo}, {hi}]")
@@ -64,12 +63,8 @@ class Dataset:
 
     def take(self, indices) -> "Dataset":
         idx = np.asarray(indices)
-        return Dataset(
-            Tensor(self.inputs.data[idx]),
-            Tensor(self.labels.data[idx]),
-            self.class_names,
-            self.value_range,
-        )
+        return Dataset(Tensor(self.inputs.data[idx]), Tensor(self.labels.data[idx]),
+                       self.value_range)
 
     def as_batch(self) -> Batch:
         return Batch(self.inputs, self.labels, self.value_range)
@@ -122,7 +117,7 @@ def load_mnist_idx(images_path, labels_path) -> Dataset:
     inputs = images.astype(np.float64).reshape(n, 1, h, w) / 255.0
     one_hot = np.zeros((n, 10))
     one_hot[np.arange(n), labels] = 1.0
-    return Dataset(Tensor(inputs), Tensor(one_hot), [str(d) for d in range(10)])
+    return Dataset(Tensor(inputs), Tensor(one_hot))
 
 
 # ---------------------------------------------------------------------------
@@ -143,12 +138,8 @@ def subset_binary(ds: Dataset, class_a: int, class_b: int, cap_per_class: int,
     new_labels[:per, 0] = 1.0
     new_labels[per:, 1] = 1.0
     order = derive_rng(seed, "subset-shuffle").permutation(keep.size)
-    return Dataset(
-        Tensor(ds.inputs.data[keep][order]),
-        Tensor(new_labels[order]),
-        [ds.class_names[class_a], ds.class_names[class_b]],
-        ds.value_range,
-    )
+    return Dataset(Tensor(ds.inputs.data[keep][order]), Tensor(new_labels[order]),
+                   ds.value_range)
 
 
 def synth_two_gaussians(n: int, separation: float, seed: int) -> Dataset:
@@ -169,7 +160,7 @@ def synth_two_gaussians(n: int, separation: float, seed: int) -> Dataset:
     labels[:half, 0] = 1.0
     labels[half:, 1] = 1.0
     order = rng.permutation(n)
-    return Dataset(Tensor(pts[order]), Tensor(labels[order]), ["neg", "pos"])
+    return Dataset(Tensor(pts[order]), Tensor(labels[order]))
 
 
 def split_train_val(ds: Dataset, val_fraction: float = 0.1,
@@ -272,5 +263,4 @@ def synth_digits(n_per_class: int, classes=(5, 8), seed: int = 0) -> Dataset:
             labels[i, ci] = 1.0
             i += 1
     order = rng.permutation(n)
-    return Dataset(Tensor(inputs[order]), Tensor(labels[order]),
-                   [str(c) for c in classes])
+    return Dataset(Tensor(inputs[order]), Tensor(labels[order]))

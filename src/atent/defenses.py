@@ -131,7 +131,6 @@ class TrainerState:
     epoch: int = 0
     best_metric: float = -math.inf
     best_epoch: int = -1
-    best_robust_acc: float | None = None
     best_params: ModelParams | None = None
     history: list[EpochRecord] = field(default_factory=list)
 
@@ -154,7 +153,6 @@ def early_stop_update(state: TrainerState, record: EpochRecord,
         state.best_metric = tracked
         state.best_epoch = record.epoch
         state.best_params = state.params.clone()
-        state.best_robust_acc = record.rob_acc
     return state
 
 
@@ -194,17 +192,18 @@ def _direction_atent(params, batch, cfg, epoch, bidx):
     return run.ema_loss, run.weight_grads
 
 
-def weight_langevin_chain(grad_fn, w0: dict[str, np.ndarray], anchor: dict[str, np.ndarray],
+def weight_langevin_chain(grad_fn, anchor: dict[str, np.ndarray],
                           cfg: GibbsSamplerConfig, rng) -> dict[str, np.ndarray]:
     """Weight-space Langevin chain of the local-entropy objective.
 
-    ``grad_fn(w) -> dict`` returns the loss gradient at weights ``w``. Each
-    tensor takes the sampler's l2 step with the gradient negated, so the
-    chain drifts along -grad + gamma (anchor - w'); ``cfg.norm`` is ignored.
-    It accumulates the weight EMA mu <- (1-alpha) mu + alpha w'; mu starts
-    at the anchor. Returns mu.
+    ``grad_fn(w) -> dict`` returns the loss gradient at weights ``w``. The
+    chain starts at the anchor, and each tensor takes the sampler's l2 step
+    with the gradient negated, so the chain drifts along
+    -grad + gamma (anchor - w'); ``cfg.norm`` is ignored. It accumulates the
+    weight EMA mu <- (1-alpha) mu + alpha w'; mu starts at the anchor.
+    Returns mu; ``anchor`` is not written.
     """
-    w_prime = {k: v.copy() for k, v in w0.items()}
+    w_prime = {k: v.copy() for k, v in anchor.items()}
     mu = {k: v.copy() for k, v in anchor.items()}
     for _ in range(cfg.steps):
         grads = grad_fn(w_prime)
@@ -223,7 +222,7 @@ def _direction_entropy_sgd(params, batch, cfg, epoch, bidx):
         at_w = ModelParams(params.descriptor, [(name, Tensor(w[name])) for name in w])
         return loss_and_grads(at_w, batch, wrt="weights")[1]
 
-    mu = weight_langevin_chain(grad_at, anchor, anchor, cfg.sampler, rng)
+    mu = weight_langevin_chain(grad_at, anchor, cfg.sampler, rng)
     direction = {name: cfg.sampler.gamma * (anchor[name] - mu[name]) for name in anchor}
     return clean_loss, direction
 
@@ -264,7 +263,11 @@ def train(params: ModelParams, cfg: TrainerConfig, train_ds: Dataset,
     finished one (:func:`training_finished`) is returned as it is.
     ``stop_after_epoch`` ends this invocation early (resumable later);
     ``on_epoch(state)`` fires after each epoch's record is appended.
+    Robust early stopping with an empty ``val_ds`` raises ValueError before
+    any epoch runs.
     """
+    if cfg.early_stop.metric == "robust" and not val_ds.n:
+        raise ValueError("robust early stopping needs a non-empty validation set")
     if resume_state is not None:
         state = resume_state
         if training_finished(state, cfg):

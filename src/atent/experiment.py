@@ -170,14 +170,12 @@ _COUNTER_TYPES = {
     "epoch": (int,),
     "best_metric": (float,),
     "best_epoch": (int,),
-    "best_robust_acc": (float, type(None)),
 }
 
 
 def _counters(cfg: ExperimentConfig, state: TrainerState) -> dict:
     return {"name": cfg.name, "seed": cfg.seed, "epoch": state.epoch,
-            "best_metric": state.best_metric, "best_epoch": state.best_epoch,
-            "best_robust_acc": state.best_robust_acc}
+            "best_metric": state.best_metric, "best_epoch": state.best_epoch}
 
 
 def _check_types(where: str, values, types: dict) -> None:
@@ -193,7 +191,8 @@ def _check_types(where: str, values, types: dict) -> None:
 
 def _check_counters(path: Path, counters) -> None:
     """Raise :class:`ExperimentError` naming ``path`` unless ``counters``
-    holds each key with its type."""
+    holds each key with its type. Other keys, such as the ``best_robust_acc``
+    that older headers carry, are not read."""
     if not isinstance(counters, dict):
         raise ExperimentError(f"{path}: no trainer counters in the header")
     _check_types(f"{path}: trainer counter", counters, _COUNTER_TYPES)
@@ -268,8 +267,7 @@ def _resume_state(cfg: ExperimentConfig, out: Path) -> TrainerState:
         raise ExperimentError("saved state belongs to a different experiment")
     state = TrainerState(params=params, epoch=counters["epoch"],
                          best_metric=counters["best_metric"],
-                         best_epoch=counters["best_epoch"],
-                         best_robust_acc=counters["best_robust_acc"])
+                         best_epoch=counters["best_epoch"])
     partial = out / "metrics.jsonl.partial"
     if partial.exists():
         state.history, size = _read_metrics(partial, state.epoch)

@@ -41,7 +41,7 @@ class Batch:
         if not isinstance(self.labels, Tensor):
             self.labels = Tensor(self.labels)
         _check_rows(self.inputs, self.labels)
-        tc._validate_one_hot(self.labels.data, self.labels.shape[0])
+        _validate_one_hot(self.labels.data)
 
     @property
     def n(self) -> int:
@@ -55,6 +55,18 @@ class Batch:
         batch = copy.copy(self)
         batch.inputs = inputs
         return batch
+
+
+def _validate_one_hot(labels: np.ndarray) -> None:
+    """Labels are checked here once, where a ``Batch`` or a ``Dataset`` is
+    built; the loss only checks their shape."""
+    ok = (
+        labels.ndim == 2
+        and ((labels == 0.0) | (labels == 1.0)).all()
+        and (labels.sum(axis=1) == 1.0).all()
+    )
+    if not ok:
+        raise TensorError("labels must be one-hot rows")
 
 
 def _check_rows(inputs: Tensor, labels: Tensor) -> None:

@@ -11,7 +11,6 @@ negated loss gradient of each weight tensor.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -19,8 +18,6 @@ import numpy as np
 
 from .models import Batch, ModelParams, batch_loss, loss_and_grads
 from .tensor import NonFiniteError
-
-log = logging.getLogger(__name__)
 
 L2 = "l2"
 LINF = "linf"
@@ -38,8 +35,6 @@ class GibbsSamplerConfig:
     norm: "l2" for the squared-l2 penalty, "linf" for the sup-norm one,
         whose chain clamps its last increment to [-1/gamma, 1/gamma].
     init_radius: std of the normal init perturbation; defaults to 1/gamma.
-    loss_cap: monitored upper bound on the batch loss (never enforced by
-        rejection; exceeding it logs a warning once per chain).
     The inverse temperature is fixed at 1; noise_scale is the only knob.
     """
 
@@ -50,7 +45,6 @@ class GibbsSamplerConfig:
     ema: float = 1.0
     norm: str = L2
     init_radius: float | None = None
-    loss_cap: float = math.inf
 
     def __post_init__(self):
         if self.gamma <= 0:
@@ -81,8 +75,8 @@ class ChainRun:
 
 
 def _clip_range(x: np.ndarray, batch: Batch) -> np.ndarray:
-    """``x`` clipped into ``batch.value_range``; ``x`` itself when there is
-    no range or it is already inside, so callers can test identity."""
+    """``x`` clipped into ``batch.value_range``; ``x`` itself, with no copy
+    made, when there is no range or it is already inside."""
     if batch.value_range is None:
         return x
     lo, hi = batch.value_range
@@ -177,7 +171,6 @@ def run_chain(
     inner_wrt = "both" if weight_grads else "inputs"
     acc = {name: np.zeros(t.shape) for name, t in params.weights.items()} if weight_grads else None
     samples: list[np.ndarray] = []
-    warned = False
     for k in range(1, cfg.steps + 1):
         x_prime = _clip_range(langevin_step(x_prime, anchor, grad_x, cfg, rng, k), batch)
         at_k = batch.with_inputs(x_prime)
@@ -187,9 +180,6 @@ def run_chain(
             loss, wg, _ = loss_and_grads(params, at_k, wrt="weights")
         else:
             loss = batch_loss(params, at_k)
-        if loss > cfg.loss_cap and not warned:
-            log.warning("chain batch loss %.4g exceeded loss_cap %.4g", loss, cfg.loss_cap)
-            warned = True
         ema_loss = (1.0 - alpha) * ema_loss + alpha * loss
         if weight_grads:
             acc = {name: (1.0 - alpha) * acc[name] + alpha * wg[name] for name in acc}

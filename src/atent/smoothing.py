@@ -69,9 +69,10 @@ def vote_counts(params: ModelParams, x: np.ndarray, cfg: SmoothingConfig,
 
 
 def smooth_predict(params: ModelParams, x: np.ndarray, cfg: SmoothingConfig,
-                   n_classes: int | None = None, stream: int = 0) -> int:
-    """Majority-vote class, or ABSTAIN when the top vote share falls below
-    0.5 + abstain_margin. Ties break to the lowest class index.
+                   n_classes: int, stream: int = 0) -> int:
+    """Majority-vote class among ``n_classes``, or ABSTAIN when the top vote
+    share falls below 0.5 + abstain_margin. Ties break to the lowest class
+    index.
 
     Votes are cast in steps of _next_step's size. With r votes left, the
     lowest-index leader L wins once counts[L] / n_samples already reaches
@@ -79,8 +80,6 @@ def smooth_predict(params: ModelParams, x: np.ndarray, cfg: SmoothingConfig,
     == counts[L] with j > L); ABSTAIN is returned once
     (counts[j] + r) / n_samples falls below the share for every j. The
     answer equals the answer from counting all n_samples votes."""
-    if n_classes is None:
-        n_classes = _output_classes(params)
     rng = derive_rng(cfg.seed, "smoothing", stream)
     counts = np.zeros(n_classes, dtype=np.int64)
     remaining = cfg.n_samples
@@ -139,8 +138,3 @@ def smooth_accuracy(params: ModelParams, dataset, cfg: SmoothingConfig,
         correct += int(pred == truths[i])
     denom = dataset.n if count_abstain_as_error else max(decided, 1)
     return correct / denom
-
-
-def _output_classes(params: ModelParams) -> int:
-    d = params.descriptor
-    return d["widths"][-1] if d["kind"] == "mlp" else d["fc_widths"][-1]

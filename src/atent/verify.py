@@ -240,8 +240,7 @@ def _weight_chain(gamma, a, seed, anchor=0.3, step=0.01):
         return {"w": 2 * a * w["w"]}
 
     cfg = GibbsSamplerConfig(gamma=gamma, step=step, steps=CHAIN_STEPS, noise_scale=1.0)
-    w0 = {"w": np.array([anchor])}
-    weight_langevin_chain(grad_fn, w0, w0, cfg, derive_rng(seed))
+    weight_langevin_chain(grad_fn, {"w": np.array([anchor])}, cfg, derive_rng(seed))
     return np.array(visited)
 
 

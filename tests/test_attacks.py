@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 from atent.attacks import (
     AttackConfig,
     atent_attack,
-    fgsm,
     pgd_attack,
     robust_accuracy,
     run_attack,
 )
 from atent.data import Dataset, synth_two_gaussians
-from atent.models import Batch, accuracy, build_mlp, per_sample_losses
+from atent.models import Batch, accuracy, build_mlp, loss_and_grads, per_sample_losses
 from atent.sampler import GibbsSamplerConfig
 from atent.seeding import derive_rng
 from atent.tensor import Tensor
@@ -63,14 +62,14 @@ class TestFgsm:
     def test_zero_radius_is_identity(self):
         p, batch = _model_and_batch()
         cfg = AttackConfig(kind="fgsm", radius=0.0)
-        assert np.array_equal(fgsm(p, batch, cfg), batch.inputs.data)
+        assert np.array_equal(run_attack(p, batch, cfg), batch.inputs.data)
 
     def test_zero_gradient_is_identity(self):
         p, batch = _model_and_batch()
         for t in p.weights.values():
             t.data = np.zeros_like(t.data)
         cfg = AttackConfig(kind="fgsm", radius=0.1)
-        out = fgsm(p, batch, cfg)
+        out = run_attack(p, batch, cfg)
         assert np.array_equal(out, batch.inputs.data)  # sign(0) = 0
 
     def test_logistic_case_moves_against_true_class(self):
@@ -81,13 +80,13 @@ class TestFgsm:
         p.weights["b0"].data = np.zeros(2)
         batch = Batch(np.array([[0.2]]), np.array([[0.0, 1.0]]))
         cfg = AttackConfig(kind="fgsm", radius=0.05)
-        out = fgsm(p, batch, cfg)
+        out = run_attack(p, batch, cfg)
         assert out[0, 0] == pytest.approx(0.15, abs=1e-12)
 
     def test_exact_ball_membership(self):
         p, batch = _model_and_batch(with_range=False)
         cfg = AttackConfig(kind="fgsm", radius=0.3)
-        out = fgsm(p, batch, cfg)
+        out = run_attack(p, batch, cfg)
         assert _linf_dist(out, batch.inputs.data) <= 0.3 + 1e-9
 
 
@@ -108,13 +107,23 @@ class TestPgd:
         assert np.max(_l2_rows(out, batch.inputs.data)) <= 0.5 + 1e-9
 
     def test_single_step_equals_fgsm(self):
+        # FGSM is one signed-gradient step of the whole radius from the clean
+        # point, clipped into the range; its PGD-only knobs are not read
         p, batch = _model_and_batch(seed=2)
         eps = 0.08
-        f = fgsm(p, batch, AttackConfig(kind="fgsm", radius=eps))
+        x = batch.inputs.data
+        _, _, grad = loss_and_grads(p, batch, wrt="inputs")
+        want = np.clip(x + eps * np.sign(grad), 0.0, 1.0)
+        f = run_attack(p, batch, AttackConfig(kind="fgsm", radius=eps))
+        knobs = run_attack(p, batch, AttackConfig(kind="fgsm", radius=eps, steps=5,
+                                                  step_size=0.01, restarts=3,
+                                                  random_start=True))
         g = pgd_attack(p, batch, AttackConfig(
             kind="pgd", norm="linf", radius=eps, steps=1, step_size=eps,
             random_start=False))
-        assert np.array_equal(f, g)
+        assert np.array_equal(f, want)
+        assert np.array_equal(knobs, want)
+        assert np.array_equal(g, want)
 
     def test_worst_restart_dominates_each_restart(self):
         p, batch = _model_and_batch(seed=5)
@@ -215,8 +224,7 @@ class TestRobustAccuracy:
         p = build_mlp([3, 4, 2], seed=0)
         for t in p.weights.values():
             t.data = np.zeros_like(t.data)
-        ds = Dataset(Tensor(rng.random((200, 3))), Tensor(np.eye(2)[rng.integers(0, 2, 200)]),
-                     ["a", "b"])
+        ds = Dataset(Tensor(rng.random((200, 3))), Tensor(np.eye(2)[rng.integers(0, 2, 200)]))
         cfg = AttackConfig(kind="fgsm", norm="linf", radius=0.3, seed=0)
         rob = robust_accuracy(p, ds, cfg)
         nat = accuracy(p, ds.inputs, ds.labels)

@@ -55,14 +55,14 @@ class TestRoundTrip:
     def test_trainer_counters_ride_in_header(self, saved):
         params, path = saved
         counters = {"name": "toy", "seed": 9, "epoch": 2, "best_metric": float("-inf"),
-                    "best_epoch": -1, "best_robust_acc": None}
+                    "best_epoch": -1}
         blob = checkpoint_bytes(params, counters)
         plain = path.read_bytes()
         # only the header differs from a plain save
         assert blob[_header_len(blob):] == plain[_header_len(plain):]
         assert blob[12:_header_len(blob)] == (
             b'{"model":{"kind":"mlp","widths":[3,8,2]},"trainer":{"best_epoch":-1,'
-            b'"best_metric":-Infinity,"best_robust_acc":null,"epoch":2,"name":"toy","seed":9}}')
+            b'"best_metric":-Infinity,"epoch":2,"name":"toy","seed":9}}')
         path.write_bytes(blob)
         loaded, read_back = read_checkpoint(path)
         assert read_back == counters

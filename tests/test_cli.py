@@ -109,6 +109,26 @@ class TestPipeline:
         with pytest.raises(ExperimentError, match="different experiment"):
             run_experiment(other, output_dir=str(out), resume=True)
 
+    def test_resume_ignores_best_robust_acc_of_an_older_header(self, tmp_path):
+        # headers written before the counter was dropped still carry it
+        tree = toy_tree(epochs=4)
+        tree["trainer"]["early_stop"] = {"metric": "robust",
+                                         "eval_attack": {"kind": "fgsm", "radius": 0.1}}
+        cfg = parse_config_dict(tree)
+        full = run_training(cfg, output_dir=str(tmp_path / "full"))
+        out = tmp_path / "out"
+        first = run_training(cfg, output_dir=str(out), stop_after=2)
+        last = out / "last.ckpt"
+        params, counters = checkpoint.read_checkpoint(last)
+        counters["best_robust_acc"] = first.history[first.best_epoch - 1].rob_acc
+        last.write_bytes(checkpoint.checkpoint_bytes(params, counters))
+        resumed = run_training(cfg, output_dir=str(out), resume=True)
+        assert (resumed.best_epoch, resumed.best_metric) == (full.best_epoch, full.best_metric)
+        for name in full.params.names:
+            assert np.array_equal(resumed.params.weights[name].data,
+                                  full.params.weights[name].data), name
+        _same_files(tmp_path / "full", out)
+
     def test_lock_excludes_second_run(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
@@ -414,6 +434,17 @@ class TestCliCommands:
         bad = write_cfg(tmp_path, {**toy_tree(), "mystery": 1})
         assert main(["train", str(bad)]) == 1
 
+    def test_robust_early_stop_without_validation_is_config_error(self, tmp_path, capsys):
+        tree = toy_tree()
+        tree["data"]["val_fraction"] = 0.0
+        tree["trainer"].update(defense="pgd_at", early_stop={"metric": "robust"},
+                               pgd={"radius": 0.1, "steps": 1, "step_size": 0.1})
+        out = tmp_path / "out"
+        assert main(["train", str(write_cfg(tmp_path, tree)), "--output-dir", str(out)]) == 1
+        assert "config error: robust early stopping needs validation rows" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("defect", ["descriptor", "entry_name"])
     def test_malformed_checkpoint_exit_code(self, tmp_path, capsys, defect):
         ckpt = tmp_path / "m.ckpt"
@@ -434,7 +465,7 @@ class TestCliCommands:
         ({"epoch": "2"}, "'epoch' is str, not int"),
         ({"best_epoch": None}, "'best_epoch' is NoneType, not int"),
         ({"best_metric": [1.0]}, "'best_metric' is list, not float"),
-        ({"best_robust_acc": True}, "'best_robust_acc' is bool, not float or NoneType"),
+        ({"name": 7}, "'name' is int, not str"),
         ({"epoch": 0}, "'epoch' is 0"),
         ({"seed": None}, "'seed' is NoneType, not int"),
         ("best_epoch", "'best_epoch' missing"),

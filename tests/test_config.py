@@ -1,8 +1,12 @@
 """Strict config parsing: defaults, unknown keys, constraint paths."""
 import copy
+import importlib.util
 import json
+import os
 import re
 from dataclasses import MISSING, fields, is_dataclass
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -136,7 +140,7 @@ DATA_BY_KIND = {
     "mnist_binary": {"kind": "mnist_binary", "class_a": 3, "class_b": 7,
                      "cap_per_class": 50, "data_dir": "idx", "val_fraction": 0.25},
     "digits_binary": {"kind": "digits_binary", "class_a": 1, "class_b": 2,
-                      "n_per_class": 30, "val_fraction": 0.0},
+                      "n_per_class": 30, "val_fraction": 0.2},
     "two_gaussians": {"kind": "two_gaussians", "n": 60, "separation": 2.5,
                       "val_fraction": 0.3},
 }
@@ -145,7 +149,7 @@ MODEL_BY_KIND = {
     "cnn": {"kind": "cnn", "channels": [3], "fc_widths": [5, 2], "in_shape": [1, 12, 12]},
 }
 FULL_SAMPLER = {"gamma": 4.0, "step": 0.2, "steps": 3, "noise_scale": 0.1, "ema": 0.4,
-                "norm": "linf", "init_radius": 0.01, "loss_cap": 9.0}
+                "norm": "linf", "init_radius": 0.01}
 
 
 def full_tree(data_kind="mnist_binary", model_kind="cnn"):
@@ -263,20 +267,33 @@ class TestStrictValues:
         with pytest.raises(ConfigError, match=re.escape(f"missing required key '{path}'")):
             parse_config_dict(tree)
 
-    # a config that picks an l-inf mode must fail, not run the one l-inf step
-    @pytest.mark.parametrize("mode", ["final_projection", "per_step_projection",
-                                      "coordinate_sign"])
+    # a config that sets a removed sampler key must fail, not run without it:
+    # each l-inf mode (the one l-inf step remains) and the loss_cap monitor
+    @pytest.mark.parametrize("key,value", [
+        pytest.param("linf_mode", mode, id=mode)
+        for mode in ("final_projection", "per_step_projection", "coordinate_sign")
+    ] + [pytest.param("loss_cap", 9.0, id="loss_cap")])
     @pytest.mark.parametrize("path", ["trainer.sampler", "attacks[0].sampler",
                                       "trainer.early_stop.eval_attack.sampler"])
-    def test_linf_mode_is_refused(self, path, mode):
+    def test_linf_mode_is_refused(self, path, key, value):
         tree = full_tree()
         *keys, last = [int(k) if k.isdigit() else k for k in re.findall(r"\w+", path)]
         parent = tree
-        for key in keys:
-            parent = parent[key]
-        parent[last] = {**parent[last], "linf_mode": mode}  # full_tree shares its samplers
-        with pytest.raises(ConfigError, match=re.escape(f"unknown key '{path}.linf_mode'")):
+        for k in keys:
+            parent = parent[k]
+        parent[last] = {**parent[last], key: value}  # full_tree shares its samplers
+        with pytest.raises(ConfigError, match=re.escape(f"unknown key '{path}.{key}'")):
             parse_config_dict(tree)
+
+    def test_robust_early_stop_without_validation_is_refused(self):
+        tree = minimal_tree()
+        tree["data"]["val_fraction"] = 0
+        tree["trainer"].update(early_stop={"metric": "robust"}, defense="pgd_at",
+                               pgd={"radius": 0.1, "steps": 1, "step_size": 0.1})
+        with pytest.raises(ConfigError, match=re.escape("data.val_fraction must be positive")):
+            parse_config_dict(tree)
+        tree["trainer"]["early_stop"]["metric"] = "natural"
+        assert parse_config_dict(tree).data.val_fraction == 0.0
 
     def test_null_section_is_absent(self):
         cfg = parse_config_dict(minimal_tree(smoothing=None))
@@ -302,3 +319,24 @@ class TestStrictValues:
         edit(tree)
         with pytest.raises(ConfigError, match=re.escape(f"{path}: expected an integer")):
             parse_config_dict(tree)
+
+
+def _trajectory_hashes_tool():
+    """``tools/trajectory_hashes.py`` as a module; its BLAS thread pins stay
+    out of this process's environment."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "trajectory_hashes.py"
+    spec = importlib.util.spec_from_file_location("trajectory_hashes", path)
+    tool = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(os.environ):
+        spec.loader.exec_module(tool)
+    return tool
+
+
+class TestTrajectoryHashTrees:
+    # the bitwise gate parses these trees first: a key the parser no longer
+    # takes would crash it before it prints a hash
+    def test_every_tree_parses(self):
+        tool = _trajectory_hashes_tool()
+        trees = [tool.config_tree(m, d) for m in tool.MODELS for d in tool.DEFENSES]
+        for tree in trees + [tool.FULL_TREE]:
+            assert parse_config_dict(tree).name == tree["name"]

@@ -84,14 +84,12 @@ class TestSubsetBinary:
         rng = np.random.default_rng(1)
         labels = np.zeros((n, 10))
         labels[np.arange(n), np.arange(n) % 10] = 1.0
-        return Dataset(Tensor(rng.random((n, 1, 4, 4))), Tensor(labels),
-                       [str(d) for d in range(10)])
+        return Dataset(Tensor(rng.random((n, 1, 4, 4))), Tensor(labels))
 
     def test_two_class_labels(self):
         sub = subset_binary(self._ten_class(), 5, 8, cap_per_class=100)
         assert sub.labels.shape[1] == 2
         assert set(sub.labels.data.argmax(axis=1).tolist()) == {0, 1}
-        assert sub.class_names == ["5", "8"]
 
     def test_cap_limits_size_and_balance(self):
         sub = subset_binary(self._ten_class(60), 5, 8, cap_per_class=10)
@@ -142,7 +140,7 @@ class TestBatchIter:
     def _ds(self, n=10):
         rng = np.random.default_rng(5)
         labels = np.eye(2)[rng.integers(0, 2, n)]
-        return Dataset(Tensor(rng.random((n, 3))), Tensor(labels), ["a", "b"])
+        return Dataset(Tensor(rng.random((n, 3))), Tensor(labels))
 
     def test_sizes_with_short_tail(self):
         sizes = [b.n for b in batch_iter(self._ds(10), 4, seed=0, epoch=0)]
@@ -190,13 +188,13 @@ class TestDatasetChecks:
         labels = np.eye(2)[[0, 1, 0]]
         labels[1] = bad_row
         with pytest.raises(ValueError, match="one-hot"):
-            Dataset(Tensor(np.zeros((3, 2))), Tensor(labels), ["a", "b"])
+            Dataset(Tensor(np.zeros((3, 2))), Tensor(labels))
 
     def test_batches_equal_checked_batches_bytewise(self):
         # 23 rows in batches of 5: four full batches and a short one of 3
         rng = np.random.default_rng(9)
         ds = Dataset(Tensor(rng.random((23, 1, 2, 3))), Tensor(np.eye(3)[rng.integers(0, 3, 23)]),
-                     ["a", "b", "c"], (0.0, 1.0))
+                     (0.0, 1.0))
         order = derive_rng(4, "shuffle", 6).permutation(ds.n)
         batches = list(batch_iter(ds, 5, seed=4, epoch=6))
         assert [b.n for b in batches] == [5, 5, 5, 5, 3]
@@ -227,7 +225,6 @@ class TestSynthDigits:
         b = synth_digits(20, classes=(5, 8), seed=0)
         assert a.inputs.shape == (40, 1, 28, 28)
         assert np.array_equal(a.inputs.data, b.inputs.data)
-        assert a.class_names == ["5", "8"]
 
     def test_pixel_range(self):
         ds = synth_digits(10, classes=(5, 8), seed=1)
@@ -247,8 +244,7 @@ class TestSynthDigits:
         ds = synth_digits(5, classes=(5, 8), seed=3)
         imgs = np.rint(ds.inputs.data.reshape(-1, 28, 28) * 255).astype(np.uint8)
         # write with true digit labels, reload, subset back down
-        labels = np.array([int(ds.class_names[i]) for i in ds.labels.data.argmax(axis=1)],
-                          dtype=np.uint8)
+        labels = np.array([5, 8], dtype=np.uint8)[ds.labels.data.argmax(axis=1)]
         write_idx(imgs, labels, tmp_path / "i.idx", tmp_path / "l.idx")
         loaded = load_mnist_idx(tmp_path / "i.idx", tmp_path / "l.idx")
         back = np.rint(loaded.inputs.data * 255).astype(np.uint8)

@@ -196,7 +196,7 @@ class TestTrainEntropySgd:
         from atent.data import Dataset
         from atent.tensor import Tensor
 
-        ds = Dataset(Tensor(x), Tensor(y), ["a", "b"])
+        ds = Dataset(Tensor(x), Tensor(y))
         p0 = build_mlp([2, 4, 2], seed=0)
         for t in p0.weights.values():
             t.data = np.zeros_like(t.data)
@@ -213,7 +213,7 @@ class TestTrainEntropySgd:
                                  noise_scale=0.0, ema=0.05)
         anchor = {"w": np.array([w0])}
         mu = weight_langevin_chain(
-            lambda w: {"w": 2 * a * w["w"]}, anchor, anchor, cfg, derive_rng(0)
+            lambda w: {"w": 2 * a * w["w"]}, anchor, cfg, derive_rng(0)
         )
         target = gamma * w0 / (gamma + 2 * a)
         assert abs(mu["w"][0] - target) <= 5e-2
@@ -225,17 +225,17 @@ class TestTrainEntropySgd:
 
     def test_weight_chain_equals_reference_loop_bitwise(self):
         # the per-tensor loop the chain ran before it called the sampler's l2
-        # step; two shapes and noise on, so a change in the arithmetic or in
-        # the order of the noise draws fails
+        # step, started at the anchor; two shapes and noise on, so a change in
+        # the arithmetic or in the order of the noise draws fails
         rng = np.random.default_rng(21)
-        w0 = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=5)}
-        anchor = {k: v + 0.1 for k, v in w0.items()}
+        anchor = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=5)}
+        kept = {k: v.copy() for k, v in anchor.items()}
         cfg = GibbsSamplerConfig(gamma=3.0, step=0.05, steps=20, noise_scale=0.3, ema=0.2)
 
         def grad_fn(w):
             return {k: 1.7 * np.tanh(v) for k, v in w.items()}
 
-        w_prime = {k: v.copy() for k, v in w0.items()}
+        w_prime = {k: v.copy() for k, v in anchor.items()}
         mu = {k: v.copy() for k, v in anchor.items()}
         root = math.sqrt(2.0 * cfg.step) * cfg.noise_scale
         ref_rng = derive_rng(8)
@@ -246,9 +246,10 @@ class TestTrainEntropySgd:
                 w_prime[k] = w_prime[k] + cfg.step * drift
                 w_prime[k] = w_prime[k] + root * ref_rng.standard_normal(w_prime[k].shape)
                 mu[k] = (1.0 - cfg.ema) * mu[k] + cfg.ema * w_prime[k]
-        got = weight_langevin_chain(grad_fn, w0, anchor, cfg, derive_rng(8))
+        got = weight_langevin_chain(grad_fn, anchor, cfg, derive_rng(8))
         assert got.keys() == mu.keys()
         assert all(np.array_equal(got[k], mu[k]) for k in mu)
+        assert all(np.array_equal(anchor[k], kept[k]) for k in kept)
 
     def test_same_seed_identical(self):
         ds, val = _blobs(seed=3)
@@ -427,7 +428,20 @@ class TestEarlyStopping:
         for e, v in enumerate([0.50, 0.80, 0.60], start=1):
             early_stop_update(state, self._record(e, nat=1.0, rob=v), es)
         assert state.best_metric == 0.80 and state.best_epoch == 2
-        assert state.best_robust_acc == 0.80
+
+    def test_robust_metric_without_validation_rows_raises_before_epoch_one(self):
+        # a split whose validation share rounds to zero rows: nothing trains
+        ds = synth_two_gaussians(120, 5.0, seed=9)
+        train_ds, val_ds = split_train_val(ds, 0.001)
+        assert val_ds.n == 0
+        cfg = TrainerConfig(defense="pgd_at", lr=0.3, epochs=2, batch_size=32, seed=9,
+                            pgd=AttackConfig(radius=0.1, steps=1, step_size=0.1),
+                            early_stop=EarlyStopConfig(metric="robust"))
+        epochs = []
+        with pytest.raises(ValueError, match="non-empty validation set"):
+            train(build_mlp([2, 8, 2], seed=9), cfg, train_ds, val_ds,
+                  on_epoch=lambda state: epochs.append(state.epoch))
+        assert epochs == []
 
     def test_snapshot_used_and_patience_stops(self):
         ds, _ = _blobs(seed=9, n=128)

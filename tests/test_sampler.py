@@ -262,13 +262,6 @@ class TestRunChain:
         run = self._range_leaving_chain(None)
         assert min(s.min() for s in run.samples) < 0.0
 
-    def test_loss_cap_warning(self, caplog):
-        p, batch = self._constant_loss_setup()
-        cfg = _cfg(gamma=2.0, step=0.05, steps=2, ema=0.5, init_radius=0.1, loss_cap=0.1)
-        with caplog.at_level("WARNING", logger="atent.sampler"):
-            run_chain(p, batch, cfg, derive_rng(3))
-        assert any("loss_cap" in rec.message for rec in caplog.records)
-
 
 def _all_inputs_chain(params, batch, cfg, rng):
     """Oracle: the chain with every iterate, x'_K included, evaluated by its

@@ -83,7 +83,7 @@ class TestSmoothPredict:
         p.weights["b0"].data = np.array([0.0, 5.0, 0.0])
         for sigma in (0.0, 0.5, 3.0):
             cfg = SmoothingConfig(sigma=sigma, n_samples=200, seed=1)
-            assert smooth_predict(p, np.array([0.3, 0.7]), cfg) == 1
+            assert smooth_predict(p, np.array([0.3, 0.7]), cfg, 3) == 1
 
     def test_sigma_zero_equals_plain_argmax(self):
         rng = np.random.default_rng(2)
@@ -92,12 +92,12 @@ class TestSmoothPredict:
         for i in range(20):
             x = rng.random(3)
             plain = int(predict(p, x[None, :])[0])
-            assert smooth_predict(p, x, cfg) == plain
+            assert smooth_predict(p, x, cfg, 4) == plain
 
     def test_threshold_point_abstains(self):
         p = _threshold_model()
         cfg = SmoothingConfig(sigma=1.0, n_samples=10_000, abstain_margin=0.05, seed=7)
-        assert smooth_predict(p, np.array([0.0]), cfg) == ABSTAIN
+        assert smooth_predict(p, np.array([0.0]), cfg, 2) == ABSTAIN
 
     def test_vote_counts_sum_exactly(self):
         p = _threshold_model()
@@ -126,14 +126,14 @@ class TestSmoothPredict:
         p = _threshold_model()
         cfg = SmoothingConfig(sigma=0.8, n_samples=501, abstain_margin=0.1, seed=9)
         x = np.array([0.05])
-        assert smooth_predict(p, x, cfg) == smooth_predict(p, x, cfg)
+        assert smooth_predict(p, x, cfg, 2) == smooth_predict(p, x, cfg, 2)
 
     def test_clear_margin_is_stable_across_seeds(self):
         # at x = sigma the class-1 vote share is ~0.84: margin ~0.34
         p = _threshold_model()
         x = np.array([1.0])
         results = {
-            smooth_predict(p, x, SmoothingConfig(sigma=1.0, n_samples=10_000, seed=s))
+            smooth_predict(p, x, SmoothingConfig(sigma=1.0, n_samples=10_000, seed=s), 2)
             for s in range(20)
         }
         assert results == {1}
@@ -155,7 +155,7 @@ class TestSmoothAccuracy:
     def test_all_abstain_counts_as_zero(self):
         p = _threshold_model()
         x = np.zeros((10, 1))
-        ds = Dataset(Tensor(x), Tensor(np.eye(2)[[0, 1] * 5]), ["a", "b"])
+        ds = Dataset(Tensor(x), Tensor(np.eye(2)[[0, 1] * 5]))
         cfg = SmoothingConfig(sigma=1.0, n_samples=2000, abstain_margin=0.4, seed=2)
         assert smooth_accuracy(p, ds, cfg, count_abstain_as_error=True) == 0.0
 
@@ -245,7 +245,7 @@ class TestEarlyStop:
             t.data = np.zeros_like(t.data)
         p.weights["b0"].data = np.array([0.0, 5.0, 0.0])
         cfg = SmoothingConfig(sigma=0.5, n_samples=1000, seed=1)
-        assert smooth_predict(p, np.array([0.3, 0.7]), cfg) == 1
+        assert smooth_predict(p, np.array([0.3, 0.7]), cfg, 3) == 1
         assert forward_sizes == [501]  # the fewest of 1000 votes that can decide
 
     def test_abstaining_vote_is_checked_every_chunk(self, forward_sizes):
@@ -253,14 +253,13 @@ class TestEarlyStop:
         # once about 820 are in: the step cap lets it stop after two chunks
         cfg = SmoothingConfig(sigma=1.0, n_samples=4 * VOTE_CHUNK + 3,
                               abstain_margin=0.3, seed=2)
-        assert smooth_predict(_threshold_model(), np.array([0.0]), cfg) == ABSTAIN
+        assert smooth_predict(_threshold_model(), np.array([0.0]), cfg, 2) == ABSTAIN
         assert forward_sizes == [VOTE_CHUNK, VOTE_CHUNK]
 
     @pytest.mark.parametrize("keep_abstain", [False, True])
     def test_accuracy_equals_full_vote_decisions(self, keep_abstain):
         x = np.linspace(-0.6, 0.6, 24)[:, None]
-        ds = Dataset(Tensor(x), Tensor(np.eye(2)[[0, 1, 1] * 8]), ["a", "b"],
-                     value_range=(-1.0, 1.0))
+        ds = Dataset(Tensor(x), Tensor(np.eye(2)[[0, 1, 1] * 8]), value_range=(-1.0, 1.0))
         p = _threshold_model()
         cfg = SmoothingConfig(sigma=1.0, n_samples=VOTE_CHUNK + 300,
                               abstain_margin=0.1, seed=3)

@@ -98,7 +98,7 @@ FULL_TREE = {
         "defense": "atent_l2", "lr": 0.02, "epochs": 7, "batch_size": 9, "seed": 4,
         "lr_schedule": [[3, 0.5], [6, 0.2]], "weight_decay": 0.001,
         "sampler": {"gamma": 2.5, "step": 0.3, "steps": 6, "noise_scale": 0.02, "ema": 0.7,
-                    "norm": "l2", "init_radius": 0.05, "loss_cap": 40.0},
+                    "norm": "l2", "init_radius": 0.05},
         "pgd": {"kind": "pgd", "norm": "l2", "radius": 0.4, "steps": 4, "step_size": 0.2,
                 "restarts": 3, "random_start": True, "seed": 8,
                 "sampler": {"gamma": 3.0, "step": 0.1, "steps": 2}},
@@ -110,7 +110,7 @@ FULL_TREE = {
     "attacks": [{"kind": "atent", "norm": "l2", "radius": 0.6, "steps": 5, "step_size": 0.3,
                  "restarts": 2, "random_start": True, "seed": 12,
                  "sampler": {"gamma": 4.0, "step": 0.2, "steps": 3, "noise_scale": 0.1,
-                             "ema": 0.4, "norm": "l2", "init_radius": 0.01, "loss_cap": 9.0}}],
+                             "ema": 0.4, "norm": "l2", "init_radius": 0.01}}],
     "smoothing": {"sigma": 0.3, "n_samples": 77, "abstain_margin": 0.2, "seed": 13},
 }
 
