@@ -1,9 +1,11 @@
 """Evaluation-time adversaries and robust-accuracy measurement.
 
-All attacks return perturbed inputs inside the configured l-p ball; when the
-batch carries a value range (image data) the result is also clipped back
-into it after every projection. Multi-restart attacks keep, per sample, the
-restart with the highest final loss.
+``run_attack`` is the one attack function, PGD-AT's inner attack included.
+Every attack's output lies in its configured ball (``norm``, ``radius``)
+around the clean inputs; when the batch carries a value range (image data)
+it is also clipped back into it after every projection. At radius 0 the
+clean inputs come back and no gradient is taken. Multi-restart PGD keeps,
+per sample, the restart with the highest final loss.
 """
 from __future__ import annotations
 
@@ -22,6 +24,15 @@ ATENT_ATTACK = "atent"
 
 @dataclass
 class AttackConfig:
+    """One attack. Every kind reads ``radius``, ``norm`` and ``seed``, and
+    no other key than those named here:
+
+    fgsm (l-inf only): one signed-gradient step of the whole radius.
+    pgd: ``steps`` steps of ``step_size`` from the clean inputs, or from a
+        uniform draw in the ball with ``random_start``; ``restarts`` runs.
+    atent: the last point of the ``sampler`` chain, projected into the ball.
+    """
+
     radius: float
     kind: str = PGD
     norm: str = LINF
@@ -30,7 +41,7 @@ class AttackConfig:
     restarts: int = 1
     random_start: bool = False
     seed: int = 0
-    sampler: GibbsSamplerConfig | None = None  # for kind == "atent"
+    sampler: GibbsSamplerConfig | None = None
 
     def __post_init__(self):
         if self.kind not in (FGSM, PGD, ATENT_ATTACK):
@@ -52,33 +63,27 @@ class AttackConfig:
             raise ValueError("atent attack needs a sampler config")
 
 
-def _flat_rows(x: np.ndarray) -> np.ndarray:
-    return x.reshape(x.shape[0], -1)
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    """The flattened rows of ``x`` at unit l2 norm; a zero row stays zero."""
+    rows = x.reshape(len(x), -1)
+    return rows / np.maximum(np.linalg.norm(rows, axis=1, keepdims=True), 1e-30)
 
 
 def _project(x_adv: np.ndarray, x: np.ndarray, norm: str, radius: float) -> np.ndarray:
     delta = x_adv - x
     if norm == LINF:
         return x + np.clip(delta, -radius, radius)
-    rows = _flat_rows(delta)
-    norms = np.linalg.norm(rows, axis=1)
-    factor = np.ones_like(norms)
-    over = norms > radius
-    factor[over] = radius / norms[over]
-    return x + (rows * factor[:, None]).reshape(delta.shape)
+    rows = delta.reshape(len(delta), -1)
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    return x + (rows * (radius / np.maximum(norms, radius))).reshape(delta.shape)
 
 
 def _random_start(x: np.ndarray, norm: str, radius: float, rng: np.random.Generator) -> np.ndarray:
-    if radius == 0.0:
-        return x.copy()
     if norm == LINF:
         return x + rng.uniform(-radius, radius, size=x.shape)
     # uniform in the l2 ball: gaussian direction, radius ~ eps * U^(1/d)
-    g = rng.standard_normal(x.shape)
-    rows = _flat_rows(g)
-    d = rows.shape[1]
-    unit = rows / np.maximum(np.linalg.norm(rows, axis=1, keepdims=True), 1e-30)
-    r = radius * rng.random(x.shape[0]) ** (1.0 / d)
+    unit = _unit_rows(rng.standard_normal(x.shape))
+    r = radius * rng.random(x.shape[0]) ** (1.0 / unit.shape[1])
     return x + (unit * r[:, None]).reshape(x.shape)
 
 
@@ -91,63 +96,50 @@ def _pgd_single(params, batch, cfg: AttackConfig, rng) -> np.ndarray:
         if cfg.norm == LINF:
             x_adv = x_adv + cfg.step_size * np.sign(g)
         else:
-            rows = _flat_rows(g)
-            unit = rows / np.maximum(np.linalg.norm(rows, axis=1, keepdims=True), 1e-30)
-            x_adv = x_adv + cfg.step_size * unit.reshape(g.shape)
+            x_adv = x_adv + cfg.step_size * _unit_rows(g).reshape(g.shape)
         x_adv = _clip_range(_project(x_adv, x, cfg.norm, cfg.radius), batch)
     return x_adv
 
 
-def pgd_attack(params: ModelParams, batch: Batch, cfg: AttackConfig,
-               stream: int = 0) -> np.ndarray:
+def _pgd(params: ModelParams, batch: Batch, cfg: AttackConfig, stream: int) -> np.ndarray:
     """Iterated projected ascent with optional random starts; with several
     restarts the per-sample worst (max final loss) one is returned."""
-    if cfg.restarts == 1:
-        rng = derive_rng(cfg.seed, "pgd", stream, 0)
-        return _pgd_single(params, batch, cfg, rng)
-    best = None
-    best_loss = np.full(batch.n, -np.inf)
-    for r in range(cfg.restarts):
-        rng = derive_rng(cfg.seed, "pgd", stream, r)
-        cand = _pgd_single(params, batch, cfg, rng)
+    best = _pgd_single(params, batch, cfg, derive_rng(cfg.seed, "pgd", stream, 0))
+    if cfg.restarts > 1:
+        best_loss = per_sample_losses(params, batch.with_inputs(best))
+    for r in range(1, cfg.restarts):
+        cand = _pgd_single(params, batch, cfg, derive_rng(cfg.seed, "pgd", stream, r))
         losses = per_sample_losses(params, batch.with_inputs(cand))
-        if best is None:
-            best, best_loss = cand, losses
-        else:
-            win = losses > best_loss
-            best[win] = cand[win]
-            best_loss = np.maximum(best_loss, losses)
+        win = losses > best_loss
+        best[win] = cand[win]
+        best_loss = np.maximum(best_loss, losses)
     return best
 
 
-def atent_attack(params: ModelParams, batch: Batch, sampler_cfg: GibbsSamplerConfig,
-                 radius: float, seed: int = 0, stream: int = 0) -> np.ndarray:
-    """Final Langevin-chain point, projected into the l-inf ball of
-    ``radius`` around the clean inputs.
+def _atent(params: ModelParams, batch: Batch, cfg: AttackConfig, stream: int) -> np.ndarray:
+    """Final Langevin-chain point, projected into the ``cfg.norm`` ball of
+    ``cfg.radius`` around the clean inputs.
 
     The chain runs without range clipping: it is handed the batch without
     its value range, so every gradient is taken at an unclipped iterate.
-    The value range is applied once, after the final l-inf projection.
+    The value range is applied once, after the final projection.
     """
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    x = batch.inputs.data
-    if radius == 0.0:
-        return x.copy()
-    rng = derive_rng(seed, "atent-attack", stream)
-    run = run_chain(params, Batch(batch.inputs, batch.labels, None), sampler_cfg, rng)
-    x_adv = _project(run.samples[-1], x, LINF, radius)
-    return _clip_range(x_adv, batch)
+    rng = derive_rng(cfg.seed, "atent-attack", stream)
+    run = run_chain(params, Batch(batch.inputs, batch.labels, None), cfg.sampler, rng)
+    return _clip_range(_project(run.samples[-1], batch.inputs.data, cfg.norm, cfg.radius), batch)
 
 
 def run_attack(params: ModelParams, batch: Batch, cfg: AttackConfig,
                stream: int = 0) -> np.ndarray:
+    """Adversarial inputs for ``batch`` under ``cfg``, drawn from generators
+    keyed by (``cfg.seed``, ``stream``); at radius 0, a copy of the inputs."""
+    if cfg.radius == 0.0:
+        return batch.inputs.data.copy()
+    if cfg.kind == ATENT_ATTACK:
+        return _atent(params, batch, cfg, stream)
     if cfg.kind == FGSM:  # one signed-gradient step of the whole radius
         cfg = replace(cfg, steps=1, step_size=cfg.radius, random_start=False, restarts=1)
-    if cfg.kind in (FGSM, PGD):
-        return pgd_attack(params, batch, cfg, stream=stream)
-    return atent_attack(params, batch, cfg.sampler, cfg.radius,
-                        seed=cfg.seed, stream=stream)
+    return _pgd(params, batch, cfg, stream)
 
 
 def robust_accuracy(params: ModelParams, dataset, cfg: AttackConfig,

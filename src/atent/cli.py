@@ -11,13 +11,11 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .checkpoint import CheckpointError, atomic_write_text, load_checkpoint
 from .config import ConfigError, parse_config
 from .data import IdxFormatError
 from .tensor import TensorError
-from .verify import SUITES, run_suites
+from .verify import SUITES, run_suites, scalar_chain
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -151,18 +149,14 @@ def _cmd_verify(args) -> int:
 
 
 def _write_sampler_diagnostic(out: Path) -> None:
-    from .oracle import grid_gibbs_density, sample_gibbs_chain
+    from .oracle import grid_gibbs_density
     from .reporting import write_histogram_svg
-    from .sampler import GibbsSamplerConfig
-    from .seeding import derive_rng
 
     gamma, anchor, a = 4.0, 0.4, 1.0
     mean_t = gamma * anchor / (gamma - 2 * a)
     grid = grid_gibbs_density(lambda pts: a * pts[:, 0] ** 2, anchor, gamma,
                               [(mean_t - 5.0, mean_t + 5.0)], 1001)
-    cfg = GibbsSamplerConfig(gamma=gamma, step=0.01, steps=1, noise_scale=1.0)
-    samples = sample_gibbs_chain(lambda v: 2 * a * v, [anchor], cfg, 40_000,
-                                 derive_rng(7))
+    samples = scalar_chain(gamma, lambda v: 2 * a * v, 7, anchor=anchor, steps=40_000)
     write_histogram_svg(samples[8_000:], grid, out / "sampler_hist.svg")
 
 

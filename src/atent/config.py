@@ -56,6 +56,14 @@ class DataSpec:
     def __post_init__(self):
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError("val_fraction must lie in [0, 1)")
+        if self.kind == "two_gaussians" and (self.n < 2 or self.n % 2):
+            raise ValueError(f"n must be even and at least 2, got {self.n}")
+        if "class_a" in _DATA_KINDS.get(self.kind, ()):
+            for key in ("class_a", "class_b"):
+                if not 0 <= getattr(self, key) <= 9:
+                    raise ValueError(f"{key} must be a digit 0-9, got {getattr(self, key)}")
+            if self.class_a == self.class_b:
+                raise ValueError(f"class_a and class_b must differ, both are {self.class_a}")
 
 
 @dataclass

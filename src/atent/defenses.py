@@ -14,11 +14,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .attacks import AttackConfig, pgd_attack, robust_accuracy
+from .attacks import AttackConfig, robust_accuracy, run_attack
 from .data import Dataset, batch_iter
 from .models import Batch, ModelParams, batch_loss, forward_logits, loss_and_grads
 from .models import accuracy  # noqa: F401  perfbench/tracer.py patches this name
-from .sampler import GibbsSamplerConfig, langevin_step_l2, run_chain
+from .sampler import GibbsSamplerConfig, run_chain, weight_langevin_chain
 from .seeding import derive_rng
 from .tensor import NonFiniteError, Tensor, softmax_cross_entropy
 
@@ -179,7 +179,7 @@ def _direction_sgd(params, batch, cfg, epoch, bidx):
 
 
 def _direction_pgd_at(params, batch, cfg, epoch, bidx):
-    x_adv = pgd_attack(params, batch, cfg.pgd, stream=_stream_id(epoch, bidx))
+    x_adv = run_attack(params, batch, cfg.pgd, stream=_stream_id(epoch, bidx))
     loss, wg, _ = loss_and_grads(params, batch.with_inputs(x_adv), wrt="weights")
     return loss, wg
 
@@ -190,27 +190,6 @@ def _direction_atent(params, batch, cfg, epoch, bidx):
     rng = derive_rng(cfg.seed, "chain", epoch, bidx)
     run = run_chain(params, batch, cfg.sampler, rng, weight_grads=True)
     return run.ema_loss, run.weight_grads
-
-
-def weight_langevin_chain(grad_fn, anchor: dict[str, np.ndarray],
-                          cfg: GibbsSamplerConfig, rng) -> dict[str, np.ndarray]:
-    """Weight-space Langevin chain of the local-entropy objective.
-
-    ``grad_fn(w) -> dict`` returns the loss gradient at weights ``w``. The
-    chain starts at the anchor, and each tensor takes the sampler's l2 step
-    with the gradient negated, so the chain drifts along
-    -grad + gamma (anchor - w'); ``cfg.norm`` is ignored. It accumulates the
-    weight EMA mu <- (1-alpha) mu + alpha w'; mu starts at the anchor.
-    Returns mu; ``anchor`` is not written.
-    """
-    w_prime = {k: v.copy() for k, v in anchor.items()}
-    mu = {k: v.copy() for k, v in anchor.items()}
-    for _ in range(cfg.steps):
-        grads = grad_fn(w_prime)
-        for k in w_prime:
-            w_prime[k] = langevin_step_l2(w_prime[k], anchor[k], -grads[k], cfg, rng)
-            mu[k] = (1.0 - cfg.ema) * mu[k] + cfg.ema * w_prime[k]
-    return mu
 
 
 def _direction_entropy_sgd(params, batch, cfg, epoch, bidx):

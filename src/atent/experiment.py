@@ -362,13 +362,22 @@ def resolve_output_dir(cfg: ExperimentConfig, override: str | None) -> Path:
     return out
 
 
+def _training_datasets(cfg: ExperimentConfig, data_dir: str | None):
+    """``build_datasets``, refused when robust early stopping gets no validation row."""
+    train_ds, val_ds, eval_ds = build_datasets(cfg.data, cfg.seed, data_dir)
+    if cfg.trainer.early_stop.metric == "robust" and not val_ds.n:
+        raise ConfigError(f"data.val_fraction {cfg.data.val_fraction:g} of {train_ds.n} rows "
+                          "rounds to 0 validation rows; robust early stopping needs at least one")
+    return train_ds, val_ds, eval_ds
+
+
 def run_training(cfg: ExperimentConfig, output_dir: str | None = None,
                  resume: bool = False, stop_after: int | None = None,
                  data_dir: str | None = None) -> TrainerState:
     """Training with persistence only; no attack evaluation."""
+    train_ds, val_ds, _ = _training_datasets(cfg, data_dir)
     out = resolve_output_dir(cfg, output_dir)
     with output_lock(out):
-        train_ds, val_ds, _ = build_datasets(cfg.data, cfg.seed, data_dir)
         return train_with_persistence(cfg, out, train_ds, val_ds,
                                       resume=resume, stop_after=stop_after)
 
@@ -383,9 +392,9 @@ def run_experiment(cfg: ExperimentConfig, output_dir: str | None = None,
     (no report is produced for partial runs); a run that early stopping
     ended is finished.
     """
+    train_ds, val_ds, eval_ds = _training_datasets(cfg, data_dir)
     out = resolve_output_dir(cfg, output_dir)
     with output_lock(out):
-        train_ds, val_ds, eval_ds = build_datasets(cfg.data, cfg.seed, data_dir)
         state = train_with_persistence(cfg, out, train_ds, val_ds,
                                        resume=resume, stop_after=stop_after)
         if not training_finished(state, cfg.trainer):

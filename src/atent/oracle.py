@@ -1,15 +1,16 @@
 """Independent numerical verification machinery.
 
 Gradients are central finite differences, independent of the tape autodiff.
-Gibbs moments come from explicit grid integration, independent of the chain;
-``sample_gibbs_chain`` deliberately runs the production l2 step, which the
-grid then referees. ``atent_outer_gradient`` takes separate weight passes
-over frozen samples, independent of the chain's fused accumulation. The
-smoothness/dissipativity inequalities are evaluated pointwise from their
-definitions. ``conv_block_forward`` computes the CNN block by direct loops,
-independent of the tape's unfold, GEMM and pooling helpers. The density and
-inequality oracles are restricted to 1-D/2-D domains where exact densities
-are tractable; the claims they check are dimension-generic.
+Gibbs moments come from explicit grid integration, independent of the
+chain; ``chain_moment_check`` referees the samples of the production
+``sampler.l2_chain`` against them. ``atent_outer_gradient`` takes separate
+weight passes over frozen samples, independent of the chain's fused
+accumulation. The smoothness/dissipativity inequalities are evaluated
+pointwise from their definitions. ``conv_block_forward`` computes the CNN
+block by direct loops, independent of the tape's unfold, GEMM and pooling
+helpers. The density and inequality oracles are restricted to 1-D/2-D
+domains where exact densities are tractable; the claims they check are
+dimension-generic.
 """
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import Batch, ModelParams, loss_and_grads
-from .sampler import GibbsSamplerConfig, langevin_step_l2
 
 
 def finite_difference_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -169,32 +169,6 @@ def grid_gibbs_density(loss_fn, anchor, gamma: float, bounds, resolution: int) -
         log_density=log_density.reshape(shape),
         probs=probs.reshape(shape),
     )
-
-
-# ---------------------------------------------------------------------------
-# Chain sampling against the grid
-
-
-def sample_gibbs_chain(
-    grad_fn,
-    anchor,
-    cfg: GibbsSamplerConfig,
-    n_steps: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Run a raw Langevin chain on an analytic loss gradient.
-
-    Uses the very step function the trainers use, so moment checks validate
-    production code. Returns all visited points, shape (n_steps, d).
-    """
-    anchor = np.atleast_1d(np.asarray(anchor, dtype=np.float64))
-    x_prime = anchor.copy()
-    out = np.empty((n_steps, anchor.size))
-    for i in range(n_steps):
-        grad = np.asarray(grad_fn(x_prime), dtype=np.float64)
-        x_prime = langevin_step_l2(x_prime, anchor, grad, cfg, rng)
-        out[i] = x_prime
-    return out
 
 
 def atent_outer_gradient(params: ModelParams, batch: Batch, samples,

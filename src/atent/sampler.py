@@ -6,8 +6,9 @@ penalty for the sup-norm chain, realized by the P_gamma clamp of its last
 increment to [-1/gamma, 1/gamma]. Partition functions are never computed;
 the Langevin drift of log-density cancels them.
 
-The l2 step also serves Entropy-SGD's weight chain, which passes it the
-negated loss gradient of each weight tensor.
+``run_chain`` is the input chain of ATENT. ``l2_chain`` is the one loop of
+l2 steps on a caller's gradient: Entropy-SGD's weight chain runs it on the
+negated loss gradient, and ``verify`` runs scalar chains on it.
 """
 from __future__ import annotations
 
@@ -116,6 +117,32 @@ def langevin_step_l2(x_prime: np.ndarray, anchor: np.ndarray, grad: np.ndarray,
     return _finite(_plus_noise(x_prime + cfg.step * drift, cfg, rng))
 
 
+def l2_chain(grad_fn, anchor: dict[str, np.ndarray], cfg: GibbsSamplerConfig,
+             rng: np.random.Generator):
+    """Yield x'_1..x'_K of the chain from x'_0 = ``anchor``, a dict of
+    arrays: x'_k is ``langevin_step_l2`` from x'_(k-1) along the dict
+    ``grad_fn(x'_(k-1))``, one array after another in key order. Nothing
+    is written in place."""
+    x_prime = anchor
+    for _ in range(cfg.steps):
+        grad = grad_fn(x_prime)
+        x_prime = {k: langevin_step_l2(x_prime[k], anchor[k], grad[k], cfg, rng) for k in anchor}
+        yield x_prime
+
+
+def weight_langevin_chain(grad_fn, anchor: dict[str, np.ndarray],
+                          cfg: GibbsSamplerConfig, rng) -> dict[str, np.ndarray]:
+    """Weight-space Langevin chain of the local-entropy objective:
+    ``l2_chain`` on the negated loss gradient ``grad_fn(w) -> dict``, so it
+    drifts along -grad + gamma (anchor - w'). Returns the weight EMA
+    mu <- (1-alpha) mu + alpha w', which starts at the anchor."""
+    mu = dict(anchor)
+    chain = l2_chain(lambda w: {k: -g for k, g in grad_fn(w).items()}, anchor, cfg, rng)
+    for w_prime in chain:
+        mu = {k: (1.0 - cfg.ema) * mu[k] + cfg.ema * w_prime[k] for k in mu}
+    return mu
+
+
 def project_linf_increment(z: np.ndarray, gamma: float) -> np.ndarray:
     """Sign-preserving elementwise clamp of an update increment to
     [-1/gamma, +1/gamma]."""
@@ -161,7 +188,7 @@ def run_chain(
     the training chain relies on this, because the adversarial-input
     distribution has bounded support, and off-range samples would train
     against perturbations the evaluation attacks can never realize. A batch
-    with no range runs the chain unclipped; ``atent_attack`` passes one and
+    with no range runs the chain unclipped; the ATENT attack passes one and
     clips only its final, projected point.
     """
     anchor = batch.inputs.data

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tc
-from .defenses import weight_langevin_chain
 from .models import Batch, batch_loss, build_mlp, build_small_cnn, loss_and_grads
 from .oracle import (
     atent_outer_gradient,
@@ -23,9 +22,8 @@ from .oracle import (
     grid_gibbs_density,
     lemma1_check,
     relative_error,
-    sample_gibbs_chain,
 )
-from .sampler import GibbsSamplerConfig, run_chain
+from .sampler import GibbsSamplerConfig, l2_chain, run_chain, weight_langevin_chain
 from .seeding import derive_rng
 from .tensor import Tensor
 
@@ -225,9 +223,13 @@ def _end_to_end_cases(rng):
 # ---------------------------------------------------------------------------
 
 
-def _scalar_chain(gamma, grad_fn, seed, anchor=0.3, step=0.01):
-    cfg = GibbsSamplerConfig(gamma=gamma, step=step, steps=1, noise_scale=1.0)
-    return sample_gibbs_chain(grad_fn, [anchor], cfg, CHAIN_STEPS, derive_rng(seed))
+def scalar_chain(gamma, grad_fn, seed, anchor=0.3, steps=CHAIN_STEPS):
+    """The points x'_1..x'_steps of the noisy l2 chain at step 0.01 on a
+    one-dimensional loss gradient ``grad_fn``, as a (steps, 1) array."""
+    cfg = GibbsSamplerConfig(gamma=gamma, step=0.01, steps=steps, noise_scale=1.0)
+    chain = l2_chain(lambda p: {"x": grad_fn(p["x"])}, {"x": np.array([anchor])}, cfg,
+                     derive_rng(seed))
+    return np.array([p["x"] for p in chain])
 
 
 def _weight_chain(gamma, a, seed, anchor=0.3, step=0.01):
@@ -256,7 +258,7 @@ def sampler_suite() -> list[CheckResult]:
 
     const_grid = grid_gibbs_density(lambda pts: np.zeros(pts.shape[0]), anchor,
                                     gamma, [(anchor - 4.0, anchor + 4.0)], 2001)
-    const_chain = _scalar_chain(gamma, lambda v: np.zeros_like(v), seed=10)
+    const_chain = scalar_chain(gamma, lambda v: np.zeros_like(v), seed=10)
     rep = chain_moment_check(const_chain, const_grid, rel_tol=MOMENT_TOL)
     var = rep.empirical_variance[0]
     results.append(CheckResult(
@@ -268,14 +270,14 @@ def sampler_suite() -> list[CheckResult]:
     mean_t = gamma * anchor / (gamma - 2 * a)
     quad_grid = grid_gibbs_density(lambda pts: a * pts[:, 0] ** 2, anchor, gamma,
                                    [(mean_t - 6.0, mean_t + 6.0)], 2001)
-    quad_chain = _scalar_chain(gamma, lambda v: 2 * a * v, seed=11)
+    quad_chain = scalar_chain(gamma, lambda v: 2 * a * v, seed=11)
     rep = chain_moment_check(quad_chain, quad_grid, rel_tol=MOMENT_TOL)
     results.append(CheckResult(
         "sampler", "quadratic loss mean/variance vs grid", rep.passed,
         f"mean {rep.empirical_mean[0]:.4f} vs {rep.grid_mean[0]:.4f}, "
         f"var {rep.empirical_variance[0]:.4f} vs {rep.grid_variance[0]:.4f}"))
 
-    wrong_chain = _scalar_chain(2 * gamma, lambda v: np.zeros_like(v), seed=12)
+    wrong_chain = scalar_chain(2 * gamma, lambda v: np.zeros_like(v), seed=12)
     rep = chain_moment_check(wrong_chain, const_grid, rel_tol=MOMENT_TOL)
     results.append(CheckResult(
         "sampler", "negative control: mismatched gamma fails", not rep.passed,

@@ -6,13 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atent.attacks import (
-    AttackConfig,
-    atent_attack,
-    pgd_attack,
-    robust_accuracy,
-    run_attack,
-)
+from atent.attacks import AttackConfig, robust_accuracy, run_attack
 from atent.data import Dataset, synth_two_gaussians
 from atent.models import Batch, accuracy, build_mlp, loss_and_grads, per_sample_losses
 from atent.sampler import GibbsSamplerConfig
@@ -95,7 +89,7 @@ class TestPgd:
         p, batch = _model_and_batch()
         cfg = AttackConfig(kind="pgd", norm="linf", radius=0.2, steps=10,
                            step_size=0.05, random_start=True, seed=3)
-        out = pgd_attack(p, batch, cfg)
+        out = run_attack(p, batch, cfg)
         assert _linf_dist(out, batch.inputs.data) <= 0.2 + 1e-9
         assert out.min() >= 0.0 and out.max() <= 1.0
 
@@ -103,7 +97,7 @@ class TestPgd:
         p, batch = _model_and_batch(with_range=False)
         cfg = AttackConfig(kind="pgd", norm="l2", radius=0.5, steps=10,
                            step_size=0.2, random_start=True, seed=4)
-        out = pgd_attack(p, batch, cfg)
+        out = run_attack(p, batch, cfg)
         assert np.max(_l2_rows(out, batch.inputs.data)) <= 0.5 + 1e-9
 
     def test_single_step_equals_fgsm(self):
@@ -118,7 +112,7 @@ class TestPgd:
         knobs = run_attack(p, batch, AttackConfig(kind="fgsm", radius=eps, steps=5,
                                                   step_size=0.01, restarts=3,
                                                   random_start=True))
-        g = pgd_attack(p, batch, AttackConfig(
+        g = run_attack(p, batch, AttackConfig(
             kind="pgd", norm="linf", radius=eps, steps=1, step_size=eps,
             random_start=False))
         assert np.array_equal(f, want)
@@ -129,7 +123,7 @@ class TestPgd:
         p, batch = _model_and_batch(seed=5)
         cfg = AttackConfig(kind="pgd", norm="linf", radius=0.2, steps=5,
                            step_size=0.06, restarts=4, random_start=True, seed=6)
-        best = pgd_attack(p, batch, cfg, stream=0)
+        best = run_attack(p, batch, cfg, stream=0)
         best_losses = per_sample_losses(p, batch.with_inputs(best))
         from atent.attacks import _pgd_single
 
@@ -142,8 +136,8 @@ class TestPgd:
         p, batch = _model_and_batch(seed=7)
         cfg = AttackConfig(kind="pgd", norm="l2", radius=0.4, steps=6,
                            step_size=0.15, restarts=3, random_start=True, seed=11)
-        a = pgd_attack(p, batch, cfg, stream=2)
-        b = pgd_attack(p, batch, cfg, stream=2)
+        a = run_attack(p, batch, cfg, stream=2)
+        b = run_attack(p, batch, cfg, stream=2)
         assert np.array_equal(a, b)
 
     @settings(max_examples=15, deadline=None)
@@ -153,7 +147,7 @@ class TestPgd:
         p, batch = _model_and_batch(seed=seed % 100)
         cfg = AttackConfig(kind="pgd", norm=norm, radius=radius, steps=4,
                            step_size=radius / 2, random_start=True, seed=seed)
-        out = pgd_attack(p, batch, cfg)
+        out = run_attack(p, batch, cfg)
         if norm == "linf":
             assert _linf_dist(out, batch.inputs.data) <= radius + 1e-9
         else:
@@ -168,14 +162,18 @@ class TestAtentAttack:
         base.update(kw)
         return GibbsSamplerConfig(**base)
 
+    def _attack(self, p, batch, sampler, radius, seed=0):
+        cfg = AttackConfig(kind="atent", norm="linf", radius=radius, seed=seed, sampler=sampler)
+        return run_attack(p, batch, cfg)
+
     def test_zero_radius_is_identity(self):
         p, batch = _model_and_batch()
-        out = atent_attack(p, batch, self._sampler(), radius=0.0)
+        out = self._attack(p, batch, self._sampler(), radius=0.0)
         assert np.array_equal(out, batch.inputs.data)
 
     def test_containment(self):
         p, batch = _model_and_batch(seed=3)
-        out = atent_attack(p, batch, self._sampler(noise_scale=0.001, init_radius=0.1),
+        out = self._attack(p, batch, self._sampler(noise_scale=0.001, init_radius=0.1),
                            radius=0.2, seed=1)
         assert _linf_dist(out, batch.inputs.data) <= 0.2 + 1e-9
         assert out.min() >= 0.0 and out.max() <= 1.0
@@ -187,7 +185,7 @@ class TestAtentAttack:
         p, batch = _model_and_batch(seed=4)
         cfg = self._sampler()
         radius = 0.15
-        out = atent_attack(p, batch, cfg, radius=radius, seed=0)
+        out = self._attack(p, batch, cfg, radius=radius, seed=0)
         x = batch.inputs.data
         ref = x.copy()
         for k in range(1, cfg.steps + 1):
@@ -199,6 +197,43 @@ class TestAtentAttack:
         ref = x + np.clip(ref - x, -radius, radius)
         ref = np.clip(ref, 0.0, 1.0)
         assert np.array_equal(out, ref)
+
+    def test_l2_norm_projects_into_the_l2_ball(self):
+        # the chain ends far outside the ball; the l-inf box of the same
+        # radius reaches sqrt(20) times further in l2
+        p, batch = _model_and_batch(seed=6, n=6, d=20, with_range=False)
+        radius = 0.5
+        cfg = AttackConfig(kind="atent", norm="l2", radius=radius, seed=2,
+                           sampler=self._sampler(norm="l2", init_radius=1.0))
+        out = run_attack(p, batch, cfg)
+        assert np.all(_l2_rows(out, batch.inputs.data) <= radius + 1e-12)
+        assert _linf_dist(out, batch.inputs.data) > 0.0
+
+
+class TestZeroRadius:
+    @pytest.mark.parametrize("kw", [
+        dict(kind="pgd", steps=3, step_size=0.1, random_start=True, restarts=2),
+        dict(kind="fgsm"),
+        dict(kind="atent", sampler=GibbsSamplerConfig(gamma=5.0, step=0.5, steps=3,
+                                                      noise_scale=0.1)),
+    ])
+    def test_clean_inputs_without_a_gradient_pass(self, monkeypatch, kw):
+        import atent.attacks
+        import atent.sampler
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("wrt"))
+            return loss_and_grads(*args, **kwargs)
+
+        monkeypatch.setattr(atent.attacks, "loss_and_grads", counted)
+        monkeypatch.setattr(atent.sampler, "loss_and_grads", counted)
+        p, batch = _model_and_batch(seed=8)
+        out = run_attack(p, batch, AttackConfig(radius=0.0, norm="linf", seed=3, **kw))
+        assert np.array_equal(out, batch.inputs.data)
+        assert out is not batch.inputs.data
+        assert calls == []
 
 
 class TestRobustAccuracy:

@@ -445,6 +445,33 @@ class TestCliCommands:
             in capsys.readouterr().err
         assert not out.exists()
 
+    def test_robust_early_stop_with_a_validation_split_of_no_rows(self, tmp_path, capsys):
+        tree = toy_tree()
+        tree["data"]["val_fraction"] = 0.001
+        tree["trainer"].update(defense="pgd_at", early_stop={"metric": "robust"},
+                               pgd={"radius": 0.1, "steps": 1, "step_size": 0.1})
+        out = tmp_path / "out"
+        assert main(["train", str(write_cfg(tmp_path, tree)), "--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: data.val_fraction 0.001 of 120 rows rounds to 0 "
+                       "validation rows; robust early stopping needs at least one"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("data, key", [
+        ({"kind": "two_gaussians", "n": 121}, "n"),
+        ({"kind": "digits_binary", "class_a": 12}, "class_a"),
+        ({"kind": "digits_binary", "class_a": 3, "class_b": 3}, "class_b"),
+    ])
+    def test_data_the_data_layer_cannot_build_is_config_error(self, tmp_path, capsys,
+                                                             data, key):
+        out = tmp_path / "out"
+        cfg_path = write_cfg(tmp_path, toy_tree(data=data))
+        assert main(["train", str(cfg_path), "--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: data: ") and key in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("defect", ["descriptor", "entry_name"])
     def test_malformed_checkpoint_exit_code(self, tmp_path, capsys, defect):
         ckpt = tmp_path / "m.ckpt"

@@ -295,6 +295,17 @@ class TestStrictValues:
         tree["trainer"]["early_stop"]["metric"] = "natural"
         assert parse_config_dict(tree).data.val_fraction == 0.0
 
+    @pytest.mark.parametrize("data, message", [
+        ({"kind": "two_gaussians", "n": 121}, "data: n must be even and at least 2, got 121"),
+        ({"kind": "digits_binary", "class_a": 12}, "data: class_a must be a digit 0-9, got 12"),
+        ({"kind": "mnist_binary", "class_b": -1}, "data: class_b must be a digit 0-9, got -1"),
+        ({"kind": "digits_binary", "class_a": 3, "class_b": 3},
+         "data: class_a and class_b must differ, both are 3"),
+    ], ids=["odd_n", "class_a_12", "class_b_negative", "same_classes"])
+    def test_data_the_data_layer_cannot_build_is_refused(self, data, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config_dict(minimal_tree(data=data))
+
     def test_null_section_is_absent(self):
         cfg = parse_config_dict(minimal_tree(smoothing=None))
         assert cfg.smoothing is None

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from atent import defenses
-from atent.attacks import AttackConfig, robust_accuracy
-from atent.data import split_train_val, synth_two_gaussians
+from atent.attacks import AttackConfig, robust_accuracy, run_attack
+from atent.data import batch_iter, split_train_val, synth_two_gaussians
 from atent.defenses import (
     ATENT_L2,
     ATENT_LINF,
@@ -17,11 +17,10 @@ from atent.defenses import (
     TrainerState,
     early_stop_update,
     train,
-    weight_langevin_chain,
 )
 from atent.models import Batch, ModelParams, accuracy, build_mlp, loss_and_grads
 from atent.oracle import atent_outer_gradient, finite_difference_grad, relative_error
-from atent.sampler import GibbsSamplerConfig, init_perturbation, run_chain
+from atent.sampler import GibbsSamplerConfig, init_perturbation, run_chain, weight_langevin_chain
 from atent.seeding import derive_rng
 from atent.tensor import NonFiniteError
 
@@ -152,6 +151,26 @@ class TestTrainPgdAt:
                              step_size=0.1, random_start=True, seed=7),
         ), ds, val)
         assert _params_equal(sgd.params, pgd.params)
+
+    def test_fgsm_inner_attack_steps_on_run_attack_points(self):
+        # the inner attack is run_attack's, whatever its kind: FGSM reads
+        # none of the PGD knobs, so it steps by the whole radius
+        ds, val = _blobs(seed=4)
+        p0 = build_mlp([2, 8, 2], seed=4)
+        fgsm = AttackConfig(kind="fgsm", norm="linf", radius=0.2)
+        base = dict(lr=0.3, epochs=3, batch_size=32, seed=5, lr_schedule=[])
+        got = train(p0, TrainerConfig(defense="pgd_at", pgd=fgsm, **base), ds, val)
+        sgd = train(p0, TrainerConfig(defense="sgd", **base), ds, val)
+        assert not _params_equal(got.params, sgd.params)
+
+        params = p0.clone()
+        for epoch in range(1, 4):
+            for bidx, batch in enumerate(batch_iter(ds, 32, 5, epoch)):
+                x_adv = run_attack(params, batch, fgsm, stream=epoch * 1_000_003 + bidx)
+                _, wg, _ = loss_and_grads(params, batch.with_inputs(x_adv), wrt="weights")
+                for name, t in params.weights.items():
+                    t.data = t.data - 0.3 * wg[name]
+        assert _params_equal(got.params, params)
 
     def test_robust_gap_over_sgd(self):
         # Monte Carlo over 5 seeds. In 2-D the >=20 point gap appears once the

@@ -15,10 +15,8 @@ from atent.oracle import (
     grid_gibbs_density,
     lemma1_check,
     relative_error,
-    sample_gibbs_chain,
 )
-from atent.sampler import GibbsSamplerConfig
-from atent.seeding import derive_rng
+from atent.verify import scalar_chain
 
 
 class TestFiniteDifferenceGrad:
@@ -178,9 +176,8 @@ class TestGridGibbsDensity:
 
 
 class TestChainMomentCheck:
-    def _chain(self, gamma, grad_fn, seed=0, n=25_000, step=0.01):
-        cfg = GibbsSamplerConfig(gamma=gamma, step=step, steps=1, noise_scale=1.0)
-        return sample_gibbs_chain(grad_fn, [0.3], cfg, n, derive_rng(seed))
+    def _chain(self, gamma, grad_fn, seed=0, n=25_000):
+        return scalar_chain(gamma, grad_fn, seed, anchor=0.3, steps=n)
 
     def test_constant_loss_chain_matches_grid(self):
         grid = grid_gibbs_density(

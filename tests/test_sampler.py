@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import atent.sampler
-from atent.attacks import atent_attack
+from atent.attacks import AttackConfig, run_attack
 from atent.models import Batch, build_mlp, build_small_cnn, loss_and_grads
 from atent.oracle import atent_outer_gradient
 from atent.sampler import (
@@ -349,7 +349,8 @@ class TestChainPasses:
         counts = _count_passes(monkeypatch)
         p, batch = _model_and_batch("cnn", (0.0, 1.0))
         cfg = _cfg(gamma=5.0, step=0.5, steps=steps, noise_scale=0.01, norm="linf")
-        atent_attack(p, batch, cfg, radius=0.1, seed=2)
+        run_attack(p, batch, AttackConfig(kind="atent", norm="linf", radius=0.1, seed=2,
+                                          sampler=cfg))
         assert counts == {"inputs": steps, "both": 0, "weights": 0, "batch_loss": 1}
 
     @pytest.mark.parametrize("kind", ["mlp", "cnn"])
@@ -358,7 +359,8 @@ class TestChainPasses:
         cfg = _cfg(gamma=5.0, step=0.5, steps=4, noise_scale=0.05, norm="linf",
                    init_radius=0.3)
         radius = 0.15
-        out = atent_attack(p, batch, cfg, radius=radius, seed=4, stream=2)
+        out = run_attack(p, batch, AttackConfig(kind="atent", norm="linf", radius=radius,
+                                                seed=4, sampler=cfg), stream=2)
         x = batch.inputs.data
         samples, _ = _all_inputs_chain(p, Batch(x, batch.labels, None), cfg,
                                        derive_rng(4, "atent-attack", 2))

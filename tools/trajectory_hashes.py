@@ -7,7 +7,7 @@ can be checked against its parent with one command per tree:
     python tools/trajectory_hashes.py --src src > change.txt
     diff parent.txt change.txt
 
-Each line is ``<sha256>  <item>``. The 36 items are, on a small MLP and on
+Each line is ``<sha256>  <item>``. The 40 items are, on a small MLP and on
 a CNN with two conv blocks, on ``digits_binary``:
 
 - ``config/<name>``: the parsed ``ExperimentConfig`` of each tree below, as
@@ -16,9 +16,11 @@ a CNN with two conv blocks, on ``digits_binary``:
   or removed from a class that every tree holds, such as the sampler's
   config, changes all of these hashes and no other;
 - ``train/<defense>/<model>``: each of the five defenses for two epochs;
-  the final weights, the per-epoch losses and accuracies, and the best epoch;
+  the final weights, the per-epoch losses and accuracies, and the best epoch.
+  ``train/pgd_at_fgsm/<model>`` is PGD-AT with an FGSM inner attack;
 - ``attack/<kind>/<model>``: FGSM, PGD (random start, two restarts) and
-  ATENT-attack outputs;
+  ATENT-attack outputs, and ``attack/atent_l2/<model>``, the ATENT attack
+  in the l2 ball;
 - ``loss_and_grads/<wrt>/<model>``: loss and gradients for each ``wrt``;
 - ``smooth_accuracy/<model>``: the smoothed accuracy of the SGD-trained
   model, with the vote counts of one example;
@@ -28,7 +30,7 @@ a CNN with two conv blocks, on ``digits_binary``:
   so the hash changes if the resumed run writes into an array the first
   call returned.
 
-That is 11 ``config/``, 10 ``train/``, 6 ``attack/``, 6
+That is 11 ``config/``, 12 ``train/``, 8 ``attack/``, 6
 ``loss_and_grads/``, 2 ``smooth_accuracy/`` and 1 ``resume/`` item.
 
 The trees are imported from ``--src`` alone; BLAS is pinned to one thread,
@@ -64,6 +66,11 @@ DEFENSES = {
     "atent_l2": {"sampler": {**SAMPLER, "norm": "l2"}},
     "atent_linf": {"sampler": SAMPLER},
 }
+# hashed with the trees below but kept out of them, so no ``config/`` item
+# depends on them
+PGD_AT_FGSM = {"kind": "fgsm", "norm": "linf", "radius": 0.1}
+ATENT_L2_ATTACK = {"kind": "atent", "norm": "l2", "radius": 0.5,
+                   "sampler": {**SAMPLER, "norm": "l2"}}
 ATTACKS = [
     {"kind": "fgsm", "norm": "linf", "radius": 0.1},
     {"kind": "pgd", "norm": "linf", "radius": 0.1, "steps": 3, "step_size": 0.05,
@@ -155,26 +162,34 @@ def items():
         yield (f"config/{tree['name']}",
                hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest())
 
+    def train_digest(tree):
+        cfg = config.parse_config_dict(tree)
+        train_ds, val_ds, _ = experiment.build_datasets(cfg.data, cfg.seed)
+        params = models.build_model(cfg.model, cfg.seed)
+        state = defenses.train(params, cfg.trainer, train_ds, val_ds)
+        history = [(r.epoch, r.train_loss, r.nat_acc, r.rob_acc, r.lr) for r in state.history]
+        return state.params, digest({k: t.data for k, t in state.params.weights.items()},
+                                    history, state.best_epoch, state.best_metric)
+
     for model in MODELS:
         trained = {}
         for defense in DEFENSES:
-            cfg = config.parse_config_dict(config_tree(model, defense))
-            train_ds, val_ds, _ = experiment.build_datasets(cfg.data, cfg.seed)
-            params = models.build_model(cfg.model, cfg.seed)
-            state = defenses.train(params, cfg.trainer, train_ds, val_ds)
-            trained[defense] = state.params
-            history = [(r.epoch, r.train_loss, r.nat_acc, r.rob_acc, r.lr)
-                       for r in state.history]
-            yield (f"train/{defense}/{model}",
-                   digest({k: t.data for k, t in state.params.weights.items()}, history,
-                          state.best_epoch, state.best_metric))
+            trained[defense], sha = train_digest(config_tree(model, defense))
+            yield f"train/{defense}/{model}", sha
+        tree = config_tree(model, "pgd_at")
+        tree["trainer"]["pgd"] = PGD_AT_FGSM
+        yield f"train/pgd_at_fgsm/{model}", train_digest(tree)[1]
 
-        cfg = config.parse_config_dict(config_tree(model, "sgd"))
+        tree = config_tree(model, "sgd")
+        cfg = config.parse_config_dict(tree)
         _, _, eval_ds = experiment.build_datasets(cfg.data, cfg.seed)
         params = models.build_model(cfg.model, cfg.seed)
         batch = eval_ds.take(range(10)).as_batch()
-        for atk in cfg.attacks:
-            yield (f"attack/{atk.kind}/{model}",
+        named = [(atk.kind, atk) for atk in cfg.attacks]
+        named.append(("atent_l2", config.parse_config_dict(
+            {**tree, "attacks": [ATENT_L2_ATTACK]}).attacks[0]))
+        for name, atk in named:
+            yield (f"attack/{name}/{model}",
                    digest(attacks.run_attack(params, batch, atk, stream=1)))
         for wrt in ("weights", "inputs", "both"):
             loss, wg, xg = models.loss_and_grads(params, batch, wrt=wrt)
