@@ -9,8 +9,9 @@ its dataclass: ``GibbsSamplerConfig``, ``AttackConfig``, ``EarlyStopConfig``,
 
 - the master ``seed``, which fills every ``seed`` that a section leaves out;
 - ``record_timing``, a root key that is copied into the trainer;
-- the keys that ``data`` takes for each kind, and the two model kinds, read
-  into the descriptor dict that ``models.build_model`` takes.
+- the keys that ``data`` and an attack take for each kind, and the two
+  model kinds, read into the descriptor dict that ``models.build_model``
+  takes.
 
 ``null`` for a section, or for a key that may be None, leaves the key out.
 Unknown keys, wrong types and the dataclasses' constraint violations are
@@ -24,7 +25,7 @@ import types
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
-from .attacks import AttackConfig
+from .attacks import ATENT_ATTACK, FGSM, PGD, AttackConfig
 from .defenses import TrainerConfig
 from .smoothing import SmoothingConfig
 
@@ -39,6 +40,11 @@ _DATA_KINDS = {
     "digits_binary": ("class_a", "class_b", "n_per_class"),
     "two_gaussians": ("n", "separation"),
 }
+
+# The keys that each attack kind reads; a left-out ``kind`` is ``pgd``.
+_ATTACK_KEYS = ("kind", "norm", "radius", "seed")
+_ATTACK_KINDS = {FGSM: _ATTACK_KEYS, ATENT_ATTACK: (*_ATTACK_KEYS, "sampler"),
+                 PGD: (*_ATTACK_KEYS, "steps", "step_size", "restarts", "random_start")}
 
 
 @dataclass
@@ -58,6 +64,9 @@ class DataSpec:
             raise ValueError("val_fraction must lie in [0, 1)")
         if self.kind == "two_gaussians" and (self.n < 2 or self.n % 2):
             raise ValueError(f"n must be even and at least 2, got {self.n}")
+        for key in ("n_per_class", "cap_per_class"):
+            if key in _DATA_KINDS.get(self.kind, ()) and getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
         if "class_a" in _DATA_KINDS.get(self.kind, ()):
             for key in ("class_a", "class_b"):
                 if not 0 <= getattr(self, key) <= 9:
@@ -135,7 +144,7 @@ def _read(cls, tree, path: str, seed: int, keys=None):
     left out is the master ``seed``."""
     hints = _hints(cls)
     for key in sorted(_object(tree, path)):
-        if key not in (hints if keys is None else keys):
+        if key not in (keys or hints):
             raise ConfigError(f"unknown key {_join(path, key)!r}")
     kwargs = {"seed": seed} if "seed" in hints else {}
     for f in fields(cls):
@@ -161,6 +170,9 @@ def _value(hint, value, path: str, seed: int):
     if hint is DataSpec:
         kind = _kind(value, path, _DATA_KINDS, "dataset")
         return _read(hint, value, path, seed, ("kind", "val_fraction", *_DATA_KINDS[kind]))
+    if hint is AttackConfig:  # an unknown kind takes every key, for AttackConfig to name
+        kind = _object(value, path).get("kind", AttackConfig.kind)
+        return _read(hint, value, path, seed, isinstance(kind, str) and _ATTACK_KINDS.get(kind))
     if hint is TrainerConfig:  # its record_timing is the root's
         return _read(hint, value, path, seed, _hints(hint).keys() - {"record_timing"})
     if hint is dict:  # the model descriptor

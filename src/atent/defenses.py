@@ -16,11 +16,10 @@ import numpy as np
 
 from .attacks import AttackConfig, robust_accuracy, run_attack
 from .data import Dataset, batch_iter
-from .models import Batch, ModelParams, batch_loss, forward_logits, loss_and_grads
-from .models import accuracy  # noqa: F401  perfbench/tracer.py patches this name
+from .models import ModelParams, accuracy, batch_loss, loss_and_grads
 from .sampler import GibbsSamplerConfig, run_chain, weight_langevin_chain
 from .seeding import derive_rng
-from .tensor import NonFiniteError, Tensor, softmax_cross_entropy
+from .tensor import NonFiniteError, Tensor
 
 SGD = "sgd"
 ENTROPY_SGD = "entropy_sgd"
@@ -34,7 +33,7 @@ _SAMPLER_DEFENSES = (ENTROPY_SGD, ATENT_L2, ATENT_LINF)
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite value."""
 
 
 @dataclass
@@ -242,9 +241,13 @@ def train(params: ModelParams, cfg: TrainerConfig, train_ds: Dataset,
     finished one (:func:`training_finished`) is returned as it is.
     ``stop_after_epoch`` ends this invocation early (resumable later);
     ``on_epoch(state)`` fires after each epoch's record is appended.
-    Robust early stopping with an empty ``val_ds`` raises ValueError before
-    any epoch runs.
+    An empty ``train_ds``, or robust early stopping with an empty ``val_ds``,
+    raises ValueError before any epoch runs. DivergenceError ends a run whose
+    values turn non-finite: in any op (each raises NonFiniteError), or in the
+    weights after an epoch's last update.
     """
+    if not train_ds.n:
+        raise ValueError("training needs a non-empty training set")
     if cfg.early_stop.metric == "robust" and not val_ds.n:
         raise ValueError("robust early stopping needs a non-empty validation set")
     if resume_state is not None:
@@ -258,7 +261,6 @@ def train(params: ModelParams, cfg: TrainerConfig, train_ds: Dataset,
         state = TrainerState(params=params)
         first_epoch = 1
     direction_fn = _DIRECTIONS[cfg.defense]
-    probe = None if val_ds.n else _probe_batch(train_ds)
     for epoch in range(first_epoch, cfg.epochs + 1):
         lr = _lr_at(cfg, epoch)
         t0 = time.perf_counter() if cfg.record_timing else 0.0
@@ -272,13 +274,9 @@ def train(params: ModelParams, cfg: TrainerConfig, train_ds: Dataset,
                     if cfg.weight_decay:
                         d = d + cfg.weight_decay * t.data
                     np.subtract(t.data, lr * d, out=t.data)
-            epoch_loss = float(np.mean(losses)) if losses else 0.0
-            if probe is None:
-                nat, probe_loss = _validate(params, val_ds)
-            else:
-                nat, probe_loss = None, batch_loss(params, probe)
-            if not math.isfinite(epoch_loss) or not math.isfinite(probe_loss):
-                raise DivergenceError(f"non-finite loss at epoch {epoch}")
+            if not all(np.isfinite(t.data).all() for t in params.weights.values()):
+                raise NonFiniteError("weight update produced non-finite values")
+            nat = accuracy(params, val_ds.inputs, val_ds.labels) if val_ds.n else None
         except NonFiniteError as exc:
             raise DivergenceError(f"training diverged at epoch {epoch}: {exc}") from exc
         rob = None
@@ -286,7 +284,7 @@ def train(params: ModelParams, cfg: TrainerConfig, train_ds: Dataset,
         if es.eval_attack is not None and val_ds.n:
             rob = robust_accuracy(params, val_ds, es.eval_attack)
         wall_ms = int(round((time.perf_counter() - t0) * 1000)) if cfg.record_timing else 0
-        record = EpochRecord(epoch=epoch, train_loss=epoch_loss, nat_acc=nat,
+        record = EpochRecord(epoch=epoch, train_loss=float(np.mean(losses)), nat_acc=nat,
                              rob_acc=rob, lr=lr, wall_ms=wall_ms)
         early_stop_update(state, record, es)
         if on_epoch is not None:
@@ -297,19 +295,3 @@ def train(params: ModelParams, cfg: TrainerConfig, train_ds: Dataset,
             break
     return state
 
-
-_PROBE_ROWS = 64
-
-
-def _probe_batch(ds: Dataset) -> Batch:
-    return ds.take(np.arange(min(_PROBE_ROWS, ds.n))).as_batch()
-
-
-def _validate(params: ModelParams, val_ds: Dataset) -> tuple[float, float]:
-    """Accuracy on ``val_ds`` and the divergence probe's mean cross-entropy
-    over its first rows, both from one forward."""
-    logits = forward_logits(params, val_ds.inputs).data
-    labels = val_ds.labels.data
-    rows = min(_PROBE_ROWS, val_ds.n)
-    probe_loss = softmax_cross_entropy(Tensor(logits[:rows]), Tensor(labels[:rows])).item()
-    return float(np.mean(logits.argmax(axis=1) == labels.argmax(axis=1))), probe_loss

@@ -363,8 +363,12 @@ def resolve_output_dir(cfg: ExperimentConfig, override: str | None) -> Path:
 
 
 def _training_datasets(cfg: ExperimentConfig, data_dir: str | None):
-    """``build_datasets``, refused when robust early stopping gets no validation row."""
+    """``build_datasets``, refused when a split has no training row, or no
+    validation row for robust early stopping."""
     train_ds, val_ds, eval_ds = build_datasets(cfg.data, cfg.seed, data_dir)
+    if not train_ds.n:
+        raise ConfigError(f"data.val_fraction {cfg.data.val_fraction:g} of {val_ds.n} rows "
+                          "leaves 0 training rows; training needs at least one")
     if cfg.trainer.early_stop.metric == "robust" and not val_ds.n:
         raise ConfigError(f"data.val_fraction {cfg.data.val_fraction:g} of {train_ds.n} rows "
                           "rounds to 0 validation rows; robust early stopping needs at least one")

@@ -457,10 +457,31 @@ class TestCliCommands:
                        "validation rows; robust early stopping needs at least one"]
         assert not out.exists()
 
+    def test_split_of_no_training_rows_is_config_error(self, tmp_path, capsys):
+        tree = toy_tree(data={"kind": "digits_binary", "n_per_class": 1, "val_fraction": 0.75},
+                        model={"kind": "mlp", "widths": [784, 2]})
+        out = tmp_path / "out"
+        assert main(["train", str(write_cfg(tmp_path, tree)), "--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: data.val_fraction 0.75 of 2 rows leaves 0 "
+                       "training rows; training needs at least one"]
+        assert not out.exists()
+
+    def test_attack_key_that_its_kind_does_not_read_is_config_error(self, tmp_path, capsys):
+        tree = toy_tree()
+        tree["attacks"][1]["steps"] = 5
+        out = tmp_path / "out"
+        assert main(["train", str(write_cfg(tmp_path, tree)), "--output-dir", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: unknown key 'attacks[1].steps'"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("data, key", [
         ({"kind": "two_gaussians", "n": 121}, "n"),
         ({"kind": "digits_binary", "class_a": 12}, "class_a"),
         ({"kind": "digits_binary", "class_a": 3, "class_b": 3}, "class_b"),
+        ({"kind": "digits_binary", "n_per_class": 0}, "n_per_class"),
+        ({"kind": "mnist_binary", "cap_per_class": 0}, "cap_per_class"),
     ])
     def test_data_the_data_layer_cannot_build_is_config_error(self, tmp_path, capsys,
                                                              data, key):

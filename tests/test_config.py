@@ -162,18 +162,16 @@ def full_tree(data_kind="mnist_binary", model_kind="cnn"):
             "defense": "atent_linf", "lr": 0.02, "epochs": 7, "batch_size": 9, "seed": 4,
             "lr_schedule": [[3, 0.5], [6, 0.2]], "weight_decay": 0.001,
             "sampler": FULL_SAMPLER,
-            "pgd": {"kind": "atent", "norm": "l2", "radius": 0.4, "steps": 4,
-                    "step_size": 0.2, "restarts": 3, "random_start": True, "seed": 8,
-                    "sampler": {**FULL_SAMPLER, "gamma": 3.0}},
+            # a left-out kind is pgd, the default
+            "pgd": {"norm": "l2", "radius": 0.4, "steps": 4, "step_size": 0.2,
+                    "restarts": 3, "random_start": True, "seed": 8},
             "early_stop": {"metric": "robust", "patience": 2,
                            "eval_attack": {"kind": "atent", "norm": "l2", "radius": 0.2,
-                                           "steps": 2, "step_size": 0.1, "restarts": 2,
-                                           "random_start": True, "seed": 11,
-                                           "sampler": FULL_SAMPLER}},
+                                           "seed": 11, "sampler": FULL_SAMPLER}},
         },
-        "attacks": [{"kind": "atent", "norm": "l2", "radius": 0.6, "steps": 5,
-                     "step_size": 0.3, "restarts": 2, "random_start": True, "seed": 12,
-                     "sampler": FULL_SAMPLER}],
+        "attacks": [{"kind": "atent", "norm": "l2", "radius": 0.6, "seed": 12,
+                     "sampler": {**FULL_SAMPLER, "gamma": 3.0}},
+                    {"kind": "fgsm", "radius": 0.3, "seed": 14}],
         "smoothing": {"sigma": 0.3, "n_samples": 77, "abstain_margin": 0.2, "seed": 13},
     })
 
@@ -213,13 +211,15 @@ class TestEveryKey:
             (tree, ExperimentConfig, set()),
             (tree["trainer"], TrainerConfig, {"record_timing"}),
             (tree["trainer"]["sampler"], GibbsSamplerConfig, set()),
-            (tree["trainer"]["pgd"], AttackConfig, set()),
             (tree["trainer"]["early_stop"], EarlyStopConfig, set()),
-            (tree["attacks"][0], AttackConfig, set()),
             (tree["smoothing"], SmoothingConfig, set()),
         ]
         for section, cls, from_root in sections:
             assert set(section) == {f.name for f in fields(cls)} - from_root, cls.__name__
+        # each attack kind reads some of the keys; together the attacks set every one
+        attacks = [tree["trainer"]["pgd"], tree["trainer"]["early_stop"]["eval_attack"],
+                   *tree["attacks"]]
+        assert set().union(*attacks) == {f.name for f in fields(AttackConfig)}
         data_keys = set().union(*DATA_BY_KIND.values())
         assert data_keys == {f.name for f in fields(DataSpec)}
 
@@ -285,6 +285,35 @@ class TestStrictValues:
         with pytest.raises(ConfigError, match=re.escape(f"unknown key '{path}.{key}'")):
             parse_config_dict(tree)
 
+    # an attack refuses every key that its kind does not read
+    @pytest.mark.parametrize("path, key, value", [
+        ("attacks[1]", "steps", 2),
+        ("attacks[1]", "step_size", 0.1),
+        ("attacks[1]", "restarts", 2),
+        ("attacks[1]", "random_start", True),
+        ("attacks[1]", "sampler", FULL_SAMPLER),
+        ("attacks[0]", "steps", 2),
+        ("attacks[0]", "random_start", True),
+        ("trainer.early_stop.eval_attack", "restarts", 2),
+        ("trainer.pgd", "sampler", FULL_SAMPLER),
+    ], ids=["fgsm_steps", "fgsm_step_size", "fgsm_restarts", "fgsm_random_start",
+            "fgsm_sampler", "atent_steps", "atent_random_start", "eval_attack_restarts",
+            "pgd_without_kind_sampler"])
+    def test_attack_key_that_its_kind_does_not_read_is_refused(self, path, key, value):
+        tree = full_tree()
+        section = tree
+        for k in re.findall(r"\w+", path):
+            section = section[int(k) if k.isdigit() else k]
+        section[key] = value
+        with pytest.raises(ConfigError, match=re.escape(f"unknown key '{path}.{key}'")):
+            parse_config_dict(tree)
+
+    def test_unknown_attack_kind_is_named(self):
+        tree = full_tree()
+        tree["attacks"][1] = {"kind": "cw", "radius": 0.3, "steps": 2}
+        with pytest.raises(ConfigError, match=re.escape("attacks[1]: unknown attack kind 'cw'")):
+            parse_config_dict(tree)
+
     def test_robust_early_stop_without_validation_is_refused(self):
         tree = minimal_tree()
         tree["data"]["val_fraction"] = 0
@@ -301,7 +330,11 @@ class TestStrictValues:
         ({"kind": "mnist_binary", "class_b": -1}, "data: class_b must be a digit 0-9, got -1"),
         ({"kind": "digits_binary", "class_a": 3, "class_b": 3},
          "data: class_a and class_b must differ, both are 3"),
-    ], ids=["odd_n", "class_a_12", "class_b_negative", "same_classes"])
+        ({"kind": "digits_binary", "n_per_class": 0}, "data: n_per_class must be at least 1, got 0"),
+        ({"kind": "mnist_binary", "cap_per_class": 0},
+         "data: cap_per_class must be at least 1, got 0"),
+    ], ids=["odd_n", "class_a_12", "class_b_negative", "same_classes", "n_per_class_0",
+            "cap_per_class_0"])
     def test_data_the_data_layer_cannot_build_is_refused(self, data, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_config_dict(minimal_tree(data=data))

@@ -478,54 +478,64 @@ class TestEarlyStopping:
 
 
 class TestValidationForward:
-    """Each epoch forwards the validation set once; that pass gives both the
-    accuracy and the divergence probe's loss."""
+    """Each epoch with validation rows scores them once, through ``accuracy``;
+    divergence is caught at the op and at the weight update."""
 
     def _count(self, monkeypatch):
-        calls = {"forward": 0, "batch_loss": 0}
-        forward, batch_loss = defenses.forward_logits, defenses.batch_loss
+        calls = {"accuracy": 0}
+        accuracy_fn = defenses.accuracy
 
-        def counting_forward(params, inputs):
-            calls["forward"] += 1
-            return forward(params, inputs)
+        def counting_accuracy(params, inputs, labels):
+            calls["accuracy"] += 1
+            return accuracy_fn(params, inputs, labels)
 
-        def counting_batch_loss(params, batch):
-            calls["batch_loss"] += 1
-            return batch_loss(params, batch)
-
-        monkeypatch.setattr(defenses, "forward_logits", counting_forward)
-        monkeypatch.setattr(defenses, "batch_loss", counting_batch_loss)
+        monkeypatch.setattr(defenses, "accuracy", counting_accuracy)
         return calls
 
-    def _cfg(self):
-        return TrainerConfig(defense="sgd", lr=0.3, epochs=3, batch_size=32, seed=9,
-                             lr_schedule=[])
+    def _cfg(self, **overrides):
+        return TrainerConfig(**{"defense": "sgd", "lr": 0.3, "epochs": 3, "batch_size": 32,
+                                "seed": 9, "lr_schedule": [], **overrides})
 
     def test_one_forward_per_epoch(self, monkeypatch):
         ds, _ = _blobs(seed=9, n=128)
-        val = synth_two_gaussians(80, 5.0, seed=100)  # more rows than the probe's 64
+        val = synth_two_gaussians(80, 5.0, seed=100)
         calls = self._count(monkeypatch)
         state = train(build_mlp([2, 8, 2], seed=9), self._cfg(), ds, val)
-        assert calls == {"forward": 3, "batch_loss": 0}
+        assert calls == {"accuracy": 3}
         assert state.history[-1].nat_acc == accuracy(state.params, val.inputs, val.labels)
 
-    def test_probe_on_training_rows_without_validation_set(self, monkeypatch):
+    def test_no_validation_forward_without_validation_set(self, monkeypatch):
         ds, val = _blobs(seed=9, n=128)
         calls = self._count(monkeypatch)
         state = train(build_mlp([2, 8, 2], seed=9), self._cfg(), ds, val)
-        assert calls == {"forward": 0, "batch_loss": 3}
+        assert calls == {"accuracy": 0}
         assert [r.nat_acc for r in state.history] == [None, None, None]
 
     def test_non_finite_validation_forward_is_divergence(self, monkeypatch):
         ds, _ = _blobs(seed=9, n=128)
         val = synth_two_gaussians(80, 5.0, seed=100)
 
-        def overflowing(params, inputs):
-            raise NonFiniteError("matmul produced non-finite values")
+        def overflowing(params, inputs, labels):
+            raise NonFiniteError("dense produced non-finite values")
 
-        monkeypatch.setattr(defenses, "forward_logits", overflowing)
+        monkeypatch.setattr(defenses, "accuracy", overflowing)
         with pytest.raises(DivergenceError, match="diverged at epoch 1"):
             train(build_mlp([2, 8, 2], seed=9), self._cfg(), ds, val)
+
+    def test_non_finite_last_update_is_divergence_without_validation_set(self):
+        # one batch per epoch, so no forward follows the update that overflows
+        ds, val = _blobs(seed=9, n=32)
+        epochs = []
+        cfg = self._cfg(lr=1e300, weight_decay=1e300)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError, match="diverged at epoch 1: weight update"):
+            train(build_mlp([2, 8, 2], seed=9), cfg, ds, val, on_epoch=epochs.append)
+        assert epochs == []
+
+    def test_empty_training_set_is_refused(self):
+        ds, _ = _blobs(seed=9, n=32)
+        with pytest.raises(ValueError, match="non-empty training set"):
+            train(build_mlp([2, 8, 2], seed=9), self._cfg(), ds.take(np.arange(0)), ds)
 
 
 class TestInterchangeability:

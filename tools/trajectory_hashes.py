@@ -7,17 +7,20 @@ can be checked against its parent with one command per tree:
     python tools/trajectory_hashes.py --src src > change.txt
     diff parent.txt change.txt
 
-Each line is ``<sha256>  <item>``. The 40 items are, on a small MLP and on
+Each line is ``<sha256>  <item>``. The 42 items are, on a small MLP and on
 a CNN with two conv blocks, on ``digits_binary``:
 
 - ``config/<name>``: the parsed ``ExperimentConfig`` of each tree below, as
   ``json.dumps(dataclasses.asdict(cfg), sort_keys=True)``, and of
-  ``FULL_TREE``, which sets every key of every section. A field added to
+  ``FULL_TREE``, which sets every key of every section (of an attack,
+  every key that its kind reads). A field added to
   or removed from a class that every tree holds, such as the sampler's
   config, changes all of these hashes and no other;
 - ``train/<defense>/<model>``: each of the five defenses for two epochs;
   the final weights, the per-epoch losses and accuracies, and the best epoch.
-  ``train/pgd_at_fgsm/<model>`` is PGD-AT with an FGSM inner attack;
+  ``train/pgd_at_fgsm/<model>`` is PGD-AT with an FGSM inner attack, and
+  ``train/atent_linf_no_val/<model>`` is ATENT-l-inf with ``val_fraction``
+  0, so with no validation rows;
 - ``attack/<kind>/<model>``: FGSM, PGD (random start, two restarts) and
   ATENT-attack outputs, and ``attack/atent_l2/<model>``, the ATENT attack
   in the l2 ball;
@@ -30,7 +33,7 @@ a CNN with two conv blocks, on ``digits_binary``:
   so the hash changes if the resumed run writes into an array the first
   call returned.
 
-That is 11 ``config/``, 12 ``train/``, 8 ``attack/``, 6
+That is 11 ``config/``, 14 ``train/``, 8 ``attack/``, 6
 ``loss_and_grads/``, 2 ``smooth_accuracy/`` and 1 ``resume/`` item.
 
 The trees are imported from ``--src`` alone; BLAS is pinned to one thread,
@@ -107,15 +110,12 @@ FULL_TREE = {
         "sampler": {"gamma": 2.5, "step": 0.3, "steps": 6, "noise_scale": 0.02, "ema": 0.7,
                     "norm": "l2", "init_radius": 0.05},
         "pgd": {"kind": "pgd", "norm": "l2", "radius": 0.4, "steps": 4, "step_size": 0.2,
-                "restarts": 3, "random_start": True, "seed": 8,
-                "sampler": {"gamma": 3.0, "step": 0.1, "steps": 2}},
+                "restarts": 3, "random_start": True, "seed": 8},
         "early_stop": {"metric": "robust", "patience": 2,
                        "eval_attack": {"kind": "fgsm", "norm": "linf", "radius": 0.2,
-                                       "steps": 2, "step_size": 0.1, "restarts": 2,
-                                       "random_start": True, "seed": 11}},
+                                       "seed": 11}},
     },
-    "attacks": [{"kind": "atent", "norm": "l2", "radius": 0.6, "steps": 5, "step_size": 0.3,
-                 "restarts": 2, "random_start": True, "seed": 12,
+    "attacks": [{"kind": "atent", "norm": "l2", "radius": 0.6, "seed": 12,
                  "sampler": {"gamma": 4.0, "step": 0.2, "steps": 3, "noise_scale": 0.1,
                              "ema": 0.4, "norm": "l2", "init_radius": 0.01}}],
     "smoothing": {"sigma": 0.3, "n_samples": 77, "abstain_margin": 0.2, "seed": 13},
@@ -179,6 +179,9 @@ def items():
         tree = config_tree(model, "pgd_at")
         tree["trainer"]["pgd"] = PGD_AT_FGSM
         yield f"train/pgd_at_fgsm/{model}", train_digest(tree)[1]
+        tree = config_tree(model, "atent_linf")
+        tree["data"] = {**tree["data"], "val_fraction": 0}
+        yield f"train/atent_linf_no_val/{model}", train_digest(tree)[1]
 
         tree = config_tree(model, "sgd")
         cfg = config.parse_config_dict(tree)
