@@ -25,6 +25,13 @@ from .tensor import Tensor, TensorError
 
 CNN_KERNEL = 3
 CNN_POOL = 2
+# Samples an untaped CNN forward sends through the conv stack at a time
+# (forward_logits), chosen by minor faults per cnn_attack_eval unit, read
+# with getrusage at seeds 2, 7 and 11: spans of 8, 12 and 16 took 1.7k-1.9k
+# at every seed, against 3.0k-3.5k for whole-batch blocks. Spans of 24 and
+# 32 took 3.0k-3.6k at seed 2, and 74, block 0's _BLOCK_COLS span, took
+# 6.3k-15.2k. 16 ran the smoothing vote faster than 8 at all three seeds.
+_FORWARD_SPAN = 16
 
 
 @dataclass
@@ -191,8 +198,28 @@ def build_model(descriptor: dict, seed: int) -> ModelParams:
     )
 
 
+def _conv_stack(params: ModelParams, x: Tensor) -> Tensor:
+    """The CNN's conv blocks applied to ``x`` in turn."""
+    w = params.weights
+    for i in range(len(params.descriptor["channels"])):
+        x = tc.conv_block(x, w[f"conv{i}"], w[f"cb{i}"], CNN_POOL)
+    return x
+
+
 def forward_logits(params: ModelParams, inputs: Tensor) -> Tensor:
-    """Logits for a batch; flattens image batches automatically for MLPs."""
+    """Logits for a batch; flattens image batches automatically for MLPs.
+
+    With no tape active, a CNN batch of more than :data:`_FORWARD_SPAN`
+    samples is streamed: each span of samples goes through every conv block
+    in turn, and its features are written into one (n, flat) matrix, so no
+    block's output for the whole batch is ever held. The dense head then
+    runs once on that matrix. The bits are those of the whole-batch pass:
+    the conv GEMMs run one sample at a time at any batch size, while the
+    head's GEMMs are not split, because BLAS picks its kernel by row count
+    and a head run in chunks of 16 or 32 rows changed the logits' last
+    bits. A taped pass, and a batch no larger than the span, takes the
+    whole batch through each block.
+    """
     if not isinstance(inputs, Tensor):
         inputs = Tensor(inputs)
     d = params.descriptor
@@ -214,11 +241,16 @@ def forward_logits(params: ModelParams, inputs: Tensor) -> Tensor:
 
     if inputs.data.ndim != 4 or inputs.shape[1:] != d["in_shape"]:
         raise TensorError(f"input shape {inputs.shape} does not match {d['in_shape']}")
-    h = inputs
-    for i in range(len(d["channels"])):
-        h = tc.conv_block(h, w[f"conv{i}"], w[f"cb{i}"], CNN_POOL)
+    n = inputs.shape[0]
     _, flat = _cnn_dims(d)
-    h = tc.reshape(h, (h.shape[0], flat))
+    if n <= _FORWARD_SPAN or tc._active_tape() is not None:
+        h = tc.reshape(_conv_stack(params, inputs), (n, flat))
+    else:
+        # the features live only in h, so rebinding h in the head frees them
+        h = tc._unchecked(np.empty((n, flat)))
+        for s in range(0, n, _FORWARD_SPAN):
+            span = _conv_stack(params, tc._unchecked(inputs.data[s:s + _FORWARD_SPAN]))
+            h.data[s:s + _FORWARD_SPAN] = span.data.reshape(-1, flat)
     last = len(d["fc_widths"]) - 1
     for i in range(last + 1):
         h = tc.dense(h, w[f"fc{i}"], w[f"fb{i}"], relu=i < last)

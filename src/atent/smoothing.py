@@ -24,10 +24,13 @@ from .seeding import derive_rng
 
 ABSTAIN = -1
 # The largest forward batch of noisy copies, and the most votes smooth_predict
-# casts between two looks at its stop rule. Fixed chunks of 128 can fall into
-# the allocator's refault trap (ROADMAP P1): one smoothed 28x28 CNN example
-# then took up to 25,020 minor faults and 52 ms of system CPU, against 3,910
-# and 8 ms as one batch of 1000, and ran slower. 512 also bounds the memory.
+# casts between two looks at its stop rule. It bounds the memory of the noisy
+# copies and of their (n, flat) CNN features; the conv blocks take any batch
+# in spans of models._FORWARD_SPAN samples. The chunk still decides whether
+# these buffers fall into the allocator's refault trap (ROADMAP P1): on
+# cnn_attack_eval's CNN, one 28x28 example smoothed with 1000 votes took
+# 1,943 minor faults and 4 ms of system CPU at 512, 2,386-3,490 and 8 ms at
+# 256, and none at 128 (getrusage, seeds 2 and 7).
 VOTE_CHUNK = 512
 
 

@@ -499,8 +499,11 @@ def _fold_same(dcols: np.ndarray, shape, kh: int, kw: int) -> np.ndarray:
 # Column-buffer elements conv_block unfolds at a time (4 MiB of float64).
 # The GEMMs run once per sample at any span, so the span trades the number
 # of passes over the blocks against the memory of the column buffer: at
-# 1 << 17, cnn_atent_train ran about 8% slower (3 of 3 benchmark pairs),
-# while cnn_attack_eval's peak RSS fell by about 5 MB.
+# 1 << 17, cnn_atent_train ran about 8% slower (3 of 3 benchmark pairs).
+# An untaped forward of many samples reaches conv_block in spans of
+# models._FORWARD_SPAN samples, fewer than this budget takes at either block
+# of the benchmark CNN (74 and 37), so there it bounds only taped passes:
+# 1 << 17 moves cnn_attack_eval's peak RSS by 0.3 MB.
 _BLOCK_COLS = 1 << 19
 
 

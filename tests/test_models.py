@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from atent import models
+from atent import tensor as tc
 from atent.models import (
     Batch,
     accuracy,
@@ -18,7 +20,7 @@ from atent.models import (
     predict,
 )
 from atent.oracle import finite_difference_grad, relative_error
-from atent.tensor import Tensor, TensorError
+from atent.tensor import NonFiniteError, Tape, Tensor, TensorError
 
 
 def _fd_weight_check(params, batch, names, tol=1e-4):
@@ -130,6 +132,106 @@ class TestForwardLogits:
         p = build_mlp([784, 8, 2], seed=0)
         x = np.random.default_rng(3).random((3, 1, 28, 28))
         assert forward_logits(p, Tensor(x)).shape == (3, 2)
+
+
+S = models._FORWARD_SPAN
+
+# (in_shape, channels, fc_widths): MNIST-sized, an odd shape whose pool
+# windows crop a row and a column, and three conv blocks
+_STREAMED_CNNS = {
+    "mnist": ((1, 28, 28), [4, 6], [8, 2]),
+    "odd": ((2, 15, 13), [3], [5, 2]),
+    "three_blocks": ((1, 20, 20), [3, 4, 5], [6, 3]),
+}
+
+
+def _streamed_case(name: str, n: int):
+    in_shape, channels, fc_widths = _STREAMED_CNNS[name]
+    p = build_small_cnn(channels, fc_widths, seed=11, in_shape=in_shape)
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, *in_shape))
+    y = np.eye(fc_widths[-1])[rng.integers(0, fc_widths[-1], n)]
+    return p, x, y
+
+
+def _taped(fn, p, *args):
+    """``fn`` under a tape that tracks the weights: the whole-batch path."""
+    with Tape(list(p.weights.values())):
+        return fn(p, *args)
+
+
+class TestStreamedForward:
+    """An untaped CNN forward of more than S samples streams the conv stack
+    in spans of S; its results equal the whole-batch path's bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, S - 1, S, S + 1, 2 * S + 3, 501])
+    @pytest.mark.parametrize("name", list(_STREAMED_CNNS))
+    def test_equals_the_whole_batch_path_bitwise(self, name, n):
+        p, x, y = _streamed_case(name, n)
+        batch = Batch(x, y)
+        logits = forward_logits(p, Tensor(x)).data
+        assert logits.tobytes() == _taped(forward_logits, p, Tensor(x)).data.tobytes()
+        assert np.array_equal(predict(p, x), _taped(predict, p, x))
+        assert accuracy(p, x, y) == _taped(accuracy, p, x, y)
+        assert per_sample_losses(p, batch).tobytes() == \
+            _taped(per_sample_losses, p, batch).tobytes()
+        assert batch_loss(p, batch) == _taped(batch_loss, p, batch)
+
+    @pytest.mark.parametrize("taped", [None, "weights", "inputs"])
+    @pytest.mark.parametrize("n", [1, S - 1, S, S + 1, 2 * S + 3, 501])
+    def test_conv_block_calls_per_block(self, monkeypatch, n, taped):
+        p, x, _ = _streamed_case("three_blocks", n)
+        x = Tensor(x)
+        sizes = {f"conv{i}": [] for i in range(3)}
+        name_of = {id(p.weights[k]): k for k in sizes}
+        real = tc.conv_block
+
+        def counted(h, kernels, bias, pool):
+            sizes[name_of[id(kernels)]].append(h.shape[0])
+            return real(h, kernels, bias, pool)
+
+        monkeypatch.setattr(tc, "conv_block", counted)
+        if taped is None:
+            forward_logits(p, x)
+        else:
+            with Tape(list(p.weights.values()) if taped == "weights" else [x]):
+                forward_logits(p, x)
+        if taped is None and n > S:
+            spans = [S] * (n // S) + ([n % S] if n % S else [])
+            assert len(spans) == math.ceil(n / S)
+        else:
+            spans = [n]
+        assert sizes == {k: spans for k in sizes}
+
+    # One input channel, 0.0 but for -1.0 and 0.5 in the first two cells of
+    # a row; a kernel whose centre tap alone is 1.7e308, and a bias of
+    # -1.7e308. The -1.0 cell's pre-activation overflows to -inf, while the
+    # 0.5 cell's is finite and wins their pool window, so only a check
+    # before the pool sees the overflow.
+    @staticmethod
+    def _overflow_case(bad: int, first: float):
+        p = build_small_cnn([1], [2], seed=0, in_shape=(1, 6, 6))
+        p.weights["conv0"].data[...] = 0.0
+        p.weights["conv0"].data[0, 0, 1, 1] = 1.7e308
+        p.weights["cb0"].data[...] = -1.7e308
+        x = np.zeros((2 * S + 3, 1, 6, 6))
+        x[bad, 0, 2, :2] = [first, 0.5]
+        return p, x
+
+    @pytest.mark.parametrize("bad", [S, 2 * S + 2], ids=["second_span", "ragged_last_span"])
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_overflow_in_a_later_span_names_conv_block(self, bad, taped):
+        p, x = self._overflow_case(bad, -1.0)
+        with pytest.raises(NonFiniteError, match="^conv_block produced non-finite values$"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            if taped:
+                _taped(predict, p, x)
+            else:
+                predict(p, x)
+
+    def test_overflow_control_stays_finite(self):
+        p, x = self._overflow_case(S, 0.0)  # no cell overflows
+        assert predict(p, x).shape == (2 * S + 3,)
 
 
 class TestLossAndGrads:

@@ -7,7 +7,7 @@ can be checked against its parent with one command per tree:
     python tools/trajectory_hashes.py --src src > change.txt
     diff parent.txt change.txt
 
-Each line is ``<sha256>  <item>``. The 42 items are, on a small MLP and on
+Each line is ``<sha256>  <item>``. The 46 items are, on a small MLP and on
 a CNN with two conv blocks, on ``digits_binary``:
 
 - ``config/<name>``: the parsed ``ExperimentConfig`` of each tree below, as
@@ -27,6 +27,10 @@ a CNN with two conv blocks, on ``digits_binary``:
 - ``loss_and_grads/<wrt>/<model>``: loss and gradients for each ``wrt``;
 - ``smooth_accuracy/<model>``: the smoothed accuracy of the SGD-trained
   model, with the vote counts of one example;
+- ``logits/<n>/cnn``: the SGD-trained CNN's untaped logits on ``n`` seeded
+  uniform images, for each n in ``LOGIT_ROWS``, and ``accuracy/cnn``, its
+  accuracy over the whole eval split (100 rows): forwards that stream the
+  conv stack in spans, where the other items' forwards are taped or small;
 - ``resume/sgd/mlp``: the MLP's SGD run stopped after epoch 2 and resumed
   in process to epoch 4. The epoch-2 ``params`` and ``best_params`` arrays
   are kept before the resume and hashed after it, with the final weights,
@@ -34,7 +38,8 @@ a CNN with two conv blocks, on ``digits_binary``:
   call returned.
 
 That is 11 ``config/``, 14 ``train/``, 8 ``attack/``, 6
-``loss_and_grads/``, 2 ``smooth_accuracy/`` and 1 ``resume/`` item.
+``loss_and_grads/``, 2 ``smooth_accuracy/``, 3 ``logits/``, 1 ``accuracy/``
+and 1 ``resume/`` item.
 
 The trees are imported from ``--src`` alone; BLAS is pinned to one thread,
 as in the benchmark. The package does not import this script.
@@ -74,6 +79,9 @@ DEFENSES = {
 PGD_AT_FGSM = {"kind": "fgsm", "norm": "linf", "radius": 0.1}
 ATENT_L2_ATTACK = {"kind": "atent", "norm": "l2", "radius": 0.5,
                    "sampler": {**SAMPLER, "norm": "l2"}}
+# one image, one more than the span of samples that an untaped CNN forward
+# streams at a time (16), and many spans with a ragged last one
+LOGIT_ROWS = (1, 17, 300)
 ATTACKS = [
     {"kind": "fgsm", "norm": "linf", "radius": 0.1},
     {"kind": "pgd", "norm": "linf", "radius": 0.1, "steps": 3, "step_size": 0.05,
@@ -202,6 +210,12 @@ def items():
         votes = smoothing.vote_counts(sgd, eval_ds.inputs.data[0], cfg.smoothing,
                                       derive_rng(cfg.seed, "hash-votes"), eval_ds.n_classes)
         yield f"smooth_accuracy/{model}", digest(acc, votes)
+        if model == "cnn":
+            x = derive_rng(cfg.seed, "hash-logits").random(
+                (max(LOGIT_ROWS), *eval_ds.inputs.shape[1:]))
+            for n in LOGIT_ROWS:
+                yield f"logits/{n}/cnn", digest(models.forward_logits(sgd, x[:n]).data)
+            yield "accuracy/cnn", digest(models.accuracy(sgd, eval_ds.inputs, eval_ds.labels))
 
     tree = config_tree("mlp", "sgd")
     cfg = config.parse_config_dict({**tree, "trainer": {**tree["trainer"], "epochs": 4}})
