@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: train, attack, evaluate, smooth-eval, verify, report.
+Subcommands: train, attack, evaluate, smooth-eval, verify.
 Exit codes: 0 success, 1 usage/config error, 2 runtime failure,
 3 verification-suite failure.
 """
@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from .checkpoint import CheckpointError, atomic_write_text, load_checkpoint
+from .checkpoint import CheckpointError, atomic_write_text
 from .config import ConfigError, parse_config
 from .data import IdxFormatError
 from .tensor import TensorError
@@ -32,6 +32,13 @@ def _add_common(p: argparse.ArgumentParser, checkpoint_required=False) -> None:
         p.add_argument("--checkpoint", required=True, help="model checkpoint to load")
 
 
+def _epoch_number(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be an epoch of at least 1, not {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="atent",
@@ -42,8 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train per config, checkpointing each epoch")
     _add_common(p)
     p.add_argument("--resume", action="store_true", help="continue a saved run")
-    p.add_argument("--stop-after", type=int, default=None, metavar="N",
-                   help="train at most N epochs this invocation (resumable)")
+    p.add_argument("--stop-after", type=_epoch_number, default=None, metavar="N",
+                   help="stop once epoch N is committed (resumable)")
 
     p = sub.add_parser("attack", help="evaluate configured attacks on a checkpoint")
     _add_common(p, checkpoint_required=True)
@@ -54,18 +61,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("smooth-eval", help="randomized-smoothing accuracy of a checkpoint")
     _add_common(p, checkpoint_required=True)
-    p.add_argument("--keep-abstain", action="store_true",
-                   help="drop abstentions from the denominator instead of counting them wrong")
 
     p = sub.add_parser("verify", help="run the numerical verification suites")
     p.add_argument("--suite", default="all", choices=[*SUITES, "all"])
     p.add_argument("--output-dir", default=None,
                    help="also write verify_report.json and sampler_hist.svg here")
-
-    p = sub.add_parser("report", help="re-emit plots for a trained run")
-    _add_common(p)
-    p.add_argument("--checkpoint", default=None,
-                   help="checkpoint to plot (default: <out>/best.ckpt or last.ckpt)")
     return parser
 
 
@@ -119,8 +119,7 @@ def _cmd_smooth_eval(args) -> int:
     from .experiment import resolve_output_dir, smooth_evaluate
 
     cfg = parse_config(args.config)
-    result = smooth_evaluate(cfg, args.checkpoint, data_dir=args.data_dir,
-                             count_abstain_as_error=not args.keep_abstain)
+    result = smooth_evaluate(cfg, args.checkpoint, data_dir=args.data_dir)
     out = resolve_output_dir(cfg, args.output_dir)
     atomic_write_text(out / "smooth.json", json.dumps(result, indent=2, sort_keys=True))
     print(f"smooth accuracy (sigma={result['sigma']:g}, "
@@ -160,39 +159,12 @@ def _write_sampler_diagnostic(out: Path) -> None:
     write_histogram_svg(samples[8_000:], grid, out / "sampler_hist.svg")
 
 
-def _cmd_report(args) -> int:
-    from .experiment import build_datasets, resolve_output_dir
-    from .reporting import write_decision_svg
-
-    cfg = parse_config(args.config)
-    out = resolve_output_dir(cfg, args.output_dir)
-    ckpt = args.checkpoint
-    if ckpt is None:
-        for cand in (out / "best.ckpt", out / "last.ckpt"):
-            if cand.exists():
-                ckpt = cand
-                break
-    if ckpt is None:
-        raise ConfigError(f"no checkpoint found in {out}; pass --checkpoint")
-    params = load_checkpoint(ckpt)
-    _, _, eval_ds = build_datasets(cfg.data, cfg.seed, args.data_dir)
-    wrote = []
-    if eval_ds.inputs.data.ndim == 2 and eval_ds.inputs.shape[1] == 2:
-        write_decision_svg(params, eval_ds, out / "decision.svg")
-        wrote.append("decision.svg")
-    _write_sampler_diagnostic(out)
-    wrote.append("sampler_hist.svg")
-    print(f"wrote {', '.join(wrote)} to {out}")
-    return EXIT_OK
-
-
 _HANDLERS = {
     "train": _cmd_train,
     "attack": _cmd_attack,
     "evaluate": _cmd_evaluate,
     "smooth-eval": _cmd_smooth_eval,
     "verify": _cmd_verify,
-    "report": _cmd_report,
 }
 
 

@@ -239,7 +239,8 @@ def train(params: ModelParams, cfg: TrainerConfig, train_ds: Dataset,
     recorded epoch; all randomness is keyed by (seed, epoch, batch), so a
     resumed run retraces the uninterrupted trajectory exactly, and a
     finished one (:func:`training_finished`) is returned as it is.
-    ``stop_after_epoch`` ends this invocation early (resumable later);
+    ``stop_after_epoch`` ends this invocation once that epoch is done
+    (resumable later), so a run already at or past it trains no epoch;
     ``on_epoch(state)`` fires after each epoch's record is appended.
     An empty ``train_ds``, or robust early stopping with an empty ``val_ds``,
     raises ValueError before any epoch runs. DivergenceError ends a run whose
@@ -261,7 +262,8 @@ def train(params: ModelParams, cfg: TrainerConfig, train_ds: Dataset,
         state = TrainerState(params=params)
         first_epoch = 1
     direction_fn = _DIRECTIONS[cfg.defense]
-    for epoch in range(first_epoch, cfg.epochs + 1):
+    last_epoch = cfg.epochs if stop_after_epoch is None else min(cfg.epochs, stop_after_epoch)
+    for epoch in range(first_epoch, last_epoch + 1):
         lr = _lr_at(cfg, epoch)
         t0 = time.perf_counter() if cfg.record_timing else 0.0
         losses = []
@@ -290,8 +292,6 @@ def train(params: ModelParams, cfg: TrainerConfig, train_ds: Dataset,
         if on_epoch is not None:
             on_epoch(state)
         if training_finished(state, cfg):
-            break
-        if stop_after_epoch is not None and epoch >= stop_after_epoch:
             break
     return state
 

@@ -12,8 +12,11 @@ Output-directory layout:
                                    JSON line each (the only copy of the
                                    history until the run finishes)
     <out>/metrics.jsonl            finalized metric stream
-    <out>/report.csv               accuracy table (schema in reporting)
-    <out>/decision.svg             2-D tasks only
+    <out>/report.csv               accuracy table (schema in reporting),
+                                   from ``evaluate`` and ``attack``
+    <out>/decision.svg             decision regions, from ``evaluate`` and
+                                   ``attack`` on 2-D eval data only
+    <out>/smooth.json              smoothed accuracy, from ``smooth-eval``
 
 Every file but the partial stream is written atomically (tmp + rename): a
 crashed run never leaves a file that parses as a complete artifact. Each
@@ -356,6 +359,17 @@ def evaluate_attacks(cfg: ExperimentConfig, params: ModelParams,
     return EvalReport(rows)
 
 
+def _write_evaluation(cfg: ExperimentConfig, params: ModelParams,
+                      eval_ds: Dataset, out: Path) -> EvalReport:
+    """:func:`evaluate_attacks`, written to ``out/report.csv``, and the
+    decision regions to ``out/decision.svg`` when the eval inputs are 2-D."""
+    report = evaluate_attacks(cfg, params, eval_ds)
+    write_report_csv(report, out / "report.csv")
+    if eval_ds.inputs.data.ndim == 2 and eval_ds.inputs.shape[1] == 2:
+        write_decision_svg(params, eval_ds, out / "decision.svg")
+    return report
+
+
 def resolve_output_dir(cfg: ExperimentConfig, override: str | None) -> Path:
     out = Path(override or cfg.output_dir or f"runs/{cfg.name}")
     out.mkdir(parents=True, exist_ok=True)
@@ -403,29 +417,21 @@ def run_experiment(cfg: ExperimentConfig, output_dir: str | None = None,
                                        resume=resume, stop_after=stop_after)
         if not training_finished(state, cfg.trainer):
             return None
-        params = state.snapshot_params()
-        report = evaluate_attacks(cfg, params, eval_ds)
-        write_report_csv(report, out / "report.csv")
-        if eval_ds.inputs.data.ndim == 2 and eval_ds.inputs.shape[1] == 2:
-            write_decision_svg(params, eval_ds, out / "decision.svg")
-        return report
+        return _write_evaluation(cfg, state.snapshot_params(), eval_ds, out)
 
 
 def evaluate_checkpoint(cfg: ExperimentConfig, checkpoint_path,
                         output_dir: str | None = None,
                         data_dir: str | None = None) -> EvalReport:
-    """Attack evaluation of a stored checkpoint (no training)."""
-    out = resolve_output_dir(cfg, output_dir)
+    """Attack evaluation of a stored checkpoint (no training). The output
+    directory is made only once the checkpoint and the data have loaded."""
     params = load_checkpoint(checkpoint_path)
     _, _, eval_ds = build_datasets(cfg.data, cfg.seed, data_dir)
-    report = evaluate_attacks(cfg, params, eval_ds)
-    write_report_csv(report, out / "report.csv")
-    return report
+    return _write_evaluation(cfg, params, eval_ds, resolve_output_dir(cfg, output_dir))
 
 
 def smooth_evaluate(cfg: ExperimentConfig, checkpoint_path,
-                    data_dir: str | None = None,
-                    count_abstain_as_error: bool = True) -> dict:
+                    data_dir: str | None = None) -> dict:
     """Smoothed accuracy of a stored checkpoint on the eval split.
     ``cfg.smoothing.n_samples`` is the vote budget per example: the result
     is the outcome of counting all of those votes, even where the vote is
@@ -434,12 +440,10 @@ def smooth_evaluate(cfg: ExperimentConfig, checkpoint_path,
         raise ConfigError("config has no smoothing section")
     params = load_checkpoint(checkpoint_path)
     _, _, eval_ds = build_datasets(cfg.data, cfg.seed, data_dir)
-    acc = smooth_accuracy(params, eval_ds, cfg.smoothing,
-                          count_abstain_as_error=count_abstain_as_error)
+    acc = smooth_accuracy(params, eval_ds, cfg.smoothing)
     return {
         "sigma": cfg.smoothing.sigma,
         "n_samples": cfg.smoothing.n_samples,
         "abstain_margin": cfg.smoothing.abstain_margin,
-        "count_abstain_as_error": count_abstain_as_error,
         "smooth_accuracy": acc,
     }

@@ -2,7 +2,8 @@
 
 Noise is added to the inputs before the forward pass. Certification is out
 of scope; the optional abstain margin is a plain vote-share threshold, not
-a hypothesis test.
+a hypothesis test, and ``smooth_accuracy`` counts an abstention as an
+error.
 
 ``smooth_predict`` casts its ``n_samples`` votes a few at a time and stops
 as soon as no way of casting the remaining votes can change the outcome:
@@ -124,20 +125,14 @@ def _next_step(counts: np.ndarray, remaining: int, cfg: SmoothingConfig) -> int:
     return min(max(chase, share, 1), remaining, VOTE_CHUNK)
 
 
-def smooth_accuracy(params: ModelParams, dataset, cfg: SmoothingConfig,
-                    count_abstain_as_error: bool = True) -> float:
-    """Fraction of correct smoothed predictions; abstentions either count
-    as errors or are dropped from the denominator."""
+def smooth_accuracy(params: ModelParams, dataset, cfg: SmoothingConfig) -> float:
+    """Fraction of correct smoothed predictions over all of ``dataset``; an
+    abstention counts as an error."""
     n_classes = dataset.n_classes
     truths = dataset.labels.data.argmax(axis=1)
     correct = 0
-    decided = 0
     for i in range(dataset.n):
         pred = smooth_predict(params, dataset.inputs.data[i], cfg,
                               n_classes=n_classes, stream=i)
-        if pred == ABSTAIN:
-            continue
-        decided += 1
         correct += int(pred == truths[i])
-    denom = dataset.n if count_abstain_as_error else max(decided, 1)
-    return correct / denom
+    return correct / dataset.n

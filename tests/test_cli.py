@@ -1,4 +1,5 @@
 """CLI and experiment pipeline: determinism, resume, locking, exit codes."""
+import argparse
 import dataclasses
 import json
 import os
@@ -6,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from atent import checkpoint, experiment
+from atent import checkpoint, cli, experiment
 from atent.cli import main
 from atent.config import parse_config_dict
 from atent.experiment import (
@@ -394,6 +395,25 @@ class TestCliCommands:
         assert (stopped / "metrics.jsonl").read_bytes() == first["metrics.jsonl"]
         assert not (stopped / "metrics.jsonl.partial").exists()
 
+    def test_resume_at_or_past_stop_after_trains_no_epoch(self, tmp_path):
+        cfg_path = write_cfg(tmp_path, toy_tree(epochs=6))
+        out = tmp_path / "out"
+        assert main(["train", str(cfg_path), "--output-dir", str(out),
+                     "--stop-after", "2"]) == 0
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        for n in ("2", "1"):
+            assert main(["train", str(cfg_path), "--output-dir", str(out), "--resume",
+                         "--stop-after", n]) == 0
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_stop_after_before_the_first_epoch_is_usage_error(self, tmp_path, capsys, n):
+        out = tmp_path / "out"
+        assert main(["train", str(write_cfg(tmp_path, toy_tree())), "--output-dir", str(out),
+                     "--stop-after", n]) == 1
+        assert f"must be an epoch of at least 1, not {n}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_train_stop_after_then_resume(self, tmp_path):
         cfg_path = write_cfg(tmp_path, toy_tree(epochs=4))
         out = tmp_path / "out"
@@ -414,13 +434,14 @@ class TestCliCommands:
         result = json.loads((out / "smooth.json").read_text())
         assert 0.0 <= result["smooth_accuracy"] <= 1.0
 
-    def test_report_subcommand(self, tmp_path):
+    def test_attack_writes_the_decision_plot_of_evaluate(self, tmp_path):
         cfg_path = write_cfg(tmp_path, toy_tree())
-        out = tmp_path / "out"
-        assert main(["train", str(cfg_path), "--output-dir", str(out)]) == 0
-        assert main(["report", str(cfg_path), "--output-dir", str(out)]) == 0
-        assert (out / "decision.svg").exists()
-        assert (out / "sampler_hist.svg").exists()
+        out, attacked = tmp_path / "out", tmp_path / "attacked"
+        assert main(["evaluate", str(cfg_path), "--output-dir", str(out)]) == 0
+        assert main(["attack", str(cfg_path), "--checkpoint", str(out / "best.ckpt"),
+                     "--output-dir", str(attacked)]) == 0
+        assert (attacked / "decision.svg").read_bytes() == (out / "decision.svg").read_bytes()
+        assert (attacked / "report.csv").read_bytes() == (out / "report.csv").read_bytes()
 
     def test_verify_subcommand_lemma1(self, tmp_path, capsys):
         assert main(["verify", "--suite", "lemma1",
@@ -594,11 +615,11 @@ class TestCliCommands:
         state = run_training(cfg, output_dir=str(out), resume=True)
         assert [r.lr for r in state.history] == [1, 1, 1]
 
-    @pytest.mark.parametrize("command", ["attack", "report"])
+    @pytest.mark.parametrize("command", ["attack", "smooth-eval"])
     def test_checkpoint_architecture_mismatch_exit_code(self, tmp_path, capsys, command):
         ckpt = tmp_path / "wide.ckpt"
         checkpoint.save_checkpoint(build_mlp([784, 8, 2], seed=0), ckpt)
-        cfg_path = write_cfg(tmp_path, toy_tree())
+        cfg_path = write_cfg(tmp_path, toy_tree(smoothing={"sigma": 0.1, "n_samples": 8}))
         assert main([command, str(cfg_path), "--checkpoint", str(ckpt),
                      "--output-dir", str(tmp_path / "o")]) == 2
         assert "error: input width 2 != model width 784" in capsys.readouterr().err
@@ -615,6 +636,25 @@ class TestCliCommands:
         assert main(["attack", str(cfg_path), "--checkpoint",
                      str(tmp_path / "absent.ckpt"), "--output-dir",
                      str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["no-such-command"]) == 1
+
+    def test_removed_command_and_option_are_usage_errors(self, tmp_path, capsys):
+        cfg_path = write_cfg(tmp_path, toy_tree(smoothing={"sigma": 0.1, "n_samples": 8}))
+        ckpt = tmp_path / "m.ckpt"
+        checkpoint.save_checkpoint(build_mlp([2, 8, 2], seed=0), ckpt)
+        out = tmp_path / "o"
+        assert main(["report", str(cfg_path), "--checkpoint", str(ckpt),
+                     "--output-dir", str(out)]) == 1
+        assert main(["smooth-eval", str(cfg_path), "--checkpoint", str(ckpt),
+                     "--keep-abstain", "--output-dir", str(out)]) == 1
+        assert not out.exists()
+
+    def test_docstring_names_every_subcommand(self):
+        line = next(ln for ln in cli.__doc__.splitlines() if ln.startswith("Subcommands: "))
+        named = line.removeprefix("Subcommands: ").rstrip(".").split(", ")
+        choices = next(a.choices for a in cli.build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+        assert sorted(named) == sorted(choices)

@@ -157,7 +157,7 @@ class TestSmoothAccuracy:
         x = np.zeros((10, 1))
         ds = Dataset(Tensor(x), Tensor(np.eye(2)[[0, 1] * 5]))
         cfg = SmoothingConfig(sigma=1.0, n_samples=2000, abstain_margin=0.4, seed=2)
-        assert smooth_accuracy(p, ds, cfg, count_abstain_as_error=True) == 0.0
+        assert smooth_accuracy(p, ds, cfg) == 0.0
 
     def test_matches_hand_count(self):
         ds = self._dataset(10)
@@ -256,8 +256,7 @@ class TestEarlyStop:
         assert smooth_predict(_threshold_model(), np.array([0.0]), cfg, 2) == ABSTAIN
         assert forward_sizes == [VOTE_CHUNK, VOTE_CHUNK]
 
-    @pytest.mark.parametrize("keep_abstain", [False, True])
-    def test_accuracy_equals_full_vote_decisions(self, keep_abstain):
+    def test_accuracy_equals_full_vote_decisions(self):
         x = np.linspace(-0.6, 0.6, 24)[:, None]
         ds = Dataset(Tensor(x), Tensor(np.eye(2)[[0, 1, 1] * 8]), value_range=(-1.0, 1.0))
         p = _threshold_model()
@@ -268,5 +267,4 @@ class TestEarlyStop:
         decided = [(q, t) for q, t in zip(preds, truths) if q != ABSTAIN]
         assert 0 < len(decided) < ds.n
         correct = sum(int(q == t) for q, t in decided)
-        want = correct / (len(decided) if keep_abstain else ds.n)
-        assert smooth_accuracy(p, ds, cfg, count_abstain_as_error=not keep_abstain) == want
+        assert smooth_accuracy(p, ds, cfg) == correct / ds.n

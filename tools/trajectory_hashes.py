@@ -25,8 +25,12 @@ a CNN with two conv blocks, on ``digits_binary``:
   ATENT-attack outputs, and ``attack/atent_l2/<model>``, the ATENT attack
   in the l2 ball;
 - ``loss_and_grads/<wrt>/<model>``: loss and gradients for each ``wrt``;
-- ``smooth_accuracy/<model>``: the smoothed accuracy of the SGD-trained
-  model, with the vote counts of one example;
+- ``smooth_accuracy/<model>``: the Entropy-SGD-trained model smoothed per
+  ``SMOOTHING`` on the first 8 eval rows: the smoothed accuracy, each row's
+  smoothed prediction and each row's counts of a full vote. The script
+  raises unless some row's votes split, some row abstains and some row is
+  predicted right, so that the hash changes if an abstention stops counting
+  as an error;
 - ``logits/<n>/cnn``: the SGD-trained CNN's untaped logits on ``n`` seeded
   uniform images, for each n in ``LOGIT_ROWS``, and ``accuracy/cnn``, its
   accuracy over the whole eval split (100 rows): forwards that stream the
@@ -79,6 +83,10 @@ DEFENSES = {
 PGD_AT_FGSM = {"kind": "fgsm", "norm": "linf", "radius": 0.1}
 ATENT_L2_ATTACK = {"kind": "atent", "norm": "l2", "radius": 0.5,
                    "sampler": {**SAMPLER, "norm": "l2"}}
+# the smoothing run of the ``smooth_accuracy/`` items. The Entropy-SGD-trained
+# models are the only ones below whose votes split after two epochs; the
+# SGD-trained ones predict class 0 on every eval row, at sigma 0.25 unanimously
+SMOOTHING = {"sigma": 0.5, "n_samples": 200, "abstain_margin": 0.1}
 # one image, one more than the span of samples that an untaped CNN forward
 # streams at a time (16), and many spans with a ragged last one
 LOGIT_ROWS = (1, 17, 300)
@@ -179,6 +187,22 @@ def items():
         return state.params, digest({k: t.data for k, t in state.params.weights.items()},
                                     history, state.best_epoch, state.best_metric)
 
+    def smoothing_digest(params, eval_ds):
+        cfg = smoothing.SmoothingConfig(**SMOOTHING)
+        rows = eval_ds.take(range(8))
+        truths = rows.labels.data.argmax(axis=1).tolist()
+        preds = [smoothing.smooth_predict(params, x, cfg, rows.n_classes, stream=i)
+                 for i, x in enumerate(rows.inputs.data)]
+        votes = [smoothing.vote_counts(params, x, cfg, derive_rng(cfg.seed, "hash-votes", i),
+                                       rows.n_classes) for i, x in enumerate(rows.inputs.data)]
+        if not (any((v < cfg.n_samples).all() for v in votes)
+                and smoothing.ABSTAIN in preds
+                and any(p == t for p, t in zip(preds, truths))):
+            raise RuntimeError(f"smoothing hash gates nothing: predictions {preds} "
+                               f"against labels {truths}; every item needs a row whose "
+                               "votes split, an abstention and a right prediction")
+        return digest(smoothing.smooth_accuracy(params, rows, cfg), preds, votes)
+
     for model in MODELS:
         trained = {}
         for defense in DEFENSES:
@@ -205,12 +229,9 @@ def items():
         for wrt in ("weights", "inputs", "both"):
             loss, wg, xg = models.loss_and_grads(params, batch, wrt=wrt)
             yield f"loss_and_grads/{wrt}/{model}", digest(loss, wg, xg)
-        sgd = trained["sgd"]
-        acc = smoothing.smooth_accuracy(sgd, eval_ds.take(range(8)), cfg.smoothing)
-        votes = smoothing.vote_counts(sgd, eval_ds.inputs.data[0], cfg.smoothing,
-                                      derive_rng(cfg.seed, "hash-votes"), eval_ds.n_classes)
-        yield f"smooth_accuracy/{model}", digest(acc, votes)
+        yield f"smooth_accuracy/{model}", smoothing_digest(trained["entropy_sgd"], eval_ds)
         if model == "cnn":
+            sgd = trained["sgd"]
             x = derive_rng(cfg.seed, "hash-logits").random(
                 (max(LOGIT_ROWS), *eval_ds.inputs.shape[1:]))
             for n in LOGIT_ROWS:
