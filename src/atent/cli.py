@@ -3,6 +3,10 @@
 Subcommands: train, attack, evaluate, smooth-eval, verify.
 Exit codes: 0 success, 1 usage/config error, 2 runtime failure,
 3 verification-suite failure.
+
+``experiment`` writes every file of a run's output directory; ``attack``
+and ``evaluate`` print the ``report.csv`` they wrote, byte for byte, and
+``smooth-eval`` prints a summary of its ``smooth.json``.
 """
 from __future__ import annotations
 
@@ -14,6 +18,7 @@ from pathlib import Path
 from .checkpoint import CheckpointError, atomic_write_text
 from .config import ConfigError, parse_config
 from .data import IdxFormatError
+from .reporting import report_to_csv
 from .tensor import TensorError
 from .verify import SUITES, run_suites, scalar_chain
 
@@ -85,20 +90,13 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _print_report(report) -> None:
-    print("defense,attack,norm,epsilon,natural_acc,robust_acc")
-    for r in report.rows:
-        print(f"{r.defense},{r.attack},{r.norm},{r.epsilon:g},"
-              f"{r.natural_acc:.4f},{r.robust_acc:.4f}")
-
-
 def _cmd_attack(args) -> int:
     from .experiment import evaluate_checkpoint
 
     cfg = parse_config(args.config)
-    report = evaluate_checkpoint(cfg, args.checkpoint, output_dir=args.output_dir,
-                                 data_dir=args.data_dir)
-    _print_report(report)
+    rows = evaluate_checkpoint(cfg, args.checkpoint, output_dir=args.output_dir,
+                               data_dir=args.data_dir)
+    print(report_to_csv(rows), end="")
     return EXIT_OK
 
 
@@ -106,22 +104,21 @@ def _cmd_evaluate(args) -> int:
     from .experiment import run_experiment
 
     cfg = parse_config(args.config)
-    report = run_experiment(cfg, output_dir=args.output_dir, resume=args.resume,
-                            data_dir=args.data_dir)
-    if report is None:
+    rows = run_experiment(cfg, output_dir=args.output_dir, resume=args.resume,
+                          data_dir=args.data_dir)
+    if rows is None:
         print("training incomplete; resume to finish")
         return EXIT_RUNTIME
-    _print_report(report)
+    print(report_to_csv(rows), end="")
     return EXIT_OK
 
 
 def _cmd_smooth_eval(args) -> int:
-    from .experiment import resolve_output_dir, smooth_evaluate
+    from .experiment import smooth_evaluate
 
     cfg = parse_config(args.config)
-    result = smooth_evaluate(cfg, args.checkpoint, data_dir=args.data_dir)
-    out = resolve_output_dir(cfg, args.output_dir)
-    atomic_write_text(out / "smooth.json", json.dumps(result, indent=2, sort_keys=True))
+    result = smooth_evaluate(cfg, args.checkpoint, output_dir=args.output_dir,
+                             data_dir=args.data_dir)
     print(f"smooth accuracy (sigma={result['sigma']:g}, "
           f"n={result['n_samples']}): {result['smooth_accuracy']:.4f}")
     return EXIT_OK
@@ -149,14 +146,14 @@ def _cmd_verify(args) -> int:
 
 def _write_sampler_diagnostic(out: Path) -> None:
     from .oracle import grid_gibbs_density
-    from .reporting import write_histogram_svg
+    from .reporting import render_histogram_svg
 
     gamma, anchor, a = 4.0, 0.4, 1.0
     mean_t = gamma * anchor / (gamma - 2 * a)
     grid = grid_gibbs_density(lambda pts: a * pts[:, 0] ** 2, anchor, gamma,
                               [(mean_t - 5.0, mean_t + 5.0)], 1001)
     samples = scalar_chain(gamma, lambda v: 2 * a * v, 7, anchor=anchor, steps=40_000)
-    write_histogram_svg(samples[8_000:], grid, out / "sampler_hist.svg")
+    atomic_write_text(out / "sampler_hist.svg", render_histogram_svg(samples[8_000:], grid))
 
 
 _HANDLERS = {

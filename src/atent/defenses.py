@@ -16,7 +16,7 @@ import numpy as np
 
 from .attacks import AttackConfig, robust_accuracy, run_attack
 from .data import Dataset, batch_iter
-from .models import ModelParams, accuracy, batch_loss, loss_and_grads
+from .models import ModelParams, accuracy, loss_and_grads
 from .sampler import GibbsSamplerConfig, run_chain, weight_langevin_chain
 from .seeding import derive_rng
 from .tensor import NonFiniteError, Tensor
@@ -84,6 +84,12 @@ class TrainerConfig:
             raise ValueError("atent_l2 requires an l2 sampler")
         if self.defense == ATENT_LINF and self.sampler.norm != "linf":
             raise ValueError("atent_linf requires an linf sampler")
+        if self.defense == ENTROPY_SGD and self.sampler.norm != "l2":
+            raise ValueError("entropy_sgd's weight chain is l2: it takes no "
+                             f"sampler norm {self.sampler.norm!r}")
+        if self.defense == ENTROPY_SGD and self.sampler.init_radius is not None:
+            raise ValueError("entropy_sgd's weight chain starts at the weights: "
+                             "it takes no sampler init_radius")
         if self.defense == PGD_AT and self.pgd is None:
             raise ValueError("pgd_at requires inner-attack parameters")
         if self.early_stop.metric == "robust" and self.early_stop.eval_attack is None:
@@ -192,17 +198,21 @@ def _direction_atent(params, batch, cfg, epoch, bidx):
 
 
 def _direction_entropy_sgd(params, batch, cfg, epoch, bidx):
+    """The batch loss at w, which the weight chain's first pass computes,
+    and gamma * (w - mu) for the chain's EMA mu."""
     rng = derive_rng(cfg.seed, "wchain", epoch, bidx)
     anchor = {name: t.data.copy() for name, t in params.weights.items()}
-    clean_loss = batch_loss(params, batch)
+    losses = []
 
     def grad_at(w):
         at_w = ModelParams(params.descriptor, [(name, Tensor(w[name])) for name in w])
-        return loss_and_grads(at_w, batch, wrt="weights")[1]
+        loss, wg, _ = loss_and_grads(at_w, batch, wrt="weights")
+        losses.append(loss)
+        return wg
 
     mu = weight_langevin_chain(grad_at, anchor, cfg.sampler, rng)
     direction = {name: cfg.sampler.gamma * (anchor[name] - mu[name]) for name in anchor}
-    return clean_loss, direction
+    return losses[0], direction
 
 
 _DIRECTIONS = {

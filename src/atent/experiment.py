@@ -18,12 +18,14 @@ Output-directory layout:
                                    ``attack`` on 2-D eval data only
     <out>/smooth.json              smoothed accuracy, from ``smooth-eval``
 
-Every file but the partial stream is written atomically (tmp + rename): a
-crashed run never leaves a file that parses as a complete artifact. Each
-epoch appends its line to the stream, then writes ``best.ckpt`` when it
-changed and ``last.ckpt`` last, whose rename commits the epoch; resume cuts
-the stream back to ``last.ckpt``'s epoch. One experiment process per output
-directory, enforced by a lock file.
+This module writes every one of these files. Every file but the partial
+stream is written atomically (tmp + rename): a crashed run never leaves a
+file that parses as a complete artifact. Each epoch appends its line to the
+stream, then writes ``best.ckpt`` when it changed and ``last.ckpt`` last,
+whose rename commits the epoch; resume cuts the stream back to
+``last.ckpt``'s epoch. ``attack`` and ``smooth-eval`` make the directory only
+once their results are computed. One process per output directory: each
+command holds a lock file while it writes there.
 """
 from __future__ import annotations
 
@@ -56,7 +58,7 @@ from .data import (
 )
 from .defenses import EpochRecord, TrainerState, train, training_finished
 from .models import ModelParams, accuracy, build_model
-from .reporting import EvalReport, EvalRow, write_decision_svg, write_report_csv
+from .reporting import EvalRow, render_decision_svg, report_to_csv
 from .smoothing import smooth_accuracy
 
 DATA_DIR_ENV = "ATENT_DATA_DIR"
@@ -339,7 +341,7 @@ def train_with_persistence(cfg: ExperimentConfig, out: Path,
 
 
 def evaluate_attacks(cfg: ExperimentConfig, params: ModelParams,
-                     eval_ds: Dataset) -> EvalReport:
+                     eval_ds: Dataset) -> list[EvalRow]:
     nat = accuracy(params, eval_ds.inputs, eval_ds.labels)
     rows = []
     for atk in cfg.attacks:
@@ -356,24 +358,25 @@ def evaluate_attacks(cfg: ExperimentConfig, params: ModelParams,
             defense=cfg.trainer.defense, attack="none", norm="linf", epsilon=0.0,
             natural_acc=nat, robust_acc=nat, seed=cfg.seed, wall_ms=0,
         ))
-    return EvalReport(rows)
+    return rows
 
 
-def _write_evaluation(cfg: ExperimentConfig, params: ModelParams,
-                      eval_ds: Dataset, out: Path) -> EvalReport:
-    """:func:`evaluate_attacks`, written to ``out/report.csv``, and the
-    decision regions to ``out/decision.svg`` when the eval inputs are 2-D."""
-    report = evaluate_attacks(cfg, params, eval_ds)
-    write_report_csv(report, out / "report.csv")
+def _write_evaluation(rows: list[EvalRow], params: ModelParams,
+                      eval_ds: Dataset, out: Path) -> None:
+    """``rows`` written to ``out/report.csv``, and the decision regions of
+    ``params`` to ``out/decision.svg`` when the eval inputs are 2-D."""
+    atomic_write_text(out / "report.csv", report_to_csv(rows))
     if eval_ds.inputs.data.ndim == 2 and eval_ds.inputs.shape[1] == 2:
-        write_decision_svg(params, eval_ds, out / "decision.svg")
-    return report
+        atomic_write_text(out / "decision.svg", render_decision_svg(params, eval_ds))
 
 
-def resolve_output_dir(cfg: ExperimentConfig, override: str | None) -> Path:
+@contextmanager
+def _output_dir(cfg: ExperimentConfig, override: str | None):
+    """The run's output directory, made if missing and locked for the block."""
     out = Path(override or cfg.output_dir or f"runs/{cfg.name}")
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    with output_lock(out):
+        yield out
 
 
 def _training_datasets(cfg: ExperimentConfig, data_dir: str | None):
@@ -394,15 +397,14 @@ def run_training(cfg: ExperimentConfig, output_dir: str | None = None,
                  data_dir: str | None = None) -> TrainerState:
     """Training with persistence only; no attack evaluation."""
     train_ds, val_ds, _ = _training_datasets(cfg, data_dir)
-    out = resolve_output_dir(cfg, output_dir)
-    with output_lock(out):
+    with _output_dir(cfg, output_dir) as out:
         return train_with_persistence(cfg, out, train_ds, val_ds,
                                       resume=resume, stop_after=stop_after)
 
 
 def run_experiment(cfg: ExperimentConfig, output_dir: str | None = None,
                    resume: bool = False, stop_after: int | None = None,
-                   data_dir: str | None = None) -> EvalReport | None:
+                   data_dir: str | None = None) -> list[EvalRow] | None:
     """Train (or resume), evaluate every configured attack at the
     early-stopped snapshot, and write report/metrics/checkpoints.
 
@@ -411,39 +413,49 @@ def run_experiment(cfg: ExperimentConfig, output_dir: str | None = None,
     ended is finished.
     """
     train_ds, val_ds, eval_ds = _training_datasets(cfg, data_dir)
-    out = resolve_output_dir(cfg, output_dir)
-    with output_lock(out):
+    with _output_dir(cfg, output_dir) as out:
         state = train_with_persistence(cfg, out, train_ds, val_ds,
                                        resume=resume, stop_after=stop_after)
         if not training_finished(state, cfg.trainer):
             return None
-        return _write_evaluation(cfg, state.snapshot_params(), eval_ds, out)
+        params = state.snapshot_params()
+        rows = evaluate_attacks(cfg, params, eval_ds)
+        _write_evaluation(rows, params, eval_ds, out)
+        return rows
 
 
 def evaluate_checkpoint(cfg: ExperimentConfig, checkpoint_path,
                         output_dir: str | None = None,
-                        data_dir: str | None = None) -> EvalReport:
-    """Attack evaluation of a stored checkpoint (no training). The output
-    directory is made only once the checkpoint and the data have loaded."""
+                        data_dir: str | None = None) -> list[EvalRow]:
+    """Attack evaluation of a stored checkpoint (no training), written as
+    :func:`run_experiment` writes it. The output directory is made only once
+    every attack has run."""
     params = load_checkpoint(checkpoint_path)
     _, _, eval_ds = build_datasets(cfg.data, cfg.seed, data_dir)
-    return _write_evaluation(cfg, params, eval_ds, resolve_output_dir(cfg, output_dir))
+    rows = evaluate_attacks(cfg, params, eval_ds)
+    with _output_dir(cfg, output_dir) as out:
+        _write_evaluation(rows, params, eval_ds, out)
+    return rows
 
 
 def smooth_evaluate(cfg: ExperimentConfig, checkpoint_path,
+                    output_dir: str | None = None,
                     data_dir: str | None = None) -> dict:
-    """Smoothed accuracy of a stored checkpoint on the eval split.
-    ``cfg.smoothing.n_samples`` is the vote budget per example: the result
-    is the outcome of counting all of those votes, even where the vote is
-    decided before the budget is spent."""
+    """Smoothed accuracy of a stored checkpoint on the eval split, written
+    to ``smooth.json`` once it is computed. ``cfg.smoothing.n_samples`` is
+    the vote budget per example: the result is the outcome of counting all
+    of those votes, even where the vote is decided before the budget is
+    spent."""
     if cfg.smoothing is None:
         raise ConfigError("config has no smoothing section")
     params = load_checkpoint(checkpoint_path)
     _, _, eval_ds = build_datasets(cfg.data, cfg.seed, data_dir)
-    acc = smooth_accuracy(params, eval_ds, cfg.smoothing)
-    return {
+    result = {
         "sigma": cfg.smoothing.sigma,
         "n_samples": cfg.smoothing.n_samples,
         "abstain_margin": cfg.smoothing.abstain_margin,
-        "smooth_accuracy": acc,
+        "smooth_accuracy": smooth_accuracy(params, eval_ds, cfg.smoothing),
     }
+    with _output_dir(cfg, output_dir) as out:
+        atomic_write_text(out / "smooth.json", json.dumps(result, indent=2, sort_keys=True))
+    return result

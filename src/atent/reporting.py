@@ -1,8 +1,9 @@
-"""Report and plot emission: CSV accuracy tables, decision-region SVGs for
-2-D tasks, and sampler-diagnostic histograms.
+"""Report and plot text: CSV accuracy tables, decision-region SVGs for
+2-D tasks, and sampler-diagnostic histograms. The callers write the files
+(``experiment`` a run's, ``cli`` the ``verify`` diagnostic).
 
 SVGs are written by hand with fixed-precision coordinates so identical
-inputs produce byte-identical files.
+inputs produce byte-identical text.
 """
 from __future__ import annotations
 
@@ -11,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import atomic_write_text
 from .models import ModelParams, predict
 from .oracle import GridDensity
 
@@ -32,15 +32,9 @@ class EvalRow:
     seed: int
     wall_ms: int
 
-
-@dataclass
-class EvalReport:
-    rows: list[EvalRow]
-
     def __post_init__(self):
-        for row in self.rows:
-            if not (0.0 <= row.natural_acc <= 1.0 and 0.0 <= row.robust_acc <= 1.0):
-                raise ValueError("accuracies must lie in [0, 1]")
+        if not (0.0 <= self.natural_acc <= 1.0 and 0.0 <= self.robust_acc <= 1.0):
+            raise ValueError("accuracies must lie in [0, 1]")
 
 
 def _fmt(value) -> str:
@@ -49,19 +43,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def report_to_csv(report: EvalReport) -> str:
+def report_to_csv(rows: list[EvalRow]) -> str:
     lines = [CSV_HEADER]
-    for r in report.rows:
+    for r in rows:
         lines.append(",".join([
             r.defense, r.attack, r.norm, _fmt(float(r.epsilon)),
             _fmt(float(r.natural_acc)), _fmt(float(r.robust_acc)),
             str(r.seed), str(r.wall_ms),
         ]))
     return "\n".join(lines) + "\n"
-
-
-def write_report_csv(report: EvalReport, path) -> None:
-    atomic_write_text(path, report_to_csv(report))
 
 
 # ---------------------------------------------------------------------------
@@ -120,11 +110,6 @@ def render_decision_svg(params: ModelParams, dataset, resolution: int = 200,
     return buf.getvalue()
 
 
-def write_decision_svg(params: ModelParams, dataset, path,
-                       resolution: int = 200) -> None:
-    atomic_write_text(path, render_decision_svg(params, dataset, resolution))
-
-
 # ---------------------------------------------------------------------------
 # Sampler-diagnostic SVG
 
@@ -162,7 +147,3 @@ def render_histogram_svg(samples: np.ndarray, grid: GridDensity,
     )
     buf.write("</svg>\n")
     return buf.getvalue()
-
-
-def write_histogram_svg(samples, grid: GridDensity, path, bins: int = 60) -> None:
-    atomic_write_text(path, render_histogram_svg(samples, grid, bins))

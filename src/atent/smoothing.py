@@ -5,17 +5,15 @@ of scope; the optional abstain margin is a plain vote-share threshold, not
 a hypothesis test, and ``smooth_accuracy`` counts an abstention as an
 error.
 
-``smooth_predict`` casts its ``n_samples`` votes a few at a time and stops
-as soon as no way of casting the remaining votes can change the outcome:
-the leader can no longer be overtaken and already holds its vote share, or
-no class can still reach the share. Each step casts about as many votes as
-the leader would still need to win, so a lopsided vote stops after about
-half of its budget. The noise is one stream drawn in order, so the answer
-equals the answer from counting all ``n_samples`` votes.
+``smooth_predict`` casts its ``n_samples`` votes in chunks of
+``VOTE_CHUNK`` and stops after the first chunk past which no way of
+casting the remaining votes can change the outcome: the leader can no
+longer be overtaken and already holds its vote share, or no class can
+still reach the share. The noise is one stream drawn in order, so the
+answer equals the answer from counting all ``n_samples`` votes.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,15 +22,17 @@ from .models import ModelParams, predict
 from .seeding import derive_rng
 
 ABSTAIN = -1
-# The largest forward batch of noisy copies, and the most votes smooth_predict
-# casts between two looks at its stop rule. It bounds the memory of the noisy
-# copies and of their (n, flat) CNN features; the conv blocks take any batch
-# in spans of models._FORWARD_SPAN samples. The chunk still decides whether
-# these buffers fall into the allocator's refault trap (ROADMAP P1): on
-# cnn_attack_eval's CNN, one 28x28 example smoothed with 1000 votes took
-# 1,943 minor faults and 4 ms of system CPU at 512, 2,386-3,490 and 8 ms at
-# 256, and none at 128 (getrusage, seeds 2 and 7).
-VOTE_CHUNK = 512
+# The votes in one forward batch of noisy copies, and between two looks at
+# smooth_predict's stop rule. It bounds the memory of the noisy copies and
+# of their (n, flat) CNN features; the conv blocks take any batch in spans
+# of models._FORWARD_SPAN samples. The chunk decides whether these buffers
+# fall into the allocator's refault trap (ROADMAP P1): on cnn_attack_eval's
+# CNN, one 28x28 example smoothed with 1000 votes took 1,944 minor faults
+# and 0-16 ms of system CPU at 512, 3,579-4,698 faults and 4-28 ms at 256,
+# and no fault and 0 ms at 128 (getrusage over 5 votes each at seeds 2, 7
+# and 11). A vote runs at most VOTE_CHUNK - 1 votes past the first vote
+# that decides it.
+VOTE_CHUNK = 128
 
 
 @dataclass
@@ -78,7 +78,8 @@ def smooth_predict(params: ModelParams, x: np.ndarray, cfg: SmoothingConfig,
     share falls below 0.5 + abstain_margin. Ties break to the lowest class
     index.
 
-    Votes are cast in steps of _next_step's size. With r votes left, the
+    Votes are cast in chunks of VOTE_CHUNK, each one vote_counts call; only
+    the last chunk may be short. With r votes left after a chunk, the
     lowest-index leader L wins once counts[L] / n_samples already reaches
     the share and every rival j has counts[j] + r < counts[L] (or
     == counts[L] with j > L); ABSTAIN is returned once
@@ -88,7 +89,7 @@ def smooth_predict(params: ModelParams, x: np.ndarray, cfg: SmoothingConfig,
     counts = np.zeros(n_classes, dtype=np.int64)
     remaining = cfg.n_samples
     while True:
-        m = _next_step(counts, remaining, cfg)
+        m = min(VOTE_CHUNK, remaining)
         remaining -= m
         counts += vote_counts(params, x, replace(cfg, n_samples=m), rng, n_classes)
         outcome = _vote_outcome(counts, remaining, cfg)
@@ -109,20 +110,6 @@ def _vote_outcome(counts: np.ndarray, remaining: int, cfg: SmoothingConfig) -> i
     if ((counts + remaining) / cfg.n_samples < share).all():
         return ABSTAIN
     return None
-
-
-def _next_step(counts: np.ndarray, remaining: int, cfg: SmoothingConfig) -> int:
-    """Votes to cast next: as many as the leader would still need to win
-    were all of them cast for it, at least 1 and at most VOTE_CHUNK. No
-    class can win more than one vote sooner. A vote bound for ABSTAIN may
-    run past its stop by up to VOTE_CHUNK votes, which costs time, not
-    answers."""
-    top = int(counts.argmax())
-    lead = int(counts[top])
-    rival = int(np.delete(counts, top).max(initial=0))
-    chase = (rival + remaining - lead) // 2 + 1
-    share = math.ceil((0.5 + cfg.abstain_margin) * cfg.n_samples) - lead
-    return min(max(chase, share, 1), remaining, VOTE_CHUNK)
 
 
 def smooth_accuracy(params: ModelParams, dataset, cfg: SmoothingConfig) -> float:

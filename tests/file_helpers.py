@@ -6,7 +6,7 @@ import struct
 import numpy as np
 
 from atent.data import IMAGE_MAGIC, LABEL_MAGIC
-from atent.reporting import CSV_HEADER, EvalReport, EvalRow
+from atent.reporting import CSV_HEADER, EvalRow
 
 
 def write_idx(images_u8: np.ndarray, labels_u8: np.ndarray, images_path, labels_path,
@@ -26,7 +26,7 @@ def write_idx(images_u8: np.ndarray, labels_u8: np.ndarray, images_path, labels_
         f.write(lbl_blob)
 
 
-def parse_report_csv(text: str) -> EvalReport:
+def parse_report_csv(text: str) -> list[EvalRow]:
     lines = [ln for ln in text.splitlines() if ln]
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError("not a report CSV (bad header)")
@@ -35,4 +35,4 @@ def parse_report_csv(text: str) -> EvalReport:
         d, a, n, eps, nat, rob, seed, wall = ln.split(",")
         rows.append(EvalRow(d, a, n, float(eps), float(nat), float(rob),
                             int(seed), int(wall)))
-    return EvalReport(rows)
+    return rows

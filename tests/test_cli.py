@@ -48,7 +48,7 @@ class TestPipeline:
     def test_zero_radius_attack_row_equals_natural(self, tmp_path):
         cfg = parse_config_dict(toy_tree())
         report = run_experiment(cfg, output_dir=str(tmp_path / "out"))
-        zero = report.rows[0]
+        zero = report[0]
         assert zero.epsilon == 0.0
         assert zero.robust_acc == zero.natural_acc
 
@@ -362,15 +362,18 @@ class TestCrashResume:
 
 class TestCliCommands:
     def test_train_then_attack_and_evaluate(self, tmp_path, capsys):
+        # attack and evaluate print the report.csv they wrote, byte for byte
         cfg_path = write_cfg(tmp_path, toy_tree())
         out = tmp_path / "out"
         assert main(["train", str(cfg_path), "--output-dir", str(out)]) == 0
         assert (out / "last.ckpt").exists()
+        capsys.readouterr()
         assert main(["attack", str(cfg_path), "--checkpoint", str(out / "last.ckpt"),
                      "--output-dir", str(out)]) == 0
+        assert capsys.readouterr().out == (out / "report.csv").read_text()
         assert main(["evaluate", str(cfg_path), "--output-dir",
                      str(tmp_path / "out2")]) == 0
-        assert (tmp_path / "out2" / "report.csv").exists()
+        assert capsys.readouterr().out == (tmp_path / "out2" / "report.csv").read_text()
 
     def test_early_stopped_run_is_finished(self, tmp_path):
         # the toy reaches validation accuracy 1.0 at once, so patience 2
@@ -623,6 +626,39 @@ class TestCliCommands:
         assert main([command, str(cfg_path), "--checkpoint", str(ckpt),
                      "--output-dir", str(tmp_path / "o")]) == 2
         assert "error: input width 2 != model width 784" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["attack", "smooth-eval"])
+    def test_checkpoint_that_does_not_fit_makes_no_output_directory(self, tmp_path, command):
+        ckpt = tmp_path / "wide.ckpt"
+        checkpoint.save_checkpoint(build_mlp([784, 8, 2], seed=0), ckpt)
+        cfg_path = write_cfg(tmp_path, toy_tree(smoothing={"sigma": 0.1, "n_samples": 8}))
+        out = tmp_path / "o"
+        assert main([command, str(cfg_path), "--checkpoint", str(ckpt),
+                     "--output-dir", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["attack", "smooth-eval"])
+    def test_live_lock_refuses_and_leaves_the_directory(self, tmp_path, capsys, command):
+        import subprocess
+        import sys
+
+        ckpt = tmp_path / "m.ckpt"
+        checkpoint.save_checkpoint(build_mlp([2, 8, 2], seed=0), ckpt)
+        cfg_path = write_cfg(tmp_path, toy_tree(smoothing={"sigma": 0.1, "n_samples": 8}))
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "report.csv").write_text("kept\n")
+        holder = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+        try:
+            (out / ".lock").write_text(str(holder.pid))
+            before = {p.name: p.read_bytes() for p in out.iterdir()}
+            assert main([command, str(cfg_path), "--checkpoint", str(ckpt),
+                         "--output-dir", str(out)]) == 2
+            assert "is locked by another run" in capsys.readouterr().err
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        finally:
+            holder.kill()
+            holder.wait(timeout=10)
 
     def test_smooth_eval_without_smoothing_section_is_config_error(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, toy_tree())

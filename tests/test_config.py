@@ -324,6 +324,25 @@ class TestStrictValues:
         tree["trainer"]["early_stop"]["metric"] = "natural"
         assert parse_config_dict(tree).data.val_fraction == 0.0
 
+    # the weight chain runs l2 steps from the weights, so a sampler key that
+    # says otherwise would be ignored
+    @pytest.mark.parametrize("sampler, message", [
+        ({"norm": "linf"}, "trainer: entropy_sgd's weight chain is l2: "
+                           "it takes no sampler norm 'linf'"),
+        ({"init_radius": 0.3}, "trainer: entropy_sgd's weight chain starts at the weights: "
+                               "it takes no sampler init_radius"),
+        ({"norm": "linf", "init_radius": 0.3}, "trainer: entropy_sgd's weight chain is l2"),
+    ], ids=["linf", "init_radius", "both"])
+    def test_entropy_sgd_sampler_key_its_chain_does_not_read_is_refused(self, sampler,
+                                                                         message):
+        tree = minimal_tree()
+        tree["trainer"].update(defense="entropy_sgd", sampler={
+            "gamma": 1.0, "step": 0.1, "steps": 2, **sampler})
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config_dict(tree)
+        tree["trainer"]["sampler"] = {"gamma": 1.0, "step": 0.1, "steps": 2, "norm": "l2"}
+        assert parse_config_dict(tree).trainer.sampler.norm == "l2"
+
     @pytest.mark.parametrize("data, message", [
         ({"kind": "two_gaussians", "n": 121}, "data: n must be even and at least 2, got 121"),
         ({"kind": "digits_binary", "class_a": 12}, "data: class_a must be a digit 0-9, got 12"),

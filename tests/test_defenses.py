@@ -224,6 +224,27 @@ class TestTrainEntropySgd:
                     for n in p0.names)
         assert delta <= 1e-8
 
+    def test_reports_the_loss_of_the_chains_first_pass(self, monkeypatch):
+        # the weight chain's first pass is at the weights, so its loss is the
+        # batch loss: a step makes K passes and no other forward
+        from atent import models
+        from atent.tensor import Tensor
+
+        rng = np.random.default_rng(3)
+        batch = Batch(Tensor(rng.random((16, 2))), Tensor(np.eye(2)[np.arange(16) % 2]))
+        params = build_mlp([2, 4, 2], seed=2)
+        forward, passes = models.forward_logits, []
+
+        def counting(*args):
+            passes.append(1)
+            return forward(*args)
+
+        monkeypatch.setattr(models, "forward_logits", counting)
+        cfg = self._cfg()
+        loss, _ = defenses._direction_entropy_sgd(params, batch, cfg, 1, 0)
+        assert len(passes) == cfg.sampler.steps
+        assert loss == models.batch_loss(params, batch)
+
     def test_quadratic_weight_chain_matches_gaussian_convolution_oracle(self):
         # one-parameter loss a*w^2: the smoothed objective is a Gaussian
         # convolution with closed-form regularized minimizer gamma*w/(gamma+2a)

@@ -1,4 +1,6 @@
 """Randomized smoothing: votes, abstention, accuracy plumbing."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from atent.smoothing import (
     ABSTAIN,
     VOTE_CHUNK,
     SmoothingConfig,
-    _next_step,
     _vote_outcome,
     smooth_accuracy,
     smooth_predict,
@@ -110,7 +111,7 @@ class TestSmoothPredict:
         # across chunk boundaries; sigma = 0 draws nothing from it
         p = build_mlp([3, 6, 4], seed=3)
         x = np.array([0.2, -0.4, 0.9])
-        n = VOTE_CHUNK + 5
+        n = 4 * VOTE_CHUNK + 5
         for i, sigma in enumerate((0.7, 0.0)):
             cfg = SmoothingConfig(sigma=sigma, n_samples=n, seed=4)
             rng = derive_rng(cfg.seed, "smoothing", i)
@@ -196,19 +197,12 @@ class TestStopRule:
                         assert finals == {got}, (n, prefix)
                     if left == 0:
                         assert got == finals.pop()
-                        continue
-                    # the next step is not more than a vote past any win
-                    step = _next_step(counts, left, cfg)
-                    assert 1 <= step <= left
-                    for early in range(step - 1):
-                        for cast_early in _compositions(early, k):
-                            sooner = _vote_outcome(counts + np.array(cast_early),
-                                                   left - early, cfg)
-                            assert sooner in (None, ABSTAIN), (n, prefix, early)
 
 
 class TestEarlyStop:
-    @pytest.mark.parametrize("n", [1, VOTE_CHUNK - 1, VOTE_CHUNK, VOTE_CHUNK + 1, 2053])
+    # around one chunk and around four, where a decisive vote of 1000 stops
+    @pytest.mark.parametrize("n", [1, VOTE_CHUNK - 1, VOTE_CHUNK, VOTE_CHUNK + 1,
+                                   4 * VOTE_CHUNK - 1, 4 * VOTE_CHUNK, 4 * VOTE_CHUNK + 1, 2053])
     @pytest.mark.parametrize("kind", ["threshold", "cnn"])
     def test_equals_full_vote(self, kind, n, forward_sizes):
         if kind == "threshold":
@@ -246,15 +240,39 @@ class TestEarlyStop:
         p.weights["b0"].data = np.array([0.0, 5.0, 0.0])
         cfg = SmoothingConfig(sigma=0.5, n_samples=1000, seed=1)
         assert smooth_predict(p, np.array([0.3, 0.7]), cfg, 3) == 1
-        assert forward_sizes == [501]  # the fewest of 1000 votes that can decide
+        # 501 of 1000 votes are the fewest that can decide; the fourth chunk
+        # is the first to reach them
+        assert forward_sizes == [VOTE_CHUNK] * 4
 
     def test_abstaining_vote_is_checked_every_chunk(self, forward_sizes):
-        # the leader would need 1641 votes to win, but ABSTAIN is decided
-        # once about 820 are in: the step cap lets it stop after two chunks
+        # a share of 0.8 is 412 of 515 votes; with the vote near even, no
+        # class can still reach it once about 206 are in, so the rule stops
+        # the vote at its first look past them, after two chunks
         cfg = SmoothingConfig(sigma=1.0, n_samples=4 * VOTE_CHUNK + 3,
                               abstain_margin=0.3, seed=2)
         assert smooth_predict(_threshold_model(), np.array([0.0]), cfg, 2) == ABSTAIN
         assert forward_sizes == [VOTE_CHUNK, VOTE_CHUNK]
+
+    # a vote that runs to its short last chunk, one decided early, and one
+    # bound for ABSTAIN
+    @pytest.mark.parametrize("x,margin", [(0.0, 0.0), (1.0, 0.0), (0.0, 0.1)])
+    def test_whole_chunks_until_the_first_that_decides(self, x, margin, forward_sizes):
+        # replayed chunk by chunk from the same stream: every chunk but the
+        # last is whole, and the outcome is first decided after the last
+        p = _threshold_model()
+        cfg = SmoothingConfig(sigma=1.0, n_samples=6 * VOTE_CHUNK + 7,
+                              abstain_margin=margin, seed=5)
+        got = smooth_predict(p, np.array([x]), cfg, 2)
+        sizes = list(forward_sizes)
+        assert all(m == VOTE_CHUNK for m in sizes[:-1]) and 0 < sizes[-1] <= VOTE_CHUNK
+        rng = derive_rng(cfg.seed, "smoothing", 0)
+        counts, remaining = np.zeros(2, dtype=np.int64), cfg.n_samples
+        for i, m in enumerate(sizes):
+            counts += vote_counts(p, np.array([x]), replace(cfg, n_samples=m), rng, 2)
+            remaining -= m
+            outcome = _vote_outcome(counts, remaining, cfg)
+            assert (outcome is None) == (i < len(sizes) - 1)
+        assert outcome == got
 
     def test_accuracy_equals_full_vote_decisions(self):
         x = np.linspace(-0.6, 0.6, 24)[:, None]

@@ -381,6 +381,35 @@ class TestConvBlock:
         assert np.array_equal(grads[0], ref_grads[0]) and np.array_equal(grads[1], ref_grads[1])
         assert np.max(np.abs(grads[2] - ref_grads[2])) <= 1e-15
 
+    # with a 1x1 identity kernel, zero bias and positive inputs the block is
+    # its max pool, and its pull routes the pooled gradient to each window's
+    # first maximum; the bitwise tests above cannot see the winner, because
+    # the unfused ops share conv_block's pooling loop
+    @staticmethod
+    def _pool_pull(x0, pool, g):
+        c = x0.shape[1]
+        x = Tensor(x0)
+        with Tape([x]) as tape:
+            out = tc.conv_block(x, Tensor(np.eye(c).reshape(c, c, 1, 1)), Tensor(np.zeros(c)),
+                                pool)
+        dx, _, _ = tape.records[-1].pull(g)
+        return out.data, dx
+
+    def test_tie_routes_to_first(self):
+        out, dx = self._pool_pull(np.ones((1, 1, 2, 2)), 2, np.ones((1, 1, 1, 1)))
+        assert np.array_equal(out, np.ones((1, 1, 1, 1)))
+        assert np.array_equal(dx, [[[[1.0, 0.0], [0.0, 0.0]]]])
+
+    def test_cropped_windows_with_ties_match_reshape_argmax_oracle(self):
+        rng = np.random.default_rng(11)
+        x0 = rng.integers(1, 4, size=(2, 3, 7, 7)).astype(float)  # many ties
+        g = rng.normal(size=(2, 3, 2, 2))
+        out, dx = self._pool_pull(x0, 3, g)
+        want_out, want_dx = _max_pool_oracle(x0, 3, g)
+        assert np.array_equal(out, want_out)
+        assert np.array_equal(dx, want_dx)
+        assert np.all(dx[:, :, 6, :] == 0.0) and np.all(dx[:, :, :, 6] == 0.0)
+
     def test_non_finite_pre_activation_raises(self):
         # the pre-activation is -inf everywhere; pooling and ReLU alone
         # would turn it into finite zeros

@@ -7,6 +7,19 @@ can be checked against its parent with one command per tree:
     python tools/trajectory_hashes.py --src src > change.txt
     diff parent.txt change.txt
 
+A change can be bitwise-equal under one BLAS kernel and not under another,
+so run the three commands again under a second kernel. numpy's OpenBLAS
+picks its kernel by CPU, and ``OPENBLAS_CORETYPE`` overrides the pick:
+
+    export OPENBLAS_CORETYPE=Haswell
+    python tools/trajectory_hashes.py --src <parent-checkout>/src > parent-haswell.txt
+    python tools/trajectory_hashes.py --src src > change-haswell.txt
+    diff parent-haswell.txt change-haswell.txt
+
+On a CPU where OpenBLAS picks SkylakeX by default, 28 of the 46 items
+differ between the two kernels (every ``train/``, ``loss_and_grads/`` and
+``resume/`` item among them), so the second run checks other arithmetic.
+
 Each line is ``<sha256>  <item>``. The 46 items are, on a small MLP and on
 a CNN with two conv blocks, on ``digits_binary``:
 
