@@ -1,13 +1,19 @@
 """Dataset ingestion and synthesis.
 
 IDX files (big-endian, magics 0x00000803 / 0x00000801, optionally gzipped)
-are parsed into float64 pixels scaled to [0, 1] by /255 — attack radii are
-stated in raw pixel units, so no mean/std normalization is applied.
+are read as uint8; a two-class subset picks its rows there and converts only
+those to float64 pixels scaled to [0, 1] by /255 — attack radii are stated in
+raw pixel units, so no mean/std normalization is applied.
 
 Two synthetic tasks cover desk-scale work without external downloads:
 2-D Gaussian blobs, and rendered stroke digits (seven-segment glyphs with
 random affine jitter, blur-ish edges and pixel noise) that stand in for
 MNIST-style images when no IDX corpus is on disk.
+
+``synth_digits`` and ``subset_binary`` return a ``Dataset`` that owns the
+one float64 buffer of its rows: ``synth_digits`` shuffles its rendered rows
+in place (``permute_rows``), and ``subset_binary`` converts only the rows it
+keeps.
 """
 from __future__ import annotations
 
@@ -24,8 +30,6 @@ from .tensor import Tensor, _unchecked
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
-
-TRAIN_VAL_SEED = 13  # fixed 90/10 split seed
 
 
 class IdxFormatError(ValueError):
@@ -105,31 +109,28 @@ def _parse_idx_labels(raw: bytes, path) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8, offset=8)
 
 
-def load_mnist_idx(images_path, labels_path) -> Dataset:
-    """Parse an IDX image/label pair into a 10-class dataset, pixels /255."""
+def read_idx_pair(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, h, w) uint8 images and (n,) uint8 labels of an IDX pair."""
     images = _parse_idx_images(_read_all(images_path), images_path)
     labels = _parse_idx_labels(_read_all(labels_path), labels_path)
     if images.shape[0] != labels.shape[0]:
         raise IdxFormatError(
             f"count mismatch: {images.shape[0]} images vs {labels.shape[0]} labels"
         )
-    n, h, w = images.shape
-    inputs = images.astype(np.float64).reshape(n, 1, h, w) / 255.0
-    one_hot = np.zeros((n, 10))
-    one_hot[np.arange(n), labels] = 1.0
-    return Dataset(Tensor(inputs), Tensor(one_hot))
+    return images, labels
 
 
 # ---------------------------------------------------------------------------
-# Subsetting / splitting / batching
+# Subsetting / reordering / batching
 
 
-def subset_binary(ds: Dataset, class_a: int, class_b: int, cap_per_class: int,
-                  seed: int = 0) -> Dataset:
-    """Balanced two-class subset relabeled to {0, 1}, then seed-shuffled."""
-    owners = ds.labels.data.argmax(axis=1)
-    idx_a = np.flatnonzero(owners == class_a)
-    idx_b = np.flatnonzero(owners == class_b)
+def subset_binary(images: np.ndarray, digits: np.ndarray, class_a: int, class_b: int,
+                  cap_per_class: int, seed: int = 0) -> Dataset:
+    """Balanced two-class subset of uint8 ``images`` labeled ``digits``,
+    relabeled to {0, 1} and seed-shuffled. Only the kept rows become float64
+    pixels, /255."""
+    idx_a = np.flatnonzero(digits == class_a)
+    idx_b = np.flatnonzero(digits == class_b)
     if idx_a.size == 0 or idx_b.size == 0:
         raise ValueError(f"classes {class_a}/{class_b} not both present")
     per = min(int(cap_per_class), idx_a.size, idx_b.size)
@@ -138,8 +139,10 @@ def subset_binary(ds: Dataset, class_a: int, class_b: int, cap_per_class: int,
     new_labels[:per, 0] = 1.0
     new_labels[per:, 1] = 1.0
     order = derive_rng(seed, "subset-shuffle").permutation(keep.size)
-    return Dataset(Tensor(ds.inputs.data[keep][order]), Tensor(new_labels[order]),
-                   ds.value_range)
+    inputs = images[keep[order]].astype(np.float64)
+    inputs /= 255.0
+    return Dataset(Tensor(inputs.reshape(keep.size, 1, *images.shape[1:])),
+                   Tensor(new_labels[order]))
 
 
 def synth_two_gaussians(n: int, separation: float, seed: int) -> Dataset:
@@ -163,11 +166,24 @@ def synth_two_gaussians(n: int, separation: float, seed: int) -> Dataset:
     return Dataset(Tensor(pts[order]), Tensor(labels[order]))
 
 
-def split_train_val(ds: Dataset, val_fraction: float = 0.1,
-                    seed: int = TRAIN_VAL_SEED) -> tuple[Dataset, Dataset]:
-    order = derive_rng(seed, "train-val-split").permutation(ds.n)
-    n_val = int(round(val_fraction * ds.n))
-    return ds.take(order[n_val:]), ds.take(order[:n_val])
+def permute_rows(order: np.ndarray, *arrays: np.ndarray) -> None:
+    """Reorder the rows of each of ``arrays`` in place into ``array[order]``,
+    one cycle of ``order`` at a time, holding one row of each aside."""
+    order = order.tolist()
+    done = bytearray(len(order))
+    for start, first in enumerate(order):
+        if done[start] or first == start:
+            continue
+        held = [a[start].copy() for a in arrays]
+        at, src = start, first
+        while src != start:
+            for a in arrays:
+                a[at] = a[src]
+            done[at] = 1
+            at, src = src, order[src]
+        for a, row in zip(arrays, held):
+            a[at] = row
+        done[at] = 1
 
 
 def batch_iter(ds: Dataset, batch_size: int, seed: int, epoch: int):
@@ -262,5 +278,5 @@ def synth_digits(n_per_class: int, classes=(5, 8), seed: int = 0) -> Dataset:
             inputs[i, 0] = _render_digit(digit, rng)
             labels[i, ci] = 1.0
             i += 1
-    order = rng.permutation(n)
-    return Dataset(Tensor(inputs[order]), Tensor(labels[order]))
+    permute_rows(rng.permutation(n), inputs, labels)
+    return Dataset(Tensor(inputs), Tensor(labels))

@@ -199,9 +199,11 @@ def _direction_atent(params, batch, cfg, epoch, bidx):
 
 def _direction_entropy_sgd(params, batch, cfg, epoch, bidx):
     """The batch loss at w, which the weight chain's first pass computes,
-    and gamma * (w - mu) for the chain's EMA mu."""
+    and gamma * (w - mu) for the chain's EMA mu. The chain is anchored at
+    the weight arrays themselves: it writes into none of them, and ``train``
+    updates them only after this returns."""
     rng = derive_rng(cfg.seed, "wchain", epoch, bidx)
-    anchor = {name: t.data.copy() for name, t in params.weights.items()}
+    anchor = {name: t.data for name, t in params.weights.items()}
     losses = []
 
     def grad_at(w):

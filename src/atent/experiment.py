@@ -26,6 +26,13 @@ whose rename commits the epoch; resume cuts the stream back to
 ``last.ckpt``'s epoch. ``attack`` and ``smooth-eval`` make the directory only
 once their results are computed. One process per output directory: each
 command holds a lock file while it writes there.
+
+Data buffers: ``build_datasets`` owns the training pool it builds. Its
+train and val splits are two slices of the pool's one float64 array,
+reordered in place; a ``Dataset`` that a caller holds is never reordered.
+For ``mnist_binary`` only the selected rows ever exist as float64, and
+``attack`` and ``smooth-eval`` build the eval split alone
+(``build_eval_dataset``).
 """
 from __future__ import annotations
 
@@ -35,8 +42,6 @@ import time
 from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
-
-import numpy as np
 
 from .attacks import robust_accuracy
 from .checkpoint import (
@@ -50,8 +55,8 @@ from .checkpoint import (
 from .config import ConfigError, DataSpec, ExperimentConfig
 from .data import (
     Dataset,
-    load_mnist_idx,
-    split_train_val,
+    permute_rows,
+    read_idx_pair,
     subset_binary,
     synth_digits,
     synth_two_gaussians,
@@ -59,9 +64,11 @@ from .data import (
 from .defenses import EpochRecord, TrainerState, train, training_finished
 from .models import ModelParams, accuracy, build_model
 from .reporting import EvalRow, render_decision_svg, report_to_csv
+from .seeding import derive_rng
 from .smoothing import smooth_accuracy
 
 DATA_DIR_ENV = "ATENT_DATA_DIR"
+TRAIN_VAL_SEED = 13  # fixed seed of the train/validation split
 
 
 class ExperimentError(RuntimeError):
@@ -137,32 +144,49 @@ def _mnist_paths(data_dir: Path, prefix: str) -> tuple[Path, Path]:
     return out[0], out[1]
 
 
+def _mnist_binary(spec: DataSpec, master_seed: int, data_dir: str | None,
+                  prefix: str) -> Dataset:
+    root = Path(data_dir or spec.data_dir or os.environ.get(DATA_DIR_ENV, "."))
+    images, digits = read_idx_pair(*_mnist_paths(root, prefix))
+    return subset_binary(images, digits, spec.class_a, spec.class_b,
+                         spec.cap_per_class, seed=master_seed)
+
+
+def build_eval_dataset(spec: DataSpec, master_seed: int,
+                       data_dir: str | None = None) -> Dataset:
+    """The eval split of the configured dataset kind, built alone: for
+    ``mnist_binary`` only the t10k files are read."""
+    if spec.kind == "mnist_binary":
+        return _mnist_binary(spec, master_seed, data_dir, "t10k")
+    if spec.kind == "digits_binary":
+        return synth_digits(max(50, spec.n_per_class // 4), (spec.class_a, spec.class_b),
+                            seed=master_seed + 90_001)
+    return synth_two_gaussians(spec.n, spec.separation, seed=master_seed + 90_001)
+
+
 def build_datasets(spec: DataSpec, master_seed: int,
                    data_dir: str | None = None) -> tuple[Dataset, Dataset, Dataset]:
-    """(train, val, eval) triple for the configured dataset kind."""
+    """(train, val, eval) triple for the configured dataset kind.
+
+    The training pool is built here and belongs to this function. The split
+    reorders its rows in place, by a permutation seeded with
+    ``TRAIN_VAL_SEED``, and returns val and train as the two slices of its
+    one array; with ``val_fraction`` 0 the pool keeps its order."""
     if spec.kind == "mnist_binary":
-        root = Path(data_dir or spec.data_dir or os.environ.get(DATA_DIR_ENV, "."))
-        train_full = load_mnist_idx(*_mnist_paths(root, "train"))
-        test_full = load_mnist_idx(*_mnist_paths(root, "t10k"))
-        pool = subset_binary(train_full, spec.class_a, spec.class_b,
-                             spec.cap_per_class, seed=master_seed)
-        eval_ds = subset_binary(test_full, spec.class_a, spec.class_b,
-                                spec.cap_per_class, seed=master_seed)
+        pool = _mnist_binary(spec, master_seed, data_dir, "train")
     elif spec.kind == "digits_binary":
         pool = synth_digits(spec.n_per_class, (spec.class_a, spec.class_b),
                             seed=master_seed)
-        eval_ds = synth_digits(max(50, spec.n_per_class // 4),
-                               (spec.class_a, spec.class_b),
-                               seed=master_seed + 90_001)
     else:
         pool = synth_two_gaussians(spec.n, spec.separation, seed=master_seed)
-        eval_ds = synth_two_gaussians(spec.n, spec.separation,
-                                      seed=master_seed + 90_001)
+    x, y = pool.inputs.data, pool.labels.data
+    n_val = 0
     if spec.val_fraction > 0:
-        train_ds, val_ds = split_train_val(pool, spec.val_fraction)
-    else:
-        train_ds, val_ds = pool, pool.take(np.arange(0))
-    return train_ds, val_ds, eval_ds
+        n_val = int(round(spec.val_fraction * pool.n))
+        permute_rows(derive_rng(TRAIN_VAL_SEED, "train-val-split").permutation(pool.n), x, y)
+    return (Dataset(x[n_val:], y[n_val:], pool.value_range),
+            Dataset(x[:n_val], y[:n_val], pool.value_range),
+            build_eval_dataset(spec, master_seed, data_dir))
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +455,7 @@ def evaluate_checkpoint(cfg: ExperimentConfig, checkpoint_path,
     :func:`run_experiment` writes it. The output directory is made only once
     every attack has run."""
     params = load_checkpoint(checkpoint_path)
-    _, _, eval_ds = build_datasets(cfg.data, cfg.seed, data_dir)
+    eval_ds = build_eval_dataset(cfg.data, cfg.seed, data_dir)
     rows = evaluate_attacks(cfg, params, eval_ds)
     with _output_dir(cfg, output_dir) as out:
         _write_evaluation(rows, params, eval_ds, out)
@@ -449,7 +473,7 @@ def smooth_evaluate(cfg: ExperimentConfig, checkpoint_path,
     if cfg.smoothing is None:
         raise ConfigError("config has no smoothing section")
     params = load_checkpoint(checkpoint_path)
-    _, _, eval_ds = build_datasets(cfg.data, cfg.seed, data_dir)
+    eval_ds = build_eval_dataset(cfg.data, cfg.seed, data_dir)
     result = {
         "sigma": cfg.smoothing.sigma,
         "n_samples": cfg.smoothing.n_samples,

@@ -437,6 +437,26 @@ class TestCliCommands:
         result = json.loads((out / "smooth.json").read_text())
         assert 0.0 <= result["smooth_accuracy"] <= 1.0
 
+    @pytest.mark.parametrize("command, written", [("attack", "report.csv"),
+                                                  ("smooth-eval", "smooth.json")])
+    def test_checkpoint_evaluation_reads_only_the_eval_files(self, tmp_path, command,
+                                                             written):
+        # no train-* IDX file exists: attack and smooth-eval build the eval split alone
+        rng = np.random.default_rng(1)
+        write_idx(rng.integers(0, 256, size=(20, 28, 28), dtype=np.uint8),
+                  np.array([5, 8] * 10, dtype=np.uint8),
+                  tmp_path / "t10k-images-idx3-ubyte", tmp_path / "t10k-labels-idx1-ubyte")
+        tree = toy_tree(model={"kind": "mlp", "widths": [784, 4, 2]},
+                        smoothing={"sigma": 0.1, "n_samples": 16})
+        tree["data"] = {"kind": "mnist_binary", "cap_per_class": 10,
+                        "data_dir": str(tmp_path)}
+        ckpt = tmp_path / "w.ckpt"
+        checkpoint.save_checkpoint(build_mlp([784, 4, 2], seed=0), ckpt)
+        out = tmp_path / "out"
+        assert main([command, str(write_cfg(tmp_path, tree)), "--checkpoint", str(ckpt),
+                     "--output-dir", str(out)]) == 0
+        assert (out / written).exists()
+
     def test_attack_writes_the_decision_plot_of_evaluate(self, tmp_path):
         cfg_path = write_cfg(tmp_path, toy_tree())
         out, attacked = tmp_path / "out", tmp_path / "attacked"

@@ -6,7 +6,7 @@ import pytest
 
 from atent import defenses
 from atent.attacks import AttackConfig, robust_accuracy, run_attack
-from atent.data import batch_iter, split_train_val, synth_two_gaussians
+from atent.data import batch_iter, synth_two_gaussians
 from atent.defenses import (
     ATENT_L2,
     ATENT_LINF,
@@ -23,6 +23,7 @@ from atent.oracle import atent_outer_gradient, finite_difference_grad, relative_
 from atent.sampler import GibbsSamplerConfig, init_perturbation, run_chain, weight_langevin_chain
 from atent.seeding import derive_rng
 from atent.tensor import NonFiniteError
+from data_oracles import split_train_val
 
 
 def _blobs(seed=0, n=200, sep=5.0):
@@ -176,8 +177,6 @@ class TestTrainPgdAt:
         # Monte Carlo over 5 seeds. In 2-D the >=20 point gap appears once the
         # attack radius exceeds the achievable-margin regime (the robust
         # boundary then trades natural accuracy, which this check ignores).
-        from atent.data import split_train_val
-
         eps = 0.3
         atk = AttackConfig(kind="pgd", norm="linf", radius=eps, steps=10,
                            step_size=2.5 * eps / 10, random_start=True, seed=99)

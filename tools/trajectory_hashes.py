@@ -16,12 +16,13 @@ picks its kernel by CPU, and ``OPENBLAS_CORETYPE`` overrides the pick:
     python tools/trajectory_hashes.py --src src > change-haswell.txt
     diff parent-haswell.txt change-haswell.txt
 
-On a CPU where OpenBLAS picks SkylakeX by default, 28 of the 46 items
+On a CPU where OpenBLAS picks SkylakeX by default, 28 of the 50 items
 differ between the two kernels (every ``train/``, ``loss_and_grads/`` and
 ``resume/`` item among them), so the second run checks other arithmetic.
 
-Each line is ``<sha256>  <item>``. The 46 items are, on a small MLP and on
-a CNN with two conv blocks, on ``digits_binary``:
+Each line is ``<sha256>  <item>``. The 50 items are, but for the
+``data/`` ones, on a small MLP and on a CNN with two conv blocks, on
+``digits_binary``:
 
 - ``config/<name>``: the parsed ``ExperimentConfig`` of each tree below, as
   ``json.dumps(dataclasses.asdict(cfg), sort_keys=True)``, and of
@@ -52,11 +53,17 @@ a CNN with two conv blocks, on ``digits_binary``:
   in process to epoch 4. The epoch-2 ``params`` and ``best_params`` arrays
   are kept before the resume and hashed after it, with the final weights,
   so the hash changes if the resumed run writes into an array the first
-  call returned.
+  call returned;
+- ``data/<kind>``: the input and label bytes of every split that
+  ``build_datasets`` returns for each spec of ``DATA_SPECS``:
+  ``digits_binary`` with ``val_fraction`` 0.1 and 0, ``two_gaussians``, and
+  ``mnist_binary`` read from a small random IDX pair that the script writes
+  to a temporary directory, whose ``cap_per_class`` exceeds the rows of a
+  class.
 
 That is 11 ``config/``, 14 ``train/``, 8 ``attack/``, 6
-``loss_and_grads/``, 2 ``smooth_accuracy/``, 3 ``logits/``, 1 ``accuracy/``
-and 1 ``resume/`` item.
+``loss_and_grads/``, 2 ``smooth_accuracy/``, 3 ``logits/``, 1 ``accuracy/``,
+1 ``resume/`` and 4 ``data/`` items.
 
 The trees are imported from ``--src`` alone; BLAS is pinned to one thread,
 as in the benchmark. The package does not import this script.
@@ -70,6 +77,8 @@ import json
 import os
 import struct
 import sys
+import tempfile
+from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -103,6 +112,16 @@ SMOOTHING = {"sigma": 0.5, "n_samples": 200, "abstain_margin": 0.1}
 # one image, one more than the span of samples that an untaped CNN forward
 # streams at a time (16), and many spans with a ragged last one
 LOGIT_ROWS = (1, 17, 300)
+# the ``data/`` items' data sections; the training IDX pair holds 14 rows
+# of class 3 and 18 of class 7, so a cap of 25 keeps 14 of each
+DATA_SPECS = {
+    "digits_binary/val0.1": {"kind": "digits_binary", "n_per_class": 24,
+                             "val_fraction": 0.1},
+    "digits_binary/val0": {"kind": "digits_binary", "n_per_class": 24, "val_fraction": 0},
+    "two_gaussians": {"kind": "two_gaussians", "n": 60, "separation": 3.0},
+    "mnist_binary": {"kind": "mnist_binary", "class_a": 3, "class_b": 7,
+                     "cap_per_class": 25, "val_fraction": 0.25},
+}
 ATTACKS = [
     {"kind": "fgsm", "norm": "linf", "radius": 0.1},
     {"kind": "pgd", "norm": "linf", "radius": 0.1, "steps": 3, "step_size": 0.05,
@@ -171,6 +190,18 @@ def _feed(h, value) -> None:
             _feed(h, v)
     else:
         raise TypeError(f"cannot hash {type(value).__name__}")
+
+
+def write_idx_pair(root: Path, prefix: str, n: int, seed: int) -> None:
+    """``n`` random 28x28 uint8 images with random digit labels, written
+    as ``<prefix>-images-idx3-ubyte`` and ``<prefix>-labels-idx1-ubyte``."""
+    rng = np.random.default_rng(seed)
+    images = rng.integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
+    labels = rng.integers(0, 10, size=n, dtype=np.uint8)
+    (root / f"{prefix}-images-idx3-ubyte").write_bytes(
+        struct.pack(">iiii", 0x803, n, 28, 28) + images.tobytes())
+    (root / f"{prefix}-labels-idx1-ubyte").write_bytes(
+        struct.pack(">ii", 0x801, n) + labels.tobytes())
 
 
 def digest(*values) -> str:
@@ -259,6 +290,13 @@ def items():
     kept = [{k: t.data for k, t in p.weights.items()} for p in (first.params, first.best_params)]
     final = defenses.train(params, cfg.trainer, train_ds, val_ds, resume_state=first)
     yield "resume/sgd/mlp", digest(kept, {k: t.data for k, t in final.params.weights.items()})
+
+    with tempfile.TemporaryDirectory() as idx_dir:
+        write_idx_pair(Path(idx_dir), "train", 200, seed=1)
+        write_idx_pair(Path(idx_dir), "t10k", 100, seed=2)
+        for name, spec in DATA_SPECS.items():
+            splits = experiment.build_datasets(config.DataSpec(**spec), 302, idx_dir)
+            yield f"data/{name}", digest([(ds.inputs.data, ds.labels.data) for ds in splits])
 
 
 def main(argv=None) -> int:
