@@ -1,9 +1,10 @@
 """Dataset ingestion and synthesis.
 
 IDX files (big-endian, magics 0x00000803 / 0x00000801, optionally gzipped)
-are read as uint8; a two-class subset picks its rows there and converts only
-those to float64 pixels scaled to [0, 1] by /255 — attack radii are stated in
-raw pixel units, so no mean/std normalization is applied.
+are read as uint8, an uncompressed file through a memory map; a two-class
+subset picks its rows there and copies and converts only those to float64
+pixels scaled to [0, 1] by /255 — attack radii are stated in raw pixel
+units, so no mean/std normalization is applied.
 
 Two synthetic tasks cover desk-scale work without external downloads:
 2-D Gaussian blobs, and rendered stroke digits (seven-segment glyphs with
@@ -19,6 +20,8 @@ from __future__ import annotations
 
 import copy
 import gzip
+import mmap
+import os
 import struct
 from dataclasses import dataclass
 
@@ -78,15 +81,20 @@ class Dataset:
 # IDX files
 
 
-def _read_all(path) -> bytes:
+def _idx_bytes(path):
+    """The bytes of IDX file ``path``: a read-only memory map of an
+    uncompressed file, so that only the pages of the rows a caller copies
+    out are read, or the decompressed bytes of a gzipped one."""
     with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:2] == b"\x1f\x8b":
-        raw = gzip.decompress(raw)
-    return raw
+        if f.read(2) == b"\x1f\x8b":
+            f.seek(0)
+            return gzip.decompress(f.read())
+        if not os.fstat(f.fileno()).st_size:  # mmap refuses an empty file
+            return b""
+        return mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
 
 
-def _parse_idx_images(raw: bytes, path) -> np.ndarray:
+def _parse_idx_images(raw, path) -> np.ndarray:
     if len(raw) < 16:
         raise IdxFormatError(f"{path}: truncated header")
     magic, count, rows, cols = struct.unpack(">iiii", raw[:16])
@@ -98,7 +106,7 @@ def _parse_idx_images(raw: bytes, path) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8, offset=16).reshape(count, rows, cols)
 
 
-def _parse_idx_labels(raw: bytes, path) -> np.ndarray:
+def _parse_idx_labels(raw, path) -> np.ndarray:
     if len(raw) < 8:
         raise IdxFormatError(f"{path}: truncated header")
     magic, count = struct.unpack(">ii", raw[:8])
@@ -110,9 +118,10 @@ def _parse_idx_labels(raw: bytes, path) -> np.ndarray:
 
 
 def read_idx_pair(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, h, w) uint8 images and (n,) uint8 labels of an IDX pair."""
-    images = _parse_idx_images(_read_all(images_path), images_path)
-    labels = _parse_idx_labels(_read_all(labels_path), labels_path)
+    """The (n, h, w) uint8 images and (n,) uint8 labels of an IDX pair, as
+    read-only views of the files' bytes (:func:`_idx_bytes`)."""
+    images = _parse_idx_images(_idx_bytes(images_path), images_path)
+    labels = _parse_idx_labels(_idx_bytes(labels_path), labels_path)
     if images.shape[0] != labels.shape[0]:
         raise IdxFormatError(
             f"count mismatch: {images.shape[0]} images vs {labels.shape[0]} labels"

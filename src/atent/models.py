@@ -26,11 +26,11 @@ from .tensor import Tensor, TensorError
 CNN_KERNEL = 3
 CNN_POOL = 2
 # Samples an untaped CNN forward sends through the conv stack at a time
-# (forward_logits), chosen by minor faults per cnn_attack_eval unit, read
-# with getrusage at seeds 2, 7 and 11: spans of 8, 12 and 16 took 1.7k-1.9k
-# at every seed, against 3.0k-3.5k for whole-batch blocks. Spans of 24 and
-# 32 took 3.0k-3.6k at seed 2, and 74, block 0's _BLOCK_COLS span, took
-# 6.3k-15.2k. 16 ran the smoothing vote faster than 8 at all three seeds.
+# (forward_logits), chosen by median minor faults per cnn_attack_eval unit,
+# read with getrusage around each unit of 12 s benchmark runs at seeds 2, 7
+# and 11: spans of 16, 32 and 74 (block 0's _BLOCK_COLS span) took 0 at
+# every seed, at a peak RSS of 43.0, 45.6-45.7 and 49.5-49.6 MB; spans of 8
+# took 3.0k-4.4k.
 _FORWARD_SPAN = 16
 
 

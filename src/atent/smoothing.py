@@ -26,11 +26,11 @@ ABSTAIN = -1
 # smooth_predict's stop rule. It bounds the memory of the noisy copies and
 # of their (n, flat) CNN features; the conv blocks take any batch in spans
 # of models._FORWARD_SPAN samples. The chunk decides whether these buffers
-# fall into the allocator's refault trap (ROADMAP P1): on cnn_attack_eval's
-# CNN, one 28x28 example smoothed with 1000 votes took 1,944 minor faults
-# and 0-16 ms of system CPU at 512, 3,579-4,698 faults and 4-28 ms at 256,
-# and no fault and 0 ms at 128 (getrusage over 5 votes each at seeds 2, 7
-# and 11). A vote runs at most VOTE_CHUNK - 1 votes past the first vote
+# fall into the allocator's refault trap (ROADMAP P1). Median minor faults
+# per cnn_attack_eval unit (PGD and the ATENT attack on 20 examples, then one
+# example smoothed with 1000 votes), read with getrusage around each unit of
+# 12 s benchmark runs at seeds 2, 7 and 11: 0 at 128, 3.7k-4.9k at 256 and
+# 3.9k at 512. A vote runs at most VOTE_CHUNK - 1 votes past the first vote
 # that decides it.
 VOTE_CHUNK = 128
 

@@ -26,7 +26,8 @@ bias add and before a ReLU or a max-pool could zero or drop a NaN or -inf.
 The other outputs are finite by construction and not checked again: a
 ``reshape`` is a view of a checked tensor, and a ReLU or a window max of
 finite values is finite (``relu``, ``max_pool2d``, the pooled output of
-``conv_block``, the ReLU of ``dense``).
+``conv_block``, the ReLU of ``dense``). Pulls are not checked; ``backward``
+checks each leaf gradient it returns.
 
 Typical use::
 
@@ -165,7 +166,8 @@ def backward(tape: Tape, root: Tensor) -> dict[Tensor, Tensor]:
     """Reverse sweep from scalar ``root``; returns leaf gradient map.
 
     The map holds one entry per distinct leaf of ``tape`` that the root
-    actually depends on.
+    actually depends on. Each leaf gradient is checked for finiteness once,
+    here, and a failure names ``backward``.
     """
     if tape.consumed:
         raise TapeError("tape already consumed by a previous backward pass")
@@ -187,7 +189,8 @@ def backward(tape: Tape, root: Tensor) -> dict[Tensor, Tensor]:
                 continue
             prev = grads.get(id(t))
             grads[id(t)] = gt if prev is None else prev + gt
-    return {t: Tensor(grads[id(t)]) for t in tape.leaves if id(t) in grads}
+    return {t: _unchecked(np.ascontiguousarray(_check_finite(grads[id(t)], "backward")))
+            for t in tape.leaves if id(t) in grads}
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +398,8 @@ def max_pool2d(x: Tensor, size: int = 2) -> Tensor:
         raise TensorError(f"max_pool2d window {size} too large for input {x.shape}")
     tape = _active_tape()
     out = np.empty((n, c, oh, ow))
-    winner = np.empty(out.shape, dtype=np.intp) if tape is not None and tape._tracks(x) else None
+    winner = (np.empty(out.shape, dtype=np.min_scalar_type(size * size - 1))
+              if tape is not None and tape._tracks(x) else None)
     _pool_max(x.data, size, out, winner)
 
     def pull(g):
@@ -410,10 +414,11 @@ def _pool_max(x: np.ndarray, size: int, out: np.ndarray, winner: np.ndarray | No
     """Max of ``x`` over non-overlapping size*size windows into ``out``.
 
     When ``winner`` is given, the index t of each window's first maximum
-    (row-major view order) is written there, overwriting whatever it held.
-    It is kept as a running max of t * (view t > max so far), which is
-    exact: a later view wins only when strictly greater, and its index then
-    exceeds every earlier one."""
+    (row-major view order) is written there, overwriting whatever it held;
+    any integer dtype that holds size*size - 1 will do. It is kept as a
+    running max of t * (view t > max so far), which is exact: a later view
+    wins only when strictly greater, and its index then exceeds every
+    earlier one."""
     taps = _taps(size, size, size, *out.shape[2:])
     _, _, rows, cs = next(taps)
     np.copyto(out, x[:, :, rows, cs])
@@ -424,7 +429,7 @@ def _pool_max(x: np.ndarray, size: int, out: np.ndarray, winner: np.ndarray | No
         v = x[:, :, rows, cs]
         if winner is not None:
             np.greater(v, out, out=won)
-            np.maximum(winner, won * t, out=winner)
+            np.maximum(winner, won * winner.dtype.type(t), out=winner)
         np.maximum(out, v, out=out)
 
 
@@ -459,15 +464,16 @@ def _same_taps(h: int, w: int, kh: int, kw: int):
             yield ky * kw + kx, d, lo, hi, wrap
 
 
-def _unfold_same(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+def _unfold_same(x: np.ndarray, kh: int, kw: int, cols: np.ndarray) -> None:
     """The columns :func:`_im2col` takes of the zero-padded ``x`` (n, cin, h,
-    w) at stride 1 and padding kh//2, kw//2, as (n, cin*kh*kw, h*w), with no
-    padded copy: each tap is one shifted run of every flattened plane, and
-    0.0 is written where the tap reads the padding, at both ends of the run
-    and over the columns that wrap."""
+    w) at stride 1 and padding kh//2, kw//2, written into the C-contiguous
+    ``cols`` (n, cin*kh*kw, h*w), with no padded copy: each tap is one
+    shifted run of every flattened plane, and 0.0 is written where the tap
+    reads the padding, at both ends of the run and over the columns that
+    wrap."""
     n, cin, h, w = x.shape
     xf = x.reshape(n, cin, h * w)
-    cols = np.empty((n, cin, kh * kw, h * w))
+    cols = cols.reshape(n, cin, kh * kw, h * w)
     grid = cols.reshape(n, cin, kh * kw, h, w)
     for t, d, lo, hi, wrap in _same_taps(h, w, kh, kw):
         cols[:, :, t, lo:hi] = xf[:, :, lo + d:hi + d]
@@ -475,35 +481,36 @@ def _unfold_same(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
         cols[:, :, t, hi:] = 0.0
         if wrap is not None:
             grid[:, :, t, :, wrap] = 0.0
-    return cols.reshape(n, cin * kh * kw, h * w)
 
 
-def _fold_same(dcols: np.ndarray, shape, kh: int, kw: int) -> np.ndarray:
-    """Input gradient (n, cin, h, w) from the column gradients ``dcols`` (n,
-    cin*kh*kw, h*w) of :func:`_unfold_same`, bitwise equal to
-    :func:`_col2im`: the taps are added onto zeros in the same order, each
-    as one shifted run. ``dcols`` is overwritten with 0.0 at the columns a
-    tap reads across a row end, so a wrapped add adds +0.0, which leaves
-    every sum unchanged (a sum that starts from +0.0 is never -0.0)."""
-    n, cin, h, w = shape
+def _fold_same(dcols: np.ndarray, kh: int, kw: int, dx: np.ndarray) -> None:
+    """Input gradient from the column gradients ``dcols`` (n, cin*kh*kw, h*w)
+    of :func:`_unfold_same`, written into the C-contiguous ``dx`` (n, cin, h,
+    w) and bitwise equal to :func:`_col2im`: the taps are added onto zeros in
+    the same order, each as one shifted run. ``dcols`` is overwritten with
+    0.0 at the columns a tap reads across a row end, so a wrapped add adds
+    +0.0, which leaves every sum unchanged (a sum that starts from +0.0 is
+    never -0.0)."""
+    n, cin, h, w = dx.shape
     dc = dcols.reshape(n, cin, kh * kw, h * w)
     grid = dc.reshape(n, cin, kh * kw, h, w)
-    dx = np.zeros((n, cin, h * w))
+    dx = dx.reshape(n, cin, h * w)
+    dx.fill(0.0)
     for t, d, lo, hi, wrap in _same_taps(h, w, kh, kw):
         if wrap is not None:
             grid[:, :, t, :, wrap] = 0.0
         dx[:, :, lo + d:hi + d] += dc[:, :, t, lo:hi]
-    return dx.reshape(shape)
 
 
 # Column-buffer elements conv_block unfolds at a time (4 MiB of float64).
 # The GEMMs run once per sample at any span, so the span trades the number
-# of passes over the blocks against the memory of the column buffer: at
-# 1 << 17, cnn_atent_train ran about 8% slower (3 of 3 benchmark pairs).
-# An untaped forward of many samples reaches conv_block in spans of
-# models._FORWARD_SPAN samples, fewer than this budget takes at either block
-# of the benchmark CNN (74 and 37), so there it bounds only taped passes:
-# 1 << 17 moves cnn_attack_eval's peak RSS by 0.3 MB.
+# of passes over the spans against the size of the arenas. Median minor
+# faults per unit, read with getrusage around each unit of 12 s benchmark
+# runs at seeds 2, 7 and 11: at 1 << 19, 0 on cnn_atent_train and 0 on
+# cnn_attack_eval; at 1 << 17, 901 and 3.7k-5.4k, though cnn_atent_train's
+# peak RSS fell from 47.2-47.3 to 44.9 MB. An untaped forward of many
+# samples reaches conv_block in spans of models._FORWARD_SPAN samples, fewer
+# than this budget takes at either block of the benchmark CNN (74 and 37).
 _BLOCK_COLS = 1 << 19
 
 
@@ -512,20 +519,30 @@ def conv_block(x: Tensor, kernels: Tensor, bias: Tensor, pool: int = 2) -> Tenso
 
     ``x`` is (n, c_in, h, w), ``kernels`` (c_out, c_in, kh, kh) with kh odd,
     ``bias`` (c_out,); the convolution keeps the h x w size. The batch is
-    worked through a block of samples at a time, as many as fit
-    :data:`_BLOCK_COLS` column elements: each block is unfolded
-    (:func:`_unfold_same`), multiplied into one reused pre-activation buffer,
-    given its bias and checked for finiteness (pooling and ReLU could hide a
+    worked through a span of samples at a time, as many as fit
+    :data:`_BLOCK_COLS` column elements: each span is unfolded
+    (:func:`_unfold_same`), multiplied into a pre-activation buffer, given
+    its bias and checked for finiteness (pooling and ReLU could hide a
     blowup), then max-pooled into the output through strided views. ReLU
     comes after the pool, on a quarter of the data; that is exact because
     ReLU is monotone, so it commutes with the max. Under a tape that tracks
     any operand the first maximum of each window is recorded, as in
-    :func:`max_pool2d`. The pull makes the same pass over the blocks,
-    unfolds each block again for ``dk`` rather than keeping the columns on
-    the tape, folds the column gradients into ``dx`` (:func:`_fold_same`),
-    and computes ``dx``, ``dk`` and ``db`` only for tracked operands
-    (``None`` for the others). ``db`` is summed from the pooled gradient, so
-    it can differ from the unfused ops' in the last bits.
+    :func:`max_pool2d`, in the smallest integer dtype that holds pool*pool -
+    1 (uint8 up to pool 16). The pull makes the same pass over the spans:
+    it scatters the pooled gradient to the winners, unfolds each span again
+    for ``dk`` rather than keeping the columns on the tape, folds the column
+    gradients straight into ``dx`` (:func:`_fold_same`), and computes
+    ``dx``, ``dk`` and ``db`` only for tracked operands (``None`` for the
+    others). ``db`` is summed from the pooled gradient, so it can differ
+    from the unfused ops' in the last bits.
+
+    All of a call's scratch comes from one float64 arena per direction,
+    reused by every span: the forward's holds the pre-activation and the
+    columns, the pull's the scattered pooled gradient and one column buffer,
+    which holds ``dk``'s columns and then ``dx``'s column gradients. That
+    one allocation per direction is the largest block a pass frees, so
+    glibc's dynamic mmap and trim thresholds adapt to it and the next call
+    reuses its pages instead of refaulting them (see :data:`_BLOCK_COLS`).
     """
     if x.data.ndim != 4 or kernels.data.ndim != 4:
         raise TensorError(f"conv_block expects 4-D input/kernels, got {x.shape}, {kernels.shape}")
@@ -547,16 +564,22 @@ def conv_block(x: Tensor, kernels: Tensor, bias: Tensor, pool: int = 2) -> Tenso
     km = kernels.data.reshape(cout, cin * kh * kw)
     block = max(1, _BLOCK_COLS // (cin * kh * kw * h * w))
     spans = [(i, min(i + block, n)) for i in range(0, n, block)]
+    m = min(block, n)
 
-    def cols(i, j):
-        return _unfold_same(x.data[i:j], kh, kw)
+    def arena():
+        """A span's (m, cout, h*w) buffer and its (m, cin*kh*kw, h*w)
+        columns, cut from one allocation."""
+        buf = np.empty(m * (cout + cin * kh * kw) * h * w)
+        return (buf[:m * cout * h * w].reshape(m, cout, h * w),
+                buf[m * cout * h * w:].reshape(m, cin * kh * kw, h * w))
 
     out = np.empty((n, cout, ph, pw))
-    winner = np.empty(out.shape, dtype=np.intp) if track else None
-    pre = np.empty((min(block, n), cout, h * w))
+    winner = np.empty(out.shape, dtype=np.min_scalar_type(pool * pool - 1)) if track else None
+    pre, cols = arena()
     for i, j in spans:
-        a = pre[:j - i]
-        np.matmul(km, cols(i, j), out=a)
+        a, c = pre[:j - i], cols[:j - i]
+        _unfold_same(x.data[i:j], kh, kw, c)
+        np.matmul(km, c, out=a)
         a += bias.data.reshape(1, cout, 1)
         _check_finite(a, "conv_block")
         _pool_max(a.reshape(j - i, cout, h, w), pool, out[i:j],
@@ -570,14 +593,17 @@ def conv_block(x: Tensor, kernels: Tensor, bias: Tensor, pool: int = 2) -> Tenso
             return None, None, db
         dk = np.empty((n, cout, cin * kh * kw)) if want_dk else None
         dx = np.empty(x.shape) if want_dx else None
-        ga = np.zeros((min(block, n), cout, h, w))  # cells outside every window stay 0
+        ga, dcols = arena()
+        ga.fill(0.0)  # cells outside every window stay 0
         for i, j in spans:
-            _pool_scatter(g[i:j], pool, winner[i:j], ga[:j - i])
-            gb = ga[:j - i].reshape(j - i, cout, h * w)
+            gb, c = ga[:j - i], dcols[:j - i]
+            _pool_scatter(g[i:j], pool, winner[i:j], gb.reshape(j - i, cout, h, w))
             if want_dk:
-                np.matmul(gb, cols(i, j).transpose(0, 2, 1), out=dk[i:j])
+                _unfold_same(x.data[i:j], kh, kw, c)
+                np.matmul(gb, c.transpose(0, 2, 1), out=dk[i:j])
             if want_dx:
-                dx[i:j] = _fold_same(km.T @ gb, (j - i, cin, h, w), kh, kw)
+                np.matmul(km.T, gb, out=c)
+                _fold_same(c, kh, kw, dx[i:j])
         if want_dk:
             dk = dk.sum(axis=0).reshape(kernels.shape)
         return dx, dk, db

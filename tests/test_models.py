@@ -1,5 +1,6 @@
 """Model construction, forward passes, loss/gradient plumbing."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -280,6 +281,23 @@ class TestLossAndGrads:
         loss_w, _, _ = loss_and_grads(p, batch, wrt="weights")
         loss_b, _, _ = loss_and_grads(p, batch, wrt="both")
         assert loss_w == loss_b
+
+    def test_taped_cnn_pass_peak_memory(self):
+        # the benchmark's ATENT CNN at batch 32: conv_block takes each
+        # direction's scratch from one arena and keeps its pool winners in
+        # uint8, so a wrt="both" pass peaks at 6.6 MB traced; with np.intp
+        # winners it peaks at 7.5 MB
+        rng = np.random.default_rng(8)
+        p = build_small_cnn([8, 16], [32, 2], seed=0)
+        batch = Batch(rng.random((32, 1, 28, 28)), np.eye(2)[rng.integers(0, 2, 32)])
+        loss_and_grads(p, batch, wrt="both")
+        tracemalloc.start()
+        try:
+            loss_and_grads(p, batch, wrt="both")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.0e6, f"loss_and_grads peaked at {peak / 1e6:.2f} MB"
 
 
 class TestPredictAccuracy:

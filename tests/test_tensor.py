@@ -226,7 +226,9 @@ _SAME_PLANES = [(28, 28), (14, 14), (7, 9), (11, 6), (2, 2)]
 
 class TestSameUnfoldFold:
     """conv_block's shifted-run unfold and fold against conv2d's padded
-    helpers, byte for byte; 2x2 planes are smaller than a 5x5 kernel's reach."""
+    helpers, byte for byte; 2x2 planes are smaller than a 5x5 kernel's reach.
+    The buffers they write into start as NaN, so every element must be
+    written."""
 
     @pytest.mark.parametrize("cin", [1, 3])
     @pytest.mark.parametrize("h,w", _SAME_PLANES)
@@ -235,7 +237,8 @@ class TestSameUnfoldFold:
         rng = np.random.default_rng(40)
         x = rng.normal(size=(2, cin, h, w))
         x[rng.random(x.shape) < 0.2] = -0.0
-        got = tc._unfold_same(x, k, k)
+        got = np.full((2, cin * k * k, h * w), np.nan)
+        tc._unfold_same(x, k, k, got)
         ref = tc._im2col(tc._pad(x, k // 2), k, k, 1, h, w)
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
@@ -253,7 +256,8 @@ class TestSameUnfoldFold:
         dcols[:, 0, 0] = -0.0
         p = k // 2
         ref = tc._col2im(dcols.copy(), (2, cin, h + 2 * p, w + 2 * p), k, k, 1, p, h, w)
-        got = tc._fold_same(dcols.copy(), (2, cin, h, w), k, k)
+        got = np.full((2, cin, h, w), np.nan)
+        tc._fold_same(dcols.copy(), k, k, got)
         assert got.shape == ref.shape
         assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
 
@@ -409,6 +413,20 @@ class TestConvBlock:
         assert np.array_equal(out, want_out)
         assert np.array_equal(dx, want_dx)
         assert np.all(dx[:, :, 6, :] == 0.0) and np.all(dx[:, :, :, 6] == 0.0)
+
+    # windows of 144 and 256 cells: the winner's uint8 index runs past 127,
+    # and many windows' first maximum lies there
+    @pytest.mark.parametrize("pool", [12, 16])
+    def test_large_pool_routes_to_first_maximum(self, pool):
+        rng = np.random.default_rng(pool)
+        x0 = rng.integers(1, 200, size=(2, 2, 2 * pool + 1, 2 * pool + 1)).astype(float)
+        g = rng.normal(size=(2, 2, 2, 2))
+        out, dx = self._pool_pull(x0, pool, g)
+        want_out, want_dx = _max_pool_oracle(x0, pool, g)
+        assert np.array_equal(out, want_out) and np.array_equal(dx, want_dx)
+        windows = x0[:, :, :2 * pool, :2 * pool].reshape(2, 2, 2, pool, 2, pool)
+        first = windows.transpose(0, 1, 2, 4, 3, 5).reshape(2, 2, 2, 2, -1).argmax(axis=-1)
+        assert (first > 127).sum() >= 2
 
     def test_non_finite_pre_activation_raises(self):
         # the pre-activation is -inf everywhere; pooling and ReLU alone
@@ -670,6 +688,14 @@ class TestBackwardSemantics:
         stray = tc.sum_all(Tensor([1.0]))
         with pytest.raises(TapeError):
             tc.backward(tape, stray)
+
+    def test_non_finite_leaf_gradient_names_backward(self):
+        x = Tensor([1.0, 2.0])
+        with Tape([x]) as tape:
+            s = tc.sum_all(x)
+        tape.records[-1].pull = lambda g: (np.array([np.nan, 1.0]),)
+        with pytest.raises(NonFiniteError, match="^backward produced non-finite values$"):
+            tc.backward(tape, s)
 
     def test_reused_operand_accumulates(self):
         x = Tensor([3.0])

@@ -16,11 +16,11 @@ picks its kernel by CPU, and ``OPENBLAS_CORETYPE`` overrides the pick:
     python tools/trajectory_hashes.py --src src > change-haswell.txt
     diff parent-haswell.txt change-haswell.txt
 
-On a CPU where OpenBLAS picks SkylakeX by default, 28 of the 50 items
+On a CPU where OpenBLAS picks SkylakeX by default, 31 of the 53 items
 differ between the two kernels (every ``train/``, ``loss_and_grads/`` and
 ``resume/`` item among them), so the second run checks other arithmetic.
 
-Each line is ``<sha256>  <item>``. The 50 items are, but for the
+Each line is ``<sha256>  <item>``. The 53 items are, but for the
 ``data/`` ones, on a small MLP and on a CNN with two conv blocks, on
 ``digits_binary``:
 
@@ -38,7 +38,10 @@ Each line is ``<sha256>  <item>``. The 50 items are, but for the
 - ``attack/<kind>/<model>``: FGSM, PGD (random start, two restarts) and
   ATENT-attack outputs, and ``attack/atent_l2/<model>``, the ATENT attack
   in the l2 ball;
-- ``loss_and_grads/<wrt>/<model>``: loss and gradients for each ``wrt``;
+- ``loss_and_grads/<wrt>/<model>``: loss and gradients for each ``wrt``
+  on 10 eval rows, and ``loss_and_grads/<wrt>/cnn/100`` on the whole eval
+  split: taped CNN passes that ``conv_block`` takes in two spans of
+  samples (74 and 26) at both blocks, where 10 rows take one;
 - ``smooth_accuracy/<model>``: the Entropy-SGD-trained model smoothed per
   ``SMOOTHING`` on the first 8 eval rows: the smoothed accuracy, each row's
   smoothed prediction and each row's counts of a full vote. The script
@@ -61,7 +64,7 @@ Each line is ``<sha256>  <item>``. The 50 items are, but for the
   to a temporary directory, whose ``cap_per_class`` exceeds the rows of a
   class.
 
-That is 11 ``config/``, 14 ``train/``, 8 ``attack/``, 6
+That is 11 ``config/``, 14 ``train/``, 8 ``attack/``, 9
 ``loss_and_grads/``, 2 ``smooth_accuracy/``, 3 ``logits/``, 1 ``accuracy/``,
 1 ``resume/`` and 4 ``data/`` items.
 
@@ -275,6 +278,9 @@ def items():
             yield f"loss_and_grads/{wrt}/{model}", digest(loss, wg, xg)
         yield f"smooth_accuracy/{model}", smoothing_digest(trained["entropy_sgd"], eval_ds)
         if model == "cnn":
+            for wrt in ("weights", "inputs", "both"):
+                loss, wg, xg = models.loss_and_grads(params, eval_ds.as_batch(), wrt=wrt)
+                yield f"loss_and_grads/{wrt}/cnn/{eval_ds.n}", digest(loss, wg, xg)
             sgd = trained["sgd"]
             x = derive_rng(cfg.seed, "hash-logits").random(
                 (max(LOGIT_ROWS), *eval_ds.inputs.shape[1:]))
