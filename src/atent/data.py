@@ -9,7 +9,12 @@ units, so no mean/std normalization is applied.
 Two synthetic tasks cover desk-scale work without external downloads:
 2-D Gaussian blobs, and rendered stroke digits (seven-segment glyphs with
 random affine jitter, blur-ish edges and pixel noise) that stand in for
-MNIST-style images when no IDX corpus is on disk.
+MNIST-style images when no IDX corpus is on disk. Digits are rendered a
+block of ``_RENDER_BLOCK`` instances of one class at a time: each instance
+draws its random numbers in the order it would alone, then each segment's
+stroke is computed for the whole block in one vectorized pass. The pixels
+equal, bit for bit, those of the per-digit renderer, which the tests keep as
+the oracle (``tests/data_oracles.py``).
 
 ``synth_digits`` and ``subset_binary`` return a ``Dataset`` that owns the
 one float64 buffer of its rows: ``synth_digits`` shuffles its rendered rows
@@ -240,38 +245,67 @@ _DIGIT_SEGMENTS = {
     9: "ABCDFG",
 }
 
-_GRID_Y, _GRID_X = np.mgrid[0:28, 0:28].astype(np.float64)
+# pixel coordinates as a row (x) and a column (y), which broadcast to the grid
+_GRID_X = np.arange(28.0)
+_GRID_Y = _GRID_X[:, None]
+
+# the parameters each digit draws, in draw order, as uniform [low, high)
+# ranges: centre offsets, scale, shear and stroke thickness, then four
+# endpoint jitters per segment, then the ink scale
+_POSE_RANGES = ((-0.8, 0.8), (-0.8, 0.8), (11.5, 13.5), (14.5, 16.5), (-0.12, 0.12), (1.2, 1.8))
+_JITTER_RANGE = (-0.3, 0.3)
+_INK_RANGE = (0.9, 1.0)
+# digits rendered together; each scratch array of a block is 16 x 784 floats
+_RENDER_BLOCK = 16
 
 
-def _render_digit(digit: int, rng: np.random.Generator) -> np.ndarray:
+def _render_block(digit: int, rng: np.random.Generator, out: np.ndarray) -> None:
+    """Render ``len(out)`` instances of ``digit`` into ``out``, a
+    (count, 28, 28) float64 array.
+
+    Each instance draws from ``rng`` what it would draw alone, in the same
+    order: its pose, jitter and ink uniforms, then its 28x28 pixel noise. A
+    uniform on [low, high) is ``low + (high - low) * u``, as
+    ``Generator.uniform`` computes it. Each segment's stroke is then computed
+    for the whole block at once, with (count, 1, 1) parameters against the
+    pixel grid, in the elementwise order of one instance alone; so the
+    pixels equal those of rendering one digit at a time, bit for bit."""
+    names = _DIGIT_SEGMENTS[digit]
+    ranges = np.array(_POSE_RANGES + (_JITTER_RANGE,) * (4 * len(names)) + (_INK_RANGE,))
+    count = out.shape[0]
+    u = np.empty((count, len(ranges)))
+    noise = np.empty((count, 28, 28))
+    for i in range(count):
+        rng.random(out=u[i])
+        rng.standard_normal(out=noise[i])
+    low, high = ranges.T
+    params = (low + (high - low) * u)[:, :, None, None]
     # centered and size-normalized like scanned-digit corpora; robustness
     # hinges on pixel-aligned stroke cores existing across instances
-    cx = 13.5 + rng.uniform(-0.8, 0.8)
-    cy = 13.5 + rng.uniform(-0.8, 0.8)
-    sx = rng.uniform(11.5, 13.5)
-    sy = rng.uniform(14.5, 16.5)
-    shear = rng.uniform(-0.12, 0.12)
-    thickness = rng.uniform(1.2, 1.8)
-    img = np.zeros((28, 28))
-    for name in _DIGIT_SEGMENTS[digit]:
+    cx, cy = 13.5 + params[:, 0], 13.5 + params[:, 1]
+    sx, sy, shear, thickness = params[:, 2], params[:, 3], params[:, 4], params[:, 5]
+    out[:] = 0.0
+    for s, name in enumerate(names):
         (u0, v0), (u1, v1) = _SEGMENTS[name]
-        jit = rng.uniform(-0.3, 0.3, size=4)
-        x0 = cx + sx * (u0 - 0.5) + shear * sy * (v0 - 0.5) + jit[0]
-        y0 = cy + sy * (v0 - 0.5) + jit[1]
-        x1 = cx + sx * (u1 - 0.5) + shear * sy * (v1 - 0.5) + jit[2]
-        y1 = cy + sy * (v1 - 0.5) + jit[3]
+        jit = params[:, 6 + 4 * s:10 + 4 * s]
+        x0 = cx + sx * (u0 - 0.5) + shear * sy * (v0 - 0.5) + jit[:, 0]
+        y0 = cy + sy * (v0 - 0.5) + jit[:, 1]
+        x1 = cx + sx * (u1 - 0.5) + shear * sy * (v1 - 0.5) + jit[:, 2]
+        y1 = cy + sy * (v1 - 0.5) + jit[:, 3]
         dx, dy = x1 - x0, y1 - y0
+        # never near 0: a vertical segment spans at least sy/2 - 0.6 >= 6.65
+        # px (sy >= 14.5, each end jitters at most 0.3), a horizontal one at
+        # least sx - 0.6 >= 10.9 px, so norm_sq >= 44
         norm_sq = dx * dx + dy * dy
-        if norm_sq < 1e-12:
-            continue
         t = ((_GRID_X - x0) * dx + (_GRID_Y - y0) * dy) / norm_sq
-        t = np.clip(t, 0.0, 1.0)
+        np.clip(t, 0.0, 1.0, out=t)
         dist = np.hypot(_GRID_X - (x0 + t * dx), _GRID_Y - (y0 + t * dy))
         # near-binary strokes like scanned digits: saturated core, crisp edge
-        img = np.maximum(img, np.clip(1.6 * np.exp(-0.5 * (dist / thickness) ** 2), 0, 1))
-    img *= rng.uniform(0.9, 1.0)
-    img += 0.05 * rng.standard_normal((28, 28))
-    return np.clip(img, 0.0, 1.0)
+        np.maximum(out, np.clip(1.6 * np.exp(-0.5 * (dist / thickness) ** 2), 0, 1), out=out)
+    out *= params[:, -1]
+    noise *= 0.05
+    out += noise
+    np.clip(out, 0.0, 1.0, out=out)
 
 
 def synth_digits(n_per_class: int, classes=(5, 8), seed: int = 0) -> Dataset:
@@ -281,11 +315,10 @@ def synth_digits(n_per_class: int, classes=(5, 8), seed: int = 0) -> Dataset:
     n = n_per_class * len(classes)
     inputs = np.empty((n, 1, 28, 28))
     labels = np.zeros((n, len(classes)))
-    i = 0
     for ci, digit in enumerate(classes):
-        for _ in range(n_per_class):
-            inputs[i, 0] = _render_digit(digit, rng)
-            labels[i, ci] = 1.0
-            i += 1
+        rows = slice(ci * n_per_class, (ci + 1) * n_per_class)
+        for start in range(rows.start, rows.stop, _RENDER_BLOCK):
+            _render_block(digit, rng, inputs[start:min(start + _RENDER_BLOCK, rows.stop), 0])
+        labels[rows, ci] = 1.0
     permute_rows(rng.permutation(n), inputs, labels)
     return Dataset(Tensor(inputs), Tensor(labels))

@@ -27,12 +27,13 @@ whose rename commits the epoch; resume cuts the stream back to
 once their results are computed. One process per output directory: each
 command holds a lock file while it writes there.
 
-Data buffers: ``build_datasets`` owns the training pool it builds. Its
+Data buffers: ``build_train_val`` owns the training pool it builds. Its
 train and val splits are two slices of the pool's one float64 array,
 reordered in place; a ``Dataset`` that a caller holds is never reordered.
-For ``mnist_binary`` only the selected rows ever exist as float64, and
-``attack`` and ``smooth-eval`` build the eval split alone
-(``build_eval_dataset``).
+For ``mnist_binary`` only the selected rows ever exist as float64. ``train``
+builds no eval split, so it reads no t10k file; ``attack`` and
+``smooth-eval`` build the eval split alone (``build_eval_dataset``), and
+``evaluate`` builds both, the eval split before training starts.
 """
 from __future__ import annotations
 
@@ -164,9 +165,10 @@ def build_eval_dataset(spec: DataSpec, master_seed: int,
     return synth_two_gaussians(spec.n, spec.separation, seed=master_seed + 90_001)
 
 
-def build_datasets(spec: DataSpec, master_seed: int,
-                   data_dir: str | None = None) -> tuple[Dataset, Dataset, Dataset]:
-    """(train, val, eval) triple for the configured dataset kind.
+def build_train_val(spec: DataSpec, master_seed: int,
+                    data_dir: str | None = None) -> tuple[Dataset, Dataset]:
+    """(train, val) pair for the configured dataset kind, without the eval
+    split: for ``mnist_binary`` only the train files are read.
 
     The training pool is built here and belongs to this function. The split
     reorders its rows in place, by a permutation seeded with
@@ -185,7 +187,14 @@ def build_datasets(spec: DataSpec, master_seed: int,
         n_val = int(round(spec.val_fraction * pool.n))
         permute_rows(derive_rng(TRAIN_VAL_SEED, "train-val-split").permutation(pool.n), x, y)
     return (Dataset(x[n_val:], y[n_val:], pool.value_range),
-            Dataset(x[:n_val], y[:n_val], pool.value_range),
+            Dataset(x[:n_val], y[:n_val], pool.value_range))
+
+
+def build_datasets(spec: DataSpec, master_seed: int,
+                   data_dir: str | None = None) -> tuple[Dataset, Dataset, Dataset]:
+    """(train, val, eval) triple for the configured dataset kind:
+    :func:`build_train_val` and :func:`build_eval_dataset`."""
+    return (*build_train_val(spec, master_seed, data_dir),
             build_eval_dataset(spec, master_seed, data_dir))
 
 
@@ -404,23 +413,23 @@ def _output_dir(cfg: ExperimentConfig, override: str | None):
 
 
 def _training_datasets(cfg: ExperimentConfig, data_dir: str | None):
-    """``build_datasets``, refused when a split has no training row, or no
+    """``build_train_val``, refused when a split has no training row, or no
     validation row for robust early stopping."""
-    train_ds, val_ds, eval_ds = build_datasets(cfg.data, cfg.seed, data_dir)
+    train_ds, val_ds = build_train_val(cfg.data, cfg.seed, data_dir)
     if not train_ds.n:
         raise ConfigError(f"data.val_fraction {cfg.data.val_fraction:g} of {val_ds.n} rows "
                           "leaves 0 training rows; training needs at least one")
     if cfg.trainer.early_stop.metric == "robust" and not val_ds.n:
         raise ConfigError(f"data.val_fraction {cfg.data.val_fraction:g} of {train_ds.n} rows "
                           "rounds to 0 validation rows; robust early stopping needs at least one")
-    return train_ds, val_ds, eval_ds
+    return train_ds, val_ds
 
 
 def run_training(cfg: ExperimentConfig, output_dir: str | None = None,
                  resume: bool = False, stop_after: int | None = None,
                  data_dir: str | None = None) -> TrainerState:
     """Training with persistence only; no attack evaluation."""
-    train_ds, val_ds, _ = _training_datasets(cfg, data_dir)
+    train_ds, val_ds = _training_datasets(cfg, data_dir)
     with _output_dir(cfg, output_dir) as out:
         return train_with_persistence(cfg, out, train_ds, val_ds,
                                       resume=resume, stop_after=stop_after)
@@ -436,7 +445,8 @@ def run_experiment(cfg: ExperimentConfig, output_dir: str | None = None,
     (no report is produced for partial runs); a run that early stopping
     ended is finished.
     """
-    train_ds, val_ds, eval_ds = _training_datasets(cfg, data_dir)
+    train_ds, val_ds = _training_datasets(cfg, data_dir)
+    eval_ds = build_eval_dataset(cfg.data, cfg.seed, data_dir)
     with _output_dir(cfg, output_dir) as out:
         state = train_with_persistence(cfg, out, train_ds, val_ds,
                                        resume=resume, stop_after=stop_after)

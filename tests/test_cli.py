@@ -178,6 +178,23 @@ class TestPipeline:
         assert train_ds.n + val_ds.n == 20
         assert eval_ds.n == 20
 
+    def test_train_reads_no_test_files(self, tmp_path):
+        # only the train pair is on disk: training never reads the t10k
+        # pair, and a full run refuses before it trains
+        imgs = np.random.default_rng(0).integers(0, 256, size=(40, 28, 28), dtype=np.uint8)
+        write_idx(imgs, np.array([5, 8] * 20, dtype=np.uint8),
+                  tmp_path / "train-images-idx3-ubyte", tmp_path / "train-labels-idx1-ubyte")
+        tree = toy_tree(epochs=2)
+        tree["data"] = {"kind": "mnist_binary", "class_a": 5, "class_b": 8,
+                        "cap_per_class": 10}
+        tree["model"] = {"kind": "mlp", "widths": [784, 8, 2]}
+        cfg = parse_config_dict(tree)
+        state = run_training(cfg, output_dir=str(tmp_path / "train"), data_dir=str(tmp_path))
+        assert [r.epoch for r in state.history] == [1, 2]
+        with pytest.raises(ExperimentError, match="missing IDX file .*t10k-images"):
+            run_experiment(cfg, output_dir=str(tmp_path / "full"), data_dir=str(tmp_path))
+        assert not (tmp_path / "full").exists()
+
     def test_missing_mnist_errors(self, tmp_path):
         tree = toy_tree()
         tree["data"] = {"kind": "mnist_binary"}

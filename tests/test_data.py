@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atent.data import (
+    _RENDER_BLOCK,
     IMAGE_MAGIC,
     LABEL_MAGIC,
     Dataset,
@@ -347,6 +348,16 @@ class TestSplitTrainVal:
 
 
 class TestSynthDigits:
+    @pytest.mark.parametrize("seed", [0, 6, 41])
+    @pytest.mark.parametrize("classes", [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)])
+    def test_equals_the_per_digit_renderer(self, classes, seed):
+        # per-class counts of one digit, and on both sides of one and two
+        # whole blocks
+        b = _RENDER_BLOCK
+        for n in (1, b - 1, b, b + 1, 2 * b + 1):
+            _assert_same_dataset(synth_digits(n, classes, seed),
+                                 oracle.synth_digits(n, classes, seed))
+
     def test_deterministic_and_shaped(self):
         a = synth_digits(20, classes=(5, 8), seed=0)
         b = synth_digits(20, classes=(5, 8), seed=0)

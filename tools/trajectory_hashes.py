@@ -16,11 +16,11 @@ picks its kernel by CPU, and ``OPENBLAS_CORETYPE`` overrides the pick:
     python tools/trajectory_hashes.py --src src > change-haswell.txt
     diff parent-haswell.txt change-haswell.txt
 
-On a CPU where OpenBLAS picks SkylakeX by default, 31 of the 53 items
+On a CPU where OpenBLAS picks SkylakeX by default, 31 of the 54 items
 differ between the two kernels (every ``train/``, ``loss_and_grads/`` and
 ``resume/`` item among them), so the second run checks other arithmetic.
 
-Each line is ``<sha256>  <item>``. The 53 items are, but for the
+Each line is ``<sha256>  <item>``. The 54 items are, but for the
 ``data/`` ones, on a small MLP and on a CNN with two conv blocks, on
 ``digits_binary``:
 
@@ -62,11 +62,14 @@ Each line is ``<sha256>  <item>``. The 53 items are, but for the
   ``digits_binary`` with ``val_fraction`` 0.1 and 0, ``two_gaussians``, and
   ``mnist_binary`` read from a small random IDX pair that the script writes
   to a temporary directory, whose ``cap_per_class`` exceeds the rows of a
-  class.
+  class;
+- ``data/digits_all_glyphs``: the input and label bytes of ``synth_digits``
+  for each class pair of ``GLYPH_PAIRS``, which cover all ten digits, at
+  ``GLYPH_ROWS`` per class, not a whole number of render blocks.
 
 That is 11 ``config/``, 14 ``train/``, 8 ``attack/``, 9
 ``loss_and_grads/``, 2 ``smooth_accuracy/``, 3 ``logits/``, 1 ``accuracy/``,
-1 ``resume/`` and 4 ``data/`` items.
+1 ``resume/`` and 5 ``data/`` items.
 
 The trees are imported from ``--src`` alone; BLAS is pinned to one thread,
 as in the benchmark. The package does not import this script.
@@ -125,6 +128,9 @@ DATA_SPECS = {
     "mnist_binary": {"kind": "mnist_binary", "class_a": 3, "class_b": 7,
                      "cap_per_class": 25, "val_fraction": 0.25},
 }
+# the ``data/digits_all_glyphs`` item: every digit, with a last short block
+GLYPH_PAIRS = ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9))
+GLYPH_ROWS = 21
 ATTACKS = [
     {"kind": "fgsm", "norm": "linf", "radius": 0.1},
     {"kind": "pgd", "norm": "linf", "radius": 0.1, "steps": 3, "step_size": 0.05,
@@ -216,7 +222,7 @@ def digest(*values) -> str:
 
 def items():
     """(item, sha256) for every hashed result, in a fixed order."""
-    from atent import attacks, config, defenses, experiment, models, smoothing
+    from atent import attacks, config, data, defenses, experiment, models, smoothing
     from atent.seeding import derive_rng
 
     trees = [config_tree(m, d) for m in MODELS for d in DEFENSES] + [FULL_TREE]
@@ -303,6 +309,8 @@ def items():
         for name, spec in DATA_SPECS.items():
             splits = experiment.build_datasets(config.DataSpec(**spec), 302, idx_dir)
             yield f"data/{name}", digest([(ds.inputs.data, ds.labels.data) for ds in splits])
+    glyphs = [data.synth_digits(GLYPH_ROWS, pair, seed=302) for pair in GLYPH_PAIRS]
+    yield "data/digits_all_glyphs", digest([(ds.inputs.data, ds.labels.data) for ds in glyphs])
 
 
 def main(argv=None) -> int:
