@@ -30,9 +30,11 @@ EXIT_VERIFY = 3
 
 def _add_common(p: argparse.ArgumentParser, checkpoint_required=False) -> None:
     p.add_argument("config", help="experiment config (JSON)")
-    p.add_argument("--output-dir", default=None, help="override the config's output dir")
+    p.add_argument("--output-dir", default=None,
+                   help="output directory (default: the config's output_dir, else runs/<name>)")
     p.add_argument("--data-dir", default=None,
-                   help="IDX data directory (default: $ATENT_DATA_DIR)")
+                   help="IDX data directory (default: the config's data.data_dir, "
+                        "else $ATENT_DATA_DIR, else the working directory)")
     if checkpoint_required:
         p.add_argument("--checkpoint", required=True, help="model checkpoint to load")
 
@@ -74,12 +76,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config(args):
+    """The parsed config, with ``--output-dir`` and ``--data-dir`` written into it."""
+    cfg = parse_config(args.config)
+    cfg.output_dir = args.output_dir or cfg.output_dir
+    cfg.data.data_dir = args.data_dir or cfg.data.data_dir
+    return cfg
+
+
 def _cmd_train(args) -> int:
     from .experiment import run_training
 
-    cfg = parse_config(args.config)
-    state = run_training(cfg, output_dir=args.output_dir, resume=args.resume,
-                         stop_after=args.stop_after, data_dir=args.data_dir)
+    state = run_training(_config(args), resume=args.resume, stop_after=args.stop_after)
     last = state.history[-1] if state.history else None
     if last is not None:
         rob = "-" if last.rob_acc is None else f"{last.rob_acc:.4f}"
@@ -93,9 +101,7 @@ def _cmd_train(args) -> int:
 def _cmd_attack(args) -> int:
     from .experiment import evaluate_checkpoint
 
-    cfg = parse_config(args.config)
-    rows = evaluate_checkpoint(cfg, args.checkpoint, output_dir=args.output_dir,
-                               data_dir=args.data_dir)
+    rows = evaluate_checkpoint(_config(args), args.checkpoint)
     print(report_to_csv(rows), end="")
     return EXIT_OK
 
@@ -103,9 +109,7 @@ def _cmd_attack(args) -> int:
 def _cmd_evaluate(args) -> int:
     from .experiment import run_experiment
 
-    cfg = parse_config(args.config)
-    rows = run_experiment(cfg, output_dir=args.output_dir, resume=args.resume,
-                          data_dir=args.data_dir)
+    rows = run_experiment(_config(args), resume=args.resume)
     print(report_to_csv(rows), end="")
     return EXIT_OK
 
@@ -113,9 +117,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_smooth_eval(args) -> int:
     from .experiment import smooth_evaluate
 
-    cfg = parse_config(args.config)
-    result = smooth_evaluate(cfg, args.checkpoint, output_dir=args.output_dir,
-                             data_dir=args.data_dir)
+    result = smooth_evaluate(_config(args), args.checkpoint)
     print(f"smooth accuracy (sigma={result['sigma']:g}, "
           f"n={result['n_samples']}): {result['smooth_accuracy']:.4f}")
     return EXIT_OK

@@ -27,6 +27,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 from .attacks import ATENT_ATTACK, FGSM, PGD, AttackConfig
 from .defenses import TrainerConfig
+from .models import expected_shapes
 from .smoothing import SmoothingConfig
 
 
@@ -75,14 +76,19 @@ class DataSpec:
                 raise ValueError(f"class_a and class_b must differ, both are {self.class_a}")
 
 
+class _Model:
+    def __post_init__(self):  # the rule is the models module's; a TensorError is a ValueError
+        expected_shapes(vars(self))
+
+
 @dataclass
-class _Mlp:
+class _Mlp(_Model):
     kind: str
     widths: list[int]
 
 
 @dataclass
-class _Cnn:
+class _Cnn(_Model):
     kind: str
     channels: list[int]
     fc_widths: list[int]
@@ -111,6 +117,8 @@ class ExperimentConfig:
         if self.trainer.early_stop.metric == "robust" and self.data.val_fraction == 0:
             raise ValueError("robust early stopping needs validation rows: "
                              "data.val_fraction must be positive")
+        if self.eval_batch_size < 1:
+            raise ValueError(f"eval_batch_size must be at least 1, got {self.eval_batch_size}")
 
 
 def _join(path: str, key: str) -> str:

@@ -71,6 +71,8 @@ class TrainerConfig:
             raise ValueError(f"unknown defense {self.defense!r}")
         if self.lr < 0:
             raise ValueError("lr must be nonnegative")
+        if any(factor < 0 for _, factor in self.lr_schedule or ()):
+            raise ValueError(f"lr_schedule factors must be nonnegative, got {self.lr_schedule}")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:

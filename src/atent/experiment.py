@@ -34,6 +34,10 @@ For ``mnist_binary`` only the selected rows ever exist as float64. ``train``
 builds no eval split, so it reads no t10k file; ``attack`` and
 ``smooth-eval`` build the eval split alone (``build_eval_dataset``), and
 ``evaluate`` builds both, the eval split before training starts.
+
+Entry points read the output directory from ``cfg.output_dir`` (else
+``runs/<name>``) and the IDX directory from ``cfg.data.data_dir`` (else
+``$ATENT_DATA_DIR``, else ``.``); the CLI writes its flags into both.
 """
 from __future__ import annotations
 
@@ -145,28 +149,25 @@ def _mnist_paths(data_dir: Path, prefix: str) -> tuple[Path, Path]:
     return out[0], out[1]
 
 
-def _mnist_binary(spec: DataSpec, master_seed: int, data_dir: str | None,
-                  prefix: str) -> Dataset:
-    root = Path(data_dir or spec.data_dir or os.environ.get(DATA_DIR_ENV, "."))
+def _mnist_binary(spec: DataSpec, master_seed: int, prefix: str) -> Dataset:
+    root = Path(spec.data_dir or os.environ.get(DATA_DIR_ENV, "."))
     images, digits = read_idx_pair(*_mnist_paths(root, prefix))
     return subset_binary(images, digits, spec.class_a, spec.class_b,
                          spec.cap_per_class, seed=master_seed)
 
 
-def build_eval_dataset(spec: DataSpec, master_seed: int,
-                       data_dir: str | None = None) -> Dataset:
+def build_eval_dataset(spec: DataSpec, master_seed: int) -> Dataset:
     """The eval split of the configured dataset kind, built alone: for
     ``mnist_binary`` only the t10k files are read."""
     if spec.kind == "mnist_binary":
-        return _mnist_binary(spec, master_seed, data_dir, "t10k")
+        return _mnist_binary(spec, master_seed, "t10k")
     if spec.kind == "digits_binary":
         return synth_digits(max(50, spec.n_per_class // 4), (spec.class_a, spec.class_b),
                             seed=master_seed + 90_001)
     return synth_two_gaussians(spec.n, spec.separation, seed=master_seed + 90_001)
 
 
-def build_train_val(spec: DataSpec, master_seed: int,
-                    data_dir: str | None = None) -> tuple[Dataset, Dataset]:
+def build_train_val(spec: DataSpec, master_seed: int) -> tuple[Dataset, Dataset]:
     """(train, val) pair for the configured dataset kind, without the eval
     split: for ``mnist_binary`` only the train files are read.
 
@@ -175,7 +176,7 @@ def build_train_val(spec: DataSpec, master_seed: int,
     ``TRAIN_VAL_SEED``, and returns val and train as the two slices of its
     one array; with ``val_fraction`` 0 the pool keeps its order."""
     if spec.kind == "mnist_binary":
-        pool = _mnist_binary(spec, master_seed, data_dir, "train")
+        pool = _mnist_binary(spec, master_seed, "train")
     elif spec.kind == "digits_binary":
         pool = synth_digits(spec.n_per_class, (spec.class_a, spec.class_b),
                             seed=master_seed)
@@ -190,12 +191,10 @@ def build_train_val(spec: DataSpec, master_seed: int,
             Dataset(x[:n_val], y[:n_val], pool.value_range))
 
 
-def build_datasets(spec: DataSpec, master_seed: int,
-                   data_dir: str | None = None) -> tuple[Dataset, Dataset, Dataset]:
+def build_datasets(spec: DataSpec, master_seed: int) -> tuple[Dataset, Dataset, Dataset]:
     """(train, val, eval) triple for the configured dataset kind:
     :func:`build_train_val` and :func:`build_eval_dataset`."""
-    return (*build_train_val(spec, master_seed, data_dir),
-            build_eval_dataset(spec, master_seed, data_dir))
+    return (*build_train_val(spec, master_seed), build_eval_dataset(spec, master_seed))
 
 
 # ---------------------------------------------------------------------------
@@ -404,18 +403,18 @@ def _write_evaluation(rows: list[EvalRow], params: ModelParams,
 
 
 @contextmanager
-def _output_dir(cfg: ExperimentConfig, override: str | None):
+def _output_dir(cfg: ExperimentConfig):
     """The run's output directory, made if missing and locked for the block."""
-    out = Path(override or cfg.output_dir or f"runs/{cfg.name}")
+    out = Path(cfg.output_dir or f"runs/{cfg.name}")
     out.mkdir(parents=True, exist_ok=True)
     with output_lock(out):
         yield out
 
 
-def _training_datasets(cfg: ExperimentConfig, data_dir: str | None):
+def _training_datasets(cfg: ExperimentConfig):
     """``build_train_val``, refused when a split has no training row, or no
     validation row for robust early stopping."""
-    train_ds, val_ds = build_train_val(cfg.data, cfg.seed, data_dir)
+    train_ds, val_ds = build_train_val(cfg.data, cfg.seed)
     if not train_ds.n:
         raise ConfigError(f"data.val_fraction {cfg.data.val_fraction:g} of {val_ds.n} rows "
                           "leaves 0 training rows; training needs at least one")
@@ -425,56 +424,41 @@ def _training_datasets(cfg: ExperimentConfig, data_dir: str | None):
     return train_ds, val_ds
 
 
-def run_training(cfg: ExperimentConfig, output_dir: str | None = None,
-                 resume: bool = False, stop_after: int | None = None,
-                 data_dir: str | None = None) -> TrainerState:
+def run_training(cfg: ExperimentConfig, resume: bool = False,
+                 stop_after: int | None = None) -> TrainerState:
     """Training with persistence only; no attack evaluation."""
-    train_ds, val_ds = _training_datasets(cfg, data_dir)
-    with _output_dir(cfg, output_dir) as out:
+    train_ds, val_ds = _training_datasets(cfg)
+    with _output_dir(cfg) as out:
         return train_with_persistence(cfg, out, train_ds, val_ds,
                                       resume=resume, stop_after=stop_after)
 
 
-def run_experiment(cfg: ExperimentConfig, output_dir: str | None = None,
-                   resume: bool = False, stop_after: int | None = None,
-                   data_dir: str | None = None) -> list[EvalRow] | None:
-    """Train (or resume), evaluate every configured attack at the
-    early-stopped snapshot, and write report/metrics/checkpoints.
-
-    Returns None when ``stop_after`` interrupted training before it finished
-    (no report is produced for partial runs); a run that early stopping
-    ended is finished.
-    """
-    train_ds, val_ds = _training_datasets(cfg, data_dir)
-    eval_ds = build_eval_dataset(cfg.data, cfg.seed, data_dir)
-    with _output_dir(cfg, output_dir) as out:
-        state = train_with_persistence(cfg, out, train_ds, val_ds,
-                                       resume=resume, stop_after=stop_after)
-        if not training_finished(state, cfg.trainer):
-            return None
+def run_experiment(cfg: ExperimentConfig, resume: bool = False) -> list[EvalRow]:
+    """Train (or resume) to the end, evaluate every configured attack at the
+    early-stopped snapshot, and write report/metrics/checkpoints."""
+    train_ds, val_ds = _training_datasets(cfg)
+    eval_ds = build_eval_dataset(cfg.data, cfg.seed)
+    with _output_dir(cfg) as out:
+        state = train_with_persistence(cfg, out, train_ds, val_ds, resume=resume)
         params = state.snapshot_params()
         rows = evaluate_attacks(cfg, params, eval_ds)
         _write_evaluation(rows, params, eval_ds, out)
         return rows
 
 
-def evaluate_checkpoint(cfg: ExperimentConfig, checkpoint_path,
-                        output_dir: str | None = None,
-                        data_dir: str | None = None) -> list[EvalRow]:
+def evaluate_checkpoint(cfg: ExperimentConfig, checkpoint_path) -> list[EvalRow]:
     """Attack evaluation of a stored checkpoint (no training), written as
     :func:`run_experiment` writes it. The output directory is made only once
     every attack has run."""
     params = load_checkpoint(checkpoint_path)
-    eval_ds = build_eval_dataset(cfg.data, cfg.seed, data_dir)
+    eval_ds = build_eval_dataset(cfg.data, cfg.seed)
     rows = evaluate_attacks(cfg, params, eval_ds)
-    with _output_dir(cfg, output_dir) as out:
+    with _output_dir(cfg) as out:
         _write_evaluation(rows, params, eval_ds, out)
     return rows
 
 
-def smooth_evaluate(cfg: ExperimentConfig, checkpoint_path,
-                    output_dir: str | None = None,
-                    data_dir: str | None = None) -> dict:
+def smooth_evaluate(cfg: ExperimentConfig, checkpoint_path) -> dict:
     """Smoothed accuracy of a stored checkpoint on the eval split, written
     to ``smooth.json`` once it is computed. ``cfg.smoothing.n_samples`` is
     the vote budget per example: the result is the outcome of counting all
@@ -483,13 +467,13 @@ def smooth_evaluate(cfg: ExperimentConfig, checkpoint_path,
     if cfg.smoothing is None:
         raise ConfigError("config has no smoothing section")
     params = load_checkpoint(checkpoint_path)
-    eval_ds = build_eval_dataset(cfg.data, cfg.seed, data_dir)
+    eval_ds = build_eval_dataset(cfg.data, cfg.seed)
     result = {
         "sigma": cfg.smoothing.sigma,
         "n_samples": cfg.smoothing.n_samples,
         "abstain_margin": cfg.smoothing.abstain_margin,
         "smooth_accuracy": smooth_accuracy(params, eval_ds, cfg.smoothing),
     }
-    with _output_dir(cfg, output_dir) as out:
+    with _output_dir(cfg) as out:
         atomic_write_text(out / "smooth.json", json.dumps(result, indent=2, sort_keys=True))
     return result

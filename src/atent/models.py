@@ -125,14 +125,24 @@ def _cnn_dims(descriptor: dict) -> tuple[list[int], int]:
 
 
 def expected_shapes(descriptor: dict) -> dict[str, tuple[int, ...]]:
+    """The weight shapes of ``descriptor``; a :class:`TensorError` names the
+    first rule of its kind that it breaks."""
     kind = descriptor["kind"]
     shapes: dict[str, tuple[int, ...]] = {}
     if kind == "mlp":
         widths = descriptor["widths"]
+        if len(widths) < 2:
+            raise TensorError("an MLP needs at least input and output widths")
+        if any(w < 1 for w in widths):
+            raise TensorError("layer widths must be positive")
         for i in range(len(widths) - 1):
             shapes[f"w{i}"] = (widths[i], widths[i + 1])
             shapes[f"b{i}"] = (widths[i + 1],)
     elif kind == "cnn":
+        if not descriptor["channels"] or not descriptor["fc_widths"]:
+            raise TensorError("need at least one conv block and one dense layer")
+        if any(n < 1 for key in ("in_shape", "channels", "fc_widths") for n in descriptor[key]):
+            raise TensorError("in_shape, channel counts and widths must be positive")
         channels, flat = _cnn_dims(descriptor)
         prev = descriptor["in_shape"][0]
         for i, ch in enumerate(channels):
@@ -162,27 +172,16 @@ def _he_init(descriptor: dict, seed: int) -> list[tuple[str, Tensor]]:
 
 
 def build_mlp(layer_widths, seed: int) -> ModelParams:
-    widths = [int(w) for w in layer_widths]
-    if len(widths) < 2:
-        raise TensorError("an MLP needs at least input and output widths")
-    if any(w < 1 for w in widths):
-        raise TensorError("layer widths must be positive")
-    descriptor = {"kind": "mlp", "widths": widths}
+    descriptor = {"kind": "mlp", "widths": [int(w) for w in layer_widths]}
     return ModelParams(descriptor, _he_init(descriptor, seed))
 
 
 def build_small_cnn(channels, fc_widths, seed: int, in_shape=(1, 28, 28)) -> ModelParams:
-    channels = [int(c) for c in channels]
-    fc_widths = [int(w) for w in fc_widths]
-    if not channels or not fc_widths:
-        raise TensorError("need at least one conv block and one dense layer")
-    if any(c < 1 for c in channels) or any(w < 1 for w in fc_widths):
-        raise TensorError("channel counts and widths must be positive")
     descriptor = {
         "kind": "cnn",
         "in_shape": tuple(int(s) for s in in_shape),
-        "channels": channels,
-        "fc_widths": fc_widths,
+        "channels": [int(c) for c in channels],
+        "fc_widths": [int(w) for w in fc_widths],
     }
     return ModelParams(descriptor, _he_init(descriptor, seed))
 

@@ -38,6 +38,11 @@ def toy_tree(name="toy", epochs=3, **overrides):
     return tree
 
 
+def in_dir(cfg, out):
+    """``cfg`` with ``out`` as its output directory."""
+    return dataclasses.replace(cfg, output_dir=str(out))
+
+
 def write_cfg(tmp_path, tree, fname="cfg.json"):
     path = tmp_path / fname
     path.write_text(json.dumps(tree))
@@ -47,15 +52,15 @@ def write_cfg(tmp_path, tree, fname="cfg.json"):
 class TestPipeline:
     def test_zero_radius_attack_row_equals_natural(self, tmp_path):
         cfg = parse_config_dict(toy_tree())
-        report = run_experiment(cfg, output_dir=str(tmp_path / "out"))
+        report = run_experiment(in_dir(cfg, tmp_path / "out"))
         zero = report[0]
         assert zero.epsilon == 0.0
         assert zero.robust_acc == zero.natural_acc
 
     def test_bitwise_deterministic_outputs(self, tmp_path):
         cfg = parse_config_dict(toy_tree())
-        run_experiment(cfg, output_dir=str(tmp_path / "a"))
-        run_experiment(cfg, output_dir=str(tmp_path / "b"))
+        run_experiment(in_dir(cfg, tmp_path / "a"))
+        run_experiment(in_dir(cfg, tmp_path / "b"))
         for fname in ("report.csv", "metrics.jsonl", "last.ckpt", "best.ckpt",
                       "decision.svg"):
             fa = tmp_path / "a" / fname
@@ -67,12 +72,11 @@ class TestPipeline:
         cfg = parse_config_dict(toy_tree(epochs=4))
         full = tmp_path / "full"
         split = tmp_path / "split"
-        run_experiment(cfg, output_dir=str(full))
-        partial = run_experiment(cfg, output_dir=str(split), stop_after=2)
-        assert partial is None
+        run_experiment(in_dir(cfg, full))
+        run_training(in_dir(cfg, split), stop_after=2)
         assert (split / "metrics.jsonl.partial").exists()
         assert not (split / "report.csv").exists()
-        run_experiment(cfg, output_dir=str(split), resume=True)
+        run_experiment(in_dir(cfg, split), resume=True)
         names = sorted(p.name for p in full.iterdir())
         assert names == sorted(p.name for p in split.iterdir())
         for fname in ("report.csv", "metrics.jsonl", "last.ckpt", "best.ckpt"):
@@ -86,9 +90,9 @@ class TestPipeline:
     def test_resume_of_finished_run_is_stable(self, tmp_path):
         cfg = parse_config_dict(toy_tree(epochs=2))
         out = tmp_path / "out"
-        run_experiment(cfg, output_dir=str(out))
+        run_experiment(in_dir(cfg, out))
         first = {p.name: p.read_bytes() for p in out.iterdir()}
-        run_experiment(cfg, output_dir=str(out), resume=True)
+        run_experiment(in_dir(cfg, out), resume=True)
         # the history is read back from metrics.jsonl; every file keeps its bytes
         assert {p.name: p.read_bytes() for p in out.iterdir()} == first
 
@@ -96,19 +100,18 @@ class TestPipeline:
         # no lr decay, so 2 epochs then 2 more retrace a 4-epoch run; the
         # resumed history comes from the finished run's metrics.jsonl
         full, out = tmp_path / "full", tmp_path / "out"
-        run_experiment(parse_config_dict(toy_tree(epochs=4)), output_dir=str(full))
-        run_experiment(parse_config_dict(toy_tree(epochs=2)), output_dir=str(out))
+        run_experiment(in_dir(parse_config_dict(toy_tree(epochs=4)), full))
+        run_experiment(in_dir(parse_config_dict(toy_tree(epochs=2)), out))
         assert not (out / "metrics.jsonl.partial").exists()
-        run_experiment(parse_config_dict(toy_tree(epochs=4)), output_dir=str(out),
-                       resume=True)
+        run_experiment(in_dir(parse_config_dict(toy_tree(epochs=4)), out), resume=True)
         _same_files(full, out)
 
     def test_resume_rejects_other_experiment(self, tmp_path):
         out = tmp_path / "out"
-        run_experiment(parse_config_dict(toy_tree(epochs=2)), output_dir=str(out))
+        run_experiment(in_dir(parse_config_dict(toy_tree(epochs=2)), out))
         other = parse_config_dict(toy_tree(name="other", epochs=2))
         with pytest.raises(ExperimentError, match="different experiment"):
-            run_experiment(other, output_dir=str(out), resume=True)
+            run_experiment(in_dir(other, out), resume=True)
 
     def test_resume_ignores_best_robust_acc_of_an_older_header(self, tmp_path):
         # headers written before the counter was dropped still carry it
@@ -116,14 +119,14 @@ class TestPipeline:
         tree["trainer"]["early_stop"] = {"metric": "robust",
                                          "eval_attack": {"kind": "fgsm", "radius": 0.1}}
         cfg = parse_config_dict(tree)
-        full = run_training(cfg, output_dir=str(tmp_path / "full"))
+        full = run_training(in_dir(cfg, tmp_path / "full"))
         out = tmp_path / "out"
-        first = run_training(cfg, output_dir=str(out), stop_after=2)
+        first = run_training(in_dir(cfg, out), stop_after=2)
         last = out / "last.ckpt"
         params, counters = checkpoint.read_checkpoint(last)
         counters["best_robust_acc"] = first.history[first.best_epoch - 1].rob_acc
         last.write_bytes(checkpoint.checkpoint_bytes(params, counters))
-        resumed = run_training(cfg, output_dir=str(out), resume=True)
+        resumed = run_training(in_dir(cfg, out), resume=True)
         assert (resumed.best_epoch, resumed.best_metric) == (full.best_epoch, full.best_metric)
         for name in full.params.names:
             assert np.array_equal(resumed.params.weights[name].data,
@@ -171,10 +174,9 @@ class TestPipeline:
                       tmp_path / f"{prefix}-labels-idx1-ubyte")
         tree = toy_tree()
         tree["data"] = {"kind": "mnist_binary", "class_a": 5, "class_b": 8,
-                        "cap_per_class": 10}
+                        "cap_per_class": 10, "data_dir": str(tmp_path)}
         cfg = parse_config_dict(tree)
-        train_ds, val_ds, eval_ds = build_datasets(cfg.data, cfg.seed,
-                                                   data_dir=str(tmp_path))
+        train_ds, val_ds, eval_ds = build_datasets(cfg.data, cfg.seed)
         assert train_ds.n + val_ds.n == 20
         assert eval_ds.n == 20
 
@@ -186,28 +188,28 @@ class TestPipeline:
                   tmp_path / "train-images-idx3-ubyte", tmp_path / "train-labels-idx1-ubyte")
         tree = toy_tree(epochs=2)
         tree["data"] = {"kind": "mnist_binary", "class_a": 5, "class_b": 8,
-                        "cap_per_class": 10}
+                        "cap_per_class": 10, "data_dir": str(tmp_path)}
         tree["model"] = {"kind": "mlp", "widths": [784, 8, 2]}
         cfg = parse_config_dict(tree)
-        state = run_training(cfg, output_dir=str(tmp_path / "train"), data_dir=str(tmp_path))
+        state = run_training(in_dir(cfg, tmp_path / "train"))
         assert [r.epoch for r in state.history] == [1, 2]
         with pytest.raises(ExperimentError, match="missing IDX file .*t10k-images"):
-            run_experiment(cfg, output_dir=str(tmp_path / "full"), data_dir=str(tmp_path))
+            run_experiment(in_dir(cfg, tmp_path / "full"))
         assert not (tmp_path / "full").exists()
 
     def test_missing_mnist_errors(self, tmp_path):
         tree = toy_tree()
-        tree["data"] = {"kind": "mnist_binary"}
+        tree["data"] = {"kind": "mnist_binary", "data_dir": str(tmp_path / "nowhere")}
         cfg = parse_config_dict(tree)
         with pytest.raises(ExperimentError, match="missing IDX"):
-            build_datasets(cfg.data, cfg.seed, data_dir=str(tmp_path / "nowhere"))
+            build_datasets(cfg.data, cfg.seed)
 
     @pytest.mark.parametrize("patience", [1, 2, 3])
     def test_patience_without_validation_never_stops(self, tmp_path, patience):
         tree = toy_tree(epochs=10)
         tree["data"]["val_fraction"] = 0.0
         tree["trainer"]["early_stop"] = {"patience": patience}
-        state = run_training(parse_config_dict(tree), output_dir=str(tmp_path / "out"))
+        state = run_training(in_dir(parse_config_dict(tree), tmp_path / "out"))
         assert [r.epoch for r in state.history] == list(range(1, 11))
         assert state.best_epoch == -1
 
@@ -239,8 +241,7 @@ class TestEpochCommit:
 
     def test_best_only_on_improvement(self, tmp_path, writes):
         log, stream_lines = writes
-        state = run_training(parse_config_dict(toy_tree(epochs=6)),
-                             output_dir=str(tmp_path / "out"))
+        state = run_training(in_dir(parse_config_dict(toy_tree(epochs=6)), tmp_path / "out"))
         accs = [r.nat_acc for r in state.history]
         assert accs[0] < accs[1] >= max(accs[2:])
         steady = ["last.ckpt"]
@@ -256,12 +257,12 @@ class TestEpochCommit:
     def test_resumed_process_writes_best_once(self, tmp_path, writes):
         log, stream_lines = writes
         cfg = parse_config_dict(toy_tree(epochs=6))
-        run_training(cfg, output_dir=str(tmp_path / "full"))
+        run_training(in_dir(cfg, tmp_path / "full"))
         split = tmp_path / "split"
-        run_training(cfg, output_dir=str(split), stop_after=3)
+        run_training(in_dir(cfg, split), stop_after=3)
         log[:] = [[]]
         stream_lines.clear()
-        run_training(cfg, output_dir=str(split), resume=True)
+        run_training(in_dir(cfg, split), resume=True)
         steady = ["last.ckpt"]
         assert log == [["best.ckpt", "last.ckpt"], steady, steady, ["metrics.jsonl"]]
         assert stream_lines == [4, 5, 6]
@@ -295,7 +296,7 @@ class TestCrashResume:
     @pytest.fixture(scope="class")
     def full(self, tmp_path_factory):
         out = tmp_path_factory.mktemp("full")
-        run_experiment(parse_config_dict(toy_tree(epochs=6)), output_dir=str(out))
+        run_experiment(in_dir(parse_config_dict(toy_tree(epochs=6)), out))
         return out
 
     @pytest.mark.parametrize("point", _commit_points(), ids=lambda p: f"{p[0]}-e{p[1]}")
@@ -321,15 +322,15 @@ class TestCrashResume:
             m.setattr(checkpoint, "atomic_write_bytes", dying)
             m.setattr(experiment, "atomic_write_bytes", dying)
             with pytest.raises(_Crash):
-                run_experiment(cfg, output_dir=str(out))
+                run_experiment(in_dir(cfg, out))
         if (out / "last.ckpt").exists():
-            run_experiment(cfg, output_dir=str(out), resume=True)
+            run_experiment(in_dir(cfg, out), resume=True)
         else:  # died in the first epoch: nothing committed, start again
             with pytest.raises(ExperimentError, match="nothing to resume"):
-                run_experiment(cfg, output_dir=str(out), resume=True)
+                run_experiment(in_dir(cfg, out), resume=True)
             # the new run's stream starts empty, so it resumes too
-            run_experiment(cfg, output_dir=str(out), stop_after=3)
-            run_experiment(cfg, output_dir=str(out), resume=True)
+            run_training(in_dir(cfg, out), stop_after=3)
+            run_experiment(in_dir(cfg, out), resume=True)
         _same_files(full, out)
 
     @pytest.mark.parametrize("tail", [
@@ -339,14 +340,14 @@ class TestCrashResume:
     def test_stream_past_the_checkpoint_is_cut(self, tmp_path, full, tail):
         cfg = parse_config_dict(toy_tree(epochs=6))
         out = tmp_path / "out"
-        run_experiment(cfg, output_dir=str(out), stop_after=3)
+        run_training(in_dir(cfg, out), stop_after=3)
         lines = (full / "metrics.jsonl").read_text().splitlines(keepends=True)
         partial = out / "metrics.jsonl.partial"
         with open(partial, "a", encoding="utf-8") as f:
             f.write(lines[3] if tail == "whole" else lines[3][:20])
-        run_experiment(cfg, output_dir=str(out), resume=True, stop_after=5)
+        run_training(in_dir(cfg, out), resume=True, stop_after=5)
         assert partial.read_text() == "".join(lines[:5])
-        run_experiment(cfg, output_dir=str(out), resume=True)
+        run_experiment(in_dir(cfg, out), resume=True)
         _same_files(full, out)
 
     @pytest.mark.parametrize("defect, message", [
@@ -358,7 +359,7 @@ class TestCrashResume:
     def test_stream_behind_the_checkpoint_is_refused(self, tmp_path, defect, message):
         cfg = parse_config_dict(toy_tree(epochs=6))
         out = tmp_path / "out"
-        run_experiment(cfg, output_dir=str(out), stop_after=3)
+        run_training(in_dir(cfg, out), stop_after=3)
         partial = out / "metrics.jsonl.partial"
         lines = partial.read_text().splitlines(keepends=True)
         if defect == "short":
@@ -372,7 +373,7 @@ class TestCrashResume:
         partial.write_text("".join(lines))
         before = partial.read_bytes()
         with pytest.raises(ExperimentError, match=message) as info:
-            run_experiment(cfg, output_dir=str(out), resume=True)
+            run_experiment(in_dir(cfg, out), resume=True)
         assert str(partial) in str(info.value)
         assert partial.read_bytes() == before
 
@@ -483,6 +484,45 @@ class TestCliCommands:
         assert (attacked / "decision.svg").read_bytes() == (out / "decision.svg").read_bytes()
         assert (attacked / "report.csv").read_bytes() == (out / "report.csv").read_bytes()
 
+    @pytest.mark.parametrize("winner", ["flag", "key", "env", "cwd"])
+    def test_data_dir_precedence(self, tmp_path, monkeypatch, winner):
+        # --data-dir, then data.data_dir, then $ATENT_DATA_DIR, then the working
+        # directory: each level from the winner down names a directory, and only
+        # the winner's holds the IDX files, so reading any other one fails
+        order = ["flag", "key", "env", "cwd"]
+        dirs = {level: tmp_path / level for level in order[order.index(winner):]}
+        for d in dirs.values():
+            d.mkdir()
+        imgs = np.random.default_rng(0).integers(0, 256, size=(20, 28, 28), dtype=np.uint8)
+        write_idx(imgs, np.array([5, 8] * 10, dtype=np.uint8),
+                  dirs[winner] / "train-images-idx3-ubyte",
+                  dirs[winner] / "train-labels-idx1-ubyte")
+        data = {"kind": "mnist_binary", "cap_per_class": 10}
+        if "key" in dirs:
+            data["data_dir"] = str(dirs["key"])
+        monkeypatch.delenv("ATENT_DATA_DIR", raising=False)
+        if "env" in dirs:
+            monkeypatch.setenv("ATENT_DATA_DIR", str(dirs["env"]))
+        monkeypatch.chdir(dirs["cwd"])
+        flag = ["--data-dir", str(dirs["flag"])] if "flag" in dirs else []
+        tree = toy_tree(epochs=1, data=data, model={"kind": "mlp", "widths": [784, 4, 2]})
+        assert main(["train", str(write_cfg(tmp_path, tree)),
+                     "--output-dir", str(tmp_path / "out"), *flag]) == 0
+
+    @pytest.mark.parametrize("winner", ["flag", "key", "default"])
+    def test_output_dir_precedence(self, tmp_path, monkeypatch, winner):
+        # --output-dir, then the output_dir key, then runs/<name>
+        monkeypatch.chdir(tmp_path)
+        dirs = {"flag": tmp_path / "flagged", "key": tmp_path / "keyed",
+                "default": tmp_path / "runs" / "toy"}
+        tree = toy_tree(epochs=1)
+        if winner != "default":
+            tree["output_dir"] = str(dirs["key"])
+        flag = ["--output-dir", str(dirs["flag"])] if winner == "flag" else []
+        assert main(["train", str(write_cfg(tmp_path, tree)), *flag]) == 0
+        assert [d for d in dirs.values() if d.exists()] == [dirs[winner]]
+        assert (dirs[winner] / "last.ckpt").exists()
+
     def test_verify_subcommand_lemma1(self, tmp_path, capsys):
         assert main(["verify", "--suite", "lemma1",
                      "--output-dir", str(tmp_path / "v")]) == 0
@@ -552,6 +592,23 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith("config error: data: ") and key in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t: t.update(eval_batch_size=0), "eval_batch_size must be at least 1, got 0"),
+        (lambda t: t["trainer"].update(lr_schedule=[[2, -1.0]]),
+         "trainer: lr_schedule factors must be nonnegative"),
+        (lambda t: t.update(model={"kind": "mlp", "widths": [2, 0, 2]}),
+         "model: layer widths must be positive"),
+    ], ids=["eval_batch_size", "lr_schedule", "model"])
+    def test_value_the_run_cannot_use_is_config_error(self, tmp_path, capsys, edit, message):
+        # refused when the config is read, before any file is written
+        tree = toy_tree()
+        edit(tree)
+        out = tmp_path / "out"
+        assert main(["evaluate", str(write_cfg(tmp_path, tree)), "--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}") and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("defect", ["descriptor", "entry_name"])
@@ -650,9 +707,9 @@ class TestCliCommands:
         cfg = parse_config_dict(toy_tree(epochs=3))
         cfg = dataclasses.replace(cfg, trainer=dataclasses.replace(cfg.trainer, lr=1))
         out = tmp_path / "out"
-        run_training(cfg, output_dir=str(out), stop_after=2)
+        run_training(in_dir(cfg, out), stop_after=2)
         assert '"lr": 1,' in (out / "metrics.jsonl.partial").read_text()
-        state = run_training(cfg, output_dir=str(out), resume=True)
+        state = run_training(in_dir(cfg, out), resume=True)
         assert [r.lr for r in state.history] == [1, 1, 1]
 
     @pytest.mark.parametrize("command", ["attack", "smooth-eval"])

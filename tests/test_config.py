@@ -249,6 +249,21 @@ class TestStrictValues:
         (lambda t: t.update(model={"kind": "mlp", "widths": [2, 5.0, 2]}), "model.widths[1]"),
         (lambda t: t.update(model={"kind": "mlp", "widths": ["2", 5, 2]}), "model.widths[0]"),
         (lambda t: t["data"].update(kind=3), "data.kind: unknown dataset kind"),
+        # values of the right type that the run cannot use
+        (lambda t: t.update(eval_batch_size=0), "eval_batch_size must be at least 1, got 0"),
+        (lambda t: t.update(eval_batch_size=-1), "eval_batch_size must be at least 1, got -1"),
+        (lambda t: t["trainer"].update(lr_schedule=[[1, 0.5], [2, -1.0]]),
+         "trainer: lr_schedule factors must be nonnegative, got [(1, 0.5), (2, -1.0)]"),
+        (lambda t: t.update(model={"kind": "mlp", "widths": [784, 0, 2]}),
+         "model: layer widths must be positive"),
+        (lambda t: t.update(model={"kind": "mlp", "widths": [784]}),
+         "model: an MLP needs at least input and output widths"),
+        (lambda t: t["model"].update(channels=[]),
+         "model: need at least one conv block and one dense layer"),
+        (lambda t: t["model"].update(in_shape=[0, 12, 12]),
+         "model: in_shape, channel counts and widths must be positive"),
+        (lambda t: t["model"].update(in_shape=[1, 1, 1]),
+         "model: input (1, 1, 1) too small for 1 pool stages"),
     ])
     def test_malformed_value_names_its_path(self, edit, path):
         tree = full_tree()
@@ -357,6 +372,12 @@ class TestStrictValues:
     def test_data_the_data_layer_cannot_build_is_refused(self, data, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_config_dict(minimal_tree(data=data))
+
+    def test_lr_schedule_factor_zero_is_allowed(self):
+        # as lr 0 is: the run trains on with a zero step
+        tree = minimal_tree()
+        tree["trainer"]["lr_schedule"] = [[2, 0.0]]
+        assert parse_config_dict(tree).trainer.schedule() == [(2, 0.0)]
 
     def test_null_section_is_absent(self):
         cfg = parse_config_dict(minimal_tree(smoothing=None))

@@ -315,8 +315,8 @@ class TestSplitTrainVal:
         train_pair = _write_mnist_pair(tmp_path, "train", 120, seed=8)
         test_pair = _write_mnist_pair(tmp_path, "t10k", 60, seed=9)
         spec = DataSpec(kind="mnist_binary", class_a=2, class_b=6, cap_per_class=9,
-                        val_fraction=0.25)
-        got = build_datasets(spec, 11, data_dir=str(tmp_path))
+                        data_dir=str(tmp_path), val_fraction=0.25)
+        got = build_datasets(spec, 11)
         pool = oracle.subset_binary(oracle.load_mnist_idx(*train_pair), 2, 6, 9, seed=11)
         want = oracle.split_train_val(pool, 0.25) + (
             oracle.subset_binary(oracle.load_mnist_idx(*test_pair), 2, 6, 9, seed=11),)
@@ -325,10 +325,11 @@ class TestSplitTrainVal:
 
     def test_eval_split_alone_reads_no_training_file(self, tmp_path):
         _write_mnist_pair(tmp_path, "t10k", 60, seed=9)
-        spec = DataSpec(kind="mnist_binary", class_a=2, class_b=6, cap_per_class=9)
-        alone = build_eval_dataset(spec, 11, data_dir=str(tmp_path))
+        spec = DataSpec(kind="mnist_binary", class_a=2, class_b=6, cap_per_class=9,
+                        data_dir=str(tmp_path))
+        alone = build_eval_dataset(spec, 11)
         _write_mnist_pair(tmp_path, "train", 120, seed=8)
-        _assert_same_dataset(alone, build_datasets(spec, 11, data_dir=str(tmp_path))[2])
+        _assert_same_dataset(alone, build_datasets(spec, 11)[2])
 
     def test_mnist_holds_only_the_selected_rows_in_float64(self, tmp_path):
         # the whole 10,000-image file in float64 is 62.7 MB; its raw bytes
@@ -336,10 +337,10 @@ class TestSplitTrainVal:
         # bytes but the kept rows' is copied; this build peaks at 2.7 MB
         for prefix in ("train", "t10k"):
             _write_mnist_pair(tmp_path, prefix, 10_000, seed=1)
-        spec = DataSpec(kind="mnist_binary", cap_per_class=100)
+        spec = DataSpec(kind="mnist_binary", cap_per_class=100, data_dir=str(tmp_path))
         tracemalloc.start()
         try:
-            splits = build_datasets(spec, 0, data_dir=str(tmp_path))
+            splits = build_datasets(spec, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

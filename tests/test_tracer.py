@@ -66,7 +66,7 @@ def test_traced_persisted_training_counts_each_commit_write(tmp_path):
     # 3 epochs, stopped after the first and resumed; validation accuracy
     # improves at epochs 1 and 2
     cfg = parse_config_dict({
-        "name": "toy", "seed": 9,
+        "name": "toy", "seed": 9, "output_dir": str(tmp_path),
         "data": {"kind": "two_gaussians", "n": 120, "separation": 5.0},
         "model": {"kind": "mlp", "widths": [2, 8, 2]},
         "trainer": {"defense": "sgd", "lr": 0.3, "epochs": 3, "batch_size": 32,
@@ -78,8 +78,8 @@ def test_traced_persisted_training_counts_each_commit_write(tmp_path):
     tracer = tr.Tracer()
     patcher = tr.install(tracer, atent)
     try:
-        atent.experiment.run_training(cfg, output_dir=str(tmp_path), stop_after=1)
-        state = atent.experiment.run_training(cfg, output_dir=str(tmp_path), resume=True)
+        atent.experiment.run_training(cfg, stop_after=1)
+        state = atent.experiment.run_training(cfg, resume=True)
     finally:
         patcher.restore()
     assert state.best_epoch == 2

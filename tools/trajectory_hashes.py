@@ -307,7 +307,7 @@ def items():
         write_idx_pair(Path(idx_dir), "train", 200, seed=1)
         write_idx_pair(Path(idx_dir), "t10k", 100, seed=2)
         for name, spec in DATA_SPECS.items():
-            splits = experiment.build_datasets(config.DataSpec(**spec), 302, idx_dir)
+            splits = experiment.build_datasets(config.DataSpec(**spec, data_dir=idx_dir), 302)
             yield f"data/{name}", digest([(ds.inputs.data, ds.labels.data) for ds in splits])
     glyphs = [data.synth_digits(GLYPH_ROWS, pair, seed=302) for pair in GLYPH_PAIRS]
     yield "data/digits_all_glyphs", digest([(ds.inputs.data, ds.labels.data) for ds in glyphs])
