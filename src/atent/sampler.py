@@ -6,9 +6,12 @@ penalty for the sup-norm chain, realized by the P_gamma clamp of its last
 increment to [-1/gamma, 1/gamma]. Partition functions are never computed;
 the Langevin drift of log-density cancels them.
 
-``run_chain`` is the input chain of ATENT. ``l2_chain`` is the one loop of
-l2 steps on a caller's gradient: Entropy-SGD's weight chain runs it on the
-negated loss gradient, and ``verify`` runs scalar chains on it.
+``run_chain`` is the input chain of ATENT. In training mode it returns the
+loss EMA and the outer gradient and keeps no iterate; in sampling mode, the
+ATENT attack's, it returns the iterates and no loss. ``l2_chain`` is the
+one loop of l2 steps on a caller's gradient: Entropy-SGD's weight chain
+runs it on the negated loss gradient, and ``verify`` runs scalar chains on
+it.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Batch, ModelParams, batch_loss, loss_and_grads
+from .models import Batch, ModelParams, loss_and_grads
 from .tensor import NonFiniteError
 
 L2 = "l2"
@@ -70,8 +73,12 @@ class GibbsSamplerConfig:
 
 @dataclass
 class ChainRun:
+    """What ``run_chain`` returns: in sampling mode the iterates x'^1..x'^K
+    and no loss or gradient; in training mode no iterate (``samples`` is
+    empty), the loss EMA and the outer gradient."""
+
     samples: list[np.ndarray]
-    ema_loss: float
+    ema_loss: float | None
     weight_grads: dict[str, np.ndarray] | None = None
 
 
@@ -173,15 +180,20 @@ def run_chain(
     rng: np.random.Generator,
     weight_grads: bool = False,
 ) -> ChainRun:
-    """Initialize with a normal perturbation, run K Langevin steps with
-    per-sample own-loss input gradients, and accumulate the loss EMA
-    mu <- (1-alpha) mu + alpha * L(w; x'^k), mu^0 = 0.
+    """Initialize with a normal perturbation and run K Langevin steps with
+    per-sample own-loss input gradients.
 
-    With ``weight_grads`` the same recurrence over the weight gradients of
-    the mean loss at x'^1..x'^K (zero start) gives ATENT's outer gradient in
+    In sampling mode (``weight_grads`` off) the chain makes K input-gradient
+    passes, at x'^0..x'^(K-1), and returns the iterates x'^1..x'^K in
+    ``ChainRun.samples``, with ``ema_loss`` and ``weight_grads`` None.
+
+    In training mode it keeps no iterate (``samples`` is empty). It
+    accumulates the loss EMA mu <- (1-alpha) mu + alpha * L(w; x'^k),
+    mu^0 = 0, and the same recurrence over the weight gradients of the mean
+    loss at x'^1..x'^K (zero start), ATENT's outer gradient, in
     ``ChainRun.weight_grads``. Each sample takes one pass: x'^0 for input
-    gradients, x'^1..x'^(K-1) for both, x'^K for weight gradients only, or
-    forward-only (``batch_loss``) when ``weight_grads`` is off.
+    gradients, x'^1..x'^(K-1) for both, x'^K for weight gradients only.
+    Both modes draw the same numbers and visit the same iterates.
 
     Iterate clipping follows ``batch.value_range``. When the batch declares
     a range, the initial point and every iterate are clipped back into it:
@@ -194,21 +206,20 @@ def run_chain(
     anchor = batch.inputs.data
     x_prime = _clip_range(init_perturbation(anchor, cfg, rng), batch)
     _, _, grad_x = loss_and_grads(params, batch.with_inputs(x_prime), wrt="inputs")
+    if not weight_grads:
+        samples = []
+        for k in range(1, cfg.steps + 1):
+            x_prime = _clip_range(langevin_step(x_prime, anchor, grad_x, cfg, rng, k), batch)
+            samples.append(x_prime)
+            if k < cfg.steps:
+                _, _, grad_x = loss_and_grads(params, batch.with_inputs(x_prime), wrt="inputs")
+        return ChainRun(samples=samples, ema_loss=None)
     alpha, ema_loss = cfg.ema, 0.0
-    inner_wrt = "both" if weight_grads else "inputs"
-    acc = {name: np.zeros(t.shape) for name, t in params.weights.items()} if weight_grads else None
-    samples: list[np.ndarray] = []
+    acc = {name: np.zeros(t.shape) for name, t in params.weights.items()}
     for k in range(1, cfg.steps + 1):
         x_prime = _clip_range(langevin_step(x_prime, anchor, grad_x, cfg, rng, k), batch)
-        at_k = batch.with_inputs(x_prime)
-        if k < cfg.steps:
-            loss, wg, grad_x = loss_and_grads(params, at_k, wrt=inner_wrt)
-        elif weight_grads:
-            loss, wg, _ = loss_and_grads(params, at_k, wrt="weights")
-        else:
-            loss = batch_loss(params, at_k)
+        loss, wg, grad_x = loss_and_grads(params, batch.with_inputs(x_prime),
+                                          wrt="both" if k < cfg.steps else "weights")
         ema_loss = (1.0 - alpha) * ema_loss + alpha * loss
-        if weight_grads:
-            acc = {name: (1.0 - alpha) * acc[name] + alpha * wg[name] for name in acc}
-        samples.append(x_prime)
-    return ChainRun(samples=samples, ema_loss=ema_loss, weight_grads=acc)
+        acc = {name: (1.0 - alpha) * acc[name] + alpha * wg[name] for name in acc}
+    return ChainRun(samples=[], ema_loss=ema_loss, weight_grads=acc)

@@ -502,15 +502,16 @@ def _fold_same(dcols: np.ndarray, kh: int, kw: int, dx: np.ndarray) -> None:
         dx[:, :, lo + d:hi + d] += dc[:, :, t, lo:hi]
 
 
-# Column-buffer elements conv_block unfolds at a time (4 MiB of float64).
-# The GEMMs run once per sample at any span, so the span trades the number
-# of passes over the spans against the size of the arenas. Median minor
-# faults per unit, read with getrusage around each unit of 12 s benchmark
-# runs at seeds 2, 7 and 11: at 1 << 19, 0 on cnn_atent_train and 0 on
-# cnn_attack_eval; at 1 << 17, 901 and 3.7k-5.4k, though cnn_atent_train's
-# peak RSS fell from 47.2-47.3 to 44.9 MB. An untaped forward of many
-# samples reaches conv_block in spans of models._FORWARD_SPAN samples, fewer
-# than this budget takes at either block of the benchmark CNN (74 and 37).
+# Column-buffer elements conv_block's forward unfolds at a time (4 MiB of
+# float64); its pull uses half of it. The GEMMs run once per sample at any
+# span, so the span trades the number of passes over the spans against the
+# size of the arenas. Median minor faults per unit, read with getrusage
+# around each unit of 12 s benchmark runs at seeds 2, 7 and 11: at 1 << 19,
+# 0 on cnn_atent_train and 0 on cnn_attack_eval; at 1 << 17, 901 and
+# 3.7k-5.4k, though cnn_atent_train's peak RSS fell from 47.2-47.3 to 44.9
+# MB. An untaped forward of many samples reaches conv_block in spans of
+# models._FORWARD_SPAN samples, fewer than this budget takes at either block
+# of the benchmark CNN (74 and 37).
 _BLOCK_COLS = 1 << 19
 
 
@@ -528,21 +529,24 @@ def conv_block(x: Tensor, kernels: Tensor, bias: Tensor, pool: int = 2) -> Tenso
     ReLU is monotone, so it commutes with the max. Under a tape that tracks
     any operand the first maximum of each window is recorded, as in
     :func:`max_pool2d`, in the smallest integer dtype that holds pool*pool -
-    1 (uint8 up to pool 16). The pull makes the same pass over the spans:
-    it scatters the pooled gradient to the winners, unfolds each span again
-    for ``dk`` rather than keeping the columns on the tape, folds the column
-    gradients straight into ``dx`` (:func:`_fold_same`), and computes
-    ``dx``, ``dk`` and ``db`` only for tracked operands (``None`` for the
-    others). ``db`` is summed from the pooled gradient, so it can differ
-    from the unfused ops' in the last bits.
+    1 (uint8 up to pool 16). The pull makes a like pass over spans of half
+    as many column elements: it scatters the pooled gradient to the winners,
+    unfolds each span again for ``dk`` rather than keeping the columns on
+    the tape, folds the column gradients straight into ``dx``
+    (:func:`_fold_same`), and computes ``dx``, ``dk`` and ``db`` only for
+    tracked operands (``None`` for the others). ``db`` is summed from the
+    pooled gradient, so it can differ from the unfused ops' in the last
+    bits.
 
     All of a call's scratch comes from one float64 arena per direction,
     reused by every span: the forward's holds the pre-activation and the
     columns, the pull's the scattered pooled gradient and one column buffer,
-    which holds ``dk``'s columns and then ``dx``'s column gradients. That
-    one allocation per direction is the largest block a pass frees, so
-    glibc's dynamic mmap and trim thresholds adapt to it and the next call
-    reuses its pages instead of refaulting them (see :data:`_BLOCK_COLS`).
+    which holds ``dk``'s columns and then ``dx``'s column gradients. With
+    its half spans the pull's arena is at most half the forward's largest:
+    it is live while backprop holds the most, and the bits are those of any
+    span. The forward's arena is the largest block a call frees, so glibc's
+    dynamic mmap and trim thresholds adapt to it and the next call reuses
+    its pages instead of refaulting them (see :data:`_BLOCK_COLS`).
     """
     if x.data.ndim != 4 or kernels.data.ndim != 4:
         raise TensorError(f"conv_block expects 4-D input/kernels, got {x.shape}, {kernels.shape}")
@@ -562,20 +566,20 @@ def conv_block(x: Tensor, kernels: Tensor, bias: Tensor, pool: int = 2) -> Tenso
     want_dx, want_dk, want_db = (tape is not None and tape._tracks(t) for t in (x, kernels, bias))
     track = want_dx or want_dk or want_db
     km = kernels.data.reshape(cout, cin * kh * kw)
-    block = max(1, _BLOCK_COLS // (cin * kh * kw * h * w))
-    spans = [(i, min(i + block, n)) for i in range(0, n, block)]
-    m = min(block, n)
 
-    def arena():
-        """A span's (m, cout, h*w) buffer and its (m, cin*kh*kw, h*w)
-        columns, cut from one allocation."""
+    def arena(budget):
+        """The spans of as many samples as fit ``budget`` column elements,
+        and a span's (m, cout, h*w) buffer and (m, cin*kh*kw, h*w) columns,
+        cut from one allocation."""
+        m = min(max(1, budget // (cin * kh * kw * h * w)), n)
         buf = np.empty(m * (cout + cin * kh * kw) * h * w)
-        return (buf[:m * cout * h * w].reshape(m, cout, h * w),
+        return ([(i, min(i + m, n)) for i in range(0, n, m)],
+                buf[:m * cout * h * w].reshape(m, cout, h * w),
                 buf[m * cout * h * w:].reshape(m, cin * kh * kw, h * w))
 
     out = np.empty((n, cout, ph, pw))
     winner = np.empty(out.shape, dtype=np.min_scalar_type(pool * pool - 1)) if track else None
-    pre, cols = arena()
+    spans, pre, cols = arena(_BLOCK_COLS)
     for i, j in spans:
         a, c = pre[:j - i], cols[:j - i]
         _unfold_same(x.data[i:j], kh, kw, c)
@@ -593,7 +597,7 @@ def conv_block(x: Tensor, kernels: Tensor, bias: Tensor, pool: int = 2) -> Tenso
             return None, None, db
         dk = np.empty((n, cout, cin * kh * kw)) if want_dk else None
         dx = np.empty(x.shape) if want_dx else None
-        ga, dcols = arena()
+        spans, ga, dcols = arena(_BLOCK_COLS // 2)
         ga.fill(0.0)  # cells outside every window stay 0
         for i, j in spans:
             gb, c = ga[:j - i], dcols[:j - i]

@@ -177,16 +177,18 @@ def gradient_suite() -> list[CheckResult]:
             f"worst rel err {worst:.3e} <= {GRAD_TOL:g}"))
 
     # the chain's fused outer gradient is sum_k c_k grad_w L(w; x'_k) with
-    # the samples frozen, and equals the separate-pass reference bitwise
+    # the samples frozen, and equals the separate-pass reference bitwise; a
+    # training run keeps no iterate, so a sampling run on its stream gives them
     scfg = GibbsSamplerConfig(gamma=1.5, step=0.1, steps=3, noise_scale=0.2, ema=0.6)
     for name, params, batch in (cases[0], cases[2]):
         run = run_chain(params, batch, scfg, derive_rng(4), weight_grads=True)
+        samples = run_chain(params, batch, scfg, derive_rng(4)).samples
         coeff = [scfg.ema * (1.0 - scfg.ema) ** (scfg.steps - k) for k in range(1, scfg.steps + 1)]
         worst = _worst_weight_error(
             params, lambda: sum(c * batch_loss(params, batch.with_inputs(x))
-                                for c, x in zip(coeff, run.samples)),
+                                for c, x in zip(coeff, samples)),
             run.weight_grads)
-        ref = atent_outer_gradient(params, batch, run.samples, scfg.ema)
+        ref = atent_outer_gradient(params, batch, samples, scfg.ema)
         same = all(np.array_equal(run.weight_grads[n], ref[n]) for n in ref)
         results.append(CheckResult(
             "gradients", f"ATENT outer gradient {name}", worst <= GRAD_TOL and same,

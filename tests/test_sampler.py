@@ -1,11 +1,13 @@
 """Langevin neighborhood sampler: step arithmetic, projections, chains."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import atent.models
 import atent.sampler
 from atent.attacks import AttackConfig, run_attack
 from atent.models import Batch, build_mlp, build_small_cnn, loss_and_grads
@@ -203,14 +205,14 @@ class TestRunChain:
     def test_alpha_one_gives_final_sample_loss(self):
         p, batch = self._constant_loss_setup()
         cfg = _cfg(gamma=2.0, step=0.05, steps=4, ema=1.0, init_radius=0.1)
-        run = run_chain(p, batch, cfg, derive_rng(0))
+        run = run_chain(p, batch, cfg, derive_rng(0), weight_grads=True)
         assert run.ema_loss == pytest.approx(math.log(2), abs=1e-12)
 
     def test_constant_loss_geometric_series(self):
         p, batch = self._constant_loss_setup()
         alpha, k = 0.3, 7
         cfg = _cfg(gamma=2.0, step=0.05, steps=k, ema=alpha, init_radius=0.1)
-        run = run_chain(p, batch, cfg, derive_rng(1))
+        run = run_chain(p, batch, cfg, derive_rng(1), weight_grads=True)
         expected = math.log(2) * (1.0 - (1.0 - alpha) ** k)
         assert run.ema_loss == pytest.approx(expected, abs=1e-12)
 
@@ -223,13 +225,14 @@ class TestRunChain:
         eta, gamma = 0.2, 1.5
         cfg = _cfg(gamma=gamma, step=eta, steps=1, ema=1.0, init_radius=0.0)
         run = run_chain(p, batch, cfg, derive_rng(0))
+        trained = run_chain(p, batch, cfg, derive_rng(0), weight_grads=True)
         # own-loss gradient at x0: -2 * (1 - sigmoid(2 x0))
         p0 = 1.0 / (1.0 + math.exp(-2 * x0))
         g = -2.0 * (1.0 - p0)
         x1 = x0 + eta * (g + gamma * (x0 - x0))
         assert run.samples[-1][0, 0] == pytest.approx(x1, abs=1e-15)
         expected_loss = math.log(1.0 + math.exp(-2 * x1))
-        assert run.ema_loss == pytest.approx(expected_loss, abs=1e-12)
+        assert trained.ema_loss == pytest.approx(expected_loss, abs=1e-12)
         assert len(run.samples) == 1
 
     def test_seeded_determinism(self):
@@ -239,9 +242,13 @@ class TestRunChain:
         cfg = _cfg(gamma=1.0, step=0.1, steps=5, noise_scale=0.5, ema=0.9)
         a = run_chain(p, batch, cfg, derive_rng(123))
         b = run_chain(p, batch, cfg, derive_rng(123))
-        assert a.ema_loss == b.ema_loss
+        assert len(a.samples) == len(b.samples) == 5
         for sa, sb in zip(a.samples, b.samples):
             assert np.array_equal(sa, sb)
+        a = run_chain(p, batch, cfg, derive_rng(123), weight_grads=True)
+        b = run_chain(p, batch, cfg, derive_rng(123), weight_grads=True)
+        assert a.ema_loss == b.ema_loss
+        assert all(np.array_equal(a.weight_grads[n], b.weight_grads[n]) for n in a.weight_grads)
 
     def _range_leaving_chain(self, value_range):
         # MLP [1,2], w = [[1, -1]]; true class 0, so ascent drives x down,
@@ -261,6 +268,24 @@ class TestRunChain:
     def test_no_value_range_leaves_chain_unclipped(self):
         run = self._range_leaving_chain(None)
         assert min(s.min() for s in run.samples) < 0.0
+
+    def test_training_chain_peak_memory(self):
+        # the benchmark's ATENT CNN at batch 32, K 5, l-inf: the training
+        # chain keeps no iterate and conv_block's pull works in half spans,
+        # so the chain peaks at 6.4 MB traced; keeping the iterates and
+        # sizing the pull's arena like the forward's, it peaked at 8.2 MB
+        rng = np.random.default_rng(8)
+        p = build_small_cnn([8, 16], [32, 2], seed=0)
+        batch = Batch(rng.random((32, 1, 28, 28)), np.eye(2)[rng.integers(0, 2, 32)], (0.0, 1.0))
+        cfg = _cfg(gamma=5.0, step=0.01, steps=5, noise_scale=0.01, ema=0.5, norm="linf")
+        run_chain(p, batch, cfg, derive_rng(1), weight_grads=True)
+        tracemalloc.start()
+        try:
+            run_chain(p, batch, cfg, derive_rng(1), weight_grads=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.0e6, f"run_chain peaked at {peak / 1e6:.2f} MB"
 
 
 def _all_inputs_chain(params, batch, cfg, rng):
@@ -305,13 +330,13 @@ class TestFusedChain:
         cfg = _cfg(gamma=2.0, step=0.1, steps=steps, noise_scale=0.05, ema=0.7,
                    init_radius=0.2, norm=norm)
         samples, ema = _all_inputs_chain(p, batch, cfg, derive_rng(9))
-        for weight_grads in (False, True):
-            run = run_chain(p, batch, cfg, derive_rng(9), weight_grads=weight_grads)
-            assert (run.weight_grads is not None) == weight_grads
-            assert run.ema_loss == ema
-            assert len(run.samples) == steps
-            assert all(np.array_equal(a, b) for a, b in zip(run.samples, samples))
+        run = run_chain(p, batch, cfg, derive_rng(9))
+        assert run.ema_loss is None and run.weight_grads is None
+        assert len(run.samples) == steps
+        assert all(np.array_equal(a, b) for a, b in zip(run.samples, samples))
         assert value_range is None or all(s.min() >= 0.0 and s.max() <= 1.0 for s in samples)
+        run = run_chain(p, batch, cfg, derive_rng(9), weight_grads=True)
+        assert run.samples == [] and run.ema_loss == ema
         ref = atent_outer_gradient(p, batch, samples, cfg.ema)
         assert run.weight_grads.keys() == ref.keys()
         for name in ref:
@@ -319,20 +344,22 @@ class TestFusedChain:
 
 
 def _count_passes(monkeypatch):
-    """Counts the chain's loss_and_grads calls by ``wrt`` and its batch_loss calls."""
-    counts = {"inputs": 0, "both": 0, "weights": 0, "batch_loss": 0}
-    real_lg, real_bl = atent.sampler.loss_and_grads, atent.sampler.batch_loss
+    """Counts the chain's loss_and_grads calls by ``wrt``, and as "forward"
+    the model forwards made outside them."""
+    counts = {"inputs": 0, "both": 0, "weights": 0, "forward": 0}
+    real_lg, real_fwd = atent.sampler.loss_and_grads, atent.models.forward_logits
 
     def lg(params, batch, wrt="weights"):
         counts[wrt] += 1
+        counts["forward"] -= 1
         return real_lg(params, batch, wrt=wrt)
 
-    def bl(params, batch):
-        counts["batch_loss"] += 1
-        return real_bl(params, batch)
+    def fwd(params, inputs):
+        counts["forward"] += 1
+        return real_fwd(params, inputs)
 
     monkeypatch.setattr(atent.sampler, "loss_and_grads", lg)
-    monkeypatch.setattr(atent.sampler, "batch_loss", bl)
+    monkeypatch.setattr(atent.models, "forward_logits", fwd)
     return counts
 
 
@@ -342,16 +369,16 @@ class TestChainPasses:
         counts = _count_passes(monkeypatch)
         p, batch = _model_and_batch("cnn", (0.0, 1.0))
         run_chain(p, batch, _cfg(steps=steps, noise_scale=0.1), derive_rng(0), weight_grads=True)
-        assert counts == {"inputs": 1, "both": steps - 1, "weights": 1, "batch_loss": 0}
+        assert counts == {"inputs": 1, "both": steps - 1, "weights": 1, "forward": 0}
 
     @pytest.mark.parametrize("steps", [1, 5])
-    def test_attack_chain_makes_k_input_passes_and_one_forward(self, monkeypatch, steps):
+    def test_attack_chain_makes_k_input_passes_and_no_forward(self, monkeypatch, steps):
         counts = _count_passes(monkeypatch)
         p, batch = _model_and_batch("cnn", (0.0, 1.0))
         cfg = _cfg(gamma=5.0, step=0.5, steps=steps, noise_scale=0.01, norm="linf")
         run_attack(p, batch, AttackConfig(kind="atent", norm="linf", radius=0.1, seed=2,
                                           sampler=cfg))
-        assert counts == {"inputs": steps, "both": 0, "weights": 0, "batch_loss": 1}
+        assert counts == {"inputs": steps, "both": 0, "weights": 0, "forward": 0}
 
     @pytest.mark.parametrize("kind", ["mlp", "cnn"])
     def test_attack_equals_all_inputs_chain_bitwise(self, kind):

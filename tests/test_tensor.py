@@ -369,7 +369,9 @@ class TestConvBlock:
     def test_batch_over_three_blocks_taped_equals_untaped_and_unfused(self, size, pool):
         cin, h, w = 2, size, size
         block = tc._BLOCK_COLS // (cin * 9 * h * w)
-        n = 3 * block + 5  # three whole blocks and a partial one
+        # three whole blocks and a partial one; the pull's spans are half
+        # as long, so it works through six and a partial one
+        n = 3 * block + 5
         rng = np.random.default_rng(23)
         x0 = rng.random((n, cin, h, w))
         k0 = rng.normal(size=(3, cin, 3, 3))
