@@ -14,9 +14,10 @@ whose composition it replaces and which stay as its reference; ``sum_all``,
 one cache-blocked pass that computes the same values as those ops composed.
 ``conv2d`` unfolds a zero-padded copy of its input (:func:`_im2col`,
 :func:`_col2im`); ``conv_block``, always stride 1 with "same" padding,
-unfolds and folds each flattened input plane as shifted runs
-(:func:`_unfold_same`, :func:`_fold_same`) with the same values bit for bit,
-so ``conv2d`` is an independent reference for it.
+unfolds each flattened input plane as shifted runs (:func:`_unfold_same`)
+and folds each tap back as one shifted run over the whole flattened
+gradient (:func:`_fold_same`), with the same values bit for bit, so
+``conv2d`` is an independent reference for it.
 
 Finiteness: a ``Tensor`` checks the values it is built from, so every op's
 inputs are finite. ``matmul``, ``add``, ``sum_all``, ``conv2d`` and
@@ -36,6 +37,8 @@ Typical use::
     grads = backward(tape, loss)   # {w: Tensor, b: Tensor}
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -410,7 +413,8 @@ def max_pool2d(x: Tensor, size: int = 2) -> Tensor:
     return _emit((x,), out, pull, "max_pool2d", checked=True)
 
 
-def _pool_max(x: np.ndarray, size: int, out: np.ndarray, winner: np.ndarray | None) -> None:
+def _pool_max(x: np.ndarray, size: int, out: np.ndarray, winner: np.ndarray | None,
+              stage: np.ndarray | None = None) -> None:
     """Max of ``x`` over non-overlapping size*size windows into ``out``.
 
     When ``winner`` is given, the index t of each window's first maximum
@@ -418,16 +422,23 @@ def _pool_max(x: np.ndarray, size: int, out: np.ndarray, winner: np.ndarray | No
     any integer dtype that holds size*size - 1 will do. It is kept as a
     running max of t * (view t > max so far), which is exact: a later view
     wins only when strictly greater, and its index then exceeds every
-    earlier one."""
+    earlier one. Each later view is then first copied into ``stage``, a
+    C-contiguous float64 buffer of ``out``'s shape (allocated here when not
+    given), so that both comparisons read contiguous memory; without
+    ``winner`` the views are read in place and ``stage`` is not used."""
     taps = _taps(size, size, size, *out.shape[2:])
     _, _, rows, cs = next(taps)
     np.copyto(out, x[:, :, rows, cs])
     if winner is not None:
         winner.fill(0)
         won = np.empty(out.shape, dtype=bool)
+        if stage is None:
+            stage = np.empty(out.shape)
     for t, (_, _, rows, cs) in enumerate(taps, start=1):
         v = x[:, :, rows, cs]
         if winner is not None:
+            np.copyto(stage, v)
+            v = stage
             np.greater(v, out, out=won)
             np.maximum(winner, won * winner.dtype.type(t), out=winner)
         np.maximum(out, v, out=out)
@@ -483,23 +494,41 @@ def _unfold_same(x: np.ndarray, kh: int, kw: int, cols: np.ndarray) -> None:
             grid[:, :, t, :, wrap] = 0.0
 
 
-def _fold_same(dcols: np.ndarray, kh: int, kw: int, dx: np.ndarray) -> None:
+def _fold_same(dcols: np.ndarray, kh: int, kw: int, dx: np.ndarray, run: np.ndarray) -> None:
     """Input gradient from the column gradients ``dcols`` (n, cin*kh*kw, h*w)
     of :func:`_unfold_same`, written into the C-contiguous ``dx`` (n, cin, h,
     w) and bitwise equal to :func:`_col2im`: the taps are added onto zeros in
-    the same order, each as one shifted run. ``dcols`` is overwritten with
-    0.0 at the columns a tap reads across a row end, so a wrapped add adds
-    +0.0, which leaves every sum unchanged (a sum that starts from +0.0 is
-    never -0.0)."""
+    the same order. Each tap's column gradients are first copied into
+    ``run``, a C-contiguous float64 buffer of n*cin*h*w elements, with 0.0
+    where the tap reads the padding (both ends of each plane's run and the
+    columns that wrap), and ``run`` is then added onto the flattened ``dx``
+    at the tap's offset as one 1-D run. A tap that reaches past a plane so
+    adds +0.0 to the next plane, which leaves every sum unchanged (a sum that
+    starts from +0.0 is never -0.0). ``dcols`` is not written to."""
     n, cin, h, w = dx.shape
     dc = dcols.reshape(n, cin, kh * kw, h * w)
-    grid = dc.reshape(n, cin, kh * kw, h, w)
-    dx = dx.reshape(n, cin, h * w)
+    planes = run.reshape(n, cin, h * w)
+    grid = run.reshape(n, cin, h, w)
+    flat, dx = run.reshape(-1), dx.reshape(-1)
     dx.fill(0.0)
     for t, d, lo, hi, wrap in _same_taps(h, w, kh, kw):
+        planes[:, :, lo:hi] = dc[:, :, t, lo:hi]
+        planes[:, :, :lo] = 0.0
+        planes[:, :, hi:] = 0.0
         if wrap is not None:
-            grid[:, :, t, :, wrap] = 0.0
-        dx[:, :, lo + d:hi + d] += dc[:, :, t, lo:hi]
+            grid[:, :, :, wrap] = 0.0
+        a, b = max(0, d), max(0, -d)
+        if a + b < dx.size:
+            dx[a:dx.size - b] += flat[b:dx.size - a]
+
+
+def _cut(region: np.ndarray, m: int, *shape: int) -> np.ndarray:
+    """The first ``m`` samples of a flat arena region of :func:`conv_block`,
+    as an (m, *shape) view. It lives at module level because the taped pull
+    would capture a nested helper, one more object per call held until
+    backward: that raised cnn_attack_eval's minor faults per unit from 0-1
+    to 6-8 (getrusage, seeds 1 and 2)."""
+    return region[:m * math.prod(shape)].reshape(m, *shape)
 
 
 # Column-buffer elements conv_block's forward unfolds at a time (4 MiB of
@@ -540,13 +569,18 @@ def conv_block(x: Tensor, kernels: Tensor, bias: Tensor, pool: int = 2) -> Tenso
 
     All of a call's scratch comes from one float64 arena per direction,
     reused by every span: the forward's holds the pre-activation and the
-    columns, the pull's the scattered pooled gradient and one column buffer,
-    which holds ``dk``'s columns and then ``dx``'s column gradients. With
-    its half spans the pull's arena is at most half the forward's largest:
-    it is live while backprop holds the most, and the bits are those of any
-    span. The forward's arena is the largest block a call frees, so glibc's
-    dynamic mmap and trim thresholds adapt to it and the next call reuses
-    its pages instead of refaulting them (see :data:`_BLOCK_COLS`).
+    columns, whose region, once the GEMM has read it, stages the pool's
+    views (:func:`_pool_max`). The pull's holds a first region of
+    max(c_out, c_in)*h*w elements per sample and one column buffer. The
+    first region holds the scattered pooled gradient and then the fold's
+    runs (:func:`_fold_same`), so its cells outside every pool window are
+    zeroed in each span; the column buffer holds ``dk``'s columns and then
+    ``dx``'s column gradients. With its half spans the pull's arena is at
+    most half the forward's largest while c_in <= c_out: it is live while
+    backprop holds the most, and the bits are those of any span. The
+    forward's arena is the largest block a call frees, so glibc's dynamic
+    mmap and trim thresholds adapt to it and the next call reuses its pages
+    instead of refaulting them (see :data:`_BLOCK_COLS`).
     """
     if x.data.ndim != 4 or kernels.data.ndim != 4:
         raise TensorError(f"conv_block expects 4-D input/kernels, got {x.shape}, {kernels.shape}")
@@ -567,27 +601,26 @@ def conv_block(x: Tensor, kernels: Tensor, bias: Tensor, pool: int = 2) -> Tenso
     track = want_dx or want_dk or want_db
     km = kernels.data.reshape(cout, cin * kh * kw)
 
-    def arena(budget):
+    def arena(budget, first, second):
         """The spans of as many samples as fit ``budget`` column elements,
-        and a span's (m, cout, h*w) buffer and (m, cin*kh*kw, h*w) columns,
-        cut from one allocation."""
+        and two flat regions of ``first`` and ``second`` elements per sample
+        of a span, cut from one allocation."""
         m = min(max(1, budget // (cin * kh * kw * h * w)), n)
-        buf = np.empty(m * (cout + cin * kh * kw) * h * w)
-        return ([(i, min(i + m, n)) for i in range(0, n, m)],
-                buf[:m * cout * h * w].reshape(m, cout, h * w),
-                buf[m * cout * h * w:].reshape(m, cin * kh * kw, h * w))
+        buf = np.empty(m * (first + second))
+        return [(i, min(i + m, n)) for i in range(0, n, m)], buf[:m * first], buf[m * first:]
 
     out = np.empty((n, cout, ph, pw))
     winner = np.empty(out.shape, dtype=np.min_scalar_type(pool * pool - 1)) if track else None
-    spans, pre, cols = arena(_BLOCK_COLS)
+    spans, pre, cols = arena(_BLOCK_COLS, cout * h * w, max(cin * kh * kw * h * w, cout * ph * pw))
     for i, j in spans:
-        a, c = pre[:j - i], cols[:j - i]
+        a, c = _cut(pre, j - i, cout, h * w), _cut(cols, j - i, cin * kh * kw, h * w)
         _unfold_same(x.data[i:j], kh, kw, c)
         np.matmul(km, c, out=a)
         a += bias.data.reshape(1, cout, 1)
         _check_finite(a, "conv_block")
-        _pool_max(a.reshape(j - i, cout, h, w), pool, out[i:j],
-                  winner[i:j] if track else None)
+        # the columns are spent, so their region stages the pool's views
+        _pool_max(a.reshape(j - i, cout, h, w), pool, out[i:j], winner[i:j] if track else None,
+                  _cut(cols, j - i, cout, ph, pw))
         np.maximum(out[i:j], 0.0, out=out[i:j])
 
     def pull(g):
@@ -597,17 +630,19 @@ def conv_block(x: Tensor, kernels: Tensor, bias: Tensor, pool: int = 2) -> Tenso
             return None, None, db
         dk = np.empty((n, cout, cin * kh * kw)) if want_dk else None
         dx = np.empty(x.shape) if want_dx else None
-        spans, ga, dcols = arena(_BLOCK_COLS // 2)
-        ga.fill(0.0)  # cells outside every window stay 0
+        spans, ga, dcols = arena(_BLOCK_COLS // 2, max(cout, cin) * h * w, cin * kh * kw * h * w)
         for i, j in spans:
-            gb, c = ga[:j - i], dcols[:j - i]
-            _pool_scatter(g[i:j], pool, winner[i:j], gb.reshape(j - i, cout, h, w))
+            gb, c = _cut(ga, j - i, cout, h, w), _cut(dcols, j - i, cin * kh * kw, h * w)
+            gb[:, :, ph * pool:] = 0.0  # cells outside every window
+            gb[:, :, :, pw * pool:] = 0.0
+            _pool_scatter(g[i:j], pool, winner[i:j], gb)
+            gb = gb.reshape(j - i, cout, h * w)
             if want_dk:
                 _unfold_same(x.data[i:j], kh, kw, c)
                 np.matmul(gb, c.transpose(0, 2, 1), out=dk[i:j])
             if want_dx:
                 np.matmul(km.T, gb, out=c)
-                _fold_same(c, kh, kw, dx[i:j])
+                _fold_same(c, kh, kw, dx[i:j], _cut(ga, j - i, cin * h * w))
         if want_dk:
             dk = dk.sum(axis=0).reshape(kernels.shape)
         return dx, dk, db

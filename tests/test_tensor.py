@@ -227,8 +227,8 @@ _SAME_PLANES = [(28, 28), (14, 14), (7, 9), (11, 6), (2, 2)]
 class TestSameUnfoldFold:
     """conv_block's shifted-run unfold and fold against conv2d's padded
     helpers, byte for byte; 2x2 planes are smaller than a 5x5 kernel's reach.
-    The buffers they write into start as NaN, so every element must be
-    written."""
+    The buffers they write into, the fold's run buffer among them, start as
+    NaN, so every element that is read must first be written."""
 
     @pytest.mark.parametrize("cin", [1, 3])
     @pytest.mark.parametrize("h,w", _SAME_PLANES)
@@ -257,9 +257,11 @@ class TestSameUnfoldFold:
         p = k // 2
         ref = tc._col2im(dcols.copy(), (2, cin, h + 2 * p, w + 2 * p), k, k, 1, p, h, w)
         got = np.full((2, cin, h, w), np.nan)
-        tc._fold_same(dcols.copy(), k, k, got)
+        given = dcols.copy()
+        tc._fold_same(given, k, k, got, np.full(2 * cin * h * w, np.nan))
         assert got.shape == ref.shape
         assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
+        assert given.tobytes() == dcols.tobytes()
 
 
 def _unfused_block(x, k, b, pool=2):
@@ -280,6 +282,22 @@ def _block_values_and_grads(block, x0, k0, b0, labels, wrt):
     return out.data, [grads[t].data if t in grads else None for t in (x, k, b)]
 
 
+def _assert_block_grads_match(wrt, grads, ref_grads):
+    """conv_block's pulled gradients against the unfused ops': ``dx`` and
+    ``dk`` bit for bit, ``db`` (summed from the pooled gradient) to 1e-15,
+    and ``None`` for each operand that ``wrt`` leaves untracked."""
+    (dx, dk, db), (rdx, rdk, rdb) = grads, ref_grads
+    if wrt == "weights":
+        assert dx is None and rdx is None
+    else:
+        assert np.array_equal(dx, rdx)
+    if wrt == "inputs":
+        assert dk is None and db is None
+    else:
+        assert np.array_equal(dk, rdk)
+        assert np.max(np.abs(db - rdb)) <= 1e-15
+
+
 class TestConvBlock:
     @pytest.mark.parametrize("wrt", ["inputs", "weights", "both"])
     @pytest.mark.parametrize("shape,seed", [((3, 2, 7, 7), 20), ((4, 3, 8, 8), 21)])
@@ -292,20 +310,12 @@ class TestConvBlock:
         k0 = rng.integers(-1, 2, size=(4, cin, 3, 3)).astype(float)
         b0 = rng.integers(-1, 2, size=4).astype(float)
         labels = Tensor(np.eye(4 * (h // 2) * (w // 2))[rng.integers(0, 4, n)])
-        out, (dx, dk, db) = _block_values_and_grads(
+        out, grads = _block_values_and_grads(
             lambda x, k, b: tc.conv_block(x, k, b, 2), x0, k0, b0, labels, wrt)
-        ref_out, (rdx, rdk, rdb) = _block_values_and_grads(_unfused_block, x0, k0, b0, labels, wrt)
+        ref_out, ref_grads = _block_values_and_grads(_unfused_block, x0, k0, b0, labels, wrt)
         assert np.array_equal(out, ref_out)
         assert np.sum(out == 0.0) > 0 and np.sum(out > 0.0) > 0
-        if wrt == "weights":
-            assert dx is None and rdx is None
-        else:
-            assert np.array_equal(dx, rdx)
-        if wrt == "inputs":
-            assert dk is None and db is None
-        else:
-            assert np.array_equal(dk, rdk)
-            assert np.max(np.abs(db - rdb)) <= 1e-15
+        _assert_block_grads_match(wrt, grads, ref_grads)
 
     def test_five_by_five_kernel_matches_unfused_ops_bitwise(self):
         # a 9x7 plane: the kernel reaches two columns past either edge
@@ -386,6 +396,30 @@ class TestConvBlock:
         assert np.array_equal(plain, taped) and np.array_equal(taped, ref)
         assert np.array_equal(grads[0], ref_grads[0]) and np.array_equal(grads[1], ref_grads[1])
         assert np.max(np.abs(grads[2] - ref_grads[2])) <= 1e-15
+
+    # a 7x7 plane at pool 2 leaves a trailing row and column outside every
+    # window, an 8x8 plane at pool 3 two of each. With 3 input channels and
+    # 2 output channels the fold's runs cover more of the pull's first
+    # region, which every span reuses, than the scattered gradient does. A
+    # budget of four samples' columns gives the pull spans of 2, 2 and 1
+    @pytest.mark.parametrize("wrt", ["inputs", "weights", "both"])
+    @pytest.mark.parametrize("size,pool", [(7, 2), (8, 3)])
+    def test_pull_over_three_spans_with_more_inputs_than_outputs(self, monkeypatch, size, pool,
+                                                                 wrt):
+        n, cin, h, w = 5, 3, size, size
+        monkeypatch.setattr(tc, "_BLOCK_COLS", 4 * cin * 9 * h * w)
+        rng = np.random.default_rng(26)
+        x0 = rng.normal(size=(n, cin, h, w))
+        k0 = rng.normal(size=(2, cin, 3, 3))
+        b0 = rng.normal(size=2)
+        classes = 2 * (h // pool) * (w // pool)
+        labels = Tensor(np.eye(classes)[rng.integers(0, classes, n)])
+        out, grads = _block_values_and_grads(
+            lambda x, k, b: tc.conv_block(x, k, b, pool), x0, k0, b0, labels, wrt)
+        ref_out, ref_grads = _block_values_and_grads(
+            lambda x, k, b: _unfused_block(x, k, b, pool), x0, k0, b0, labels, wrt)
+        assert np.array_equal(out, ref_out)
+        _assert_block_grads_match(wrt, grads, ref_grads)
 
     # with a 1x1 identity kernel, zero bias and positive inputs the block is
     # its max pool, and its pull routes the pooled gradient to each window's
@@ -642,6 +676,28 @@ class TestMaxPool:
         assert np.array_equal(out.data, want_out)
         assert np.array_equal(dx, want_dx)
         assert np.all(dx[:, :, 6, :] == 0.0) and np.all(dx[:, :, :, 6] == 0.0)
+
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_staged_and_in_place_pools_agree(self, size):
+        # small integers tie often; a 7x8 plane leaves trailing cells. The
+        # untracked pool reads the views in place, the tracked ones stage
+        # them in a buffer they allocate or in the NaN-filled one given
+        rng = np.random.default_rng(12)
+        x = rng.integers(0, 3, size=(2, 3, 7, 8)).astype(float)
+        shape = (2, 3, 7 // size, 8 // size)
+        plain = np.empty(shape)
+        tc._pool_max(x, size, plain, None)
+        winners = []
+        for stage in (None, np.full(shape, np.nan)):
+            out, winner = np.empty(shape), np.empty(shape, dtype=np.uint8)
+            tc._pool_max(x, size, out, winner, stage)
+            assert out.tobytes() == plain.tobytes()
+            winners.append(winner)
+        windows = x[:, :, :shape[2] * size, :shape[3] * size].reshape(
+            2, 3, shape[2], size, shape[3], size).transpose(0, 1, 2, 4, 3, 5)
+        first = windows.reshape(*shape, size * size).argmax(axis=-1)
+        assert np.array_equal(winners[0], first) and np.array_equal(winners[1], first)
+        assert np.all(first.max(axis=(2, 3)) > 0)
 
 
 def _max_pool_oracle(x, size, g):

@@ -16,13 +16,13 @@ picks its kernel by CPU, and ``OPENBLAS_CORETYPE`` overrides the pick:
     python tools/trajectory_hashes.py --src src > change-haswell.txt
     diff parent-haswell.txt change-haswell.txt
 
-On a CPU where OpenBLAS picks SkylakeX by default, 31 of the 54 items
+On a CPU where OpenBLAS picks SkylakeX by default, 34 of the 57 items
 differ between the two kernels (every ``train/``, ``loss_and_grads/`` and
 ``resume/`` item among them), so the second run checks other arithmetic.
 
-Each line is ``<sha256>  <item>``. The 54 items are, but for the
-``data/`` ones, on a small MLP and on a CNN with two conv blocks, on
-``digits_binary``:
+Each line is ``<sha256>  <item>``. The 57 items are, but for the
+``data/`` and ``cnn_odd`` ones, on a small MLP and on a CNN with two conv
+blocks, on ``digits_binary``:
 
 - ``config/<name>``: the parsed ``ExperimentConfig`` of each tree below, as
   ``json.dumps(dataclasses.asdict(cfg), sort_keys=True)``, and of
@@ -42,6 +42,11 @@ Each line is ``<sha256>  <item>``. The 54 items are, but for the
   on 10 eval rows, and ``loss_and_grads/<wrt>/cnn/100`` on the whole eval
   split: taped CNN passes that ``conv_block`` takes in two spans of
   samples (74 and 26) at both blocks, where 10 rows take one;
+- ``loss_and_grads/<wrt>/cnn_odd``: loss and gradients for each ``wrt`` of
+  the ``ODD_CNN`` at He init on ``ODD_ROWS`` seeded uniform rows: 13x13
+  planes of 3 channels, whose pull takes three spans at block 0 with a
+  trailing row and column outside every pool window, then a block with
+  more input channels than output channels;
 - ``smooth_accuracy/<model>``: the Entropy-SGD-trained model smoothed per
   ``SMOOTHING`` on the first 8 eval rows: the smoothed accuracy, each row's
   smoothed prediction and each row's counts of a full vote. The script
@@ -67,7 +72,7 @@ Each line is ``<sha256>  <item>``. The 54 items are, but for the
   for each class pair of ``GLYPH_PAIRS``, which cover all ten digits, at
   ``GLYPH_ROWS`` per class, not a whole number of render blocks.
 
-That is 11 ``config/``, 14 ``train/``, 8 ``attack/``, 9
+That is 11 ``config/``, 14 ``train/``, 8 ``attack/``, 12
 ``loss_and_grads/``, 2 ``smooth_accuracy/``, 3 ``logits/``, 1 ``accuracy/``,
 1 ``resume/`` and 5 ``data/`` items.
 
@@ -115,6 +120,12 @@ ATENT_L2_ATTACK = {"kind": "atent", "norm": "l2", "radius": 0.5,
 # models are the only ones below whose votes split after two epochs; the
 # SGD-trained ones predict class 0 on every eval row, at sigma 0.25 unanimously
 SMOOTHING = {"sigma": 0.5, "n_samples": 200, "abstain_margin": 0.1}
+# the ``loss_and_grads/<wrt>/cnn_odd`` items' CNN and rows: odd 13x13 planes
+# leave a trailing row and column outside every pool window at block 0, whose
+# pull takes 120 rows in three spans (57, 57 and 6), and block 1 has more
+# input channels than output channels
+ODD_CNN = {"kind": "cnn", "channels": [4, 2], "fc_widths": [8, 2], "in_shape": [3, 13, 13]}
+ODD_ROWS = 120
 # one image, one more than the span of samples that an untaped CNN forward
 # streams at a time (16), and many spans with a ragged last one
 LOGIT_ROWS = (1, 17, 300)
@@ -287,6 +298,13 @@ def items():
             for wrt in ("weights", "inputs", "both"):
                 loss, wg, xg = models.loss_and_grads(params, eval_ds.as_batch(), wrt=wrt)
                 yield f"loss_and_grads/{wrt}/cnn/{eval_ds.n}", digest(loss, wg, xg)
+            odd = models.build_model(ODD_CNN, cfg.seed)
+            rng = derive_rng(cfg.seed, "hash-cnn-odd")
+            odd_batch = models.Batch(rng.random((ODD_ROWS, *ODD_CNN["in_shape"])),
+                                     np.eye(2)[rng.integers(0, 2, ODD_ROWS)])
+            for wrt in ("weights", "inputs", "both"):
+                yield (f"loss_and_grads/{wrt}/cnn_odd",
+                       digest(*models.loss_and_grads(odd, odd_batch, wrt=wrt)))
             sgd = trained["sgd"]
             x = derive_rng(cfg.seed, "hash-logits").random(
                 (max(LOGIT_ROWS), *eval_ds.inputs.shape[1:]))
