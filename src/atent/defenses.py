@@ -290,6 +290,7 @@ def train(params: ModelParams, cfg: TrainerConfig, train_ds: Dataset,
                     if cfg.weight_decay:
                         d = d + cfg.weight_decay * t.data
                     np.subtract(t.data, lr * d, out=t.data)
+                del direction, d  # spent: the next step's passes need the memory
             if not all(np.isfinite(t.data).all() for t in params.weights.values()):
                 raise NonFiniteError("weight update produced non-finite values")
             nat = accuracy(params, val_ds.inputs, val_ds.labels) if val_ds.n else None

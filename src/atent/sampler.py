@@ -193,7 +193,9 @@ def run_chain(
     loss at x'^1..x'^K (zero start), ATENT's outer gradient, in
     ``ChainRun.weight_grads``. Each sample takes one pass: x'^0 for input
     gradients, x'^1..x'^(K-1) for both, x'^K for weight gradients only.
-    Both modes draw the same numbers and visit the same iterates.
+    Both modes draw the same numbers and visit the same iterates, and
+    neither holds an input gradient past the step that uses it, nor a pass's
+    weight gradients past the accumulator's update.
 
     Iterate clipping follows ``batch.value_range``. When the batch declares
     a range, the initial point and every iterate are clipped back into it:
@@ -210,6 +212,7 @@ def run_chain(
         samples = []
         for k in range(1, cfg.steps + 1):
             x_prime = _clip_range(langevin_step(x_prime, anchor, grad_x, cfg, rng, k), batch)
+            del grad_x
             samples.append(x_prime)
             if k < cfg.steps:
                 _, _, grad_x = loss_and_grads(params, batch.with_inputs(x_prime), wrt="inputs")
@@ -218,8 +221,10 @@ def run_chain(
     acc = {name: np.zeros(t.shape) for name, t in params.weights.items()}
     for k in range(1, cfg.steps + 1):
         x_prime = _clip_range(langevin_step(x_prime, anchor, grad_x, cfg, rng, k), batch)
+        del grad_x
         loss, wg, grad_x = loss_and_grads(params, batch.with_inputs(x_prime),
                                           wrt="both" if k < cfg.steps else "weights")
         ema_loss = (1.0 - alpha) * ema_loss + alpha * loss
         acc = {name: (1.0 - alpha) * acc[name] + alpha * wg[name] for name in acc}
+        del wg
     return ChainRun(samples=[], ema_loss=ema_loss, weight_grads=acc)

@@ -38,6 +38,7 @@ Typical use::
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -170,7 +171,10 @@ def backward(tape: Tape, root: Tensor) -> dict[Tensor, Tensor]:
 
     The map holds one entry per distinct leaf of ``tape`` that the root
     actually depends on. Each leaf gradient is checked for finiteness once,
-    here, and a failure names ``backward``.
+    here, and a failure names ``backward``. Each record is popped off the
+    tape before its pull, and its incoming gradient leaves the map as the
+    pull takes it, so both are freed once the pull is done with them; the
+    tape ends empty.
     """
     if tape.consumed:
         raise TapeError("tape already consumed by a previous backward pass")
@@ -182,16 +186,18 @@ def backward(tape: Tape, root: Tensor) -> dict[Tensor, Tensor]:
     tape.consumed = True
 
     grads: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
-    for rec in reversed(tape.records):
-        g = grads.pop(id(rec.output), None)
-        if g is None:
+    records = tape.records
+    while records:
+        rec = records.pop()
+        if id(rec.output) not in grads:
             continue
-        pulled = rec.pull(g)
+        pulled = rec.pull(grads.pop(id(rec.output)))
         for t, gt in zip(rec.inputs, pulled):
             if gt is None or not tape._tracks(t):
                 continue
             prev = grads.get(id(t))
             grads[id(t)] = gt if prev is None else prev + gt
+        pulled = gt = None
     return {t: _unchecked(np.ascontiguousarray(_check_finite(grads[id(t)], "backward")))
             for t in tape.leaves if id(t) in grads}
 
@@ -295,12 +301,12 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _emit((x,), x.data.reshape(shape), pull, "reshape", checked=True)
 
 
+@functools.cache
 def _taps(kh: int, kw: int, stride: int, oh: int, ow: int):
     """(ky, kx, rows, cols) per kernel tap: the strided slices of a padded
     input that the tap meets at each of the oh x ow output positions."""
-    for ky in range(kh):
-        for kx in range(kw):
-            yield ky, kx, slice(ky, ky + stride * oh, stride), slice(kx, kx + stride * ow, stride)
+    return tuple((ky, kx, slice(ky, ky + stride * oh, stride), slice(kx, kx + stride * ow, stride))
+                 for ky in range(kh) for kx in range(kw))
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
@@ -427,14 +433,14 @@ def _pool_max(x: np.ndarray, size: int, out: np.ndarray, winner: np.ndarray | No
     given), so that both comparisons read contiguous memory; without
     ``winner`` the views are read in place and ``stage`` is not used."""
     taps = _taps(size, size, size, *out.shape[2:])
-    _, _, rows, cs = next(taps)
+    _, _, rows, cs = taps[0]
     np.copyto(out, x[:, :, rows, cs])
     if winner is not None:
         winner.fill(0)
         won = np.empty(out.shape, dtype=bool)
         if stage is None:
             stage = np.empty(out.shape)
-    for t, (_, _, rows, cs) in enumerate(taps, start=1):
+    for t, (_, _, rows, cs) in enumerate(taps[1:], start=1):
         v = x[:, :, rows, cs]
         if winner is not None:
             np.copyto(stage, v)
@@ -455,68 +461,74 @@ def _pool_scatter(g: np.ndarray, size: int, winner: np.ndarray, dx: np.ndarray) 
         np.multiply(g, won, out=dx[:, :, rows, cs])
 
 
+@functools.cache
 def _same_taps(h: int, w: int, kh: int, kw: int):
-    """(t, d, lo, hi, wrap) per tap t = ky*kw + kx of a stride-1 kernel
-    padded by kh//2 and kw//2, whose output keeps the h x w input size.
-
-    In a flattened plane the tap meets input q + d at output q, with d =
-    (ky - kh//2)*w + (kx - kw//2). The run lo <= q < hi keeps q + d inside
-    the plane (empty when the tap reaches past it); ``wrap`` slices the
-    output columns where q + d wraps into the neighbouring row, or is None
-    for a centre column tap."""
-    hw = h * w
+    """(t, d, lo, hi) per tap t = ky*kw + kx of a stride-1 kernel padded by
+    kh//2 and kw//2, whose output keeps the h x w input size: in a flattened
+    plane the tap meets input q + d at output q, with d = (ky - kh//2)*w +
+    (kx - kw//2), and the run lo <= q < hi keeps q + d inside the plane
+    (empty when the tap reaches past it)."""
+    hw, taps = h * w, []
     for ky in range(kh):
         for kx in range(kw):
-            sx = kx - kw // 2
-            d = (ky - kh // 2) * w + sx
-            lo, hi = min(hw, max(0, -d)), max(0, min(hw, hw - d))
-            wrap = (slice(max(0, w - sx), w) if sx > 0 else
-                    slice(0, min(w, -sx)) if sx < 0 else None)
-            yield ky * kw + kx, d, lo, hi, wrap
+            d = (ky - kh // 2) * w + kx - kw // 2
+            taps.append((ky * kw + kx, d, min(hw, max(0, -d)), max(0, min(hw, hw - d))))
+    return tuple(taps)
+
+
+@functools.cache
+def _pads(h: int, w: int, kh: int, kw: int):
+    """Index expressions on an (n, cin, kh*kw, h, w) column view that
+    together select every cell whose tap (:func:`_same_taps`) reads the
+    padding: per off-centre kernel row, that row's taps at the plane rows
+    it shifts off the plane; per off-centre kernel column, that column's
+    taps at the plane columns it shifts off, which wrap in a flattened
+    plane."""
+    def off(shift, size):
+        return slice(max(0, size - shift), size) if shift > 0 else slice(0, min(size, -shift))
+    rows = tuple((..., slice(ky * kw, (ky + 1) * kw), off(ky - kh // 2, h), slice(None))
+                 for ky in range(kh) if ky != kh // 2)
+    return rows + tuple((..., slice(kx, None, kw), slice(None), off(kx - kw // 2, w))
+                        for kx in range(kw) if kx != kw // 2)
 
 
 def _unfold_same(x: np.ndarray, kh: int, kw: int, cols: np.ndarray) -> None:
     """The columns :func:`_im2col` takes of the zero-padded ``x`` (n, cin, h,
     w) at stride 1 and padding kh//2, kw//2, written into the C-contiguous
     ``cols`` (n, cin*kh*kw, h*w), with no padded copy: each tap is one
-    shifted run of every flattened plane, and 0.0 is written where the tap
-    reads the padding, at both ends of the run and over the columns that
-    wrap."""
+    shifted run of every flattened plane, and then 0.0 is written where a
+    tap reads the padding (:func:`_pads`)."""
     n, cin, h, w = x.shape
     xf = x.reshape(n, cin, h * w)
     cols = cols.reshape(n, cin, kh * kw, h * w)
-    grid = cols.reshape(n, cin, kh * kw, h, w)
-    for t, d, lo, hi, wrap in _same_taps(h, w, kh, kw):
+    for t, d, lo, hi in _same_taps(h, w, kh, kw):
         cols[:, :, t, lo:hi] = xf[:, :, lo + d:hi + d]
-        cols[:, :, t, :lo] = 0.0
-        cols[:, :, t, hi:] = 0.0
-        if wrap is not None:
-            grid[:, :, t, :, wrap] = 0.0
+    grid = cols.reshape(n, cin, kh * kw, h, w)
+    for cells in _pads(h, w, kh, kw):
+        grid[cells] = 0.0
 
 
 def _fold_same(dcols: np.ndarray, kh: int, kw: int, dx: np.ndarray, run: np.ndarray) -> None:
     """Input gradient from the column gradients ``dcols`` (n, cin*kh*kw, h*w)
     of :func:`_unfold_same`, written into the C-contiguous ``dx`` (n, cin, h,
     w) and bitwise equal to :func:`_col2im`: the taps are added onto zeros in
-    the same order. Each tap's column gradients are first copied into
-    ``run``, a C-contiguous float64 buffer of n*cin*h*w elements, with 0.0
-    where the tap reads the padding (both ends of each plane's run and the
-    columns that wrap), and ``run`` is then added onto the flattened ``dx``
-    at the tap's offset as one 1-D run. A tap that reaches past a plane so
-    adds +0.0 to the next plane, which leaves every sum unchanged (a sum that
-    starts from +0.0 is never -0.0). ``dcols`` is not written to."""
+    the same order. The cells of ``dcols`` where a tap reads the padding
+    (:func:`_pads`) are first set to +0.0, so ``dcols`` is scratch. Each
+    tap's column gradients are then copied into ``run``, a C-contiguous
+    float64 buffer of n*cin*h*w elements, and added onto the flattened
+    ``dx`` at the tap's offset as one 1-D run. A tap that reaches past a
+    plane so adds +0.0 to the next plane, which leaves every sum unchanged
+    (a sum that starts from +0.0 is never -0.0)."""
     n, cin, h, w = dx.shape
-    dc = dcols.reshape(n, cin, kh * kw, h * w)
+    grid = dcols.reshape(n, cin, kh * kw, h, w)
+    for cells in _pads(h, w, kh, kw):
+        grid[cells] = 0.0
+    dc = grid.reshape(n, cin, kh * kw, h * w)
     planes = run.reshape(n, cin, h * w)
-    grid = run.reshape(n, cin, h, w)
     flat, dx = run.reshape(-1), dx.reshape(-1)
     dx.fill(0.0)
-    for t, d, lo, hi, wrap in _same_taps(h, w, kh, kw):
-        planes[:, :, lo:hi] = dc[:, :, t, lo:hi]
-        planes[:, :, :lo] = 0.0
-        planes[:, :, hi:] = 0.0
-        if wrap is not None:
-            grid[:, :, :, wrap] = 0.0
+    for t, d, _, _ in _same_taps(h, w, kh, kw):
+        planes[...] = dc[:, :, t]
         a, b = max(0, d), max(0, -d)
         if a + b < dx.size:
             dx[a:dx.size - b] += flat[b:dx.size - a]

@@ -285,9 +285,12 @@ class TestLossAndGrads:
     def test_taped_cnn_pass_peak_memory(self):
         # the benchmark's ATENT CNN at batch 32: conv_block takes each
         # direction's scratch from one arena, the pull's spans half the
-        # forward's, and keeps its pool winners in uint8, so a wrt="both"
-        # pass peaks at 5.5 MB traced; with the pull's spans as long as the
-        # forward's it peaks at 6.6 MB, and with np.intp winners at 7.5 MB
+        # forward's, and keeps its pool winners in uint8, and backward frees
+        # each record and incoming gradient once it is pulled, so a
+        # wrt="both" pass peaks at 5.2 MB traced. Holding spent records and
+        # gradients until the sweep ended, it peaked at 5.5 MB, with the
+        # pull's spans as long as the forward's at 6.6 MB, and with np.intp
+        # winners at 7.5 MB
         rng = np.random.default_rng(8)
         p = build_small_cnn([8, 16], [32, 2], seed=0)
         batch = Batch(rng.random((32, 1, 28, 28)), np.eye(2)[rng.integers(0, 2, 32)])
@@ -298,7 +301,7 @@ class TestLossAndGrads:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6.0e6, f"loss_and_grads peaked at {peak / 1e6:.2f} MB"
+        assert peak < 5.4e6, f"loss_and_grads peaked at {peak / 1e6:.2f} MB"
 
 
 class TestPredictAccuracy:

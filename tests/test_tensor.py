@@ -224,6 +224,12 @@ class TestConv2d:
 _SAME_PLANES = [(28, 28), (14, 14), (7, 9), (11, 6), (2, 2)]
 
 
+def _padding_cells(n, cin, k, h, w):
+    """Mask of the (n, cin*k*k, h*w) columns whose tap reads conv2d's zero
+    padding: the 0.0 cells of the padded unfolding of ones."""
+    return tc._im2col(tc._pad(np.ones((n, cin, h, w)), k // 2), k, k, 1, h, w) == 0.0
+
+
 class TestSameUnfoldFold:
     """conv_block's shifted-run unfold and fold against conv2d's padded
     helpers, byte for byte; 2x2 planes are smaller than a 5x5 kernel's reach.
@@ -241,6 +247,16 @@ class TestSameUnfoldFold:
         tc._unfold_same(x, k, k, got)
         ref = tc._im2col(tc._pad(x, k // 2), k, k, 1, h, w)
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("h,w", _SAME_PLANES)
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_pads_select_exactly_the_padding_cells(self, k, h, w):
+        selected = np.zeros((2, 2, k * k, h, w), dtype=bool)
+        for cells in tc._pads(h, w, k, k):
+            selected[cells] = True
+        want = _padding_cells(2, 2, k, h, w)
+        assert np.array_equal(selected.reshape(want.shape), want)
+        assert len(tc._pads(h, w, k, k)) == 2 * (k - 1)
 
     @pytest.mark.parametrize("cin", [1, 3])
     @pytest.mark.parametrize("h,w", _SAME_PLANES)
@@ -261,6 +277,9 @@ class TestSameUnfoldFold:
         tc._fold_same(given, k, k, got, np.full(2 * cin * h * w, np.nan))
         assert got.shape == ref.shape
         assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
+        # the fold zeroes the padding cells of its column gradients, which
+        # are scratch to it, and writes nothing else there
+        dcols[_padding_cells(2, cin, k, h, w)] = 0.0
         assert given.tobytes() == dcols.tobytes()
 
 
@@ -419,6 +438,25 @@ class TestConvBlock:
         ref_out, ref_grads = _block_values_and_grads(
             lambda x, k, b: _unfused_block(x, k, b, pool), x0, k0, b0, labels, wrt)
         assert np.array_equal(out, ref_out)
+        _assert_block_grads_match(wrt, grads, ref_grads)
+
+    # a 5x5 kernel on 7x7 planes: two kernel rows reach past the top and two
+    # past the bottom, and the wrapped columns are two wide at either side.
+    # A budget of four samples' columns gives the pull spans of 2, 2 and 1
+    @pytest.mark.parametrize("wrt", ["inputs", "weights", "both"])
+    def test_five_by_five_kernel_over_three_spans(self, monkeypatch, wrt):
+        n, cin, h, w = 5, 3, 7, 7
+        monkeypatch.setattr(tc, "_BLOCK_COLS", 4 * cin * 25 * h * w)
+        rng = np.random.default_rng(27)
+        x0 = rng.normal(size=(n, cin, h, w))
+        k0 = rng.normal(size=(4, cin, 5, 5))
+        b0 = rng.normal(size=4)
+        labels = Tensor(np.eye(4 * 3 * 3)[rng.integers(0, 36, n)])
+        out, grads = _block_values_and_grads(
+            lambda x, k, b: tc.conv_block(x, k, b, 2), x0, k0, b0, labels, wrt)
+        ref_out, ref_grads = _block_values_and_grads(_unfused_block, x0, k0, b0, labels, wrt)
+        assert np.array_equal(out, ref_out)
+        assert np.sum(out == 0.0) > 0 and np.sum(out > 0.0) > 0
         _assert_block_grads_match(wrt, grads, ref_grads)
 
     # with a 1x1 identity kernel, zero bias and positive inputs the block is
@@ -738,6 +776,19 @@ class TestBackwardSemantics:
             y = tc.relu(x)
         with pytest.raises(TapeError):
             tc.backward(tape, y)
+
+    def test_sweep_pops_every_record(self):
+        # the record of an op that the root does not depend on is popped too
+        x, w = Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]])
+        with Tape([x, w]) as tape:
+            tc.sum_all(x)
+            s = tc.sum_all(tc.relu(tc.matmul(x, w)))
+        assert len(tape.records) == 4
+        grads = tc.backward(tape, s)
+        assert tape.records == [] and tape.consumed
+        assert np.array_equal(grads[x].data, [[3.0, 4.0]])
+        with pytest.raises(TapeError):
+            tc.backward(tape, s)
 
     def test_root_not_on_tape_rejected(self):
         x = Tensor([1.0])

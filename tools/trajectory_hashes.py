@@ -16,13 +16,14 @@ picks its kernel by CPU, and ``OPENBLAS_CORETYPE`` overrides the pick:
     python tools/trajectory_hashes.py --src src > change-haswell.txt
     diff parent-haswell.txt change-haswell.txt
 
-On a CPU where OpenBLAS picks SkylakeX by default, 34 of the 57 items
+On a CPU where OpenBLAS picks SkylakeX by default, 36 of the 61 items
 differ between the two kernels (every ``train/``, ``loss_and_grads/`` and
-``resume/`` item among them), so the second run checks other arithmetic.
+``resume/`` item among them, and ``conv_block/weights/k5`` and
+``conv_block/both/k5``), so the second run checks other arithmetic.
 
-Each line is ``<sha256>  <item>``. The 57 items are, but for the
-``data/`` and ``cnn_odd`` ones, on a small MLP and on a CNN with two conv
-blocks, on ``digits_binary``:
+Each line is ``<sha256>  <item>``. The 61 items are, but for the
+``data/``, ``cnn_odd`` and ``conv_block/`` ones, on a small MLP and on a
+CNN with two conv blocks, on ``digits_binary``:
 
 - ``config/<name>``: the parsed ``ExperimentConfig`` of each tree below, as
   ``json.dumps(dataclasses.asdict(cfg), sort_keys=True)``, and of
@@ -47,6 +48,11 @@ blocks, on ``digits_binary``:
   planes of 3 channels, whose pull takes three spans at block 0 with a
   trailing row and column outside every pool window, then a block with
   more input channels than output channels;
+- ``conv_block/<wrt>/k5``: one ``conv_block`` with a 5x5 kernel on
+  ``K5_ROWS`` seeded rows of 7x7 planes, untaped (``none``) and taped for
+  each ``wrt`` under a cross-entropy head: the output, and for the taped
+  ones the loss and gradients, where the kernel reaches two rows and two
+  columns past each edge;
 - ``smooth_accuracy/<model>``: the Entropy-SGD-trained model smoothed per
   ``SMOOTHING`` on the first 8 eval rows: the smoothed accuracy, each row's
   smoothed prediction and each row's counts of a full vote. The script
@@ -73,8 +79,8 @@ blocks, on ``digits_binary``:
   ``GLYPH_ROWS`` per class, not a whole number of render blocks.
 
 That is 11 ``config/``, 14 ``train/``, 8 ``attack/``, 12
-``loss_and_grads/``, 2 ``smooth_accuracy/``, 3 ``logits/``, 1 ``accuracy/``,
-1 ``resume/`` and 5 ``data/`` items.
+``loss_and_grads/``, 4 ``conv_block/``, 2 ``smooth_accuracy/``, 3
+``logits/``, 1 ``accuracy/``, 1 ``resume/`` and 5 ``data/`` items.
 
 The trees are imported from ``--src`` alone; BLAS is pinned to one thread,
 as in the benchmark. The package does not import this script.
@@ -126,6 +132,10 @@ SMOOTHING = {"sigma": 0.5, "n_samples": 200, "abstain_margin": 0.1}
 # input channels than output channels
 ODD_CNN = {"kind": "cnn", "channels": [4, 2], "fc_widths": [8, 2], "in_shape": [3, 13, 13]}
 ODD_ROWS = 120
+# the ``conv_block/<wrt>/k5`` items: a 5x5 kernel on 7x7 planes of 3 channels
+# into 4 at pool 2, on K5_ROWS seeded rows, which the forward takes in spans
+# of 142 and 8 samples and the pull in spans of 71, 71 and 8
+K5_ROWS = 150
 # one image, one more than the span of samples that an untaped CNN forward
 # streams at a time (16), and many spans with a ragged last one
 LOGIT_ROWS = (1, 17, 300)
@@ -231,6 +241,28 @@ def digest(*values) -> str:
     return h.hexdigest()
 
 
+def conv_block_k5_items(rng):
+    """The ``conv_block/<wrt>/k5`` items: the block's untaped output
+    (``none``), then its taped output, loss and tracked operands' gradients
+    under a cross-entropy head over the flattened output."""
+    from atent import tensor as tc
+
+    x0 = rng.random((K5_ROWS, 3, 7, 7))
+    k0, b0 = rng.normal(size=(4, 3, 5, 5)), rng.normal(size=4)
+    labels = tc.Tensor(np.eye(36)[rng.integers(0, 36, K5_ROWS)])
+    yield "conv_block/none/k5", digest(
+        tc.conv_block(tc.Tensor(x0), tc.Tensor(k0), tc.Tensor(b0), 2).data)
+    for wrt in ("weights", "inputs", "both"):
+        x, k, b = tc.Tensor(x0), tc.Tensor(k0), tc.Tensor(b0)
+        leaves = {"weights": [k, b], "inputs": [x], "both": [x, k, b]}[wrt]
+        with tc.Tape(leaves) as tape:
+            out = tc.conv_block(x, k, b, 2)
+            loss = tc.softmax_cross_entropy(tc.reshape(out, (K5_ROWS, 36)), labels)
+        grads = tc.backward(tape, loss)
+        yield f"conv_block/{wrt}/k5", digest(out.data, loss.item(),
+                                             [grads[t].data for t in leaves])
+
+
 def items():
     """(item, sha256) for every hashed result, in a fixed order."""
     from atent import attacks, config, data, defenses, experiment, models, smoothing
@@ -305,6 +337,7 @@ def items():
             for wrt in ("weights", "inputs", "both"):
                 yield (f"loss_and_grads/{wrt}/cnn_odd",
                        digest(*models.loss_and_grads(odd, odd_batch, wrt=wrt)))
+            yield from conv_block_k5_items(derive_rng(cfg.seed, "hash-conv-block-k5"))
             sgd = trained["sgd"]
             x = derive_rng(cfg.seed, "hash-logits").random(
                 (max(LOGIT_ROWS), *eval_ds.inputs.shape[1:]))
