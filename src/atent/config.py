@@ -112,7 +112,7 @@ class ExperimentConfig:
     eval_batch_size: int = 256
 
     def __post_init__(self):
-        if not self.name or any(c in self.name for c in "/\\\0 \t\n"):
+        if self.name in ("", ".", "..") or any(c in self.name for c in "/\\\0 \t\n"):
             raise ValueError("name must be non-empty and filesystem-safe")
         if self.trainer.early_stop.metric == "robust" and self.data.val_fraction == 0:
             raise ValueError("robust early stopping needs validation rows: "

@@ -17,15 +17,20 @@ Output-directory layout:
     <out>/decision.svg             decision regions, from ``evaluate`` and
                                    ``attack`` on 2-D eval data only
     <out>/smooth.json              smoothed accuracy, from ``smooth-eval``
+    <out>/.lock                    empty; each command holds its flock while
+                                   it writes here
 
 This module writes every one of these files. Every file but the partial
-stream is written atomically (tmp + rename): a crashed run never leaves a
-file that parses as a complete artifact. Each epoch appends its line to the
-stream, then writes ``best.ckpt`` when it changed and ``last.ckpt`` last,
-whose rename commits the epoch; resume cuts the stream back to
-``last.ckpt``'s epoch. ``attack`` and ``smooth-eval`` make the directory only
-once their results are computed. One process per output directory: each
-command holds a lock file while it writes there.
+stream and the empty lock is written atomically (tmp + rename): a crashed
+run never leaves a file that parses as a complete artifact. Each epoch
+appends its line to the stream, then writes ``best.ckpt`` when it changed
+and ``last.ckpt`` last, whose rename commits the epoch; resume cuts the
+stream back to ``last.ckpt``'s epoch. ``attack`` and ``smooth-eval`` make
+the directory only once their results are computed. One process per output
+directory: each command holds a kernel flock on ``.lock`` while it writes
+there (:func:`output_lock`). The file stays; the kernel releases the lock on
+any exit, a crash included. The lock excludes processes on one host, on a
+local filesystem.
 
 Data buffers: ``build_train_val`` owns the training pool it builds. Its
 train and val splits are two slices of the pool's one float64 array,
@@ -41,6 +46,7 @@ Entry points read the output directory from ``cfg.output_dir`` (else
 """
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import time
@@ -80,52 +86,21 @@ class ExperimentError(RuntimeError):
     """Runtime failure while orchestrating an experiment."""
 
 
-def _pid_is_dead(lock: Path) -> bool:
-    """True when ``lock`` names a pid that no process runs under. A lock
-    without a readable pid counts as live: its holder may still be writing it."""
-    try:
-        pid = int(lock.read_text())
-    except (OSError, ValueError):
-        return False
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return True
-    except PermissionError:  # alive, under another user
-        pass
-    return False
-
-
 @contextmanager
 def output_lock(out_dir: Path):
-    """Hold ``out_dir/.lock`` for the block; the lock file records the pid.
+    """Hold an exclusive ``flock`` on ``out_dir/.lock`` for the block.
 
-    A lock left behind by a process that no longer runs is reclaimed. Two
-    runs reclaiming the same stale lock at the same moment can both succeed,
-    so this guards against a dead run, not against a race of two starts."""
-    lock = out_dir / ".lock"
-    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
-    try:
-        fd = os.open(lock, flags)
-    except FileExistsError:
-        if not _pid_is_dead(lock):
-            raise ExperimentError(
-                f"output directory {out_dir} is locked by another run "
-                f"(remove {lock} if that run is dead)"
-            )
-        lock.unlink(missing_ok=True)
-        fd = os.open(lock, flags)
-    try:
-        os.write(fd, str(os.getpid()).encode())
-        os.close(fd)
-        yield
-    finally:
+    The kernel releases it when the holder exits, however it exits. A second
+    lock in the same process is refused too: the lock belongs to the open
+    file description. The file stays empty and is never removed, since
+    unlinking a locked file lets a waiter lock an orphaned inode while a
+    third run creates a new one. One host, local filesystem, POSIX only."""
+    with open(os.open(out_dir / ".lock", os.O_CREAT | os.O_RDONLY, 0o644)) as lock:
         try:
-            os.unlink(lock)
-        except FileNotFoundError:
-            pass
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise ExperimentError(f"output directory {out_dir} is locked by another run") from None
+        yield
 
 
 # ---------------------------------------------------------------------------

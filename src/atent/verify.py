@@ -49,25 +49,28 @@ class CheckResult:
         return f"[{self.suite}] {self.name}: {status} ({self.detail})"
 
 
+def _worst_fd_error(loss, pairs) -> float:
+    """Worst relative error of each gradient ``grad`` of the (tensor, grad)
+    ``pairs`` against central differences of ``loss()`` in that tensor."""
+    def loss_at(t, arr):
+        old, t.data = t.data, arr
+        try:
+            return loss()
+        finally:
+            t.data = old
+
+    return max(relative_error(grad, finite_difference_grad(
+        lambda arr, t=t: loss_at(t, arr), t.data.copy())) for t, grad in pairs)
+
+
 def _fd_vs_autodiff(name, build_scalar, leaves, tol) -> CheckResult:
     """build_scalar() evaluates the scalar; the gradient wrt each of the
     ``leaves`` vs central FD, reporting the worst relative error."""
     with tc.Tape(leaves) as tape:
         out = build_scalar()
     grads = tc.backward(tape, out)
-
-    err = 0.0
-    for leaf in leaves:
-        def f(arr, leaf=leaf):
-            old = leaf.data
-            leaf.data = arr
-            try:
-                return build_scalar().item()
-            finally:
-                leaf.data = old
-
-        err = max(err, relative_error(grads[leaf].data,
-                                      finite_difference_grad(f, leaf.data.copy())))
+    err = _worst_fd_error(lambda: build_scalar().item(),
+                          [(leaf, grads[leaf].data) for leaf in leaves])
     return CheckResult("gradients", name, err <= tol, f"rel err {err:.3e} <= {tol:g}")
 
 
@@ -165,13 +168,10 @@ def gradient_suite() -> list[CheckResult]:
     cases = _end_to_end_cases(rng)
     for name, params, batch in cases:
         _, wg, xg = loss_and_grads(params, batch, wrt="both")
-        worst = _worst_weight_error(params, lambda: batch_loss(params, batch), wg)
-
-        def fx(arr):
-            return batch.n * batch_loss(params, batch.with_inputs(arr))
-
-        fd_x = finite_difference_grad(fx, batch.inputs.data.copy())
-        worst = max(worst, relative_error(xg, fd_x))
+        worst = max(_worst_fd_error(lambda: batch_loss(params, batch),
+                                    [(t, wg[n]) for n, t in params.weights.items()]),
+                    _worst_fd_error(lambda: batch.n * batch_loss(params, batch),
+                                    [(batch.inputs, xg)]))
         results.append(CheckResult(
             "gradients", f"end-to-end {name}", worst <= GRAD_TOL,
             f"worst rel err {worst:.3e} <= {GRAD_TOL:g}"))
@@ -184,10 +184,10 @@ def gradient_suite() -> list[CheckResult]:
         run = run_chain(params, batch, scfg, derive_rng(4), weight_grads=True)
         samples = run_chain(params, batch, scfg, derive_rng(4)).samples
         coeff = [scfg.ema * (1.0 - scfg.ema) ** (scfg.steps - k) for k in range(1, scfg.steps + 1)]
-        worst = _worst_weight_error(
-            params, lambda: sum(c * batch_loss(params, batch.with_inputs(x))
-                                for c, x in zip(coeff, samples)),
-            run.weight_grads)
+        worst = _worst_fd_error(
+            lambda: sum(c * batch_loss(params, batch.with_inputs(x))
+                        for c, x in zip(coeff, samples)),
+            [(t, run.weight_grads[n]) for n, t in params.weights.items()])
         ref = atent_outer_gradient(params, batch, samples, scfg.ema)
         same = all(np.array_equal(run.weight_grads[n], ref[n]) for n in ref)
         results.append(CheckResult(
@@ -196,20 +196,6 @@ def gradient_suite() -> list[CheckResult]:
             f"{'equals' if same else 'differs from'} the frozen-sample reference bitwise"))
 
     return results
-
-
-def _worst_weight_error(params, loss, wg) -> float:
-    """Worst relative error of the weight gradients ``wg`` against central
-    differences of ``loss()`` in each weight tensor."""
-    def loss_at(t, arr):
-        old, t.data = t.data, arr
-        try:
-            return loss()
-        finally:
-            t.data = old
-
-    return max(relative_error(wg[name], finite_difference_grad(
-        lambda arr, t=t: loss_at(t, arr), t.data.copy())) for name, t in params.weights.items())
 
 
 def _end_to_end_cases(rng):

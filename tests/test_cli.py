@@ -3,6 +3,10 @@ import argparse
 import dataclasses
 import json
 import os
+import subprocess
+import sys
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +51,38 @@ def write_cfg(tmp_path, tree, fname="cfg.json"):
     path = tmp_path / fname
     path.write_text(json.dumps(tree))
     return path
+
+
+_HOLDER = """
+import sys, time
+from pathlib import Path
+from atent.experiment import output_lock
+with output_lock(Path(sys.argv[1])):
+    print("locked", flush=True)
+    time.sleep(60)
+"""
+
+
+def src_env() -> dict:
+    """The environment with this checkout's ``src`` first on ``PYTHONPATH``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+@contextmanager
+def lock_holder(out):
+    """A subprocess that holds ``out``'s lock through ``output_lock`` for
+    the block; it has taken the lock when the block starts."""
+    proc = subprocess.Popen([sys.executable, "-c", _HOLDER, str(out)],
+                            stdout=subprocess.PIPE, text=True, env=src_env())
+    try:
+        assert proc.stdout.readline() == "locked\n"
+        yield proc
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+        proc.stdout.close()
 
 
 class TestPipeline:
@@ -143,27 +179,32 @@ class TestPipeline:
         with output_lock(out):  # released after exit
             pass
 
-    def test_lock_of_dead_pid_is_reclaimed(self, tmp_path):
-        import subprocess
-        import sys
-
-        proc = subprocess.Popen([sys.executable, "-c", "pass"])
-        proc.wait()  # reaped: no process runs under its pid any more
+    @pytest.mark.parametrize("text", [None, "", "not a pid"],
+                             ids=["dead-pid", "empty", "not-a-pid"])
+    def test_leftover_lock_file_does_not_block(self, tmp_path, text):
+        if text is None:
+            proc = subprocess.Popen([sys.executable, "-c", "pass"])
+            proc.wait()  # reaped: no process runs under its pid any more
+            text = str(proc.pid)
         out = tmp_path / "out"
         out.mkdir()
-        (out / ".lock").write_text(str(proc.pid))
+        (out / ".lock").write_text(text)
         with output_lock(out):
-            assert (out / ".lock").read_text() == str(os.getpid())
-        assert not (out / ".lock").exists()
+            pass
+        assert (out / ".lock").read_text() == text
 
-    def test_lock_without_readable_pid_refuses(self, tmp_path):
+    def test_lock_of_killed_holder_is_free_at_once(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
-        for text in ("", "not a pid"):
-            (out / ".lock").write_text(text)
-            with pytest.raises(ExperimentError, match="locked"):
+        with lock_holder(out) as holder:
+            with pytest.raises(ExperimentError, match="locked by another run"):
                 with output_lock(out):
                     pass
+            holder.kill()  # SIGKILL: the holder runs no cleanup of its own
+            holder.wait(timeout=10)
+            with output_lock(out):
+                pass
+        assert (out / ".lock").read_bytes() == b""
 
     def test_mnist_kind_reads_idx_tree(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -733,26 +774,24 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("command", ["attack", "smooth-eval"])
     def test_live_lock_refuses_and_leaves_the_directory(self, tmp_path, capsys, command):
-        import subprocess
-        import sys
-
         ckpt = tmp_path / "m.ckpt"
         checkpoint.save_checkpoint(build_mlp([2, 8, 2], seed=0), ckpt)
         cfg_path = write_cfg(tmp_path, toy_tree(smoothing={"sigma": 0.1, "n_samples": 8}))
         out = tmp_path / "o"
         out.mkdir()
         (out / "report.csv").write_text("kept\n")
-        holder = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
-        try:
-            (out / ".lock").write_text(str(holder.pid))
+        with lock_holder(out):
             before = {p.name: p.read_bytes() for p in out.iterdir()}
             assert main([command, str(cfg_path), "--checkpoint", str(ckpt),
                          "--output-dir", str(out)]) == 2
             assert "is locked by another run" in capsys.readouterr().err
             assert {p.name: p.read_bytes() for p in out.iterdir()} == before
-        finally:
-            holder.kill()
-            holder.wait(timeout=10)
+
+    def test_python_dash_m_runs_the_cli(self):
+        proc = subprocess.run([sys.executable, "-m", "atent", "verify", "--suite", "lemma1"],
+                              capture_output=True, text=True, env=src_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "5/5 checks passed"
 
     def test_smooth_eval_without_smoothing_section_is_config_error(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, toy_tree())

@@ -76,9 +76,10 @@ class TestParsing:
         with pytest.raises(ConfigError, match="model"):
             parse_config_dict(tree)
 
-    def test_bad_name_rejected(self):
-        with pytest.raises(ConfigError, match="name"):
-            parse_config_dict(minimal_tree(name="a/b"))
+    @pytest.mark.parametrize("name", ["a/b", ".", ".."])
+    def test_bad_name_rejected(self, name):
+        with pytest.raises(ConfigError, match="name must be non-empty and filesystem-safe"):
+            parse_config_dict(minimal_tree(name=name))
 
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "broken.json"

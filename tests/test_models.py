@@ -290,7 +290,10 @@ class TestLossAndGrads:
         # wrt="both" pass peaks at 5.2 MB traced. Holding spent records and
         # gradients until the sweep ended, it peaked at 5.5 MB, with the
         # pull's spans as long as the forward's at 6.6 MB, and with np.intp
-        # winners at 7.5 MB
+        # winners at 7.5 MB. That peak is the forward's (block 1's arena), so
+        # the sweep is bounded on its own: it peaks at 4.9 MB, and at
+        # 5.1-5.3 MB when it keeps its records, the incoming gradient or a
+        # pull's outputs past their use
         rng = np.random.default_rng(8)
         p = build_small_cnn([8, 16], [32, 2], seed=0)
         batch = Batch(rng.random((32, 1, 28, 28)), np.eye(2)[rng.integers(0, 2, 32)])
@@ -299,9 +302,15 @@ class TestLossAndGrads:
         try:
             loss_and_grads(p, batch, wrt="both")
             peak = tracemalloc.get_traced_memory()[1]
+            with Tape([*p.weights.values(), batch.inputs]) as tape:
+                loss = tc.softmax_cross_entropy(forward_logits(p, batch.inputs), batch.labels)
+            tracemalloc.reset_peak()
+            tc.backward(tape, loss)
+            sweep_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 5.4e6, f"loss_and_grads peaked at {peak / 1e6:.2f} MB"
+        assert sweep_peak < 5.0e6, f"backward peaked at {sweep_peak / 1e6:.2f} MB"
 
 
 class TestPredictAccuracy:
