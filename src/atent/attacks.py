@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .models import Batch, ModelParams, loss_and_grads, per_sample_losses, predict
+from .data import Dataset
+from .models import ModelParams, loss_and_grads, per_sample_losses, predict
 from .sampler import L2, LINF, GibbsSamplerConfig, _clip_range, run_chain
 from .seeding import derive_rng
 
@@ -101,7 +102,7 @@ def _pgd_single(params, batch, cfg: AttackConfig, rng) -> np.ndarray:
     return x_adv
 
 
-def _pgd(params: ModelParams, batch: Batch, cfg: AttackConfig, stream: int) -> np.ndarray:
+def _pgd(params: ModelParams, batch: Dataset, cfg: AttackConfig, stream: int) -> np.ndarray:
     """Iterated projected ascent with optional random starts; with several
     restarts the per-sample worst (max final loss) one is returned."""
     best = _pgd_single(params, batch, cfg, derive_rng(cfg.seed, "pgd", stream, 0))
@@ -116,7 +117,7 @@ def _pgd(params: ModelParams, batch: Batch, cfg: AttackConfig, stream: int) -> n
     return best
 
 
-def _atent(params: ModelParams, batch: Batch, cfg: AttackConfig, stream: int) -> np.ndarray:
+def _atent(params: ModelParams, batch: Dataset, cfg: AttackConfig, stream: int) -> np.ndarray:
     """Final Langevin-chain point, projected into the ``cfg.norm`` ball of
     ``cfg.radius`` around the clean inputs.
 
@@ -125,11 +126,11 @@ def _atent(params: ModelParams, batch: Batch, cfg: AttackConfig, stream: int) ->
     The value range is applied once, after the final projection.
     """
     rng = derive_rng(cfg.seed, "atent-attack", stream)
-    run = run_chain(params, Batch(batch.inputs, batch.labels, None), cfg.sampler, rng)
+    run = run_chain(params, Dataset(batch.inputs, batch.labels), cfg.sampler, rng)
     return _clip_range(_project(run.samples[-1], batch.inputs.data, cfg.norm, cfg.radius), batch)
 
 
-def run_attack(params: ModelParams, batch: Batch, cfg: AttackConfig,
+def run_attack(params: ModelParams, batch: Dataset, cfg: AttackConfig,
                stream: int = 0) -> np.ndarray:
     """Adversarial inputs for ``batch`` under ``cfg``, drawn from generators
     keyed by (``cfg.seed``, ``stream``); at radius 0, a copy of the inputs."""
@@ -153,10 +154,9 @@ def robust_accuracy(params: ModelParams, dataset, cfg: AttackConfig,
     n = dataset.n
     for bi, start in enumerate(range(0, n, batch_size)):
         idx = np.arange(start, min(start + batch_size, n))
-        sub = dataset.take(idx)
-        batch = sub.as_batch()
+        batch = dataset.take(idx)
         x_adv = run_attack(params, batch, cfg, stream=bi)
         pred = predict(params, x_adv)
-        correct += int(np.sum(pred == sub.labels.data.argmax(axis=1)))
+        correct += int(np.sum(pred == batch.labels.data.argmax(axis=1)))
     return correct / n
 

@@ -1,4 +1,8 @@
-"""Dataset ingestion and synthesis.
+"""The row container, and dataset ingestion and synthesis.
+
+``Dataset`` is the one row class: a data split, a training minibatch, or
+the batch that an attack, the Langevin chain or an oracle works on. The
+builders here declare the [0, 1] value range of their inputs.
 
 IDX files (big-endian, magics 0x00000803 / 0x00000801, optionally gzipped)
 are read as uint8, an uncompressed file through a memory map; a two-class
@@ -32,9 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Batch, _validate_one_hot
 from .seeding import derive_rng
-from .tensor import Tensor, _unchecked
+from .tensor import Tensor, TensorError, _unchecked
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
@@ -46,24 +49,24 @@ class IdxFormatError(ValueError):
 
 @dataclass
 class Dataset:
-    """Inputs in [0, 1], one-hot labels, immutable after construction; both
-    are checked once, here."""
+    """Inputs plus one-hot labels, checked once, here; ``value_range``, when
+    declared, bounds the inputs and marks them clippable (image) data."""
 
     inputs: Tensor
     labels: Tensor
-    value_range: tuple[float, float] = (0.0, 1.0)
+    value_range: tuple[float, float] | None = None
 
     def __post_init__(self):
         if not isinstance(self.inputs, Tensor):
             self.inputs = Tensor(self.inputs)
         if not isinstance(self.labels, Tensor):
             self.labels = Tensor(self.labels)
-        if self.inputs.shape[0] != self.labels.shape[0]:
-            raise ValueError("inputs and labels disagree on sample count")
+        _check_rows(self.inputs, self.labels)
         _validate_one_hot(self.labels.data)
-        lo, hi = self.value_range
-        if self.inputs.size and (self.inputs.data.min() < lo or self.inputs.data.max() > hi):
-            raise ValueError(f"input values leave the declared range [{lo}, {hi}]")
+        if self.value_range is not None and self.inputs.size:
+            lo, hi = self.value_range
+            if self.inputs.data.min() < lo or self.inputs.data.max() > hi:
+                raise ValueError(f"input values leave the declared range [{lo}, {hi}]")
 
     @property
     def n(self) -> int:
@@ -74,12 +77,46 @@ class Dataset:
         return self.labels.shape[1]
 
     def take(self, indices) -> "Dataset":
+        """A copy of the rows at ``indices``, in that order; they were
+        checked when this dataset was built, so they are not checked again."""
         idx = np.asarray(indices)
-        return Dataset(Tensor(self.inputs.data[idx]), Tensor(self.labels.data[idx]),
-                       self.value_range)
+        rows = copy.copy(self)
+        rows.inputs = _unchecked(self.inputs.data[idx])
+        rows.labels = _unchecked(self.labels.data[idx])
+        return rows
 
-    def as_batch(self) -> Batch:
-        return Batch(self.inputs, self.labels, self.value_range)
+    def with_inputs(self, new_inputs: np.ndarray) -> "Dataset":
+        """These rows with other inputs; the labels, validated when this
+        dataset was built, are shared and not validated again."""
+        inputs = Tensor(new_inputs)
+        _check_rows(inputs, self.labels)
+        rows = copy.copy(self)
+        rows.inputs = inputs
+        return rows
+
+    def as_batch(self) -> "Dataset":
+        """This dataset; kept only for the benchmark's call to it
+        (``perfbench/workloads.py``), and goes with that call."""
+        return self
+
+
+def _validate_one_hot(labels: np.ndarray) -> None:
+    """Labels are checked here once, where a ``Dataset`` is built; the loss
+    only checks their shape."""
+    ok = (
+        labels.ndim == 2
+        and ((labels == 0.0) | (labels == 1.0)).all()
+        and (labels.sum(axis=1) == 1.0).all()
+    )
+    if not ok:
+        raise TensorError("labels must be one-hot rows")
+
+
+def _check_rows(inputs: Tensor, labels: Tensor) -> None:
+    if inputs.shape[0] != labels.shape[0]:
+        raise TensorError(
+            f"batch size mismatch: {inputs.shape[0]} inputs, {labels.shape[0]} labels"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +193,7 @@ def subset_binary(images: np.ndarray, digits: np.ndarray, class_a: int, class_b:
     inputs = images[keep[order]].astype(np.float64)
     inputs /= 255.0
     return Dataset(Tensor(inputs.reshape(keep.size, 1, *images.shape[1:])),
-                   Tensor(new_labels[order]))
+                   Tensor(new_labels[order]), (0.0, 1.0))
 
 
 def synth_two_gaussians(n: int, separation: float, seed: int) -> Dataset:
@@ -177,7 +214,7 @@ def synth_two_gaussians(n: int, separation: float, seed: int) -> Dataset:
     labels[:half, 0] = 1.0
     labels[half:, 1] = 1.0
     order = rng.permutation(n)
-    return Dataset(Tensor(pts[order]), Tensor(labels[order]))
+    return Dataset(Tensor(pts[order]), Tensor(labels[order]), (0.0, 1.0))
 
 
 def permute_rows(order: np.ndarray, *arrays: np.ndarray) -> None:
@@ -201,21 +238,13 @@ def permute_rows(order: np.ndarray, *arrays: np.ndarray) -> None:
 
 
 def batch_iter(ds: Dataset, batch_size: int, seed: int, epoch: int):
-    """Seeded per-epoch shuffle; the last short batch is kept.
-
-    Each batch is a copy of the whole-set batch holding the rows of the
-    dataset's checked tensors, so neither its values nor its one-hot labels
-    are checked again."""
+    """Seeded per-epoch shuffle; the last short batch is kept. Each batch is
+    ``ds.take`` of its rows, so it is not checked again."""
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
     order = derive_rng(seed, "shuffle", epoch).permutation(ds.n)
-    whole = ds.as_batch()
     for start in range(0, ds.n, batch_size):
-        idx = order[start:start + batch_size]
-        batch = copy.copy(whole)
-        batch.inputs = _unchecked(ds.inputs.data[idx])
-        batch.labels = _unchecked(ds.labels.data[idx])
-        yield batch
+        yield ds.take(order[start:start + batch_size])
 
 
 # ---------------------------------------------------------------------------
@@ -321,4 +350,4 @@ def synth_digits(n_per_class: int, classes=(5, 8), seed: int = 0) -> Dataset:
             _render_block(digit, rng, inputs[start:min(start + _RENDER_BLOCK, rows.stop), 0])
         labels[rows, ci] = 1.0
     permute_rows(rng.permutation(n), inputs, labels)
-    return Dataset(Tensor(inputs), Tensor(labels))
+    return Dataset(Tensor(inputs), Tensor(labels), (0.0, 1.0))

@@ -233,8 +233,9 @@ _DIRECTIONS = {
 
 
 def _lr_at(cfg: TrainerConfig, epoch: int) -> float:
-    """Stateless learning rate: base times every decay at or before epoch."""
-    lr = cfg.lr
+    """Stateless learning rate: base times every decay at or before epoch,
+    a float even when a config built in code gives an int base."""
+    lr = float(cfg.lr)
     for e, f in cfg.schedule():
         if epoch >= e:
             lr *= f

@@ -53,6 +53,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .attacks import robust_accuracy
 from .checkpoint import (
@@ -126,9 +127,13 @@ def _mnist_paths(data_dir: Path, prefix: str) -> tuple[Path, Path]:
 
 def _mnist_binary(spec: DataSpec, master_seed: int, prefix: str) -> Dataset:
     root = Path(spec.data_dir or os.environ.get(DATA_DIR_ENV, "."))
-    images, digits = read_idx_pair(*_mnist_paths(root, prefix))
-    return subset_binary(images, digits, spec.class_a, spec.class_b,
-                         spec.cap_per_class, seed=master_seed)
+    images_path, labels_path = _mnist_paths(root, prefix)
+    images, digits = read_idx_pair(images_path, labels_path)
+    try:
+        return subset_binary(images, digits, spec.class_a, spec.class_b,
+                             spec.cap_per_class, seed=master_seed)
+    except ValueError as exc:  # a configured class has no row in the corpus
+        raise ExperimentError(f"{images_path}: {exc}") from None
 
 
 def build_eval_dataset(spec: DataSpec, master_seed: int) -> Dataset:
@@ -212,16 +217,10 @@ def _check_counters(path: Path, counters) -> None:
         raise ExperimentError(f"{path}: trainer counter 'epoch' is {counters['epoch']}")
 
 
-# the fields of a metric record and the types each may take; an ``lr`` stays
-# an int when a config built in code gives one and no decay has applied
-_RECORD_TYPES = {
-    "epoch": (int,),
-    "train_loss": (float,),
-    "nat_acc": (float, type(None)),
-    "rob_acc": (float, type(None)),
-    "lr": (float, int),
-    "wall_ms": (int,),
-}
+# the fields of a metric record and the types each may take, read off
+# ``EpochRecord``'s annotations
+_RECORD_TYPES = {name: get_args(hint) or (hint,)
+                 for name, hint in get_type_hints(EpochRecord).items()}
 
 
 def _metrics_line(record: EpochRecord) -> str:

@@ -9,17 +9,17 @@ computed by the one op :func:`tensor.conv_block`. Pooling before the ReLU
 gives exactly the values and gradients of ReLU before pooling, because ReLU
 is monotone and so commutes with the max, and it leaves the ReLU a quarter
 of the data. Weights are He-initialized normals, biases zero, everything
-reproducible from (descriptor, seed).
+reproducible from (descriptor, seed). The losses read their rows from a
+:class:`data.Dataset`, the one row class.
 """
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as tc
+from .data import Dataset
 from .seeding import derive_rng
 from .tensor import Tensor, TensorError
 
@@ -32,55 +32,6 @@ CNN_POOL = 2
 # every seed, at a peak RSS of 43.0, 45.6-45.7 and 49.5-49.6 MB; spans of 8
 # took 3.0k-4.4k.
 _FORWARD_SPAN = 16
-
-
-@dataclass
-class Batch:
-    """Inputs plus one-hot labels; value_range marks clippable (image) data."""
-
-    inputs: Tensor
-    labels: Tensor
-    value_range: tuple[float, float] | None = None
-
-    def __post_init__(self):
-        if not isinstance(self.inputs, Tensor):
-            self.inputs = Tensor(self.inputs)
-        if not isinstance(self.labels, Tensor):
-            self.labels = Tensor(self.labels)
-        _check_rows(self.inputs, self.labels)
-        _validate_one_hot(self.labels.data)
-
-    @property
-    def n(self) -> int:
-        return self.inputs.shape[0]
-
-    def with_inputs(self, new_inputs: np.ndarray) -> "Batch":
-        """This batch with other inputs; the labels, validated when this
-        batch was built, are shared and not validated again."""
-        inputs = Tensor(new_inputs)
-        _check_rows(inputs, self.labels)
-        batch = copy.copy(self)
-        batch.inputs = inputs
-        return batch
-
-
-def _validate_one_hot(labels: np.ndarray) -> None:
-    """Labels are checked here once, where a ``Batch`` or a ``Dataset`` is
-    built; the loss only checks their shape."""
-    ok = (
-        labels.ndim == 2
-        and ((labels == 0.0) | (labels == 1.0)).all()
-        and (labels.sum(axis=1) == 1.0).all()
-    )
-    if not ok:
-        raise TensorError("labels must be one-hot rows")
-
-
-def _check_rows(inputs: Tensor, labels: Tensor) -> None:
-    if inputs.shape[0] != labels.shape[0]:
-        raise TensorError(
-            f"batch size mismatch: {inputs.shape[0]} inputs, {labels.shape[0]} labels"
-        )
 
 
 class ModelParams:
@@ -258,7 +209,7 @@ def forward_logits(params: ModelParams, inputs: Tensor) -> Tensor:
 
 def loss_and_grads(
     params: ModelParams,
-    batch: Batch,
+    batch: Dataset,
     wrt: str = "weights",
 ) -> tuple[float, dict[str, np.ndarray] | None, np.ndarray | None]:
     """Mean cross-entropy plus requested gradients.
@@ -289,13 +240,13 @@ def loss_and_grads(
     return loss.item(), weight_grads, input_grads
 
 
-def batch_loss(params: ModelParams, batch: Batch) -> float:
+def batch_loss(params: ModelParams, batch: Dataset) -> float:
     """Mean cross-entropy, no gradients, no tape."""
     logits = forward_logits(params, batch.inputs)
     return tc.softmax_cross_entropy(logits, batch.labels).item()
 
 
-def per_sample_losses(params: ModelParams, batch: Batch) -> np.ndarray:
+def per_sample_losses(params: ModelParams, batch: Dataset) -> np.ndarray:
     """Each sample's own cross-entropy, shape (n,)."""
     logits = forward_logits(params, batch.inputs).data
     shifted = logits - logits.max(axis=1, keepdims=True)

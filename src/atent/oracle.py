@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import Batch, ModelParams, loss_and_grads
+from .data import Dataset
+from .models import ModelParams, loss_and_grads
 
 
 def finite_difference_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -171,7 +172,7 @@ def grid_gibbs_density(loss_fn, anchor, gamma: float, bounds, resolution: int) -
     )
 
 
-def atent_outer_gradient(params: ModelParams, batch: Batch, samples,
+def atent_outer_gradient(params: ModelParams, batch: Dataset, samples,
                          alpha: float) -> dict[str, np.ndarray]:
     """EMA-weighted weight gradient over frozen chain samples: the reference
     the chain's fused ``weight_grads`` is checked against, and itself

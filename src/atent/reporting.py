@@ -77,6 +77,8 @@ def render_decision_svg(params: ModelParams, dataset, resolution: int = 200,
     """Scatter of the dataset over run-length-encoded decision regions."""
     if dataset.inputs.data.ndim != 2 or dataset.inputs.shape[1] != 2:
         raise ValueError("decision plots need a 2-D dataset")
+    if dataset.value_range is None:  # it bounds the plot
+        raise ValueError("decision plots need a dataset with a declared value range")
     lo, hi = dataset.value_range
     grid = decision_grid(params, [(lo, hi), (lo, hi)], resolution)
     cell = size / resolution

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Batch, ModelParams, loss_and_grads
+from .data import Dataset
+from .models import ModelParams, loss_and_grads
 from .tensor import NonFiniteError
 
 L2 = "l2"
@@ -82,7 +83,7 @@ class ChainRun:
     weight_grads: dict[str, np.ndarray] | None = None
 
 
-def _clip_range(x: np.ndarray, batch: Batch) -> np.ndarray:
+def _clip_range(x: np.ndarray, batch: Dataset) -> np.ndarray:
     """``x`` clipped into ``batch.value_range``; ``x`` itself, with no copy
     made, when there is no range or it is already inside."""
     if batch.value_range is None:
@@ -175,7 +176,7 @@ def langevin_step(x_prime: np.ndarray, anchor: np.ndarray, grad: np.ndarray,
 
 def run_chain(
     params: ModelParams,
-    batch: Batch,
+    batch: Dataset,
     cfg: GibbsSamplerConfig,
     rng: np.random.Generator,
     weight_grads: bool = False,

@@ -174,7 +174,8 @@ def backward(tape: Tape, root: Tensor) -> dict[Tensor, Tensor]:
     here, and a failure names ``backward``. Each record is popped off the
     tape before its pull, and its incoming gradient leaves the map as the
     pull takes it, so both are freed once the pull is done with them; the
-    tape ends empty.
+    tape ends empty. Every pull returns C-contiguous gradients, so the leaf
+    gradients are wrapped as they are, with no copy.
     """
     if tape.consumed:
         raise TapeError("tape already consumed by a previous backward pass")
@@ -198,7 +199,7 @@ def backward(tape: Tape, root: Tensor) -> dict[Tensor, Tensor]:
             prev = grads.get(id(t))
             grads[id(t)] = gt if prev is None else prev + gt
         pulled = gt = None
-    return {t: _unchecked(np.ascontiguousarray(_check_finite(grads[id(t)], "backward")))
+    return {t: _unchecked(_check_finite(grads[id(t)], "backward"))
             for t in tape.leaves if id(t) in grads}
 
 
@@ -323,13 +324,14 @@ def _col2im(dcols: np.ndarray, xp_shape, kh: int, kw: int, stride: int, padding:
             oh: int, ow: int) -> np.ndarray:
     """Gradient of the unpadded input from column gradients (n, cin*kh*kw,
     oh*ow): each tap's columns are added back onto the padded input
-    ``xp_shape`` where :func:`_im2col` read them, then the padding is cut."""
+    ``xp_shape`` where :func:`_im2col` read them, then the padding is cut,
+    into a C-contiguous copy like every other pull's gradient."""
     n, cin, hp, wp = xp_shape
     dcols = dcols.reshape(n, cin, kh, kw, oh, ow)
     dxp = np.zeros(xp_shape)
     for ky, kx, rows, cs in _taps(kh, kw, stride, oh, ow):
         dxp[:, :, rows, cs] += dcols[:, :, ky, kx]
-    return dxp[:, :, padding:hp - padding, padding:wp - padding]
+    return np.ascontiguousarray(dxp[:, :, padding:hp - padding, padding:wp - padding])
 
 
 def _pad(x: np.ndarray, padding: int) -> np.ndarray:

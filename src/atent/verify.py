@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tc
-from .models import Batch, batch_loss, build_mlp, build_small_cnn, loss_and_grads
+from .data import Dataset
+from .models import batch_loss, build_mlp, build_small_cnn, loss_and_grads
 from .oracle import (
     atent_outer_gradient,
     chain_moment_check,
@@ -200,11 +201,11 @@ def gradient_suite() -> list[CheckResult]:
 
 def _end_to_end_cases(rng):
     p1 = build_mlp([2, 16, 2], seed=1)
-    b1 = Batch(rng.random((6, 2)), np.eye(2)[rng.integers(0, 2, 6)])
+    b1 = Dataset(rng.random((6, 2)), np.eye(2)[rng.integers(0, 2, 6)])
     p2 = build_mlp([6, 16, 12, 3], seed=2)
-    b2 = Batch(rng.random((5, 6)), np.eye(3)[rng.integers(0, 3, 5)])
+    b2 = Dataset(rng.random((5, 6)), np.eye(3)[rng.integers(0, 3, 5)])
     p3 = build_small_cnn([2], [8, 3], seed=3, in_shape=(1, 8, 8))
-    b3 = Batch(rng.random((3, 1, 8, 8)), np.eye(3)[rng.integers(0, 3, 3)])
+    b3 = Dataset(rng.random((3, 1, 8, 8)), np.eye(3)[rng.integers(0, 3, 3)])
     return [("mlp", p1, b1), ("deep mlp", p2, b2), ("small cnn", p3, b3)]
 
 

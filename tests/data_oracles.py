@@ -25,7 +25,7 @@ def load_mnist_idx(images_path, labels_path) -> Dataset:
     inputs = images.astype(np.float64).reshape(n, 1, h, w) / 255.0
     one_hot = np.zeros((n, 10))
     one_hot[np.arange(n), labels] = 1.0
-    return Dataset(Tensor(inputs), Tensor(one_hot))
+    return Dataset(Tensor(inputs), Tensor(one_hot), (0.0, 1.0))
 
 
 def subset_binary(ds: Dataset, class_a: int, class_b: int, cap_per_class: int,
@@ -91,7 +91,7 @@ def synth_digits(n_per_class: int, classes=(5, 8), seed: int = 0) -> Dataset:
             labels[i, ci] = 1.0
             i += 1
     order = rng.permutation(n)
-    return Dataset(Tensor(inputs[order]), Tensor(labels[order]))
+    return Dataset(Tensor(inputs[order]), Tensor(labels[order]), (0.0, 1.0))
 
 
 def split_train_val(ds: Dataset, val_fraction: float = 0.1,

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from atent.attacks import AttackConfig, robust_accuracy, run_attack
 from atent.data import Dataset, synth_two_gaussians
-from atent.models import Batch, accuracy, build_mlp, loss_and_grads, per_sample_losses
+from atent.models import accuracy, build_mlp, loss_and_grads, per_sample_losses
 from atent.sampler import GibbsSamplerConfig
 from atent.seeding import derive_rng
 from atent.tensor import Tensor
@@ -19,7 +19,7 @@ def _model_and_batch(seed=0, n=8, d=3, with_range=True):
     p = build_mlp([d, 8, 2], seed=seed)
     x = rng.random((n, d))
     y = np.eye(2)[rng.integers(0, 2, n)]
-    return p, Batch(x, y, (0.0, 1.0) if with_range else None)
+    return p, Dataset(x, y, (0.0, 1.0) if with_range else None)
 
 
 def _linf_dist(a, b):
@@ -72,7 +72,7 @@ class TestFgsm:
         p = build_mlp([1, 2], seed=0)
         p.weights["w0"].data = np.array([[0.0, 1.0]])
         p.weights["b0"].data = np.zeros(2)
-        batch = Batch(np.array([[0.2]]), np.array([[0.0, 1.0]]))
+        batch = Dataset(np.array([[0.2]]), np.array([[0.0, 1.0]]))
         cfg = AttackConfig(kind="fgsm", radius=0.05)
         out = run_attack(p, batch, cfg)
         assert out[0, 0] == pytest.approx(0.15, abs=1e-12)

@@ -635,6 +635,30 @@ class TestCliCommands:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "attack"])
+    def test_idx_corpus_without_a_configured_class_exit_code(self, tmp_path, capsys, command):
+        # digits 0-3 only, so the default classes 5 and 8 have no row; train
+        # reads the train-* pair first, attack only the t10k-* pair
+        rng = np.random.default_rng(2)
+        for prefix in ("train", "t10k"):
+            write_idx(rng.integers(0, 256, size=(20, 28, 28), dtype=np.uint8),
+                      np.arange(20, dtype=np.uint8) % 4,
+                      tmp_path / f"{prefix}-images-idx3-ubyte",
+                      tmp_path / f"{prefix}-labels-idx1-ubyte")
+        tree = toy_tree(model={"kind": "mlp", "widths": [784, 4, 2]})
+        tree["data"] = {"kind": "mnist_binary", "data_dir": str(tmp_path)}
+        ckpt = tmp_path / "w.ckpt"
+        checkpoint.save_checkpoint(build_mlp([784, 4, 2], seed=0), ckpt)
+        extra = ["--checkpoint", str(ckpt)] if command == "attack" else []
+        out = tmp_path / "out"
+        assert main([command, str(write_cfg(tmp_path, tree)), *extra,
+                     "--output-dir", str(out)]) == 2
+        images = tmp_path / f"{'train' if command == 'train' else 't10k'}-images-idx3-ubyte"
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == f"error: {images}: classes 5/8 not both present\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("edit, message", [
         (lambda t: t.update(eval_batch_size=0), "eval_batch_size must be at least 1, got 0"),
         (lambda t: t["trainer"].update(lr_schedule=[[2, -1.0]]),
@@ -744,14 +768,15 @@ class TestCliCommands:
         assert not (out / "metrics.jsonl").exists()
 
     def test_int_lr_of_a_config_built_in_code_reads_back(self, tmp_path):
-        # no decay applies, so the records carry the int lr as it was given
+        # no decay applies, and the records carry the int lr as the float 1.0
         cfg = parse_config_dict(toy_tree(epochs=3))
         cfg = dataclasses.replace(cfg, trainer=dataclasses.replace(cfg.trainer, lr=1))
         out = tmp_path / "out"
         run_training(in_dir(cfg, out), stop_after=2)
-        assert '"lr": 1,' in (out / "metrics.jsonl.partial").read_text()
+        assert '"lr": 1.0,' in (out / "metrics.jsonl.partial").read_text()
         state = run_training(in_dir(cfg, out), resume=True)
-        assert [r.lr for r in state.history] == [1, 1, 1]
+        assert [r.lr for r in state.history] == [1.0, 1.0, 1.0]
+        assert all(type(r.lr) is float for r in state.history)
 
     @pytest.mark.parametrize("command", ["attack", "smooth-eval"])
     def test_checkpoint_architecture_mismatch_exit_code(self, tmp_path, capsys, command):

@@ -23,9 +23,9 @@ from atent.data import (
 )
 from atent.config import DataSpec
 from atent.experiment import build_datasets, build_eval_dataset
-from atent.models import Batch, accuracy, build_mlp
+from atent.models import accuracy, build_mlp
 from atent.seeding import derive_rng
-from atent.tensor import Tensor
+from atent.tensor import Tensor, TensorError
 import data_oracles as oracle
 from file_helpers import write_idx
 
@@ -227,8 +227,27 @@ class TestDatasetChecks:
     def test_rejects_labels_that_are_not_one_hot(self, bad_row):
         labels = np.eye(2)[[0, 1, 0]]
         labels[1] = bad_row
-        with pytest.raises(ValueError, match="one-hot"):
+        with pytest.raises(TensorError, match="one-hot"):
             Dataset(Tensor(np.zeros((3, 2))), Tensor(labels))
+
+    def test_with_inputs_keeps_labels_and_range(self):
+        batch = Dataset(np.ones((2, 3)), np.eye(2), (0.0, 1.0))
+        moved = batch.with_inputs(np.zeros((2, 3)))
+        assert moved.labels is batch.labels and moved.value_range == (0.0, 1.0)
+        assert np.array_equal(moved.inputs.data, np.zeros((2, 3)))
+        assert np.array_equal(batch.inputs.data, np.ones((2, 3)))
+
+    def test_with_inputs_rejects_row_count_mismatch(self):
+        batch = Dataset(np.ones((2, 3)), np.eye(2))
+        with pytest.raises(TensorError, match="batch size mismatch"):
+            batch.with_inputs(np.ones((3, 3)))
+
+    def test_checks_the_value_range_only_when_one_is_declared(self):
+        x, y = np.array([[-0.5, 0.25], [0.5, 1.5]]), np.eye(2)
+        assert Dataset(x, y).value_range is None
+        with pytest.raises(ValueError, match=r"leave the declared range \[0.0, 1.0\]"):
+            Dataset(x, y, (0.0, 1.0))
+        assert Dataset(x, y, (-1.0, 2.0)).n == 2
 
     def test_batches_equal_checked_batches_bytewise(self):
         # 23 rows in batches of 5: four full batches and a short one of 3
@@ -240,8 +259,8 @@ class TestDatasetChecks:
         assert [b.n for b in batches] == [5, 5, 5, 5, 3]
         for start, got in zip(range(0, ds.n, 5), batches):
             idx = order[start:start + 5]
-            ref = Batch(Tensor(ds.inputs.data[idx]), Tensor(ds.labels.data[idx]), ds.value_range)
-            assert type(got) is Batch and got.value_range == ref.value_range
+            ref = Dataset(Tensor(ds.inputs.data[idx]), Tensor(ds.labels.data[idx]), ds.value_range)
+            assert type(got) is Dataset and got.value_range == ref.value_range
             for a, b in ((got.inputs, ref.inputs), (got.labels, ref.labels)):
                 assert type(a) is Tensor and a.data.flags.c_contiguous
                 assert a.data.dtype == b.data.dtype and a.shape == b.shape

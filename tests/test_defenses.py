@@ -6,7 +6,7 @@ import pytest
 
 from atent import defenses
 from atent.attacks import AttackConfig, robust_accuracy, run_attack
-from atent.data import batch_iter, synth_two_gaussians
+from atent.data import Dataset, batch_iter, synth_two_gaussians
 from atent.defenses import (
     ATENT_L2,
     ATENT_LINF,
@@ -18,7 +18,7 @@ from atent.defenses import (
     early_stop_update,
     train,
 )
-from atent.models import Batch, ModelParams, accuracy, build_mlp, loss_and_grads
+from atent.models import ModelParams, accuracy, build_mlp, loss_and_grads
 from atent.oracle import atent_outer_gradient, finite_difference_grad, relative_error
 from atent.sampler import GibbsSamplerConfig, init_perturbation, run_chain, weight_langevin_chain
 from atent.seeding import derive_rng
@@ -211,7 +211,6 @@ class TestTrainEntropySgd:
         # weight chain never leaves w and the update vanishes
         x = np.random.default_rng(0).random((32, 2))
         y = np.eye(2)[np.arange(32) % 2]
-        from atent.data import Dataset
         from atent.tensor import Tensor
 
         ds = Dataset(Tensor(x), Tensor(y))
@@ -230,7 +229,7 @@ class TestTrainEntropySgd:
         from atent.tensor import Tensor
 
         rng = np.random.default_rng(3)
-        batch = Batch(Tensor(rng.random((16, 2))), Tensor(np.eye(2)[np.arange(16) % 2]))
+        batch = Dataset(Tensor(rng.random((16, 2))), Tensor(np.eye(2)[np.arange(16) % 2]))
         params = build_mlp([2, 4, 2], seed=2)
         forward, passes = models.forward_logits, []
 
@@ -389,7 +388,7 @@ class TestTrainAtent:
         # sum_k c_k L(w; X'_k) with the samples frozen
         rng = np.random.default_rng(7)
         p = build_mlp([2, 3, 2], seed=7)
-        batch = Batch(rng.random((5, 2)), np.eye(2)[rng.integers(0, 2, 5)])
+        batch = Dataset(rng.random((5, 2)), np.eye(2)[rng.integers(0, 2, 5)])
         scfg = GibbsSamplerConfig(gamma=1.5, step=0.1, steps=4, noise_scale=0.2,
                                   ema=0.6)
         run = run_chain(p, batch, scfg, derive_rng(3))
@@ -427,7 +426,7 @@ class TestTrainAtent:
         for trial in range(100):
             x = rng.random((4, 2))
             y = np.eye(2)[rng.integers(0, 2, 4)]
-            batch = Batch(x, y)
+            batch = Dataset(x, y)
             run = run_chain(p, batch, scfg, derive_rng(trial))
 
             def objective(xp):

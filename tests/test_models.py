@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from atent import models
 from atent import tensor as tc
+from atent.data import Dataset
 from atent.models import (
-    Batch,
     accuracy,
     batch_loss,
     build_mlp,
@@ -42,21 +42,10 @@ def _fd_weight_check(params, batch, names, tol=1e-4):
 
 
 class TestBatch:
+    # the models take their batches as a Dataset; built here from bare arrays
     def test_rejects_labels_that_are_not_one_hot(self):
-        with pytest.raises(TensorError):
-            Batch(np.ones((2, 3)), np.array([[1.0, 0.0], [0.5, 0.5]]))
-
-    def test_with_inputs_keeps_labels_and_range(self):
-        batch = Batch(np.ones((2, 3)), np.eye(2), (0.0, 1.0))
-        moved = batch.with_inputs(np.zeros((2, 3)))
-        assert moved.labels is batch.labels and moved.value_range == (0.0, 1.0)
-        assert np.array_equal(moved.inputs.data, np.zeros((2, 3)))
-        assert np.array_equal(batch.inputs.data, np.ones((2, 3)))
-
-    def test_with_inputs_rejects_row_count_mismatch(self):
-        batch = Batch(np.ones((2, 3)), np.eye(2))
-        with pytest.raises(TensorError):
-            batch.with_inputs(np.ones((3, 3)))
+        with pytest.raises(TensorError, match="one-hot"):
+            Dataset(np.ones((2, 3)), np.array([[1.0, 0.0], [0.5, 0.5]]))
 
 
 class TestBuildMlp:
@@ -81,7 +70,7 @@ class TestBuildMlp:
         rng = np.random.default_rng(0)
         x = rng.random((64, 6))
         y = np.eye(2)[np.arange(64) % 2]
-        batch = Batch(x, y)
+        batch = Dataset(x, y)
         losses = [batch_loss(build_mlp([6, 16, 2], seed=s), batch) for s in range(20)]
         assert abs(float(np.mean(losses)) - math.log(2)) <= 0.2
 
@@ -169,7 +158,7 @@ class TestStreamedForward:
     @pytest.mark.parametrize("name", list(_STREAMED_CNNS))
     def test_equals_the_whole_batch_path_bitwise(self, name, n):
         p, x, y = _streamed_case(name, n)
-        batch = Batch(x, y)
+        batch = Dataset(x, y)
         logits = forward_logits(p, Tensor(x)).data
         assert logits.tobytes() == _taped(forward_logits, p, Tensor(x)).data.tobytes()
         assert np.array_equal(predict(p, x), _taped(predict, p, x))
@@ -241,7 +230,7 @@ class TestLossAndGrads:
         p.weights["w0"].data = np.array([[1e4, -1e4], [0.0, 0.0]])
         x = np.array([[1.0, 0.0], [1.0, 0.0]])
         y = np.array([[1.0, 0.0], [1.0, 0.0]])
-        loss, wg, xg = loss_and_grads(p, Batch(x, y), wrt="both")
+        loss, wg, xg = loss_and_grads(p, Dataset(x, y), wrt="both")
         assert loss <= 1e-12
         assert all(np.max(np.abs(g)) <= 1e-12 for g in wg.values())
         assert np.max(np.abs(xg)) <= 1e-12
@@ -249,13 +238,13 @@ class TestLossAndGrads:
     def test_weight_grads_match_finite_differences(self):
         rng = np.random.default_rng(4)
         p = build_mlp([3, 8, 4, 2], seed=1)
-        batch = Batch(rng.random((6, 3)), np.eye(2)[rng.integers(0, 2, 6)])
+        batch = Dataset(rng.random((6, 3)), np.eye(2)[rng.integers(0, 2, 6)])
         _fd_weight_check(p, batch, p.names)
 
     def test_cnn_weight_grads_match_finite_differences(self):
         rng = np.random.default_rng(5)
         p = build_small_cnn([2], [8, 3], seed=1, in_shape=(1, 8, 8))
-        batch = Batch(rng.random((3, 1, 8, 8)), np.eye(3)[rng.integers(0, 3, 3)])
+        batch = Dataset(rng.random((3, 1, 8, 8)), np.eye(3)[rng.integers(0, 3, 3)])
         _fd_weight_check(p, batch, ["conv0", "cb0", "fc0", "fb1"])
 
     def test_input_grads_are_per_sample_own_loss(self):
@@ -263,13 +252,13 @@ class TestLossAndGrads:
         p = build_mlp([3, 8, 2], seed=2)
         x = rng.random((4, 3))
         y = np.eye(2)[rng.integers(0, 2, 4)]
-        _, _, xg = loss_and_grads(p, Batch(x, y), wrt="inputs")
+        _, _, xg = loss_and_grads(p, Dataset(x, y), wrt="inputs")
         # row i == gradient of sample i's own loss
         for i in range(4):
-            row = Batch(x[i:i + 1], y[i:i + 1])
+            row = Dataset(x[i:i + 1], y[i:i + 1])
 
             def f(arr, row=row):
-                return batch_loss(p, Batch(arr, row.labels))
+                return batch_loss(p, Dataset(arr, row.labels))
 
             fd = finite_difference_grad(f, x[i:i + 1].copy())
             assert relative_error(xg[i:i + 1], fd) <= 1e-4
@@ -277,7 +266,7 @@ class TestLossAndGrads:
     def test_both_returns_same_loss_as_weights(self):
         rng = np.random.default_rng(7)
         p = build_mlp([3, 5, 2], seed=3)
-        batch = Batch(rng.random((5, 3)), np.eye(2)[rng.integers(0, 2, 5)])
+        batch = Dataset(rng.random((5, 3)), np.eye(2)[rng.integers(0, 2, 5)])
         loss_w, _, _ = loss_and_grads(p, batch, wrt="weights")
         loss_b, _, _ = loss_and_grads(p, batch, wrt="both")
         assert loss_w == loss_b
@@ -296,7 +285,7 @@ class TestLossAndGrads:
         # pull's outputs past their use
         rng = np.random.default_rng(8)
         p = build_small_cnn([8, 16], [32, 2], seed=0)
-        batch = Batch(rng.random((32, 1, 28, 28)), np.eye(2)[rng.integers(0, 2, 32)])
+        batch = Dataset(rng.random((32, 1, 28, 28)), np.eye(2)[rng.integers(0, 2, 32)])
         loss_and_grads(p, batch, wrt="both")
         tracemalloc.start()
         try:
@@ -358,7 +347,7 @@ class TestPerSampleLosses:
     def test_mean_matches_batch_loss(self):
         rng = np.random.default_rng(9)
         p = build_mlp([3, 4, 2], seed=5)
-        batch = Batch(rng.random((7, 3)), np.eye(2)[rng.integers(0, 2, 7)])
+        batch = Dataset(rng.random((7, 3)), np.eye(2)[rng.integers(0, 2, 7)])
         ps = per_sample_losses(p, batch)
         assert ps.shape == (7,)
         assert abs(ps.mean() - batch_loss(p, batch)) <= 1e-12

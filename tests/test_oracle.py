@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atent.models import Batch, batch_loss, build_mlp
+from atent.data import Dataset
+from atent.models import batch_loss, build_mlp
 from atent.oracle import (
     chain_moment_check,
     conv_block_forward,
@@ -32,7 +33,7 @@ class TestFiniteDifferenceGrad:
     def test_cross_check_against_autodiff_mlp(self):
         rng = np.random.default_rng(0)
         p = build_mlp([3, 6, 2], seed=1)
-        batch = Batch(rng.random((4, 3)), np.eye(2)[rng.integers(0, 2, 4)])
+        batch = Dataset(rng.random((4, 3)), np.eye(2)[rng.integers(0, 2, 4)])
         from atent.models import loss_and_grads
 
         _, wg, _ = loss_and_grads(p, batch, wrt="weights")

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from atent.data import synth_two_gaussians
+from atent.data import Dataset, synth_two_gaussians
 from atent.models import build_mlp, predict
 from atent.oracle import grid_gibbs_density
 from atent.reporting import (
@@ -79,6 +79,11 @@ class TestDecisionPlot:
         ds = synth_digits(2, classes=(5, 8), seed=0)
         with pytest.raises(ValueError):
             render_decision_svg(params, ds)
+
+    def test_rejects_a_dataset_with_no_value_range(self):
+        params, ds = self._fixture()
+        with pytest.raises(ValueError, match="declared value range"):
+            render_decision_svg(params, Dataset(ds.inputs, ds.labels))
 
 
 class TestHistogramPlot:

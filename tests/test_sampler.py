@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import atent.models
 import atent.sampler
 from atent.attacks import AttackConfig, run_attack
-from atent.models import Batch, build_mlp, build_small_cnn, loss_and_grads
+from atent.data import Dataset
+from atent.models import build_mlp, build_small_cnn, loss_and_grads
 from atent.oracle import atent_outer_gradient
 from atent.sampler import (
     GibbsSamplerConfig,
@@ -200,7 +201,7 @@ class TestRunChain:
             t.data = np.zeros_like(t.data)
         x = np.array([[0.4, 0.6], [0.1, 0.9]])
         y = np.eye(2)[[0, 1]]
-        return p, Batch(x, y)
+        return p, Dataset(x, y)
 
     def test_alpha_one_gives_final_sample_loss(self):
         p, batch = self._constant_loss_setup()
@@ -221,7 +222,7 @@ class TestRunChain:
         p = build_mlp([1, 2], seed=0)
         p.weights["w0"].data = np.array([[1.0, -1.0]])
         x0 = 0.3
-        batch = Batch(np.array([[x0]]), np.array([[1.0, 0.0]]))
+        batch = Dataset(np.array([[x0]]), np.array([[1.0, 0.0]]))
         eta, gamma = 0.2, 1.5
         cfg = _cfg(gamma=gamma, step=eta, steps=1, ema=1.0, init_radius=0.0)
         run = run_chain(p, batch, cfg, derive_rng(0))
@@ -238,7 +239,7 @@ class TestRunChain:
     def test_seeded_determinism(self):
         rng = np.random.default_rng(11)
         p = build_mlp([3, 8, 2], seed=2)
-        batch = Batch(rng.random((4, 3)), np.eye(2)[rng.integers(0, 2, 4)])
+        batch = Dataset(rng.random((4, 3)), np.eye(2)[rng.integers(0, 2, 4)])
         cfg = _cfg(gamma=1.0, step=0.1, steps=5, noise_scale=0.5, ema=0.9)
         a = run_chain(p, batch, cfg, derive_rng(123))
         b = run_chain(p, batch, cfg, derive_rng(123))
@@ -255,7 +256,7 @@ class TestRunChain:
         # past 0 within the first step from x0 = 0.05
         p = build_mlp([1, 2], seed=0)
         p.weights["w0"].data = np.array([[1.0, -1.0]])
-        batch = Batch(np.array([[0.05], [0.9]]), np.eye(2)[[0, 0]], value_range)
+        batch = Dataset(np.array([[0.05], [0.9]]), np.eye(2)[[0, 0]], value_range)
         cfg = _cfg(gamma=0.1, step=0.5, steps=3, ema=1.0, init_radius=0.0)
         return run_chain(p, batch, cfg, derive_rng(0))
 
@@ -278,7 +279,7 @@ class TestRunChain:
         # iterates and sizing the pull's arena like the forward's, at 8.2 MB
         rng = np.random.default_rng(8)
         p = build_small_cnn([8, 16], [32, 2], seed=0)
-        batch = Batch(rng.random((32, 1, 28, 28)), np.eye(2)[rng.integers(0, 2, 32)], (0.0, 1.0))
+        batch = Dataset(rng.random((32, 1, 28, 28)), np.eye(2)[rng.integers(0, 2, 32)], (0.0, 1.0))
         cfg = _cfg(gamma=5.0, step=0.01, steps=5, noise_scale=0.01, ema=0.5, norm="linf")
         run_chain(p, batch, cfg, derive_rng(1), weight_grads=True)
         tracemalloc.start()
@@ -288,6 +289,37 @@ class TestRunChain:
         finally:
             tracemalloc.stop()
         assert peak < 6.0e6, f"run_chain peaked at {peak / 1e6:.2f} MB"
+
+    @pytest.mark.parametrize("weight_grads", [True, False], ids=["training", "sampling"])
+    def test_chain_holds_no_spent_gradient_between_passes(self, monkeypatch, weight_grads):
+        # traced memory at the entry of each pass, on the benchmark's ATENT
+        # CNN at batch 32, K 5, l-inf. From the second pass on, training
+        # mode holds the iterate and the accumulator, 0.42 MB; a spent input
+        # gradient or a pass's weight gradients held into the next pass
+        # read 0.62-0.63 MB. Sampling mode holds the k - 1 iterates before
+        # pass k; a spent input gradient adds one more iterate's bytes
+        rng = np.random.default_rng(8)
+        p = build_small_cnn([8, 16], [32, 2], seed=0)
+        batch = Dataset(rng.random((32, 1, 28, 28)), np.eye(2)[rng.integers(0, 2, 32)],
+                        (0.0, 1.0))
+        cfg = _cfg(gamma=5.0, step=0.01, steps=5, noise_scale=0.01, ema=0.5, norm="linf")
+        traced, entries = atent.sampler.loss_and_grads, []
+
+        def recording(*args, **kwargs):
+            entries.append(tracemalloc.get_traced_memory()[0])
+            return traced(*args, **kwargs)
+
+        run_chain(p, batch, cfg, derive_rng(1), weight_grads=weight_grads)
+        monkeypatch.setattr(atent.sampler, "loss_and_grads", recording)
+        tracemalloc.start()
+        try:
+            run_chain(p, batch, cfg, derive_rng(1), weight_grads=weight_grads)
+        finally:
+            tracemalloc.stop()
+        assert len(entries) == cfg.steps + weight_grads
+        for k, held in enumerate(entries[1:], start=2):
+            bound = 0.5e6 if weight_grads else (k - 1) * batch.inputs.data.nbytes + 0.1e6
+            assert held < bound, f"pass {k} began holding {held / 1e6:.3f} MB"
 
 
 def _all_inputs_chain(params, batch, cfg, rng):
@@ -316,7 +348,7 @@ def _model_and_batch(kind, value_range):
     else:
         p = build_small_cnn([2, 3], [5, 2], seed=5, in_shape=(1, 8, 8))
         x = rng.random((3, 1, 8, 8))
-    return p, Batch(x, np.eye(2)[rng.integers(0, 2, x.shape[0])], value_range)
+    return p, Dataset(x, np.eye(2)[rng.integers(0, 2, x.shape[0])], value_range)
 
 
 _NORMS = ["l2", "linf"]
@@ -391,7 +423,7 @@ class TestChainPasses:
         out = run_attack(p, batch, AttackConfig(kind="atent", norm="linf", radius=radius,
                                                 seed=4, sampler=cfg), stream=2)
         x = batch.inputs.data
-        samples, _ = _all_inputs_chain(p, Batch(x, batch.labels, None), cfg,
+        samples, _ = _all_inputs_chain(p, Dataset(x, batch.labels, None), cfg,
                                        derive_rng(4, "atent-attack", 2))
         assert samples[-1].min() < 0.0 or samples[-1].max() > 1.0  # chain ran unclipped
         ref = np.clip(x + np.clip(samples[-1] - x, -radius, radius), 0.0, 1.0)

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atent import tensor as tc
-from atent.models import Batch, batch_loss, build_small_cnn, loss_and_grads
+from atent.data import Dataset
+from atent.models import batch_loss, build_small_cnn, loss_and_grads
 from atent.oracle import conv_block_forward, finite_difference_grad, relative_error
 from atent.tensor import NonFiniteError, Tape, TapeError, Tensor, TensorError
 
@@ -205,7 +206,7 @@ class TestConv2d:
         # wrt="weights": the first conv's input is untracked, the second's is
         rng = np.random.default_rng(10)
         p = build_small_cnn([2, 3], [4, 2], seed=4, in_shape=(1, 8, 8))
-        batch = Batch(rng.random((3, 1, 8, 8)), np.eye(2)[rng.integers(0, 2, 3)])
+        batch = Dataset(rng.random((3, 1, 8, 8)), np.eye(2)[rng.integers(0, 2, 3)])
         _, wg, _ = loss_and_grads(p, batch, wrt="weights")
         for name in ("conv0", "conv1"):
             t = p.weights[name]
@@ -658,7 +659,7 @@ class TestSoftmaxCrossEntropy:
         assert abs(loss - direct) <= 1e-10
 
     def test_rejects_labels_of_another_shape(self):
-        # one-hot values are checked where a Batch or Dataset is built
+        # one-hot values are checked where a Dataset is built
         z = Tensor(np.zeros((2, 3)))
         with pytest.raises(TensorError, match="do not match"):
             tc.softmax_cross_entropy(z, Tensor(np.eye(3)[[0, 1, 2]]))
@@ -756,7 +757,46 @@ def _max_pool_oracle(x, size, g):
     return out, dx
 
 
+def _normals(rng, *shapes):
+    return [rng.standard_normal(shape) for shape in shapes]
+
+
+# each tape op, by name, on seeded operands; conv2d's padded pull cuts its
+# gradient out of the padded input
+_LEAF_GRAD_CASES = {
+    "matmul": lambda r: (tc.matmul, _normals(r, (3, 4), (4, 2))),
+    "add": lambda r: (tc.add, _normals(r, (3, 4), (3, 4))),
+    "add_row_bias": lambda r: (tc.add, _normals(r, (3, 4), (4,))),
+    "add_channel_bias": lambda r: (tc.add, _normals(r, (2, 3, 4, 4), (3,))),
+    "relu": lambda r: (tc.relu, _normals(r, (3, 4))),
+    "dense": lambda r: (lambda x, w, b: tc.dense(x, w, b, relu=True),
+                        _normals(r, (3, 4), (4, 2), (2,))),
+    "sum_all": lambda r: (tc.sum_all, _normals(r, (3, 4))),
+    "reshape": lambda r: (lambda x: tc.reshape(x, (4, 3)), _normals(r, (3, 4))),
+    "conv2d": lambda r: (tc.conv2d, _normals(r, (2, 2, 5, 5), (3, 2, 3, 3))),
+    "conv2d_padding1": lambda r: (lambda x, k: tc.conv2d(x, k, 1, 1),
+                                  _normals(r, (2, 2, 5, 5), (3, 2, 3, 3))),
+    "conv2d_unbatched_padding1": lambda r: (lambda x, k: tc.conv2d(x, k, 1, 1),
+                                            _normals(r, (2, 5, 5), (3, 2, 3, 3))),
+    "max_pool2d": lambda r: (tc.max_pool2d, _normals(r, (2, 3, 4, 4))),
+    "conv_block": lambda r: (tc.conv_block, _normals(r, (2, 2, 6, 6), (3, 2, 3, 3), (3,))),
+    "softmax_cross_entropy": lambda r: (tc.softmax_cross_entropy,
+                                        [r.standard_normal((3, 2)), np.eye(2)[[0, 1, 0]]]),
+}
+
+
 class TestBackwardSemantics:
+    @pytest.mark.parametrize("case", list(_LEAF_GRAD_CASES))
+    def test_leaf_gradients_are_c_contiguous(self, case):
+        # backward wraps each leaf gradient as the pulls left it, with no copy
+        op, arrays = _LEAF_GRAD_CASES[case](np.random.default_rng(13))
+        leaves = [Tensor(a) for a in arrays]
+        with Tape(leaves) as tape:
+            out = op(*leaves)
+            root = out if out.size == 1 else tc.sum_all(out)
+        grads = tc.backward(tape, root)
+        assert grads and all(g.data.flags.c_contiguous for g in grads.values())
+
     def test_sum_gradient_all_ones(self):
         x = Tensor(np.arange(6.0).reshape(2, 3))
         (gx,) = grad_of(lambda: tc.sum_all(x), [x])

@@ -15,7 +15,8 @@ import numpy as np
 
 import atent
 from atent.config import parse_config_dict
-from atent.models import Batch, build_mlp
+from atent.data import Dataset
+from atent.models import build_mlp
 from atent.sampler import GibbsSamplerConfig
 from atent.seeding import derive_rng
 
@@ -48,7 +49,7 @@ def test_install_then_restore_puts_every_binding_back():
     try:
         wrapped = {key for key, value in _bindings().items() if before.get(key) is not value}
         rng = np.random.default_rng(0)
-        batch = Batch(rng.random((4, 3)), np.eye(2)[[0, 1, 0, 1]])
+        batch = Dataset(rng.random((4, 3)), np.eye(2)[[0, 1, 0, 1]])
         cfg = GibbsSamplerConfig(gamma=2.0, step=0.1, steps=3, noise_scale=0.1)
         atent.sampler.run_chain(build_mlp([3, 4, 2], seed=0), batch, cfg, derive_rng(0))
     finally:

@@ -315,7 +315,7 @@ def items():
         cfg = config.parse_config_dict(tree)
         _, _, eval_ds = experiment.build_datasets(cfg.data, cfg.seed)
         params = models.build_model(cfg.model, cfg.seed)
-        batch = eval_ds.take(range(10)).as_batch()
+        batch = eval_ds.take(range(10))
         named = [(atk.kind, atk) for atk in cfg.attacks]
         named.append(("atent_l2", config.parse_config_dict(
             {**tree, "attacks": [ATENT_L2_ATTACK]}).attacks[0]))
@@ -328,11 +328,11 @@ def items():
         yield f"smooth_accuracy/{model}", smoothing_digest(trained["entropy_sgd"], eval_ds)
         if model == "cnn":
             for wrt in ("weights", "inputs", "both"):
-                loss, wg, xg = models.loss_and_grads(params, eval_ds.as_batch(), wrt=wrt)
+                loss, wg, xg = models.loss_and_grads(params, eval_ds, wrt=wrt)
                 yield f"loss_and_grads/{wrt}/cnn/{eval_ds.n}", digest(loss, wg, xg)
             odd = models.build_model(ODD_CNN, cfg.seed)
             rng = derive_rng(cfg.seed, "hash-cnn-odd")
-            odd_batch = models.Batch(rng.random((ODD_ROWS, *ODD_CNN["in_shape"])),
+            odd_batch = data.Dataset(rng.random((ODD_ROWS, *ODD_CNN["in_shape"])),
                                      np.eye(2)[rng.integers(0, 2, ODD_ROWS)])
             for wrt in ("weights", "inputs", "both"):
                 yield (f"loss_and_grads/{wrt}/cnn_odd",
