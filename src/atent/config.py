@@ -14,13 +14,14 @@ its dataclass: ``GibbsSamplerConfig``, ``AttackConfig``, ``EarlyStopConfig``,
   takes.
 
 ``null`` for a section, or for a key that may be None, leaves the key out.
-Unknown keys, wrong types and the dataclasses' constraint violations are
-errors, reported with their full path.
+Unknown keys, wrong types, non-finite numbers and the dataclasses'
+constraint violations are errors, reported with their full path.
 """
 from __future__ import annotations
 
 import functools
 import json
+import sys
 import types
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
@@ -200,6 +201,8 @@ def _value(hint, value, path: str, seed: int):
     if hint is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number")
+        if not abs(value) <= sys.float_info.max:  # json reads NaN, Infinity, 1e999
+            raise ConfigError(f"{path}: expected a finite number")
         return float(value)
     if hint is int:
         if isinstance(value, bool) or not isinstance(value, int):

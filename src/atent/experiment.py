@@ -445,7 +445,6 @@ def smooth_evaluate(cfg: ExperimentConfig, checkpoint_path) -> dict:
     result = {
         "sigma": cfg.smoothing.sigma,
         "n_samples": cfg.smoothing.n_samples,
-        "abstain_margin": cfg.smoothing.abstain_margin,
         "smooth_accuracy": smooth_accuracy(params, eval_ds, cfg.smoothing),
     }
     with _output_dir(cfg) as out:

@@ -494,6 +494,7 @@ class TestCliCommands:
         assert main(["smooth-eval", str(cfg_path), "--checkpoint",
                      str(out / "last.ckpt"), "--output-dir", str(out)]) == 0
         result = json.loads((out / "smooth.json").read_text())
+        assert set(result) == {"sigma", "n_samples", "smooth_accuracy"}
         assert 0.0 <= result["smooth_accuracy"] <= 1.0
 
     @pytest.mark.parametrize("command, written", [("attack", "report.csv"),
@@ -575,6 +576,29 @@ class TestCliCommands:
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = write_cfg(tmp_path, {**toy_tree(), "mystery": 1})
         assert main(["train", str(bad)]) == 1
+
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys):
+        tree = toy_tree()
+        tree["trainer"]["lr"] = float("nan")
+        cfg_path = write_cfg(tmp_path, tree)
+        assert '"lr": NaN' in cfg_path.read_text()  # the literal that json reads
+        out = tmp_path / "out"
+        assert main(["train", str(cfg_path), "--output-dir", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: trainer.lr: expected a finite number"]
+        assert not out.exists()
+
+    def test_abstain_margin_is_config_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        checkpoint.save_checkpoint(build_mlp([2, 8, 2], seed=0), ckpt)
+        cfg_path = write_cfg(tmp_path, toy_tree(smoothing={"sigma": 0.1, "n_samples": 8,
+                                                           "abstain_margin": 0.1}))
+        out = tmp_path / "out"
+        assert main(["smooth-eval", str(cfg_path), "--checkpoint", str(ckpt),
+                     "--output-dir", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: unknown key 'smoothing.abstain_margin'"]
+        assert not out.exists()
 
     def test_robust_early_stop_without_validation_is_config_error(self, tmp_path, capsys):
         tree = toy_tree()

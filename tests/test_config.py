@@ -107,7 +107,7 @@ class TestParsing:
             {"kind": "atent", "norm": "linf", "radius": 0.3,
              "sampler": {"gamma": 6.0, "step": 0.5, "steps": 3}},
         ]
-        tree["smoothing"] = {"sigma": 0.12, "n_samples": 500, "abstain_margin": 0.1}
+        tree["smoothing"] = {"sigma": 0.12, "n_samples": 500}
         cfg = parse_config_dict(tree)
         assert cfg.trainer.sampler.norm == "linf"
         assert cfg.trainer.early_stop.eval_attack.radius == pytest.approx(1 / 3.33)
@@ -173,7 +173,7 @@ def full_tree(data_kind="mnist_binary", model_kind="cnn"):
         "attacks": [{"kind": "atent", "norm": "l2", "radius": 0.6, "seed": 12,
                      "sampler": {**FULL_SAMPLER, "gamma": 3.0}},
                     {"kind": "fgsm", "radius": 0.3, "seed": 14}],
-        "smoothing": {"sigma": 0.3, "n_samples": 77, "abstain_margin": 0.2, "seed": 13},
+        "smoothing": {"sigma": 0.3, "n_samples": 77, "seed": 13},
     })
 
 
@@ -403,6 +403,27 @@ class TestStrictValues:
         tree = minimal_tree()
         edit(tree)
         with pytest.raises(ConfigError, match=re.escape(f"{path}: expected an integer")):
+            parse_config_dict(tree)
+
+    # json reads NaN and Infinity as floats; each would reach the run
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("path", ["trainer.lr", "trainer.sampler.gamma",
+                                      "trainer.lr_schedule[0][1]", "smoothing.sigma",
+                                      "attacks[0].radius"])
+    def test_non_finite_number_is_refused(self, path, value):
+        tree = full_tree()
+        *keys, last = [int(k) if k.isdigit() else k for k in re.findall(r"\w+", path)]
+        section = tree
+        for k in keys:
+            section = section[k]
+        section[last] = value
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: expected a finite number")):
+            parse_config_dict(tree)
+
+    def test_abstain_margin_is_an_unknown_key(self):
+        tree = minimal_tree(smoothing={"sigma": 0.1, "abstain_margin": 0.0})
+        with pytest.raises(ConfigError, match=re.escape("unknown key 'smoothing.abstain_margin'")):
             parse_config_dict(tree)
 
 

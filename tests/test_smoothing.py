@@ -1,5 +1,7 @@
-"""Randomized smoothing: votes, abstention, accuracy plumbing."""
-from dataclasses import replace
+"""Randomized smoothing: votes, the plurality stop rule, accuracy plumbing."""
+import itertools
+from collections import deque
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -9,10 +11,8 @@ from atent.data import Dataset, synth_two_gaussians
 from atent.models import build_mlp, build_small_cnn, predict
 from atent.seeding import derive_rng
 from atent.smoothing import (
-    ABSTAIN,
     VOTE_CHUNK,
     SmoothingConfig,
-    _vote_outcome,
     smooth_accuracy,
     smooth_predict,
     vote_counts,
@@ -28,16 +28,38 @@ def _threshold_model(slope=1.0):
     return p
 
 
+def _three_class_model(band=0.3):
+    # logits (-x, band, x): class 1 iff |x| < band, else the sign's class
+    p = build_mlp([1, 3], seed=0)
+    p.weights["w0"].data = np.array([[-1.0, 0.0, 1.0]])
+    p.weights["b0"].data = np.array([0.0, band, 0.0])
+    return p
+
+
 def _small_cnn():
     return build_small_cnn([2], [3], seed=1, in_shape=(1, 6, 6))
 
 
+def _full_counts(params, x, cfg, n_classes, stream=0):
+    return vote_counts(params, x, cfg, derive_rng(cfg.seed, "smoothing", stream), n_classes)
+
+
 def _full_vote(params, x, cfg, n_classes, stream=0):
-    # the decision read from all n_samples votes: what smooth_predict returns
-    rng = derive_rng(cfg.seed, "smoothing", stream)
-    counts = vote_counts(params, x, cfg, rng, n_classes)
-    top = int(counts.argmax())
-    return top if counts[top] / cfg.n_samples >= 0.5 + cfg.abstain_margin else ABSTAIN
+    # the plurality of all n_samples votes, lowest index on a tie: what
+    # smooth_predict returns
+    return int(_full_counts(params, x, cfg, n_classes, stream).argmax())
+
+
+def _plurality(counts):
+    return counts.index(max(counts))
+
+
+def _settled(counts, remaining):
+    """No rival, handed every one of the ``remaining`` votes, overtakes the
+    plurality of ``counts``."""
+    top = _plurality(counts)
+    return all(_plurality([c + remaining * (j == rival) for j, c in enumerate(counts)]) == top
+               for rival in range(len(counts)))
 
 
 @pytest.fixture
@@ -50,6 +72,19 @@ def forward_sizes(monkeypatch):
         return predict(params, inputs)
 
     monkeypatch.setattr(smoothing, "predict", counting)
+    return sizes
+
+
+@pytest.fixture
+def chunk_sizes(monkeypatch):
+    """The vote budget of each vote_counts call that smooth_predict makes."""
+    sizes = []
+
+    def counting(params, x, cfg, rng, n_classes):
+        sizes.append(cfg.n_samples)
+        return vote_counts(params, x, cfg, rng, n_classes)
+
+    monkeypatch.setattr(smoothing, "vote_counts", counting)
     return sizes
 
 
@@ -66,14 +101,20 @@ def _compositions(total, k):
 class TestConfig:
     @pytest.mark.parametrize(
         "kw",
-        [dict(sigma=-0.1), dict(n_samples=0), dict(abstain_margin=0.5),
-         dict(abstain_margin=-0.01)],
+        [dict(sigma=-0.1), dict(n_samples=0)],
     )
     def test_rejects_bad_values(self, kw):
-        base = dict(sigma=1.0, n_samples=10, abstain_margin=0.0, seed=0)
+        base = dict(sigma=1.0, n_samples=10, seed=0)
         base.update(kw)
         with pytest.raises(ValueError):
             SmoothingConfig(**base)
+
+    def test_fields_hold_no_abstain_margin(self):
+        # the attribute stays, at 0.0, for the benchmark's one read of it
+        assert [f.name for f in fields(SmoothingConfig)] == ["sigma", "n_samples", "seed"]
+        assert asdict(SmoothingConfig(sigma=1.0)) == {"sigma": 1.0, "n_samples": 1000, "seed": 0}
+        assert SmoothingConfig.abstain_margin == 0.0
+        assert not hasattr(smoothing, "ABSTAIN")
 
 
 class TestSmoothPredict:
@@ -95,10 +136,16 @@ class TestSmoothPredict:
             plain = int(predict(p, x[None, :])[0])
             assert smooth_predict(p, x, cfg, 4) == plain
 
-    def test_threshold_point_abstains(self):
-        p = _threshold_model()
-        cfg = SmoothingConfig(sigma=1.0, n_samples=10_000, abstain_margin=0.05, seed=7)
-        assert smooth_predict(p, np.array([0.0]), cfg, 2) == ABSTAIN
+    def test_three_class_vote_without_majority_takes_plurality(self):
+        # shares about 0.31, 0.23 and 0.46: the plurality class holds no
+        # majority, where a vote-share threshold of one half abstained
+        p = _three_class_model()
+        x = np.array([0.2])
+        for seed in range(5):
+            cfg = SmoothingConfig(sigma=1.0, n_samples=1000, seed=seed)
+            counts = _full_counts(p, x, cfg, 3)
+            assert counts.argmax() == 2 and counts.max() < cfg.n_samples / 2
+            assert smooth_predict(p, x, cfg, 3) == 2
 
     def test_vote_counts_sum_exactly(self):
         p = _threshold_model()
@@ -125,7 +172,7 @@ class TestSmoothPredict:
 
     def test_same_seed_is_identical(self):
         p = _threshold_model()
-        cfg = SmoothingConfig(sigma=0.8, n_samples=501, abstain_margin=0.1, seed=9)
+        cfg = SmoothingConfig(sigma=0.8, n_samples=501, seed=9)
         x = np.array([0.05])
         assert smooth_predict(p, x, cfg, 2) == smooth_predict(p, x, cfg, 2)
 
@@ -153,13 +200,6 @@ class TestSmoothAccuracy:
         cfg = SmoothingConfig(sigma=0.0, n_samples=11, seed=0)
         assert smooth_accuracy(p, ds, cfg) == accuracy(p, ds.inputs, ds.labels)
 
-    def test_all_abstain_counts_as_zero(self):
-        p = _threshold_model()
-        x = np.zeros((10, 1))
-        ds = Dataset(Tensor(x), Tensor(np.eye(2)[[0, 1] * 5]))
-        cfg = SmoothingConfig(sigma=1.0, n_samples=2000, abstain_margin=0.4, seed=2)
-        assert smooth_accuracy(p, ds, cfg) == 0.0
-
     def test_matches_hand_count(self):
         ds = self._dataset(10)
         p = build_mlp([2, 8, 2], seed=5)
@@ -169,34 +209,34 @@ class TestSmoothAccuracy:
             for i in range(10)
         ]
         truths = ds.labels.data.argmax(axis=1)
-        hand = sum(int(p_ == t) for p_, t in zip(preds, truths) if p_ != ABSTAIN) / 10
+        hand = sum(int(p_ == t) for p_, t in zip(preds, truths)) / 10
         assert smooth_accuracy(p, ds, cfg) == hand
 
 
 class TestStopRule:
     @pytest.mark.parametrize("k", [2, 3])
-    @pytest.mark.parametrize("margin", [0.0, 0.1, 0.3, 0.45])
-    def test_decided_outcome_is_the_full_vote_outcome(self, k, margin):
-        # every vote prefix against every completion: the rule decides
-        # exactly when all completions agree, and then on their outcome
-        for n in range(1, 10):
-            cfg = SmoothingConfig(sigma=0.0, n_samples=n, abstain_margin=margin)
-            for cast in range(n + 1):
-                left = n - cast
-                for prefix in _compositions(cast, k):
-                    counts = np.array(prefix, dtype=np.int64)
-                    finals = set()
-                    for rest in _compositions(left, k):
-                        final = counts + np.array(rest)
-                        top = int(final.argmax())
-                        finals.add(top if final[top] / n >= 0.5 + margin else ABSTAIN)
-                    got = _vote_outcome(counts, left, cfg)
-                    if got is None:
-                        assert len(finals) > 1, (n, prefix)
-                    else:
-                        assert finals == {got}, (n, prefix)
-                    if left == 0:
-                        assert got == finals.pop()
+    def test_decided_outcome_is_the_full_vote_outcome(self, k, monkeypatch):
+        # one scripted vote per chunk, for every sequence of up to 6 votes:
+        # the vote stops at the first prefix after which every completion
+        # has the same plurality, and returns the plurality of the sequence
+        monkeypatch.setattr(smoothing, "VOTE_CHUNK", 1)
+        script = deque()
+        monkeypatch.setattr(smoothing, "vote_counts",
+                            lambda params, x, cfg, rng, n_classes:
+                            np.bincount([script.popleft()], minlength=n_classes))
+        for n in range(1, 7):
+            cfg = SmoothingConfig(sigma=0.0, n_samples=n)
+            for votes in itertools.product(range(k), repeat=n):
+                script.extend(votes)
+                got = smooth_predict(None, np.zeros(1), cfg, k)
+                cast = n - len(script)
+                script.clear()
+                counts = [votes.count(c) for c in range(k)]
+                assert got == _plurality(counts), votes
+                settled = [
+                    {_plurality([votes[:t].count(c) + r for c, r in enumerate(rest)])
+                     for rest in _compositions(n - t, k)} for t in range(1, n + 1)]
+                assert cast == 1 + [len(s) for s in settled].index(1), votes
 
 
 class TestEarlyStop:
@@ -211,23 +251,21 @@ class TestEarlyStop:
         else:
             params, n_classes = _small_cnn(), 3
             rng = np.random.default_rng(11)
-            xs = [rng.random((1, 6, 6)) for _ in range(3)]
+            # centred on 0, where each class wins somewhere, and some votes
+            # split with no majority
+            xs = [rng.random((1, 6, 6)) - 0.5 for _ in range(3)]
         cast, outcomes = [], set()
         for seed in (0, 1, 2):
             for sigma in (0.0, 0.25, 1.0):
-                for margin in (0.0, 0.1, 0.3):
-                    cfg = SmoothingConfig(sigma=sigma, n_samples=n,
-                                          abstain_margin=margin, seed=seed)
-                    for stream, x in enumerate(xs):
-                        forward_sizes.clear()
-                        got = smooth_predict(params, x, cfg, n_classes=n_classes,
-                                             stream=stream)
-                        cast.append(sum(forward_sizes))
-                        assert 0 < cast[-1] <= n
-                        assert got == _full_vote(params, x, cfg, n_classes, stream)
-                        outcomes.add(got)
-        # one vote always decides; otherwise both kinds of outcome occur
-        assert len(outcomes) > 1 and (ABSTAIN in outcomes or n == 1)
+                cfg = SmoothingConfig(sigma=sigma, n_samples=n, seed=seed)
+                for stream, x in enumerate(xs):
+                    forward_sizes.clear()
+                    got = smooth_predict(params, x, cfg, n_classes=n_classes, stream=stream)
+                    cast.append(sum(forward_sizes))
+                    assert 0 < cast[-1] <= n
+                    assert got == _full_vote(params, x, cfg, n_classes, stream)
+                    outcomes.add(got)
+        assert len(outcomes) > 1
         if n > VOTE_CHUNK:
             assert min(cast) < n  # some votes stopped early
         if n == 2053:
@@ -244,24 +282,15 @@ class TestEarlyStop:
         # is the first to reach them
         assert forward_sizes == [VOTE_CHUNK] * 4
 
-    def test_abstaining_vote_is_checked_every_chunk(self, forward_sizes):
-        # a share of 0.8 is 412 of 515 votes; with the vote near even, no
-        # class can still reach it once about 206 are in, so the rule stops
-        # the vote at its first look past them, after two chunks
-        cfg = SmoothingConfig(sigma=1.0, n_samples=4 * VOTE_CHUNK + 3,
-                              abstain_margin=0.3, seed=2)
-        assert smooth_predict(_threshold_model(), np.array([0.0]), cfg, 2) == ABSTAIN
-        assert forward_sizes == [VOTE_CHUNK, VOTE_CHUNK]
-
-    # a vote that runs to its short last chunk, one decided early, and one
-    # bound for ABSTAIN
-    @pytest.mark.parametrize("x,margin", [(0.0, 0.0), (1.0, 0.0), (0.0, 0.1)])
-    def test_whole_chunks_until_the_first_that_decides(self, x, margin, forward_sizes):
+    # a vote that runs to its short last chunk and one decided early, beside
+    # the threshold model's boundary at 0 and at a shifted boundary
+    @pytest.mark.parametrize("x,threshold", [(0.0, 0.0), (1.0, 0.0), (0.5, 0.5)])
+    def test_whole_chunks_until_the_first_that_decides(self, x, threshold, forward_sizes):
         # replayed chunk by chunk from the same stream: every chunk but the
-        # last is whole, and the outcome is first decided after the last
+        # last is whole, and the plurality is first settled after the last
         p = _threshold_model()
-        cfg = SmoothingConfig(sigma=1.0, n_samples=6 * VOTE_CHUNK + 7,
-                              abstain_margin=margin, seed=5)
+        p.weights["b0"].data = np.array([threshold, -threshold])  # class 1 iff x > threshold
+        cfg = SmoothingConfig(sigma=1.0, n_samples=6 * VOTE_CHUNK + 7, seed=5)
         got = smooth_predict(p, np.array([x]), cfg, 2)
         sizes = list(forward_sizes)
         assert all(m == VOTE_CHUNK for m in sizes[:-1]) and 0 < sizes[-1] <= VOTE_CHUNK
@@ -270,19 +299,50 @@ class TestEarlyStop:
         for i, m in enumerate(sizes):
             counts += vote_counts(p, np.array([x]), replace(cfg, n_samples=m), rng, 2)
             remaining -= m
-            outcome = _vote_outcome(counts, remaining, cfg)
-            assert (outcome is None) == (i < len(sizes) - 1)
-        assert outcome == got
+            assert _settled(counts.tolist(), remaining) == (i == len(sizes) - 1)
+        assert got == _plurality(counts.tolist())
+
+    @pytest.mark.parametrize("n", [1, 77, VOTE_CHUNK, VOTE_CHUNK + 1, 1000])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_one_vote_counts_call_per_chunk_of_the_replayed_stream(self, k, n, chunk_sizes):
+        # replayed chunk by chunk from the same stream: smooth_predict makes
+        # one vote_counts call per chunk, every chunk but the last whole, up
+        # to the first chunk after which no rival can overtake the leader
+        if k == 2:
+            params, xs = _threshold_model(), (0.0, 0.03, 0.3, 1.0)
+        else:
+            params, xs = _three_class_model(), (0.0, 0.2, 0.6, 1.5)
+        calls = []
+        for seed in (0, 1, 2):
+            for sigma in (0.25, 1.0):
+                cfg = SmoothingConfig(sigma=sigma, n_samples=n, seed=seed)
+                for stream, x in enumerate(xs):
+                    x = np.array([x])
+                    chunk_sizes.clear()
+                    got = smooth_predict(params, x, cfg, k, stream=stream)
+                    rng = derive_rng(cfg.seed, "smoothing", stream)
+                    counts, remaining, want = np.zeros(k, dtype=np.int64), n, []
+                    while not want or not _settled(counts.tolist(), remaining):
+                        want.append(min(VOTE_CHUNK, remaining))
+                        remaining -= want[-1]
+                        counts += vote_counts(params, x, replace(cfg, n_samples=want[-1]),
+                                              rng, k)
+                    assert chunk_sizes == want
+                    assert got == _full_vote(params, x, cfg, k, stream)
+                    calls.append(len(chunk_sizes))
+        chunks = -(-n // VOTE_CHUNK)
+        if chunks > 1:
+            assert min(calls) < chunks  # some votes stopped early
+        if n == 1000:
+            assert max(calls) == chunks  # and some ran to the short last chunk
 
     def test_accuracy_equals_full_vote_decisions(self):
         x = np.linspace(-0.6, 0.6, 24)[:, None]
         ds = Dataset(Tensor(x), Tensor(np.eye(2)[[0, 1, 1] * 8]), value_range=(-1.0, 1.0))
         p = _threshold_model()
-        cfg = SmoothingConfig(sigma=1.0, n_samples=VOTE_CHUNK + 300,
-                              abstain_margin=0.1, seed=3)
+        cfg = SmoothingConfig(sigma=1.0, n_samples=VOTE_CHUNK + 300, seed=3)
         preds = [_full_vote(p, ds.inputs.data[i], cfg, 2, stream=i) for i in range(ds.n)]
         truths = ds.labels.data.argmax(axis=1)
-        decided = [(q, t) for q, t in zip(preds, truths) if q != ABSTAIN]
-        assert 0 < len(decided) < ds.n
-        correct = sum(int(q == t) for q, t in decided)
+        correct = sum(int(q == t) for q, t in zip(preds, truths))
+        assert 0 < correct < ds.n
         assert smooth_accuracy(p, ds, cfg) == correct / ds.n

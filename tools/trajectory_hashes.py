@@ -1,25 +1,35 @@
-"""Print one SHA-256 per computed result of an ``atent`` source tree.
+"""Print one SHA-256 per computed result of an ``atent`` source tree, and
+check them against ``trajectory_hashes.lock``.
 
 A change that should leave every number as it was (a speed-up, a refactor)
-can be checked against its parent with one command per tree:
+is checked with one command:
 
-    python tools/trajectory_hashes.py --src <parent-checkout>/src > parent.txt
-    python tools/trajectory_hashes.py --src src > change.txt
-    diff parent.txt change.txt
+    python tools/trajectory_hashes.py --check
+
+It hashes ``--src`` (by default this checkout's ``src/``) and compares the
+lines with the lock's section for the running BLAS identity: numpy's
+version, its bundled OpenBLAS's build config and the core OpenBLAS runs on,
+read through ``ctypes``. It exits 1 and names every item that moved, and
+exits 3 when the lock has no section for the identity, or the identity
+cannot be read. A change that moves numbers on purpose rewrites the
+section with ``--write`` in the same commit, so the lock's diff lists the
+items that moved.
 
 A change can be bitwise-equal under one BLAS kernel and not under another,
-so run the three commands again under a second kernel. numpy's OpenBLAS
-picks its kernel by CPU, and ``OPENBLAS_CORETYPE`` overrides the pick:
+so the lock holds a section per kernel. numpy's OpenBLAS picks its kernel
+by CPU, and ``OPENBLAS_CORETYPE`` overrides the pick:
 
-    export OPENBLAS_CORETYPE=Haswell
-    python tools/trajectory_hashes.py --src <parent-checkout>/src > parent-haswell.txt
-    python tools/trajectory_hashes.py --src src > change-haswell.txt
-    diff parent-haswell.txt change-haswell.txt
+    OPENBLAS_CORETYPE=Haswell python tools/trajectory_hashes.py --check
 
 On a CPU where OpenBLAS picks SkylakeX by default, 36 of the 61 items
 differ between the two kernels (every ``train/``, ``loss_and_grads/`` and
 ``resume/`` item among them, and ``conv_block/weights/k5`` and
-``conv_block/both/k5``), so the second run checks other arithmetic.
+``conv_block/both/k5``), so the second run checks other arithmetic. Where
+the lock has no section for the machine, hash the parent's tree and diff:
+
+    python tools/trajectory_hashes.py --src <parent-checkout>/src > parent.txt
+    python tools/trajectory_hashes.py > change.txt
+    diff parent.txt change.txt
 
 Each line is ``<sha256>  <item>``. The 61 items are, but for the
 ``data/``, ``cnn_odd`` and ``conv_block/`` ones, on a small MLP and on a
@@ -56,9 +66,9 @@ CNN with two conv blocks, on ``digits_binary``:
 - ``smooth_accuracy/<model>``: the Entropy-SGD-trained model smoothed per
   ``SMOOTHING`` on the first 8 eval rows: the smoothed accuracy, each row's
   smoothed prediction and each row's counts of a full vote. The script
-  raises unless some row's votes split, some row abstains and some row is
-  predicted right, so that the hash changes if an abstention stops counting
-  as an error;
+  raises unless some row's votes split and some row is predicted right and
+  some wrong, so that the hash changes if a split vote's plurality or the
+  accuracy's count moves;
 - ``logits/<n>/cnn``: the SGD-trained CNN's untaped logits on ``n`` seeded
   uniform images, for each n in ``LOGIT_ROWS``, and ``accuracy/cnn``, its
   accuracy over the whole eval split (100 rows): forwards that stream the
@@ -88,6 +98,7 @@ as in the benchmark. The package does not import this script.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -101,6 +112,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import numpy as np  # noqa: E402  (after the thread pins)
+
+LOCK = Path(__file__).with_suffix(".lock")
 
 MODELS = {
     "mlp": {"kind": "mlp", "widths": [784, 16, 2]},
@@ -125,7 +138,7 @@ ATENT_L2_ATTACK = {"kind": "atent", "norm": "l2", "radius": 0.5,
 # the smoothing run of the ``smooth_accuracy/`` items. The Entropy-SGD-trained
 # models are the only ones below whose votes split after two epochs; the
 # SGD-trained ones predict class 0 on every eval row, at sigma 0.25 unanimously
-SMOOTHING = {"sigma": 0.5, "n_samples": 200, "abstain_margin": 0.1}
+SMOOTHING = {"sigma": 0.5, "n_samples": 200}
 # the ``loss_and_grads/<wrt>/cnn_odd`` items' CNN and rows: odd 13x13 planes
 # leave a trailing row and column outside every pool window at block 0, whose
 # pull takes 120 rows in three spans (57, 57 and 6), and block 1 has more
@@ -196,7 +209,7 @@ FULL_TREE = {
     "attacks": [{"kind": "atent", "norm": "l2", "radius": 0.6, "seed": 12,
                  "sampler": {"gamma": 4.0, "step": 0.2, "steps": 3, "noise_scale": 0.1,
                              "ema": 0.4, "norm": "l2", "init_radius": 0.01}}],
-    "smoothing": {"sigma": 0.3, "n_samples": 77, "abstain_margin": 0.2, "seed": 13},
+    "smoothing": {"sigma": 0.3, "n_samples": 77, "seed": 13},
 }
 
 
@@ -291,12 +304,12 @@ def items():
                  for i, x in enumerate(rows.inputs.data)]
         votes = [smoothing.vote_counts(params, x, cfg, derive_rng(cfg.seed, "hash-votes", i),
                                        rows.n_classes) for i, x in enumerate(rows.inputs.data)]
-        if not (any((v < cfg.n_samples).all() for v in votes)
-                and smoothing.ABSTAIN in preds
-                and any(p == t for p, t in zip(preds, truths))):
+        right = [p == t for p, t in zip(preds, truths)]
+        if not (any((v < cfg.n_samples).all() for v in votes) and any(right)
+                and not all(right)):
             raise RuntimeError(f"smoothing hash gates nothing: predictions {preds} "
                                f"against labels {truths}; every item needs a row whose "
-                               "votes split, an abstention and a right prediction")
+                               "votes split, a right prediction and a wrong one")
         return digest(smoothing.smooth_accuracy(params, rows, cfg), preds, votes)
 
     for model in MODELS:
@@ -364,19 +377,90 @@ def items():
     yield "data/digits_all_glyphs", digest([(ds.inputs.data, ds.labels.data) for ds in glyphs])
 
 
+def blas_identity() -> str | None:
+    """numpy's version, its bundled OpenBLAS's build config and the core
+    that OpenBLAS runs on; None when they cannot be read, which matches no
+    lock section."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob(
+        "libscipy_openblas64_*.so"))
+    if len(libs) != 1:
+        return None
+    try:
+        lib = ctypes.CDLL(str(libs[0]))
+        config, core = lib.scipy_openblas_get_config64_, lib.scipy_openblas_get_corename64_
+    except (OSError, AttributeError):
+        return None
+    config.argtypes = core.argtypes = []
+    config.restype = core.restype = ctypes.c_char_p
+    return f"numpy {np.__version__}; {config().decode()}; {core().decode()}"
+
+
+def read_lock(path: Path) -> dict[str, list[str]]:
+    """The lock's sections: each ``[<identity>]`` header and the hash lines
+    under it, in file order; ``#`` lines are comments."""
+    sections, lines = {}, None
+    text = path.read_text() if path.exists() else ""
+    for line in text.splitlines():
+        if line.startswith("[") and line.endswith("]"):
+            lines = sections[line[1:-1]] = []
+        elif line and not line.startswith("#"):
+            lines.append(line)
+    return sections
+
+
+def write_lock(path: Path, sections: dict[str, list[str]]) -> None:
+    text = ("# The lines of tools/trajectory_hashes.py for each BLAS identity, written\n"
+            "# by its --write and compared by its --check.\n")
+    for identity, lines in sections.items():
+        text += "\n".join(["", f"[{identity}]", *lines, ""])
+    path.write_text(text)
+
+
+def moved_items(locked: list[str], lines: list[str]) -> list[str]:
+    """Every item whose hash differs between two runs' lines, or that only
+    one of them holds, each with what happened to it."""
+    old, new = ({item: sha for sha, item in (line.split("  ", 1) for line in ls)}
+                for ls in (locked, lines))
+    moved = [f"{item}: not in the lock" for item in new if item not in old]
+    moved += [f"{item}: {'changed' if item in new else 'missing'}"
+              for item in old if old[item] != new.get(item)]
+    return moved
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--src", required=True,
-                   help="the src/ directory of the checkout to hash")
+    p.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
+                   help="the src/ directory of the checkout to hash (default: this one's)")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--check", action="store_true",
+                      help="compare with the lock's section for this BLAS identity")
+    mode.add_argument("--write", action="store_true",
+                      help="rewrite the lock's section for this BLAS identity")
     args = p.parse_args(argv)
     src = os.path.abspath(args.src)
     if not os.path.isdir(os.path.join(src, "atent")):
         print(f"trajectory_hashes: no atent package under {src}", file=sys.stderr)
         return 2
     sys.path.insert(0, src)
+    lines = []
     for item, sha in items():
-        print(f"{sha}  {item}", flush=True)
-    return 0
+        lines.append(f"{sha}  {item}")
+        print(lines[-1], flush=True)
+    if not (args.check or args.write):
+        return 0
+    identity, sections = blas_identity(), read_lock(LOCK)
+    if args.write and identity is not None:
+        sections[identity] = lines
+        write_lock(LOCK, sections)
+        return 0
+    if identity not in sections:
+        print(f"trajectory_hashes: {LOCK.name} has no section for BLAS identity "
+              f"{identity or '(unreadable)'}", file=sys.stderr)
+        return 3
+    moved = moved_items(sections[identity], lines)
+    for line in moved:
+        print(f"trajectory_hashes: moved: {line}", file=sys.stderr)
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":
