@@ -49,7 +49,7 @@ class AttackConfig:
             raise ValueError(f"unknown attack kind {self.kind!r}")
         if self.norm not in (L2, LINF):
             raise ValueError(f"norm must be '{L2}' or '{LINF}'")
-        if self.radius < 0:
+        if not (self.radius >= 0):
             raise ValueError("radius must be nonnegative")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
@@ -58,7 +58,7 @@ class AttackConfig:
         if self.kind == PGD:
             if self.steps < 1:
                 raise ValueError("pgd needs at least one step")
-            if self.step_size <= 0:
+            if not (self.step_size > 0):
                 raise ValueError("pgd step_size must be positive")
         if self.kind == ATENT_ATTACK and self.sampler is None:
             raise ValueError("atent attack needs a sampler config")

@@ -5,8 +5,8 @@ length u32, the header as compact JSON with sorted keys (utf-8), entry
 count u32, then per entry: name length u16, name bytes (utf-8), rank u8,
 extents u32 x rank, values f64 x prod(extents). The header holds the
 architecture descriptor under ``model`` and, in a training run's
-``last.ckpt``, the trainer's counters under ``trainer`` (see
-``experiment.train_with_persistence``). Load rebuilds the model from the
+``last.ckpt``, the trainer's counters and its history of epoch records
+under ``trainer`` (see ``experiment.train_with_persistence``). Load rebuilds the model from the
 descriptor, which rejects weights whose names or shapes disagree with it;
 any failure to decode or validate a file raises :class:`CheckpointError`
 naming it. A file of any other version is refused.

@@ -69,7 +69,7 @@ class TrainerConfig:
     def __post_init__(self):
         if self.defense not in DEFENSES:
             raise ValueError(f"unknown defense {self.defense!r}")
-        if self.lr < 0:
+        if not (self.lr >= 0):
             raise ValueError("lr must be nonnegative")
         if any(factor < 0 for _, factor in self.lr_schedule or ()):
             raise ValueError(f"lr_schedule factors must be nonnegative, got {self.lr_schedule}")

@@ -5,12 +5,13 @@ Output-directory layout:
 
     <out>/last.ckpt                current params, written every epoch; its
                                    header carries the run's name and seed,
-                                   the epoch and the best-metric counters
+                                   the epoch, the best-metric counters and
+                                   the history of epoch records
     <out>/best.ckpt                early-stopped snapshot, written on
                                    improvement
     <out>/metrics.jsonl.partial    per-epoch records while training, one
-                                   JSON line each (the only copy of the
-                                   history until the run finishes)
+                                   JSON line each: a progress log that is
+                                   never read back
     <out>/metrics.jsonl            finalized metric stream
     <out>/report.csv               accuracy table (schema in reporting),
                                    from ``evaluate`` and ``attack``
@@ -24,13 +25,13 @@ This module writes every one of these files. Every file but the partial
 stream and the empty lock is written atomically (tmp + rename): a crashed
 run never leaves a file that parses as a complete artifact. Each epoch
 appends its line to the stream, then writes ``best.ckpt`` when it changed
-and ``last.ckpt`` last, whose rename commits the epoch; resume cuts the
-stream back to ``last.ckpt``'s epoch. ``attack`` and ``smooth-eval`` make
-the directory only once their results are computed. One process per output
-directory: each command holds a kernel flock on ``.lock`` while it writes
-there (:func:`output_lock`). The file stays; the kernel releases the lock on
-any exit, a crash included. The lock excludes processes on one host, on a
-local filesystem.
+and ``last.ckpt`` last, whose rename commits the epoch and all that resume
+reads; resume rewrites the stream from the history in ``last.ckpt``.
+``attack`` and ``smooth-eval`` make the directory only once their results
+are computed. One process per output directory: each command holds a
+kernel flock on ``.lock`` while it writes there (:func:`output_lock`). The
+file stays; the kernel releases the lock on any exit, a crash included.
+The lock excludes processes on one host, on a local filesystem.
 
 Data buffers: ``build_train_val`` owns the training pool it builds. Its
 train and val splits are two slices of the pool's one float64 array,
@@ -187,12 +188,16 @@ _COUNTER_TYPES = {
     "epoch": (int,),
     "best_metric": (float,),
     "best_epoch": (int,),
+    "history": (list,),
 }
 
 
 def _counters(cfg: ExperimentConfig, state: TrainerState) -> dict:
+    # vars, not asdict: every commit serializes the whole history, and
+    # asdict's deep copy of each record costs about 6x as much
     return {"name": cfg.name, "seed": cfg.seed, "epoch": state.epoch,
-            "best_metric": state.best_metric, "best_epoch": state.best_epoch}
+            "best_metric": state.best_metric, "best_epoch": state.best_epoch,
+            "history": [vars(r) for r in state.history]}
 
 
 def _check_types(where: str, values, types: dict) -> None:
@@ -206,69 +211,45 @@ def _check_types(where: str, values, types: dict) -> None:
                                   f"not {' or '.join(t.__name__ for t in allowed)}")
 
 
-def _check_counters(path: Path, counters) -> None:
-    """Raise :class:`ExperimentError` naming ``path`` unless ``counters``
-    holds each key with its type. Other keys, such as the ``best_robust_acc``
-    that older headers carry, are not read."""
-    if not isinstance(counters, dict):
-        raise ExperimentError(f"{path}: no trainer counters in the header")
-    _check_types(f"{path}: trainer counter", counters, _COUNTER_TYPES)
-    if counters["epoch"] < 1:
-        raise ExperimentError(f"{path}: trainer counter 'epoch' is {counters['epoch']}")
-
-
-# the fields of a metric record and the types each may take, read off
+# the fields of an epoch record and the types each may take, read off
 # ``EpochRecord``'s annotations
 _RECORD_TYPES = {name: get_args(hint) or (hint,)
                  for name, hint in get_type_hints(EpochRecord).items()}
 
 
-def _metrics_line(record: EpochRecord) -> str:
-    return json.dumps(asdict(record), sort_keys=True)
+def _check_counters(path: Path, counters) -> None:
+    """Raise :class:`ExperimentError` naming ``path`` unless ``counters``
+    holds each key with its type, and a history of exactly ``epoch``
+    records, record i an object of epoch i with exactly ``EpochRecord``'s
+    fields, each of its type. Other counters, such as the
+    ``best_robust_acc`` that older headers carry, are not read."""
+    if not isinstance(counters, dict):
+        raise ExperimentError(f"{path}: no trainer counters in the header")
+    _check_types(f"{path}: trainer counter", counters, _COUNTER_TYPES)
+    epoch, history = counters["epoch"], counters["history"]
+    if epoch < 1:
+        raise ExperimentError(f"{path}: trainer counter 'epoch' is {epoch}")
+    if len(history) != epoch:
+        raise ExperimentError(f"{path}: {len(history)} history records at epoch {epoch}")
+    for at, record in enumerate(history, 1):
+        where = f"{path}: history record {at}"
+        if not isinstance(record, dict):
+            raise ExperimentError(f"{where} is {type(record).__name__}, not an object")
+        _check_types(f"{where} field", record, _RECORD_TYPES)
+        if record.keys() != _RECORD_TYPES.keys():
+            raise ExperimentError(f"{where} has unknown fields "
+                                  f"{sorted(record.keys() - _RECORD_TYPES.keys())}")
+        if record["epoch"] != at:
+            raise ExperimentError(f"{where} holds epoch {record['epoch']}")
 
 
 def _metrics_text(history: list[EpochRecord]) -> str:
-    return "".join(_metrics_line(r) + "\n" for r in history)
-
-
-def _read_metrics(path: Path, epochs: int) -> tuple[list[EpochRecord], int]:
-    """The first ``epochs`` records of the stream at ``path`` and their
-    length in bytes. Lines after them, torn or whole, are not read; fewer
-    complete lines, or a record with a field missing or of a type the
-    trainer does not write, raise :class:`ExperimentError` naming ``path``."""
-    history, size = [], 0
-    try:
-        with open(path, "rb") as f:
-            for line in f:
-                if len(history) == epochs or not line.endswith(b"\n"):
-                    break
-                at = len(history) + 1
-                values = json.loads(line)
-                if not isinstance(values, dict):
-                    raise ValueError(f"line {at} is not a JSON object")
-                _check_types(f"{path}: malformed metric record on line {at}: field",
-                             values, _RECORD_TYPES)
-                record = EpochRecord(**values)
-                if record.epoch != at:
-                    raise ValueError(f"line {at} holds epoch {record.epoch}")
-                history.append(record)
-                size += len(line)
-    except FileNotFoundError:
-        pass
-    except (TypeError, ValueError) as exc:  # ValueError includes JSON/UTF-8 decoding
-        raise ExperimentError(
-            f"{path}: malformed metric record ({type(exc).__name__}: {exc})"
-        ) from exc
-    if len(history) < epochs:
-        raise ExperimentError(f"{path}: {len(history)} complete epoch records, "
-                              f"but last.ckpt is at epoch {epochs}")
-    return history, size
+    return "".join(json.dumps(asdict(r), sort_keys=True) + "\n" for r in history)
 
 
 def _resume_state(cfg: ExperimentConfig, out: Path) -> TrainerState:
-    """The state ``last.ckpt`` committed, its history read back from the
-    metric stream: ``metrics.jsonl.partial`` if present, which is cut back
-    to the committed epoch, else a finished run's ``metrics.jsonl``."""
+    """The state ``last.ckpt`` committed: weights, counters and history all
+    come from its one file, and no metric file is read."""
     last_ckpt = out / "last.ckpt"
     if not last_ckpt.exists():
         raise ExperimentError(f"nothing to resume in {out}")
@@ -278,13 +259,8 @@ def _resume_state(cfg: ExperimentConfig, out: Path) -> TrainerState:
         raise ExperimentError("saved state belongs to a different experiment")
     state = TrainerState(params=params, epoch=counters["epoch"],
                          best_metric=counters["best_metric"],
-                         best_epoch=counters["best_epoch"])
-    partial = out / "metrics.jsonl.partial"
-    if partial.exists():
-        state.history, size = _read_metrics(partial, state.epoch)
-        os.truncate(partial, size)
-    else:
-        state.history, _ = _read_metrics(out / "metrics.jsonl", state.epoch)
+                         best_epoch=counters["best_epoch"],
+                         history=[EpochRecord(**r) for r in counters["history"]])
     if (out / "best.ckpt").exists():
         state.best_params = load_checkpoint(out / "best.ckpt")
     return state
@@ -296,18 +272,21 @@ def train_with_persistence(cfg: ExperimentConfig, out: Path,
                            stop_after: int | None = None) -> TrainerState:
     """Train ``cfg`` with a commit to ``out`` after every epoch.
 
-    Each epoch, in this order: appends its record to
-    ``metrics.jsonl.partial`` and flushes it; writes ``best.ckpt`` when the
-    early-stopped snapshot is not the one this process wrote last (the
-    trainer installs a fresh snapshot on every improvement, so this is
-    each improving epoch plus the first commit of every process, resumed
-    or not); writes ``last.ckpt`` last. Its rename commits the epoch:
-    weights and counters land together, and resume cuts the stream back to
-    the epoch it names. A crash before it leaves at most one record and a
-    ``best.ckpt`` ahead of the commit; the resumed run retrains that epoch
-    and writes both again with the same bytes. A finished run (all epochs,
-    or ended by early stopping) writes ``metrics.jsonl`` and removes the
-    partial file; resuming it trains no further epoch.
+    A process that trains opens ``metrics.jsonl.partial`` afresh and writes
+    the committed history into it (none for a fresh run). Then each epoch,
+    in this order: appends its record to the stream and flushes it; writes
+    ``best.ckpt`` when the early-stopped snapshot is not the one this
+    process wrote last (the trainer installs a fresh snapshot on every
+    improvement, so this is each improving epoch plus the first commit of
+    every process, resumed or not); writes ``last.ckpt`` last. Its rename
+    commits the epoch: weights, counters and history land together, and
+    resume reads nothing else. The stream is a progress log and is never
+    read back, so a crash may leave it torn, short or long. A crash before
+    the rename leaves a ``best.ckpt`` ahead of the commit; the resumed run
+    retrains that epoch and writes it again with the same bytes. A
+    finished run (all epochs, or ended by early stopping) writes
+    ``metrics.jsonl`` and removes the partial file; resuming it trains no
+    further epoch.
     """
     last_ckpt = out / "last.ckpt"
     best_ckpt = out / "best.ckpt"
@@ -315,16 +294,13 @@ def train_with_persistence(cfg: ExperimentConfig, out: Path,
 
     state = _resume_state(cfg, out) if resume else None
     if state is None or not training_finished(state, cfg.trainer):
-        if state is None:
-            partial.unlink(missing_ok=True)
-        elif not partial.exists():  # a finished run trained further
-            atomic_write_text(partial, _metrics_text(state.history))
         best_written = None
-        with open(partial, "a", encoding="utf-8") as stream:
+        with open(partial, "w", encoding="utf-8") as stream:
+            stream.write(_metrics_text(state.history if state is not None else []))
 
             def on_epoch(state: TrainerState):
                 nonlocal best_written
-                stream.write(_metrics_line(state.history[-1]) + "\n")
+                stream.write(_metrics_text(state.history[-1:]))
                 stream.flush()
                 if state.best_params is not None and state.best_params is not best_written:
                     save_checkpoint(state.best_params, best_ckpt)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import Dataset
 from .models import ModelParams, loss_and_grads
-from .tensor import NonFiniteError
+from .tensor import _check_finite
 
 L2 = "l2"
 LINF = "linf"
@@ -52,9 +52,9 @@ class GibbsSamplerConfig:
     init_radius: float | None = None
 
     def __post_init__(self):
-        if self.gamma <= 0:
+        if not (self.gamma > 0):
             raise ValueError("gamma must be positive")
-        if self.step <= 0:
+        if not (self.step > 0):
             raise ValueError("step must be positive")
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
@@ -111,18 +111,12 @@ def _plus_noise(v: np.ndarray, cfg: GibbsSamplerConfig, rng: np.random.Generator
     return v + math.sqrt(2.0 * cfg.step) * cfg.noise_scale * rng.standard_normal(v.shape)
 
 
-def _finite(x: np.ndarray) -> np.ndarray:
-    if not np.isfinite(x).all():
-        raise NonFiniteError("Langevin chain diverged")
-    return x
-
-
 def langevin_step_l2(x_prime: np.ndarray, anchor: np.ndarray, grad: np.ndarray,
                      cfg: GibbsSamplerConfig, rng: np.random.Generator) -> np.ndarray:
     """x' <- x' + eta' * (grad + gamma * (x - x')) + sqrt(2 eta') * eps * N(0, I).
     ``cfg.norm`` is not read."""
     drift = grad + cfg.gamma * (anchor - x_prime)
-    return _finite(_plus_noise(x_prime + cfg.step * drift, cfg, rng))
+    return _check_finite(_plus_noise(x_prime + cfg.step * drift, cfg, rng), "Langevin step")
 
 
 def l2_chain(grad_fn, anchor: dict[str, np.ndarray], cfg: GibbsSamplerConfig,
@@ -171,7 +165,7 @@ def langevin_step(x_prime: np.ndarray, anchor: np.ndarray, grad: np.ndarray,
     inc = _plus_noise(cfg.step * grad, cfg, rng)
     if k == cfg.steps:
         inc = project_linf_increment(inc, cfg.gamma)
-    return _finite(x_prime + inc)
+    return _check_finite(x_prime + inc, "Langevin step")
 
 
 def run_chain(

@@ -45,7 +45,7 @@ class SmoothingConfig:
     abstain_margin = 0.0
 
     def __post_init__(self):
-        if self.sigma < 0:
+        if not (self.sigma >= 0):
             raise ValueError("sigma must be nonnegative")
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")

@@ -43,6 +43,8 @@ class TestAttackConfig:
             dict(kind="pgd", steps=0, step_size=0.1),
             dict(kind="pgd", steps=5, step_size=0.0),
             dict(kind="atent"),
+            dict(step_size=math.nan),
+            dict(kind="fgsm", radius=math.nan),
         ],
     )
     def test_rejects_bad_configs(self, kw):

@@ -129,12 +129,12 @@ class TestPipeline:
         run_experiment(in_dir(cfg, out))
         first = {p.name: p.read_bytes() for p in out.iterdir()}
         run_experiment(in_dir(cfg, out), resume=True)
-        # the history is read back from metrics.jsonl; every file keeps its bytes
+        # the history is read back from last.ckpt; every file keeps its bytes
         assert {p.name: p.read_bytes() for p in out.iterdir()} == first
 
     def test_finished_run_trained_further(self, tmp_path):
         # no lr decay, so 2 epochs then 2 more retrace a 4-epoch run; the
-        # resumed history comes from the finished run's metrics.jsonl
+        # resumed history comes from the finished run's last.ckpt
         full, out = tmp_path / "full", tmp_path / "out"
         run_experiment(in_dir(parse_config_dict(toy_tree(epochs=4)), full))
         run_experiment(in_dir(parse_config_dict(toy_tree(epochs=2)), out))
@@ -391,13 +391,10 @@ class TestCrashResume:
         run_experiment(in_dir(cfg, out), resume=True)
         _same_files(full, out)
 
-    @pytest.mark.parametrize("defect, message", [
-        ("short", "2 complete epoch records, but last.ckpt is at epoch 3"),
-        ("torn", "2 complete epoch records, but last.ckpt is at epoch 3"),
-        ("malformed", "malformed metric record"),
-        ("out_of_order", "line 2 holds epoch 3"),
-    ])
-    def test_stream_behind_the_checkpoint_is_refused(self, tmp_path, defect, message):
+    @pytest.mark.parametrize("defect", ["short", "torn", "malformed", "out_of_order",
+                                        "missing"])
+    def test_stream_behind_the_checkpoint_is_rebuilt(self, tmp_path, full, defect):
+        # resume reads the history from last.ckpt and rewrites the stream
         cfg = parse_config_dict(toy_tree(epochs=6))
         out = tmp_path / "out"
         run_training(in_dir(cfg, out), stop_after=3)
@@ -409,14 +406,16 @@ class TestCrashResume:
             lines[2] = lines[2][:-5]
         elif defect == "malformed":
             lines[1] = '{"epoch": 2}\n'
-        else:
+        elif defect == "out_of_order":
             lines[1], lines[2] = lines[2], lines[1]
         partial.write_text("".join(lines))
-        before = partial.read_bytes()
-        with pytest.raises(ExperimentError, match=message) as info:
-            run_experiment(in_dir(cfg, out), resume=True)
-        assert str(partial) in str(info.value)
-        assert partial.read_bytes() == before
+        if defect == "missing":
+            partial.unlink()
+        run_training(in_dir(cfg, out), resume=True, stop_after=4)
+        assert partial.read_text() == "".join(
+            (full / "metrics.jsonl").read_text().splitlines(keepends=True)[:4])
+        run_experiment(in_dir(cfg, out), resume=True)
+        _same_files(full, out)
 
 
 class TestCliCommands:
@@ -725,6 +724,26 @@ class TestCliCommands:
         ({"seed": None}, "'seed' is NoneType, not int"),
         ("best_epoch", "'best_epoch' missing"),
         (None, "no trainer counters"),
+        # an older header, written without the history, is refused
+        pytest.param("history", "trainer counter 'history' missing", id="history-absent"),
+        pytest.param(lambda h: h[0].pop("wall_ms"),
+                     "history record 1 field 'wall_ms' missing", id="history-missing"),
+        pytest.param(lambda h: h[0].update(epoch=True),
+                     "history record 1 field 'epoch' is bool, not int", id="history-bool_epoch"),
+        pytest.param(lambda h: h[1].update(nat_acc=[1]),
+                     "history record 2 field 'nat_acc' is list, not float or NoneType",
+                     id="history-list_nat_acc"),
+        pytest.param(lambda h: h[0].update(train_loss="oops"),
+                     "history record 1 field 'train_loss' is str, not float",
+                     id="history-str_train_loss"),
+        pytest.param(lambda h: h.__setitem__(0, [h[0]]),
+                     "history record 1 is list, not an object", id="history-not_object"),
+        pytest.param(lambda h: h[0].update(extra=1),
+                     "history record 1 has unknown fields ['extra']", id="history-unknown_key"),
+        pytest.param(lambda h: h.reverse(),
+                     "history record 1 holds epoch 2", id="history-out_of_order"),
+        pytest.param(lambda h: h.pop(),
+                     "1 history records at epoch 2", id="history-short"),
     ])
     def test_malformed_trainer_counters_exit_code(self, tmp_path, capsys, edit, message):
         cfg_path = write_cfg(tmp_path, toy_tree(epochs=4))
@@ -735,61 +754,20 @@ class TestCliCommands:
         params, counters = checkpoint.read_checkpoint(last)
         if isinstance(edit, dict):
             counters.update(edit)
+        elif callable(edit):
+            edit(counters["history"])
         elif edit is None:
             counters = None
         else:
             del counters[edit]
         last.write_bytes(checkpoint.checkpoint_bytes(params, counters))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
         capsys.readouterr()
         assert main(["train", str(cfg_path), "--output-dir", str(out), "--resume"]) == 2
         err = capsys.readouterr().err
         assert str(last) in err
         assert message in err
-
-    @pytest.mark.parametrize("stream, line, field, value, message", [
-        ("metrics.jsonl", 3, "nat_acc", [1], "'nat_acc' is list, not float or NoneType"),
-        ("metrics.jsonl.partial", 1, "train_loss", "oops", "'train_loss' is str, not float"),
-    ], ids=["finished", "partial"])
-    def test_metric_record_of_wrong_type_exit_code(self, tmp_path, capsys, stream, line,
-                                                   field, value, message):
-        # a finished run's stream, or the partial one after --stop-after 2
-        cfg_path = write_cfg(tmp_path, toy_tree(epochs=3))
-        out = tmp_path / "out"
-        stop = ["--stop-after", "2"] if stream.endswith(".partial") else []
-        assert main(["train", str(cfg_path), "--output-dir", str(out), *stop]) == 0
-        path = out / stream
-        lines = path.read_text().splitlines(keepends=True)
-        lines[line - 1] = json.dumps({**json.loads(lines[line - 1]), field: value}) + "\n"
-        path.write_text("".join(lines))
-        before = path.read_bytes()
-        capsys.readouterr()
-        assert main(["train", str(cfg_path), "--output-dir", str(out), "--resume"]) == 2
-        err = capsys.readouterr().err
-        assert f"{path}: malformed metric record on line {line}: field {message}" in err
-        assert path.read_bytes() == before
-        assert stream == "metrics.jsonl" or not (out / "metrics.jsonl").exists()
-
-    @pytest.mark.parametrize("edit, message", [
-        (lambda r: {k: v for k, v in r.items() if k != "wall_ms"},
-         "on line 1: field 'wall_ms' missing"),
-        (lambda r: {**r, "epoch": True}, "on line 1: field 'epoch' is bool, not int"),
-        (lambda r: [r], "(ValueError: line 1 is not a JSON object)"),
-    ], ids=["missing", "bool_epoch", "not_object"])
-    def test_malformed_metric_record_exit_code(self, tmp_path, capsys, edit, message):
-        cfg_path = write_cfg(tmp_path, toy_tree(epochs=3))
-        out = tmp_path / "out"
-        assert main(["train", str(cfg_path), "--output-dir", str(out),
-                     "--stop-after", "2"]) == 0
-        path = out / "metrics.jsonl.partial"
-        lines = path.read_text().splitlines(keepends=True)
-        lines[0] = json.dumps(edit(json.loads(lines[0]))) + "\n"
-        path.write_text("".join(lines))
-        before = path.read_bytes()
-        capsys.readouterr()
-        assert main(["train", str(cfg_path), "--output-dir", str(out), "--resume"]) == 2
-        assert f"{path}: malformed metric record {message}" in capsys.readouterr().err
-        assert path.read_bytes() == before
-        assert not (out / "metrics.jsonl").exists()
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_int_lr_of_a_config_built_in_code_reads_back(self, tmp_path):
         # no decay applies, and the records carry the int lr as the float 1.0

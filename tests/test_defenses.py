@@ -36,6 +36,11 @@ def _params_equal(a: ModelParams, b: ModelParams) -> bool:
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("lr", [-0.1, math.nan])
+    def test_rejects_bad_lr(self, lr):
+        with pytest.raises(ValueError, match="lr must be nonnegative"):
+            TrainerConfig(defense="sgd", lr=lr, epochs=1, batch_size=8)
+
     def test_sampler_presence_rules(self):
         with pytest.raises(ValueError):
             TrainerConfig(defense="atent_l2", lr=0.1, epochs=1, batch_size=8)

@@ -46,6 +46,8 @@ class TestConfigValidation:
             dict(ema=1.5),
             dict(norm="l1"),
             dict(init_radius=-1.0),
+            dict(gamma=math.nan),
+            dict(step=math.nan),
         ],
     )
     def test_rejects_bad_values(self, kw):

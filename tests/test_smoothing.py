@@ -101,7 +101,7 @@ def _compositions(total, k):
 class TestConfig:
     @pytest.mark.parametrize(
         "kw",
-        [dict(sigma=-0.1), dict(n_samples=0)],
+        [dict(sigma=-0.1), dict(n_samples=0), dict(sigma=float("nan"))],
     )
     def test_rejects_bad_values(self, kw):
         base = dict(sigma=1.0, n_samples=10, seed=0)

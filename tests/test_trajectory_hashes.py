@@ -27,7 +27,7 @@ def test_prints_one_hash_line_per_item(checked):
     lines = checked.stdout.splitlines()
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines), checked.stderr
     items = [line.split("  ")[1] for line in lines]
-    assert len(items) == 61 and len(set(items)) == 61
+    assert len(items) == 62 and len(set(items)) == 62
 
 
 def test_hashes_match_the_lock(checked):

@@ -21,7 +21,7 @@ by CPU, and ``OPENBLAS_CORETYPE`` overrides the pick:
 
     OPENBLAS_CORETYPE=Haswell python tools/trajectory_hashes.py --check
 
-On a CPU where OpenBLAS picks SkylakeX by default, 36 of the 61 items
+On a CPU where OpenBLAS picks SkylakeX by default, 37 of the 62 items
 differ between the two kernels (every ``train/``, ``loss_and_grads/`` and
 ``resume/`` item among them, and ``conv_block/weights/k5`` and
 ``conv_block/both/k5``), so the second run checks other arithmetic. Where
@@ -31,7 +31,7 @@ the lock has no section for the machine, hash the parent's tree and diff:
     python tools/trajectory_hashes.py > change.txt
     diff parent.txt change.txt
 
-Each line is ``<sha256>  <item>``. The 61 items are, but for the
+Each line is ``<sha256>  <item>``. The 62 items are, but for the
 ``data/``, ``cnn_odd`` and ``conv_block/`` ones, on a small MLP and on a
 CNN with two conv blocks, on ``digits_binary``:
 
@@ -78,6 +78,11 @@ CNN with two conv blocks, on ``digits_binary``:
   are kept before the resume and hashed after it, with the final weights,
   so the hash changes if the resumed run writes into an array the first
   call returned;
+- ``resume/persisted/sgd/mlp``: the same run through
+  ``experiment.train_with_persistence`` in a temporary directory, stopped
+  after epoch 2 and resumed from the directory to epoch 4: the bytes of
+  the ``PERSISTED`` files, so the hash changes if the on-disk commit
+  format moves;
 - ``data/<kind>``: the input and label bytes of every split that
   ``build_datasets`` returns for each spec of ``DATA_SPECS``:
   ``digits_binary`` with ``val_fraction`` 0.1 and 0, ``two_gaussians``, and
@@ -90,7 +95,7 @@ CNN with two conv blocks, on ``digits_binary``:
 
 That is 11 ``config/``, 14 ``train/``, 8 ``attack/``, 12
 ``loss_and_grads/``, 4 ``conv_block/``, 2 ``smooth_accuracy/``, 3
-``logits/``, 1 ``accuracy/``, 1 ``resume/`` and 5 ``data/`` items.
+``logits/``, 1 ``accuracy/``, 2 ``resume/`` and 5 ``data/`` items.
 
 The trees are imported from ``--src`` alone; BLAS is pinned to one thread,
 as in the benchmark. The package does not import this script.
@@ -165,6 +170,9 @@ DATA_SPECS = {
 # the ``data/digits_all_glyphs`` item: every digit, with a last short block
 GLYPH_PAIRS = ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9))
 GLYPH_ROWS = 21
+# the files of a run's output directory that ``resume/persisted/sgd/mlp``
+# hashes: the on-disk commit of each epoch and the finished run's stream
+PERSISTED = ("last.ckpt", "best.ckpt", "metrics.jsonl")
 ATTACKS = [
     {"kind": "fgsm", "norm": "linf", "radius": 0.1},
     {"kind": "pgd", "norm": "linf", "radius": 0.1, "steps": 3, "step_size": 0.05,
@@ -366,6 +374,12 @@ def items():
     kept = [{k: t.data for k, t in p.weights.items()} for p in (first.params, first.best_params)]
     final = defenses.train(params, cfg.trainer, train_ds, val_ds, resume_state=first)
     yield "resume/sgd/mlp", digest(kept, {k: t.data for k, t in final.params.weights.items()})
+    with tempfile.TemporaryDirectory() as out_dir:
+        out = Path(out_dir)
+        experiment.train_with_persistence(cfg, out, train_ds, val_ds, stop_after=2)
+        experiment.train_with_persistence(cfg, out, train_ds, val_ds, resume=True)
+        yield "resume/persisted/sgd/mlp", digest(
+            [np.frombuffer((out / name).read_bytes(), np.uint8) for name in PERSISTED])
 
     with tempfile.TemporaryDirectory() as idx_dir:
         write_idx_pair(Path(idx_dir), "train", 200, seed=1)
